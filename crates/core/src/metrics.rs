@@ -21,6 +21,7 @@
 
 use crate::job::JobSet;
 use crate::schedule::Schedule;
+use crate::time::Time;
 use serde::{Deserialize, Serialize};
 
 /// An ordered collection of named scalar metrics: the one emission schema
@@ -187,6 +188,21 @@ pub fn upsilon(schedule: &Schedule, jobs: &JobSet) -> f64 {
 /// incremental quality cache refreshes through on its hot path.
 #[must_use]
 pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
+    let index = start_index(schedule);
+    let all = jobs.as_slice();
+    quality_by(jobs, |i| indexed_start(&index, all[i].id()))
+}
+
+/// Ψ and Υ of a placement given per job position: `start_of(i)` is the
+/// start of the `i`-th job of `jobs` (in [`JobSet`] order), or `None`
+/// when that job is unplaced.
+///
+/// This is [`quality`]'s one summation loop. Allocators that already
+/// hold their placements by job position call it directly instead of
+/// building a [`Schedule`] and sorting it into a lookup table, and get
+/// the bits [`psi`] and [`upsilon`] give for that schedule.
+#[must_use]
+pub fn quality_by(jobs: &JobSet, mut start_of: impl FnMut(usize) -> Option<Time>) -> (f64, f64) {
     if jobs.is_empty() {
         return (1.0, 1.0);
     }
@@ -194,9 +210,8 @@ pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
     // `Iterator::sum::<f64>()` folds from -0.0; start there so an empty
     // schedule yields the same bits as `upsilon`.
     let mut achieved = -0.0f64;
-    let index = start_index(schedule);
-    for job in jobs {
-        if let Some(start) = indexed_start(&index, job.id()) {
+    for (i, job) in jobs.iter().enumerate() {
+        if let Some(start) = start_of(i) {
             if start == job.ideal_start() {
                 exact += 1;
             }

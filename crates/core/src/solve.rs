@@ -100,8 +100,16 @@ pub struct Infeasible {
     pub jobs: Vec<JobId>,
     /// Best partial Ψ achieved before giving up (exact jobs among the
     /// placements committed so far), when the method measured one.
+    ///
+    /// Of the incremental repair entry points, `repair`,
+    /// `repair_neighbourhood` and their `_in` forms fill it on every
+    /// failure, and `retime` does when a job misses its window. The repair
+    /// ladder carries its incremental tier's value only when a budget or
+    /// cancellation stops it before re-synthesis; otherwise its error is
+    /// the re-synthesis diagnostic, which the static scheduler fills too.
     pub best_psi: Option<f64>,
-    /// Best partial Υ achieved before giving up, when measured.
+    /// Best partial Υ achieved before giving up, when measured. Filled by
+    /// the same entry points as [`Infeasible::best_psi`].
     pub best_upsilon: Option<f64>,
     /// The partition whose loss orphaned the offending tasks, when the
     /// diagnostic stems from a failover (a `PartitionDeath` whose tasks

@@ -19,6 +19,7 @@
 //! 3. Otherwise the allocation — and Algorithm 1 — fails (line 19).
 
 use tagio_core::job::{Job, JobSet};
+use tagio_core::metrics;
 use tagio_core::schedule::{Schedule, ScheduleEntry};
 use tagio_core::time::{Duration, Time};
 
@@ -206,15 +207,6 @@ impl<'a> Timeline<'a> {
         }
     }
 
-    /// The placed start of `job_idx`, if it has been placed.
-    #[must_use]
-    pub fn start_of(&self, job_idx: usize) -> Option<Time> {
-        self.placed
-            .iter()
-            .find(|p| p.job == job_idx)
-            .map(|p| p.start)
-    }
-
     /// Indices of the placements intersecting the window `[lo, hi)`.
     ///
     /// `placed` is sorted by start and mutually non-overlapping, so
@@ -269,9 +261,15 @@ impl<'a> Timeline<'a> {
         slot.1.saturating_sub(slot.0)
     }
 
-    /// Attempts to allocate `job_idx` (Algorithm 1 lines 12–20). Returns
-    /// `false` when neither a direct fit nor a shifted fit exists.
-    pub fn allocate(&mut self, job_idx: usize, pending: &[usize], policy: SlotPolicy) -> bool {
+    /// Attempts to allocate `job_idx` (Algorithm 1 lines 12–20) and
+    /// returns the start it chose, or `None` when neither a direct fit
+    /// nor a shifted fit exists.
+    pub fn allocate(
+        &mut self,
+        job_idx: usize,
+        pending: &[usize],
+        policy: SlotPolicy,
+    ) -> Option<Time> {
         let job = &self.jobs.as_slice()[job_idx];
         let (lo, hi) = (job.release(), job.abs_deadline());
         // The slot buffers live on `self` so repeated allocations reuse
@@ -291,11 +289,15 @@ impl<'a> Timeline<'a> {
         let placed = if !fitting.is_empty() {
             let slot = self.pick_slot(&fitting, pending, policy);
             self.place(job_idx, slot.0, false);
-            true
+            Some(slot.0)
         } else {
             // Case 2: coalesce consecutive slots by shifting jobs leftwards.
             let total: Duration = slots.iter().map(|&s| Self::usable(s)).sum();
-            total >= job.wcet() && self.allocate_with_shift(job_idx, &slots)
+            if total >= job.wcet() {
+                self.allocate_with_shift(job_idx, &slots)
+            } else {
+                None
+            }
         };
         self.slots = slots;
         self.fitting = fitting;
@@ -378,8 +380,8 @@ impl<'a> Timeline<'a> {
     /// Case 2 (lines 15–17): find the run of consecutive slots whose total
     /// usable capacity fits the job while shifting the fewest
     /// timing-accurate jobs; compact those jobs leftwards and place the job
-    /// in the coalesced gap.
-    fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> bool {
+    /// in the coalesced gap. Returns the job's start.
+    fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> Option<Time> {
         let job = &self.jobs.as_slice()[job_idx];
         let n = slots.len();
         // Candidate runs [a..=b], ranked by (exact jobs shifted, start).
@@ -397,10 +399,10 @@ impl<'a> Timeline<'a> {
             }
         }
         candidates.sort_unstable();
-        let mut placed = false;
+        let mut placed = None;
         for &(_, a, b) in &candidates {
-            if self.try_compact_and_place(job_idx, slots[a].0, slots[b].1) {
-                placed = true;
+            placed = self.try_compact_and_place(job_idx, slots[a].0, slots[b].1);
+            if placed.is_some() {
                 break;
             }
         }
@@ -416,7 +418,8 @@ impl<'a> Timeline<'a> {
 
     /// Shifts every placement inside `[lo, hi)` as early as allowed
     /// (never before its release or `lo`'s preceding boundary), then tries
-    /// to place `job_idx` in the coalesced tail gap. Rolls back on failure.
+    /// to place `job_idx` in the coalesced tail gap and returns its start.
+    /// Rolls back on failure.
     ///
     /// Compaction is deterministic, so the coalesced cursor is first
     /// computed by a read-only dry run; the mutation (and its rollback
@@ -424,7 +427,7 @@ impl<'a> Timeline<'a> {
     /// overwhelmingly *fail* — `allocate_with_shift` tries them in cost
     /// order — and the dry run turns each failure from a full
     /// clone/shift/sort/rollback cycle into a short window walk.
-    fn try_compact_and_place(&mut self, job_idx: usize, lo: Time, hi: Time) -> bool {
+    fn try_compact_and_place(&mut self, job_idx: usize, lo: Time, hi: Time) -> Option<Time> {
         let all = self.jobs.as_slice();
         let job = &all[job_idx];
         let (first, past) = self.window_range(lo, hi);
@@ -443,7 +446,7 @@ impl<'a> Timeline<'a> {
         let gap_lo = cursor.max(job.release());
         let gap_hi = hi.min(job.abs_deadline());
         if gap_hi.saturating_sub(gap_lo) < job.wcet() {
-            return false;
+            return None;
         }
 
         // Rollback snapshot into the reusable buffer: `clone_from` keeps
@@ -470,10 +473,10 @@ impl<'a> Timeline<'a> {
             && self.is_free(gap_lo, gap_lo + job.wcet())
         {
             self.place(job_idx, gap_lo, false);
-            true
+            Some(gap_lo)
         } else {
             std::mem::swap(&mut self.placed, &mut snapshot);
-            false
+            None
         };
         self.snapshot = snapshot;
         placed
@@ -500,6 +503,18 @@ impl<'a> Timeline<'a> {
         self.placed.insert(pos, placed);
     }
 
+    /// Ψ and Υ of the placements made so far, over the whole job set:
+    /// the bits [`metrics::psi`] and [`metrics::upsilon`] give for
+    /// [`Timeline::into_schedule`], without building that schedule.
+    /// `by_job` is a reusable lookup buffer.
+    pub(crate) fn partial_quality(&self, by_job: &mut Vec<Option<Time>>) -> (f64, f64) {
+        placement_quality(
+            self.jobs,
+            self.placed.iter().map(|p| (p.job, p.start)),
+            by_job,
+        )
+    }
+
     /// Finalises the timeline into a [`Schedule`].
     #[must_use]
     pub fn into_schedule(self) -> Schedule {
@@ -510,7 +525,7 @@ impl<'a> Timeline<'a> {
     /// `scratch` so the next [`Timeline::with_placements_in`] reuses
     /// their capacity.
     #[must_use]
-    pub fn into_schedule_in(mut self, scratch: &mut TimelineScratch) -> Schedule {
+    pub fn into_schedule_in(self, scratch: &mut TimelineScratch) -> Schedule {
         let schedule = self
             .placed
             .iter()
@@ -520,12 +535,18 @@ impl<'a> Timeline<'a> {
                 duration: p.wcet,
             })
             .collect();
-        scratch.placed = std::mem::take(&mut self.placed);
-        scratch.slots = std::mem::take(&mut self.slots);
-        scratch.fitting = std::mem::take(&mut self.fitting);
-        scratch.candidates = std::mem::take(&mut self.candidates);
-        scratch.snapshot = std::mem::take(&mut self.snapshot);
+        self.recycle(scratch);
         schedule
+    }
+
+    /// Drops the timeline without building a schedule, returning its
+    /// buffers to `scratch` like [`Timeline::into_schedule_in`] does.
+    pub(crate) fn recycle(self, scratch: &mut TimelineScratch) {
+        scratch.placed = self.placed;
+        scratch.slots = self.slots;
+        scratch.fitting = self.fitting;
+        scratch.candidates = self.candidates;
+        scratch.snapshot = self.snapshot;
     }
 
     /// Number of placements currently at their ideal instants.
@@ -533,6 +554,23 @@ impl<'a> Timeline<'a> {
     pub fn exact_count(&self) -> usize {
         self.placed.iter().filter(|p| p.exact).count()
     }
+}
+
+/// Ψ and Υ of `(job index, start)` placements over the whole of `jobs`,
+/// through [`metrics::quality_by`]: an `O(n)` table by job position in
+/// place of a [`Schedule`] and its sorted lookup. `by_job` is a reusable
+/// buffer.
+pub(crate) fn placement_quality(
+    jobs: &JobSet,
+    placements: impl IntoIterator<Item = (usize, Time)>,
+    by_job: &mut Vec<Option<Time>>,
+) -> (f64, f64) {
+    by_job.clear();
+    by_job.resize(jobs.len(), None);
+    for (job, start) in placements {
+        by_job[job] = Some(start);
+    }
+    metrics::quality_by(jobs, |i| by_job[i])
 }
 
 fn push_clipped(out: &mut Vec<(Time, Time)>, s: Time, e: Time, lo: Time, hi: Time) {
@@ -618,7 +656,7 @@ mod tests {
             100,
         );
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
-        assert!(tl.allocate(1, &[], SlotPolicy::default()));
+        assert!(tl.allocate(1, &[], SlotPolicy::default()).is_some());
         let s = tl.into_schedule();
         let start = s.start_of(JobId::new(TaskId(1), 0)).unwrap();
         // placed either before 10 or after 15, inside [0, 40-5]
@@ -638,7 +676,9 @@ mod tests {
             22,
         );
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
-        assert!(tl.allocate(1, &[2], SlotPolicy::LeastContentionCapacityDecreasing));
+        assert!(tl
+            .allocate(1, &[2], SlotPolicy::LeastContentionCapacityDecreasing)
+            .is_some());
         let s = tl.clone().into_schedule();
         let start = s.start_of(JobId::new(TaskId(1), 0)).unwrap();
         assert_eq!(start, Time::from_millis(15), "picked the uncontended slot");
@@ -655,7 +695,7 @@ mod tests {
             22,
         );
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
-        assert!(tl.allocate(1, &[2], SlotPolicy::FirstFit));
+        assert_eq!(tl.allocate(1, &[2], SlotPolicy::FirstFit), Some(Time::ZERO));
         let start = tl
             .into_schedule()
             .start_of(JobId::new(TaskId(1), 0))
@@ -668,7 +708,9 @@ mod tests {
         // Both slots uncontended; slot sizes 10 and 7: pick the smaller (7).
         let js = jobset(vec![job(0, 0, 10, 100, 5, 0), job(1, 0, 16, 22, 5, 1)], 22);
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
-        assert!(tl.allocate(1, &[], SlotPolicy::LeastContentionCapacityDecreasing));
+        assert!(tl
+            .allocate(1, &[], SlotPolicy::LeastContentionCapacityDecreasing)
+            .is_some());
         let start = tl
             .into_schedule()
             .start_of(JobId::new(TaskId(1), 0))
@@ -689,7 +731,7 @@ mod tests {
             100,
         );
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
-        assert!(tl.allocate(1, &[], SlotPolicy::default()));
+        assert!(tl.allocate(1, &[], SlotPolicy::default()).is_some());
         let s = tl.into_schedule();
         let j0 = s.start_of(JobId::new(TaskId(0), 0)).unwrap();
         let j1 = s.start_of(JobId::new(TaskId(1), 0)).unwrap();
@@ -714,7 +756,10 @@ mod tests {
         let mut tl = Timeline::with_exact_jobs(&js, &[pinned]);
         // slots in [0,20]: [0,8) cap 8, [12,20) cap 8; total 16 >= 10 but
         // compaction only frees 10..20 (len 10) => fits!
-        assert!(tl.allocate(movable, &[], SlotPolicy::default()));
+        assert_eq!(
+            tl.allocate(movable, &[], SlotPolicy::default()),
+            Some(Time::from_millis(10))
+        );
         let s = tl.into_schedule();
         assert_eq!(
             s.start_of(JobId::new(TaskId(0), 0)).unwrap(),
@@ -739,7 +784,7 @@ mod tests {
         let pinned = idx(&js, 0);
         let movable = idx(&js, 1);
         let mut tl = Timeline::with_exact_jobs(&js, &[pinned]);
-        assert!(!tl.allocate(movable, &[], SlotPolicy::default()));
+        assert_eq!(tl.allocate(movable, &[], SlotPolicy::default()), None);
     }
 
     #[test]
@@ -747,7 +792,7 @@ mod tests {
         let js = jobset(vec![job(0, 0, 8, 100, 4, 0), job(1, 0, 5, 20, 10, 1)], 100);
         let mut tl = Timeline::with_exact_jobs(&js, &[0]);
         assert_eq!(tl.exact_count(), 1);
-        assert!(tl.allocate(1, &[], SlotPolicy::default()));
+        assert!(tl.allocate(1, &[], SlotPolicy::default()).is_some());
         assert_eq!(tl.exact_count(), 0, "shifted job is no longer exact");
     }
 
@@ -757,7 +802,7 @@ mod tests {
         let mut tl = Timeline::with_exact_jobs(&js, &[]);
         // Free timeline: the direct fit picks the earliest point of the
         // chosen slot, which here is the whole horizon starting at 0.
-        assert!(tl.allocate(0, &[], SlotPolicy::FirstFit));
+        assert_eq!(tl.allocate(0, &[], SlotPolicy::FirstFit), Some(Time::ZERO));
         assert_eq!(tl.exact_count(), 0); // placed at 0, not at ideal 10
     }
 
@@ -769,5 +814,86 @@ mod tests {
             100,
         );
         let _ = Timeline::with_exact_jobs(&js, &[0, 1]);
+    }
+
+    /// The position lookup behind `partial_quality` must give the bits
+    /// `metrics::psi` / `metrics::upsilon` give for the finished schedule:
+    /// on empty, fully exact, shifted and partly placed timelines.
+    #[test]
+    fn partial_quality_matches_schedule_metrics_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        fn check(tl: &Timeline<'_>, case: &str) {
+            let (psi, upsilon) = tl.partial_quality(&mut Vec::new());
+            let s = tl.clone().into_schedule();
+            let (want_psi, want_upsilon) =
+                (metrics::psi(&s, tl.jobs), metrics::upsilon(&s, tl.jobs));
+            assert_eq!(psi.to_bits(), want_psi.to_bits(), "psi, {case}");
+            assert_eq!(upsilon.to_bits(), want_upsilon.to_bits(), "upsilon, {case}");
+        }
+        let (ms, dur) = (Time::from_millis, Duration::from_millis);
+
+        let empty = jobset(vec![], 10);
+        check(&Timeline::with_exact_jobs(&empty, &[]), "empty job set");
+        let spaced = jobset(
+            (0..4u32)
+                .map(|t| {
+                    let r = 10 * u64::from(t);
+                    job(t, r, r + 2, r + 9, 3, t)
+                })
+                .collect(),
+            40,
+        );
+        check(&Timeline::with_exact_jobs(&spaced, &[]), "nothing placed");
+        check(
+            &Timeline::with_exact_jobs(&spaced, &[0, 1, 2, 3]),
+            "fully exact",
+        );
+
+        let mut rng = StdRng::seed_from_u64(12);
+        for round in 0..200 {
+            let n = rng.random_range(1..12u32);
+            let jobs: Vec<Job> = (0..n)
+                .map(|t| {
+                    let release = rng.random_range(0..40u64);
+                    let lead = rng.random_range(0..10u64);
+                    let wcet = rng.random_range(1..6u64);
+                    let tail = wcet + rng.random_range(0..15u64);
+                    let margin = rng.random_range(0..=lead.min(tail));
+                    let vmin = rng.random_range(0.0..=0.5);
+                    let vmax = vmin + rng.random_range(0.1..=2.0);
+                    Job::new(
+                        JobId::new(TaskId(t), 0),
+                        ms(release),
+                        ms(release + lead),
+                        ms(release + lead + tail),
+                        dur(wcet),
+                        dur(margin),
+                        Priority(t % 3),
+                        QualityCurve::linear(vmax, vmin),
+                    )
+                })
+                .collect();
+            let js = jobset(jobs, 80);
+            // Per job: left out, exact when free, at a shifted instant
+            // when free, or through the allocator (which may compact).
+            let mut tl = Timeline::with_exact_jobs(&js, &[]);
+            for i in 0..js.len() {
+                match rng.random_range(0..4u32) {
+                    0 => {}
+                    1 => {
+                        tl.try_place_ideal(i);
+                    }
+                    2 => {
+                        let at = js.as_slice()[i].release() + dur(rng.random_range(0..10u64));
+                        tl.try_place_at(i, at);
+                    }
+                    _ => {
+                        let _ = tl.allocate(i, &[], SlotPolicy::default());
+                    }
+                }
+            }
+            check(&tl, &format!("random timeline {round}"));
+        }
     }
 }

@@ -33,7 +33,6 @@ pub use repair::{
 use crate::scheduler::Scheduler;
 use crate::solve::check_capacity;
 use tagio_core::job::JobSet;
-use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 
@@ -115,17 +114,13 @@ impl Scheduler for StaticScheduler {
         for pos in 0..order.len() {
             let idx = order[pos];
             let pending = &order[pos + 1..];
-            if !timeline.allocate(idx, pending, self.policy) {
+            if timeline.allocate(idx, pending, self.policy).is_none() {
                 // Algorithm 1 line 19: {infeasible, 0} — enriched with
                 // where the allocation died and how far it got.
-                let unplaced = all[idx].id();
-                let partial = timeline.into_schedule();
+                let (psi, upsilon) = timeline.partial_quality(&mut Vec::new());
                 return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-                    .with_jobs([unplaced])
-                    .with_partial(
-                        metrics::psi(&partial, jobs),
-                        metrics::upsilon(&partial, jobs),
-                    ));
+                    .with_jobs([all[idx].id()])
+                    .with_partial(psi, upsilon));
             }
         }
         Ok(timeline.into_schedule())

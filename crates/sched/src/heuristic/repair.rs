@@ -18,13 +18,30 @@
 //! online service layers admission control and shedding on top
 //! (`tagio-online`); [`RepairSolver`] packages the whole ladder as a
 //! budgeted [`Solve`] implementation.
+//!
+//! Every failure of [`repair`] and [`repair_neighbourhood`] (and their
+//! `_in` forms) carries the partial Ψ/Υ of the placements it kept, as
+//! does a [`retime`] failure that names a job missing its window. The
+//! ladder passes the incremental tier's values on when a budget or
+//! cancellation stops it before re-synthesis. A failed round reads them
+//! off its placements by job position
+//! ([`tagio_core::metrics::quality_by`]) instead of building and sorting
+//! a partial [`Schedule`], so a failure costs one `O(n)` pass.
+//!
+//! No demand-bound certificate runs ahead of the ladder: on implicit-
+//! deadline (`D = T`), zero-offset sets that passed the online service's
+//! utilisation gate it can never reject. Task `i`'s job windows are
+//! `[k·Ti, (k+1)·Ti]`, so at most `⌊(b − a)/Ti⌋` of them lie inside any
+//! interval `[a, b]`, and their demand is at most
+//! `Σ ⌊(b − a)/Ti⌋·Ci ≤ U·(b − a) ≤ b − a` once the gate has ensured
+//! `U ≤ 1`.
 
-use super::lccd::{SlotPolicy, Timeline, TimelineScratch};
+use super::lccd::{placement_quality, SlotPolicy, Timeline, TimelineScratch};
 use super::StaticScheduler;
 use crate::scheduler::Scheduler;
 use crate::solve::Solve;
 use std::collections::{HashMap, HashSet};
-use tagio_core::job::{JobId, JobSet};
+use tagio_core::job::{Job, JobId, JobSet};
 use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
@@ -43,18 +60,26 @@ use tagio_core::time::{Duration, Time};
 /// fresh (`Default`) one, which is what the plain entry points pass.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
-    disturbed: HashSet<JobId>,
+    /// Per job position, its base start when that placement is still
+    /// feasible. Built once per ladder call; every round reads it.
+    base_at: Vec<Option<Time>>,
+    /// The feasible base placements as `(start, finish, position)`,
+    /// sorted. Built once per ladder call.
+    base_order: Vec<(Time, Time, usize)>,
+    /// Per job position, `true` when the job is re-placed rather than
+    /// pinned. Escalation rounds grow it in place.
+    disturbed: Vec<bool>,
+    disturbed_ids: Vec<JobId>,
     base_starts: Vec<(JobId, Time)>,
     pinned: Vec<(usize, Time)>,
     to_place: Vec<usize>,
-    intervals: Vec<(Time, Time, JobId)>,
+    /// Positions of the jobs the last failed round's diagnostic names.
+    failed: Vec<usize>,
     offsets: HashMap<TaskId, Duration>,
-    unplaceable: Vec<JobId>,
     failed_tasks: HashSet<TaskId>,
-    escalated: HashSet<JobId>,
-    escalated_vec: Vec<JobId>,
     windows: Vec<(Time, Time)>,
     order: Vec<(Time, usize)>,
+    by_job: Vec<Option<Time>>,
     timeline: TimelineScratch,
 }
 
@@ -93,7 +118,7 @@ pub fn repair(
     disturbed: &[JobId],
     policy: SlotPolicy,
 ) -> Result<(Schedule, usize), Infeasible> {
-    try_repair(jobs, base, disturbed, policy, &mut RepairScratch::default())
+    repair_in(jobs, base, disturbed, policy, &mut RepairScratch::default())
 }
 
 /// [`repair`], recycling the working memory of `scratch` across calls.
@@ -110,7 +135,14 @@ pub fn repair_in(
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
-    try_repair(jobs, base, disturbed, policy, scratch)
+    prepare(jobs, base, scratch);
+    scratch.disturbed_ids.clear();
+    scratch.disturbed_ids.extend_from_slice(disturbed);
+    scratch.disturbed_ids.sort_unstable();
+    for (flag, job) in scratch.disturbed.iter_mut().zip(jobs) {
+        *flag = scratch.disturbed_ids.binary_search(&job.id()).is_ok();
+    }
+    try_repair(jobs, policy, scratch)
 }
 
 /// `(job, start)` pairs of a schedule, sorted by job id for binary
@@ -128,62 +160,78 @@ fn lookup_start(starts: &[(JobId, Time)], job: JobId) -> Option<Time> {
         .map(|i| starts[i].1)
 }
 
-fn try_repair(
-    jobs: &JobSet,
-    base: &Schedule,
-    disturbed: &[JobId],
-    policy: SlotPolicy,
-    scratch: &mut RepairScratch,
-) -> Result<(Schedule, usize), Infeasible> {
-    scratch.disturbed.clear();
-    scratch.disturbed.extend(disturbed.iter().copied());
+/// The round-invariant half of a repair against `base`: which job
+/// positions keep a feasible base placement, and those placements in
+/// start order. Clears the disturbed bitmap.
+fn prepare(jobs: &JobSet, base: &Schedule, scratch: &mut RepairScratch) {
     // Sorted lookup table instead of a HashMap: repair sits on the hot
     // path of every online event, and binary search over a sorted Vec is
     // markedly cheaper than hashing per job.
     sorted_starts_into(base, &mut scratch.base_starts);
-
     let all = jobs.as_slice();
+    scratch.base_at.clear();
+    scratch.base_at.extend(all.iter().map(|job| {
+        lookup_start(&scratch.base_starts, job.id()).filter(|&start| job.start_feasible(start))
+    }));
+    scratch.base_order.clear();
+    scratch.base_order.extend(
+        scratch
+            .base_at
+            .iter()
+            .enumerate()
+            .filter_map(|(i, start)| start.map(|start| (start, start + all[i].wcet(), i))),
+    );
+    scratch.base_order.sort_unstable();
+    scratch.disturbed.clear();
+    scratch.disturbed.resize(all.len(), false);
+}
+
+/// A no-feasible-slot diagnostic naming the jobs at `positions`.
+fn no_slot(all: &[Job], positions: &[usize]) -> Infeasible {
+    Infeasible::new(InfeasibleCause::NoFeasibleSlot)
+        .with_jobs(positions.iter().map(|&i| all[i].id()))
+}
+
+/// One repair round on what [`prepare`] built: every job with a feasible
+/// base placement that is not disturbed keeps its start, and the rest
+/// are placed anew. On failure `scratch.failed` holds the positions the
+/// diagnostic names.
+fn try_repair(
+    jobs: &JobSet,
+    policy: SlotPolicy,
+    scratch: &mut RepairScratch,
+) -> Result<(Schedule, usize), Infeasible> {
+    let all = jobs.as_slice();
+    let disturbed = &scratch.disturbed;
     scratch.pinned.clear();
+    scratch.pinned.extend(
+        scratch
+            .base_order
+            .iter()
+            .filter(|&&(_, _, i)| !disturbed[i])
+            .map(|&(start, _, i)| (i, start)),
+    );
     scratch.to_place.clear();
-    for (idx, job) in all.iter().enumerate() {
-        match lookup_start(&scratch.base_starts, job.id()) {
-            Some(start) if !scratch.disturbed.contains(&job.id()) && job.start_feasible(start) => {
-                scratch.pinned.push((idx, start));
-            }
-            _ => scratch.to_place.push(idx),
-        }
-    }
+    scratch
+        .to_place
+        .extend((0..all.len()).filter(|&i| disturbed[i] || scratch.base_at[i].is_none()));
 
     // Pinned placements must still be mutually disjoint under the jobs'
     // *current* WCETs; if not, the disturbance reaches beyond the declared
     // neighbourhood and repair cannot help. The diagnostic names the
     // overlapping placements so escalation frees exactly those pockets.
-    scratch.intervals.clear();
-    scratch.intervals.extend(
-        scratch
-            .pinned
-            .iter()
-            .map(|&(i, start)| (start, start + all[i].wcet(), all[i].id())),
-    );
-    scratch.intervals.sort_unstable();
-    let overlapping: Vec<JobId> = scratch
-        .intervals
-        .windows(2)
-        .filter(|w| w[0].1 > w[1].0)
-        .flat_map(|w| [w[0].2, w[1].2])
-        .collect();
-    if !overlapping.is_empty() {
-        let partial: Schedule = scratch
-            .pinned
-            .iter()
-            .map(|&(i, start)| tagio_core::schedule::entry_for(&all[i], start))
-            .collect();
-        return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-            .with_jobs(overlapping)
-            .with_partial(
-                metrics::psi(&partial, jobs),
-                metrics::upsilon(&partial, jobs),
-            ));
+    // `pinned` is in (start, finish) order, so neighbours suffice.
+    scratch.failed.clear();
+    for pair in scratch.pinned.windows(2) {
+        let ((a, a_start), (b, b_start)) = (pair[0], pair[1]);
+        if a_start + all[a].wcet() > b_start {
+            scratch.failed.extend([a, b]);
+        }
+    }
+    if !scratch.failed.is_empty() {
+        let (psi, upsilon) =
+            placement_quality(jobs, scratch.pinned.iter().copied(), &mut scratch.by_job);
+        return Err(no_slot(all, &scratch.failed).with_partial(psi, upsilon));
     }
 
     let mut timeline = Timeline::with_placements_in(jobs, &scratch.pinned, &mut scratch.timeline);
@@ -203,7 +251,6 @@ fn try_repair(
     // `to_place` keeps a task's jobs consecutive (same priority, release
     // order), so one offset per task suffices.
     scratch.offsets.clear();
-    scratch.unplaceable.clear();
     scratch.failed_tasks.clear();
     for pos in 0..scratch.to_place.len() {
         let idx = scratch.to_place[pos];
@@ -228,28 +275,20 @@ fn try_repair(
             continue;
         }
         let pending = &scratch.to_place[pos + 1..];
-        if !timeline.allocate(idx, pending, policy) {
-            scratch.unplaceable.push(job.id());
-            scratch.failed_tasks.insert(job.id().task);
-            continue;
+        match timeline.allocate(idx, pending, policy) {
+            Some(start) => {
+                scratch.offsets.insert(job.id().task, start - job.release());
+            }
+            None => {
+                scratch.failed.push(idx);
+                scratch.failed_tasks.insert(job.id().task);
+            }
         }
-        let Some(start) = timeline.start_of(idx) else {
-            // `allocate` reported success, so the slot exists; if it ever
-            // does not, record the job as unplaceable instead of panicking.
-            scratch.unplaceable.push(job.id());
-            scratch.failed_tasks.insert(job.id().task);
-            continue;
-        };
-        scratch.offsets.insert(job.id().task, start - job.release());
     }
-    if !scratch.unplaceable.is_empty() {
-        let partial = timeline.into_schedule_in(&mut scratch.timeline);
-        return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-            .with_jobs(scratch.unplaceable.iter().copied())
-            .with_partial(
-                metrics::psi(&partial, jobs),
-                metrics::upsilon(&partial, jobs),
-            ));
+    if !scratch.failed.is_empty() {
+        let (psi, upsilon) = timeline.partial_quality(&mut scratch.by_job);
+        timeline.recycle(&mut scratch.timeline);
+        return Err(no_slot(all, &scratch.failed).with_partial(psi, upsilon));
     }
     Ok((timeline.into_schedule_in(&mut scratch.timeline), replaced))
 }
@@ -350,49 +389,42 @@ pub fn repair_neighbourhood_in(
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
-    scratch.escalated.clear();
+    prepare(jobs, base, scratch);
+    let all = jobs.as_slice();
     let mut last_failure = None;
     // Round 0 is the plain repair; each later round frees the pockets the
     // previous round's failures pointed at. Three rounds bound the cost —
     // past that, a full re-synthesis is the better spend.
     for _round in 0..3 {
-        // `try_repair` needs the whole scratch, so the escalation set is
-        // snapshotted into a taken-out buffer for the duration of a round.
-        let mut as_vec = std::mem::take(&mut scratch.escalated_vec);
-        as_vec.clear();
-        as_vec.extend(scratch.escalated.iter().copied());
-        // The set iterates in arbitrary order; sort so the disturbed
-        // list handed to `try_repair` is identical run-to-run.
-        as_vec.sort_unstable();
-        let attempt = try_repair(jobs, base, &as_vec, policy, scratch);
-        scratch.escalated_vec = as_vec;
-        let failure = match attempt {
+        let failure = match try_repair(jobs, policy, scratch) {
             Ok(done) => return Ok(done),
             Err(failure) => failure,
         };
-        let mut windows = std::mem::take(&mut scratch.windows);
-        windows.clear();
+        scratch.windows.clear();
         let mut grew = false;
-        for &id in &failure.jobs {
-            // Failure diagnostics name real jobs; skip any that are not
-            // (an unknown id cannot widen the neighbourhood anyway).
-            let Some(job) = jobs.get(id) else { continue };
-            windows.push((job.release(), job.abs_deadline()));
-            grew |= scratch.escalated.insert(id);
+        for &i in &scratch.failed {
+            scratch
+                .windows
+                .push((all[i].release(), all[i].abs_deadline()));
+            grew |= !std::mem::replace(&mut scratch.disturbed[i], true);
         }
         // Free every pinned job inside the congested windows. (Jobs with
         // no feasible base placement are re-placed regardless, so only
         // pinned jobs need explicit entries.)
-        for job in jobs {
-            if scratch.escalated.contains(&job.id()) {
+        for (i, job) in all.iter().enumerate() {
+            if scratch.disturbed[i] {
                 continue;
             }
             let (lo, hi) = (job.release(), job.abs_deadline());
-            if windows.iter().any(|&(wlo, whi)| lo < whi && wlo < hi) {
-                grew |= scratch.escalated.insert(job.id());
+            if scratch
+                .windows
+                .iter()
+                .any(|&(wlo, whi)| lo < whi && wlo < hi)
+            {
+                scratch.disturbed[i] = true;
+                grew = true;
             }
         }
-        scratch.windows = windows;
         last_failure = Some(failure);
         if !grew {
             break; // stuck: the same failure would repeat verbatim
@@ -468,7 +500,7 @@ pub fn repair_or_resynthesize_in(
     let repaired = if disturbed.is_empty() {
         repair_neighbourhood_in(jobs, base, policy, scratch)
     } else {
-        try_repair(jobs, base, disturbed, policy, scratch)
+        repair_in(jobs, base, disturbed, policy, scratch)
     };
     let incremental_failure = match repaired {
         Ok((schedule, replaced)) => {
