@@ -52,8 +52,8 @@ const SWEEP: [(u32, usize); 4] = [(2, 8), (2, 16), (4, 16), (4, 32)];
 
 fn metrics(out: &FleetReplayOutcome) -> Outcome {
     // One schema for every consumer: the column names come from
-    // `FleetReplayOutcome::metric_set` (shared with the `throughput`
-    // bench), not from a binary-local list that could drift.
+    // `FleetReplayOutcome::metric_set`, not from a binary-local list
+    // that could drift.
     Outcome::with_metrics(out.metric_set())
 }
 

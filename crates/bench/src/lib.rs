@@ -216,7 +216,7 @@ impl Options {
     /// The resolved worker-pool width: `--threads`, or every available
     /// core when `0` — via the one workspace-wide resolution rule
     /// ([`tagio_core::pool::available_workers`]), so every binary
-    /// (throughput, fleet_scenarios, the GA sweeps) reads `--threads 0`
+    /// (fleet_scenarios, the GA sweeps, …) reads `--threads 0`
     /// identically. See EXPERIMENTS.md, "Threading model".
     #[must_use]
     pub fn thread_count(&self) -> usize {
@@ -312,23 +312,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// The `p`-th percentile of `values` (nearest-rank on a sorted copy):
-/// `percentile(v, 50.0)` is the median, `percentile(v, 99.0)` the tail
-/// the latency tables report. `0.0` for an empty slice; `p` is clamped
-/// to `0..=100`. NaN samples sort last (they only surface at p=100 of a
-/// NaN-bearing slice).
-#[must_use]
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Less));
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The Fig. 5 utilisation sweep (0.2 … 0.9, step 0.05).
@@ -492,34 +475,6 @@ mod tests {
     fn mean_handles_empty() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 50.0), 2.0);
-        assert_eq!(percentile(&v, 75.0), 3.0);
-        assert_eq!(percentile(&v, 99.0), 4.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.5], 50.0), 7.5);
-        // Out-of-range p clamps instead of panicking.
-        assert_eq!(percentile(&v, -3.0), 1.0);
-        assert_eq!(percentile(&v, 250.0), 4.0);
-    }
-
-    #[test]
-    fn percentiles_are_monotone_in_p() {
-        // A deterministic heavy-tailed latency-like sample.
-        let samples: Vec<f64> = (1..=200).map(|i| f64::from(i * i % 977)).collect();
-        let mut last = f64::NEG_INFINITY;
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let v = percentile(&samples, p);
-            assert!(v >= last, "percentile({p}) = {v} < {last}");
-            last = v;
-        }
-        assert!(percentile(&samples, 99.0) >= percentile(&samples, 50.0));
     }
 
     #[test]

@@ -30,7 +30,6 @@ fn binaries() -> Vec<(&'static str, &'static str)> {
             env!("CARGO_BIN_EXE_failover_scenarios"),
         ),
         ("tenant_scenarios", env!("CARGO_BIN_EXE_tenant_scenarios")),
-        ("throughput", env!("CARGO_BIN_EXE_throughput")),
     ]
 }
 
@@ -86,7 +85,6 @@ fn fixed_method_binaries_reject_methods_override() {
         "fleet_scenarios",
         "failover_scenarios",
         "tenant_scenarios",
-        "throughput",
     ] {
         let path = binaries()
             .into_iter()
@@ -148,7 +146,6 @@ fn fixed_budget_binaries_reject_ga_overrides() {
         "fleet_scenarios",
         "failover_scenarios",
         "tenant_scenarios",
-        "throughput",
     ] {
         let path = binaries()
             .into_iter()

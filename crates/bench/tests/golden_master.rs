@@ -24,13 +24,6 @@ use tagio_bench::json::{self, Value};
 /// `(name, path, extra args)` for every experiment binary. All runs add
 /// `--json --threads 2` (a fixed thread count keeps the provenance block
 /// machine-independent; results are thread-count-invariant anyway).
-///
-/// `throughput` is deliberately absent: its headline columns
-/// (`events_per_sec`, `p50_us`, `p99_us`) are wall-clock and its full
-/// sweep is minutes-slow unoptimised. Its envelope shape is pinned by
-/// the binary's own unit tests, and CI diffs the committed
-/// `BENCH_throughput.json` schema version against a release-mode smoke
-/// run instead.
 fn cases() -> Vec<(&'static str, &'static str, Vec<&'static str>)> {
     vec![
         (

@@ -101,9 +101,9 @@ pub struct Infeasible {
     /// Best partial Ψ achieved before giving up (exact jobs among the
     /// placements committed so far), when the method measured one.
     ///
-    /// Of the incremental repair entry points, `repair`,
-    /// `repair_neighbourhood` and their `_in` forms fill it on every
-    /// failure, and `retime` does when a job misses its window. The repair
+    /// Of the incremental repair entry points, `repair_in` and
+    /// `repair_neighbourhood_in` fill it on every failure, and
+    /// `retime_in` does when a job misses its window. The repair
     /// ladder carries its incremental tier's value only when a budget or
     /// cancellation stops it before re-synthesis; otherwise its error is
     /// the re-synthesis diagnostic, which the static scheduler fills too.

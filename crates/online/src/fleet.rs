@@ -132,12 +132,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Integration strategy handed to every partition.
     pub strategy: RepairStrategy,
-    /// Allocation-lean hot path toggle handed to every partition
-    /// ([`OnlineScheduler::with_lean`]): `true` (the default) enables
-    /// cached Ψ/Υ, direction-aware cache invalidation and repair-scratch
-    /// reuse; `false` replays the naive baseline the `throughput` bench
-    /// compares against. Decisions are identical either way.
-    pub lean: bool,
     /// Tenant contracts. A trivial (empty) registry — the default —
     /// disables the router quota/fair gate and tenant-aware shedding
     /// entirely, keeping untenanted fleets bit-identical to the
@@ -153,7 +147,6 @@ impl Default for FleetConfig {
             threads: 0,
             seed: 2020,
             strategy: RepairStrategy::default(),
-            lean: true,
             tenants: TenantRegistry::new(),
         }
     }
@@ -510,11 +503,7 @@ impl FleetScheduler {
         devs.dedup();
         let mut partitions: Vec<OnlineScheduler> = devs
             .into_iter()
-            .map(|d| {
-                OnlineScheduler::new(d)
-                    .with_strategy(config.strategy)
-                    .with_lean(config.lean)
-            })
+            .map(|d| OnlineScheduler::new(d).with_strategy(config.strategy))
             .collect();
         for p in &mut partitions {
             p.set_tenant_registry(config.tenants.clone());
@@ -550,9 +539,7 @@ impl FleetScheduler {
                 .collect();
             match OnlineScheduler::bootstrap(*device, fresh) {
                 Ok(svc) => {
-                    fleet.partitions[idx] = svc
-                        .with_strategy(fleet.config.strategy)
-                        .with_lean(fleet.config.lean);
+                    fleet.partitions[idx] = svc.with_strategy(fleet.config.strategy);
                     fleet.partitions[idx].set_tenant_registry(fleet.config.tenants.clone());
                 }
                 Err(tasks) => {

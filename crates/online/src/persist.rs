@@ -30,6 +30,11 @@
 //! counters at fleet and partition level. A fleet with *no* tenant state
 //! still writes byte-exact v1 — pre-tenant snapshots, digests and
 //! recovery flows are untouched — and the parser speaks both versions.
+//!
+//! The `config` line's trailing `lean=<bool>` token is **retired**: it
+//! selects nothing. Writers emit the fixed `lean=true`, so snapshots and
+//! their digests stay byte-identical, and the parser accepts either value
+//! and ignores it, so snapshots that recorded `lean=false` still load.
 
 use crate::fleet::{FleetConfig, FleetScheduler, FleetStats, PlacementPolicy};
 use crate::scenario::{format_event_body, parse_event_body};
@@ -286,7 +291,6 @@ impl FleetSnapshot {
                 p.device,
                 self.config.strategy,
                 SlotPolicy::default(),
-                self.config.lean,
                 p.active.iter().cloned().collect::<TaskSet>(),
                 p.pool.iter().map(|t| (t.id(), t.clone())).collect(),
                 p.spike_percent,
@@ -340,13 +344,12 @@ impl FleetSnapshot {
         out.push('\n');
         out.push_str(&format!("epoch {}\n", self.epoch));
         out.push_str(&format!(
-            "config policy={} retries={} threads={} seed={} strategy={} lean={}\n",
+            "config policy={} retries={} threads={} seed={} strategy={} lean=true\n",
             self.config.policy.as_str(),
             self.config.retries,
             self.config.threads,
             self.config.seed,
             strategy_str(self.config.strategy),
-            self.config.lean,
         ));
         for (tenant, spec) in self.config.tenants.iter() {
             out.push_str(&format!(
@@ -530,9 +533,11 @@ impl FleetSnapshot {
                         .map_err(|_| err("bad seed".into()))?;
                     let strategy =
                         strategy_from(kv(words.next(), "strategy").map_err(err)?).map_err(err)?;
-                    let lean: bool = kv(words.next(), "lean")
+                    // Retired token (see the module docs): either value
+                    // loads; only a non-bool is malformed.
+                    kv(words.next(), "lean")
                         .map_err(err)?
-                        .parse()
+                        .parse::<bool>()
                         .map_err(|_| err("bad lean flag".into()))?;
                     config = Some(FleetConfig {
                         policy,
@@ -540,7 +545,6 @@ impl FleetSnapshot {
                         threads,
                         seed,
                         strategy,
-                        lean,
                         tenants: TenantRegistry::new(),
                     });
                 }
@@ -1047,6 +1051,18 @@ mod tests {
         assert_eq!(parsed.owner, snap.owner);
         assert_eq!(parsed.overload, snap.overload);
         assert_eq!(parsed.write(), text, "format is a fixed point");
+        // A snapshot from a writer that recorded `lean=false` still loads,
+        // restores to the same partition state, and re-writes `lean=true`.
+        let legacy = text.replacen(" lean=true\n", " lean=false\n", 1);
+        assert_ne!(legacy, text);
+        let restored = FleetSnapshot::parse(&legacy).unwrap().restore().unwrap();
+        assert_eq!(fingerprint(&restored), fingerprint(&fleet));
+        assert_eq!(restored.snapshot().write(), text);
+        let bad = text.replacen(" lean=true\n", " lean=maybe\n", 1);
+        assert!(FleetSnapshot::parse(&bad)
+            .unwrap_err()
+            .message
+            .contains("bad lean flag"));
     }
 
     #[test]

@@ -35,12 +35,10 @@ use std::collections::BTreeMap;
 use tagio_core::event::{Mode, SystemEvent};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
-use tagio_core::solve::{Infeasible, InfeasibleCause};
+use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
-use tagio_sched::heuristic::repair::{
-    repair_in, repair_or_resynthesize, repair_or_resynthesize_in, retime_in,
-};
+use tagio_sched::heuristic::repair::{repair_in, repair_or_resynthesize_in, retime_in};
 use tagio_sched::heuristic::{SlotPolicy, StaticScheduler};
 use tagio_sched::{AnalysisCache, FpsOffline, RepairScratch, Scheduler};
 
@@ -355,15 +353,10 @@ pub struct OnlineScheduler {
     schedule: Schedule,
     cache: AnalysisCache,
     stats: OnlineStats,
-    /// `true` (the default) enables the allocation-lean hot path: cached
-    /// Ψ/Υ, direction-aware cache invalidation, and repair-scratch reuse.
-    /// `false` is the naive baseline every lean change is equivalence-
-    /// tested (and benchmarked) against.
-    lean: bool,
     /// Cached `(Ψ, Υ)` of the live schedule, refreshed at every commit
-    /// point (lean mode reads it instead of two O(jobs) scans).
+    /// point, so reads cost nothing instead of two O(jobs) scans.
     quality: (f64, f64),
-    /// Reused working memory for the repair ladder (lean mode only).
+    /// Reused working memory for the repair ladder.
     scratch: RepairScratch,
     /// Tenant quotas and QoS classes consulted by overload shedding.
     /// The trivial (empty) registry reproduces the legacy quality-only
@@ -387,7 +380,6 @@ impl OnlineScheduler {
             schedule: Schedule::new(),
             cache: AnalysisCache::new(),
             stats: OnlineStats::default(),
-            lean: true,
             quality: (1.0, 1.0),
             scratch: RepairScratch::default(),
             registry: TenantRegistry::new(),
@@ -405,18 +397,6 @@ impl OnlineScheduler {
     #[must_use]
     pub fn with_policy(mut self, policy: SlotPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Toggles the allocation-lean hot path (builder style). `true` (the
-    /// default) keeps Ψ/Υ incrementally, invalidates the analysis cache
-    /// direction-aware, and reuses repair working memory; `false` replays
-    /// the naive path — full recomputation, conservative invalidation,
-    /// fresh buffers per event. Decisions are identical either way (see
-    /// the `quality_props` equivalence suite); only the cost differs.
-    #[must_use]
-    pub fn with_lean(mut self, lean: bool) -> Self {
-        self.lean = lean;
         self
     }
 
@@ -463,7 +443,6 @@ impl OnlineScheduler {
         device: DeviceId,
         strategy: RepairStrategy,
         policy: SlotPolicy,
-        lean: bool,
         active: TaskSet,
         pool: BTreeMap<TaskId, IoTask>,
         spike_percent: u32,
@@ -490,7 +469,6 @@ impl OnlineScheduler {
             schedule,
             cache: AnalysisCache::new(),
             stats,
-            lean,
             quality,
             scratch: RepairScratch::default(),
             registry: TenantRegistry::new(),
@@ -558,26 +536,18 @@ impl OnlineScheduler {
         &self.cache
     }
 
-    /// Ψ of the live schedule. Lean mode answers from the cached value
-    /// maintained at every commit point (bit-identical to the full scan;
-    /// see the `quality_props` equivalence suite).
+    /// Ψ of the live schedule, cached at every commit point. It is
+    /// bit-identical to a full scan; `tagio-audit`'s `online_quality`
+    /// suite recomputes it independently after every event.
     #[must_use]
     pub fn psi(&self) -> f64 {
-        if self.lean {
-            self.quality.0
-        } else {
-            metrics::psi(&self.schedule, &self.jobs)
-        }
+        self.quality.0
     }
 
-    /// Υ of the live schedule (cached in lean mode, like [`Self::psi`]).
+    /// Υ of the live schedule, cached like [`Self::psi`].
     #[must_use]
     pub fn upsilon(&self) -> f64 {
-        if self.lean {
-            self.quality.1
-        } else {
-            metrics::upsilon(&self.schedule, &self.jobs)
-        }
+        self.quality.1
     }
 
     /// Applies one event, returning the decision. The schedule changes
@@ -745,14 +715,10 @@ impl OnlineScheduler {
                 reason: RejectReason::DuplicateTask,
             };
         }
-        if self.lean {
-            // Direction-aware: an arrival can only *raise* blocking
-            // bounds, so entries whose bound the newcomer merely ties
-            // stay valid (their tie count is bumped instead).
-            self.cache.invalidate_for_arrival(&effective);
-        } else {
-            self.cache.invalidate_for(&effective);
-        }
+        // Direction-aware: an arrival can only *raise* blocking bounds, so
+        // entries whose bound the newcomer merely ties stay valid (their
+        // tie count is bumped instead).
+        self.cache.invalidate_for_arrival(&effective);
         let guaranteed = self.cache.schedulable(&candidate);
         // 3. Integration tiers.
         match self.integrate(&candidate, guaranteed) {
@@ -778,11 +744,7 @@ impl OnlineScheduler {
             Err(diagnostic) => {
                 // Purge entries computed against the rejected candidate —
                 // from the cache's viewpoint the newcomer departs again.
-                if self.lean {
-                    self.cache.invalidate_for_departure(&effective);
-                } else {
-                    self.cache.invalidate_for(&effective);
-                }
+                self.cache.invalidate_for_departure(&effective);
                 self.reject_for_tenant(effective.tenant());
                 self.stats.record_reject_cause(diagnostic.cause);
                 EventOutcome::Rejected {
@@ -807,11 +769,7 @@ impl OnlineScheduler {
             .cloned()
             .collect();
         self.shrink_to(remaining);
-        if self.lean {
-            self.cache.invalidate_for_departure(&leaving);
-        } else {
-            self.cache.invalidate_for(&leaving);
-        }
+        self.cache.invalidate_for_departure(&leaving);
         self.stats.departures += 1;
         EventOutcome::Departed { task: id }
     }
@@ -831,15 +789,9 @@ impl OnlineScheduler {
     fn shrink_to(&mut self, remaining: TaskSet) {
         let jobs = JobSet::expand(&remaining);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let lean = self.lean;
         let (schedule, timed) = time(|| {
             let repaired = |scratch: &mut RepairScratch| {
-                if lean {
-                    repair_in(&jobs, &self.schedule, &[], self.policy, scratch).map(|(s, _)| s)
-                } else {
-                    tagio_sched::heuristic::repair::repair(&jobs, &self.schedule, &[], self.policy)
-                        .map(|(s, _)| s)
-                }
+                repair_in(&jobs, &self.schedule, &[], self.policy, scratch).map(|(s, _)| s)
             };
             match self.strategy {
                 RepairStrategy::Incremental => repaired(&mut scratch),
@@ -892,11 +844,7 @@ impl OnlineScheduler {
                 .collect();
             self.shrink_to(remaining);
             for t in &leaving {
-                if self.lean {
-                    self.cache.invalidate_for_departure(t);
-                } else {
-                    self.cache.invalidate_for(t);
-                }
+                self.cache.invalidate_for_departure(t);
                 departed.push(t.id());
             }
             self.stats.departures += leaving.len();
@@ -963,35 +911,25 @@ impl OnlineScheduler {
             let candidate: TaskSet = survivors.iter().cloned().collect();
             let jobs = JobSet::expand(&candidate);
             let mut scratch = std::mem::take(&mut self.scratch);
-            let lean = self.lean;
             let (result, timed) = time(|| {
                 match self.strategy {
                     RepairStrategy::Incremental => {
                         // The order-preserving O(n) re-timing absorbs both
                         // relief (placements unchanged) and uniform growth
                         // (minimal right-shifts) before any re-placement;
-                        // repair_or_resynthesize embeds the plain-repair,
+                        // repair_or_resynthesize_in embeds the plain-repair,
                         // neighbourhood and Algorithm 1 tiers.
-                        if lean {
-                            retime_in(&jobs, &self.schedule, &mut scratch).or_else(|_| {
-                                repair_or_resynthesize_in(
-                                    &jobs,
-                                    &self.schedule,
-                                    &[],
-                                    self.policy,
-                                    &tagio_core::solve::SolverCtx::new(),
-                                    &mut scratch,
-                                )
-                                .map(|o| o.schedule)
-                            })
-                        } else {
-                            tagio_sched::heuristic::repair::retime(&jobs, &self.schedule).or_else(
-                                |_| {
-                                    repair_or_resynthesize(&jobs, &self.schedule, &[], self.policy)
-                                        .map(|o| o.schedule)
-                                },
+                        retime_in(&jobs, &self.schedule, &mut scratch).or_else(|_| {
+                            repair_or_resynthesize_in(
+                                &jobs,
+                                &self.schedule,
+                                &[],
+                                self.policy,
+                                &SolverCtx::new(),
+                                &mut scratch,
                             )
-                        }
+                            .map(|o| o.schedule)
+                        })
                     }
                     RepairStrategy::FullResynthesis => {
                         StaticScheduler::with_policy(self.policy).schedule(&jobs)
@@ -1048,7 +986,6 @@ impl OnlineScheduler {
         let new_h = candidate.hyperperiod();
         let old_h = self.tasks.hyperperiod();
         let mut scratch = std::mem::take(&mut self.scratch);
-        let lean = self.lean;
         let (result, latency) = time(|| {
             // Align the live schedule to the candidate's hyper-period so
             // undisturbed placements stay pinnable (§III.C repetition).
@@ -1060,20 +997,14 @@ impl OnlineScheduler {
                 self.schedule.clone()
             };
             let outcome = match self.strategy {
-                RepairStrategy::Incremental => {
-                    if lean {
-                        repair_or_resynthesize_in(
-                            &jobs,
-                            &base,
-                            &[],
-                            self.policy,
-                            &tagio_core::solve::SolverCtx::new(),
-                            &mut scratch,
-                        )
-                    } else {
-                        repair_or_resynthesize(&jobs, &base, &[], self.policy)
-                    }
-                }
+                RepairStrategy::Incremental => repair_or_resynthesize_in(
+                    &jobs,
+                    &base,
+                    &[],
+                    self.policy,
+                    &SolverCtx::new(),
+                    &mut scratch,
+                ),
                 RepairStrategy::FullResynthesis => StaticScheduler::with_policy(self.policy)
                     .schedule(&jobs)
                     .map(|schedule| tagio_sched::RepairOutcome {

@@ -1,14 +1,18 @@
 //! Fleet-level regression tests: thread-count determinism, cross-
-//! partition retry monotonicity, and the scaling headline — a fleet
-//! admits at least as much as a single partition offered the same
-//! aggregate load.
+//! partition retry monotonicity, the scaling headline — a fleet admits
+//! at least as much as a single partition offered the same aggregate
+//! load — and ownership across a same-batch restart.
 //!
 //! Everything here is a pure function of the scenario seeds (wall-clock
 //! latencies are deliberately excluded from every comparison).
 
+use std::collections::BTreeMap;
+use tagio_core::event::SystemEvent;
+use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
+use tagio_core::time::Duration;
 use tagio_online::fleet::{FleetConfig, FleetScheduler, PlacementPolicy};
 use tagio_online::scenario::{FleetScenario, FleetScenarioConfig};
-use tagio_online::service::OnlineStats;
+use tagio_online::service::{EventOutcome, OnlineStats};
 
 /// The default fleet sweep shared with the `fleet_scenarios` binary:
 /// (partitions, arrivals) per scenario.
@@ -189,4 +193,48 @@ fn batch_size_one_matches_whole_stream_epochs_on_admissions() {
     for (x, y) in a.partitions().iter().zip(b.partitions()) {
         assert_eq!(x.schedule(), y.schedule());
     }
+}
+
+fn mk(id: u32, device: u32, period_ms: u64, wcet_us: u64, delta_ms: u64) -> IoTask {
+    IoTask::builder(TaskId(id), DeviceId(device))
+        .wcet(Duration::from_micros(wcet_us))
+        .period(Duration::from_millis(period_ms))
+        .ideal_offset(Duration::from_millis(delta_ms))
+        .margin(Duration::from_millis(period_ms) / 8)
+        .quality(f64::from(id) + 1.0, 0.0)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn same_batch_restart_to_lower_partition_keeps_ownership() {
+    let mut bases = BTreeMap::new();
+    bases.insert(
+        DeviceId(0),
+        vec![mk(0, 0, 8, 500, 2)].into_iter().collect::<TaskSet>(),
+    );
+    bases.insert(
+        DeviceId(1),
+        vec![mk(1, 1, 8, 500, 3)].into_iter().collect::<TaskSet>(),
+    );
+    let mut fleet = FleetScheduler::bootstrap(
+        &bases,
+        FleetConfig {
+            policy: PlacementPolicy::FirstFit,
+            threads: 1,
+            ..FleetConfig::default()
+        },
+    );
+    // Task 1 is owned by partition 1. Restart it in one batch with
+    // affinity for device 0: the arrival routes to partition 0 (lower
+    // index), the departure to partition 1.
+    let _ = fleet.apply_batch(&[
+        SystemEvent::Departure(TaskId(1)),
+        SystemEvent::Arrival(mk(1, 0, 8, 400, 2)),
+    ]);
+    // The task is live on partition 0, so the fleet must still know its owner.
+    assert_eq!(fleet.owner_of(TaskId(1)), Some(DeviceId(0)));
+    // And a later same-id arrival must be duplicate-rejected, not admitted twice.
+    let out = fleet.apply(&SystemEvent::Arrival(mk(1, 1, 8, 400, 3)));
+    assert!(matches!(out.outcome, EventOutcome::Rejected { .. }));
 }

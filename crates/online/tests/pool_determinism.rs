@@ -28,9 +28,9 @@ use tagio_online::service::EventOutcome;
 /// Devices in the fleet under test (4 partitions).
 const DEVICES: u32 = 4;
 
-/// Builds a valid pool task from drawn parameters (same scheme as the
-/// service-level equivalence suite in `quality_props.rs`, plus a target
-/// device so the router has real placement choices).
+/// Builds a valid pool task from drawn parameters (same scheme as
+/// `tagio-audit`'s `online_quality` suite, plus a target device so the
+/// router has real placement choices).
 fn pool_task(id: u32, device: u32, period_ix: usize, wcet_permille: u64, prio: u32) -> IoTask {
     let periods_ms = [4u64, 8, 8, 16];
     let period = Duration::from_millis(periods_ms[period_ix % periods_ms.len()]);

@@ -7,49 +7,38 @@
 //! and invalidates them **incrementally**: a change to one task only
 //! discards the entries its interference or blocking can actually reach.
 //!
-//! Invalidation rules for a changed task `τc` (arrival, departure, or WCET
-//! change — a departure *must* invalidate exactly like an arrival, since
-//! removing a blocker can loosen higher-ranked bounds and removing
-//! interference loosens lower-ranked ones), derived from the analysis
-//! structure and its total rank order ([`outranks`]: priority first,
-//! then smaller id on ties):
+//! Invalidation rules for a task `τc` that arrives or departs, derived
+//! from the analysis structure and its total rank order ([`outranks`]:
+//! priority first, then smaller id on ties):
 //!
 //! * `τc`'s own entry is always discarded;
 //! * every task `τc` **outranks** (lower priority, or equal priority with
 //!   a larger id) is discarded — `τc` contributes to (or withdraws from)
 //!   their interference term;
-//! * a task that **outranks `τc`** is discarded only when its cached
-//!   blocking bound could move: `Bi = max{Cj | τj outranked by τi}` can
-//!   change only if `Ci(τc)` reaches the cached bound (`≥` on arrival,
-//!   `=` on departure; [`AnalysisCache::invalidate_for`] uses the
-//!   conservative union `Ci(τc) ≥ Bi`).
-//!
-//! The direction-aware entry points sharpen that last rule. Each entry
-//! records how many outranked tasks *realise* its blocking bound (the
-//! `max` witnesses), so:
-//!
-//! * [`AnalysisCache::invalidate_for_arrival`] keeps an outranking entry
-//!   on an exact tie `Ci(τc) = Bi` — the max cannot move, the newcomer
-//!   just becomes one more witness — and drops it only on `Ci(τc) > Bi`;
-//! * [`AnalysisCache::invalidate_for_departure`] keeps an outranking
-//!   entry when the leaver's WCET is below the bound *or* ties it with
-//!   another witness still present; only the departure of the last
-//!   witness can lower the max. A leaver's WCET strictly *above* the
-//!   bound proves the leaver was not in the analysed set at all (its
-//!   membership would have raised the `max` to its WCET), so the entry
-//!   is kept exactly — this makes the arrival-then-reject purge the
-//!   admission pre-check performs a near-no-op instead of a
-//!   conservative flush.
+//! * a task that **outranks `τc`** keeps its interference term; only its
+//!   blocking bound `Bi = max{Cj | τj outranked by τi}` can move. Each
+//!   entry records how many outranked tasks *realise* that bound (the
+//!   `max` witnesses), and the rule depends on the direction:
+//!   * [`AnalysisCache::invalidate_for_arrival`] drops the entry only on
+//!     `Ci(τc) > Bi`. On an exact tie the max cannot move; the newcomer
+//!     just becomes one more witness.
+//!   * [`AnalysisCache::invalidate_for_departure`] drops the entry only
+//!     when the leaver was the last witness of the bound. A WCET below
+//!     the bound cannot lower a max, and a WCET strictly *above* it
+//!     proves the leaver was not in the analysed set at all (its
+//!     membership would have raised the `max` to its WCET), so the entry
+//!     is kept exactly — this makes the arrival-then-reject purge the
+//!     admission pre-check performs a near-no-op instead of a flush.
 //!
 //! Because the entry's id is the map key, the tie direction is resolved
 //! per entry — equal-priority entries are *not* blanket-invalidated, only
 //! the side of the tie the analysis says `τc` can actually reach.
 //!
 //! The cache is trust-based: callers must route every task-set mutation
-//! through the matching `invalidate_for*` entry point (or drop everything
-//! with [`AnalysisCache::clear`]). Hit/miss counters expose how much work
-//! the incremental rules save — the online service's tests pin that
-//! saving.
+//! through the matching `invalidate_for_*` entry point (or drop
+//! everything with [`AnalysisCache::clear`], as a WCET rescale must).
+//! Hit/miss counters expose how much work the incremental rules save —
+//! the online service's tests pin that saving.
 
 use crate::analysis::{outranks, response_time_np_fps, ResponseTime};
 use std::collections::HashMap;
@@ -160,40 +149,11 @@ impl AnalysisCache {
             .all(|t| self.response_time(t, tasks).response.is_some())
     }
 
-    /// Discards one task's entry.
-    pub fn invalidate(&mut self, id: TaskId) {
-        self.entries.remove(&id);
-    }
-
-    /// Discards the entries that the arrival, departure or WCET change of
-    /// `changed` can affect (see the module docs for the rules). Also
-    /// discards `changed`'s own entry.
-    pub fn invalidate_for(&mut self, changed: &IoTask) {
-        let (id, prio, wcet) = (changed.id(), changed.priority(), changed.wcet());
-        self.entries.retain(|&tid, entry| {
-            if tid == id {
-                return false;
-            }
-            // The changed task outranks this entry (strictly higher
-            // priority, or an equal-priority tie won by the smaller id):
-            // the entry's interference set changed.
-            if entry.priority < prio || (entry.priority == prio && tid > id) {
-                return false;
-            }
-            // The entry outranks the changed task: only its blocking
-            // bound can move, and only when the changed WCET reaches it.
-            if wcet >= entry.result.blocking {
-                return false;
-            }
-            true // blocking untouched
-        });
-    }
-
-    /// Discards the entries an **arrival** of `changed` can affect.
+    /// Discards the entries an **arrival** of `changed` can affect,
+    /// including `changed`'s own (see the module docs for the rules).
     ///
-    /// Sharper than [`AnalysisCache::invalidate_for`] on the blocking
-    /// side: an outranking entry is dropped only when the new WCET
-    /// *strictly exceeds* its cached bound. An exact tie leaves the bound
+    /// An outranking entry is dropped only when the new WCET *strictly
+    /// exceeds* its cached bound. An exact tie leaves the bound
     /// (a `max`) where it is — the entry stays, with the newcomer
     /// recorded as one more witness of the bound.
     pub fn invalidate_for_arrival(&mut self, changed: &IoTask) {
@@ -218,10 +178,10 @@ impl AnalysisCache {
         });
     }
 
-    /// Discards the entries a **departure** of `changed` can affect.
+    /// Discards the entries a **departure** of `changed` can affect,
+    /// including `changed`'s own (see the module docs for the rules).
     ///
-    /// Sharper than [`AnalysisCache::invalidate_for`] on the blocking
-    /// side: an outranking entry whose bound the leaver realised is kept
+    /// An outranking entry whose bound the leaver realised is kept
     /// when another equal-WCET witness is still present (the `max` cannot
     /// drop), and only the departure of the last witness discards it. A
     /// leaver's WCET strictly above the cached bound proves the leaver
@@ -251,8 +211,8 @@ impl AnalysisCache {
         });
     }
 
-    /// Discards everything (e.g. after a mode change rebuilt the set
-    /// wholesale).
+    /// Discards everything (e.g. after a utilisation spike rescaled every
+    /// WCET).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -345,7 +305,7 @@ mod tests {
         // outranks are dropped; higher-ranked entries stay because 50us
         // is below their cached blocking bound.
         let newcomer = mk(9, 20, 50, 1);
-        cache.invalidate_for(&newcomer);
+        cache.invalidate_for_arrival(&newcomer);
         // prio 0 entry (lower) dropped; prio 2 entry kept (its blocking
         // is 400us > 50us); the equal-priority entry kept — its id 1 wins
         // the tie against 9, and its blocking (400us) exceeds 50us.
@@ -362,18 +322,17 @@ mod tests {
             .collect();
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
-        // A light equal-priority change with id 3: it outranks entry 5
+        // A light equal-priority arrival with id 3: it outranks entry 5
         // (tie, larger id -> interference changed, dropped) but not entry
         // 1 (tie won by the smaller id; 50us < its 400us blocking, kept).
-        cache.invalidate_for(&mk(3, 10, 50, 1));
+        cache.invalidate_for_arrival(&mk(3, 10, 50, 1));
         assert!(cache.entries.contains_key(&TaskId(1)));
         assert!(!cache.entries.contains_key(&TaskId(5)));
         assert!(!cache.entries.contains_key(&TaskId(8)));
-        // A heavy equal-priority change reaches entry 1's blocking bound
-        // (900us >= 400us) and drops it too — the departure of such a
-        // blocker must loosen the higher-ranked entry.
+        // A heavy equal-priority arrival exceeds entry 1's blocking bound
+        // (900us > 400us) and drops it too.
         assert!(cache.schedulable(&tasks));
-        cache.invalidate_for(&mk(3, 10, 900, 1));
+        cache.invalidate_for_arrival(&mk(3, 10, 900, 1));
         assert!(!cache.entries.contains_key(&TaskId(1)));
     }
 
@@ -383,7 +342,7 @@ mod tests {
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
         let blocker = mk(9, 40, 4_000, 0);
-        cache.invalidate_for(&blocker);
+        cache.invalidate_for_arrival(&blocker);
         // Every higher-ranked entry had blocking <= 400us < 4000us: all
         // dropped — including the equal-priority entry 2, whose smaller
         // id outranks the newcomer and whose blocking bound (0) the new
@@ -397,9 +356,8 @@ mod tests {
     fn arrival_tying_the_blocking_bound_keeps_the_entry() {
         // Entry 0 (prio 2) outranks tasks 1 and 2; its blocking bound is
         // task 2's 400us. An arrival that exactly ties the bound cannot
-        // move a max — the union rule dropped the entry anyway, the
-        // arrival-aware rule keeps it, and the kept result still agrees
-        // with a cold analysis of the grown set.
+        // move a max, so the arrival rule keeps the entry, and the kept
+        // result still agrees with a cold analysis of the grown set.
         let tasks = set();
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
@@ -527,7 +485,7 @@ mod tests {
         let tasks = set();
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
-        cache.invalidate_for(tasks.get(TaskId(1)).unwrap());
+        cache.invalidate_for_arrival(tasks.get(TaskId(1)).unwrap());
         assert!(!cache.entries.contains_key(&TaskId(1)));
     }
 
@@ -545,13 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_invalidate_empty() {
+    fn clear_empties_the_cache() {
         let tasks = set();
         let mut cache = AnalysisCache::new();
         assert!(cache.is_empty());
         assert!(cache.schedulable(&tasks));
-        cache.invalidate(TaskId(0));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 3);
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -564,7 +521,7 @@ mod tests {
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
         let newcomer = mk(9, 40, 50, 1);
-        cache.invalidate_for(&newcomer);
+        cache.invalidate_for_arrival(&newcomer);
         let mut grown = tasks.clone();
         grown.push(newcomer).unwrap();
         let misses_before = cache.misses();

@@ -25,8 +25,7 @@ pub mod repair;
 pub use graph::ConflictGraph;
 pub use lccd::{SlotPolicy, Timeline, TimelineScratch};
 pub use repair::{
-    repair, repair_in, repair_neighbourhood, repair_neighbourhood_in, repair_or_resynthesize,
-    repair_or_resynthesize_in, repair_or_resynthesize_with, retime, retime_in, RepairOutcome,
+    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairOutcome,
     RepairScratch, RepairSolver,
 };
 

@@ -7,26 +7,26 @@
 //! only the disturbed jobs (a new task's releases, or jobs displaced by a
 //! WCET change) go back through slot allocation.
 //!
-//! [`repair`] is that fast path: it pins the base schedule's placements
-//! for every untouched job, tries each disturbed job first at its *ideal*
-//! instant (preserving Ψ where possible) and then through the LCC-D
-//! allocator. Rather than degrading into a recursive displacement search,
-//! it reports an [`Infeasible`] diagnostic naming the congested jobs when
-//! the neighbourhood does not fit; [`repair_neighbourhood`] escalates
-//! from exactly those diagnostics, and [`repair_or_resynthesize`] falls
-//! back to a full Algorithm 1 run — the paper's offline method. The
-//! online service layers admission control and shedding on top
-//! (`tagio-online`); [`RepairSolver`] packages the whole ladder as a
-//! budgeted [`Solve`] implementation.
+//! [`repair_in`] is that fast path: it pins the base schedule's
+//! placements for every untouched job, tries each disturbed job first at
+//! its *ideal* instant (preserving Ψ where possible) and then through the
+//! LCC-D allocator. Rather than degrading into a recursive displacement
+//! search, it reports an [`Infeasible`] diagnostic naming the congested
+//! jobs when the neighbourhood does not fit; [`repair_neighbourhood_in`]
+//! escalates from exactly those diagnostics, and
+//! [`repair_or_resynthesize_in`] falls back to a full Algorithm 1 run —
+//! the paper's offline method. The online service layers admission
+//! control and shedding on top (`tagio-online`); [`RepairSolver`]
+//! packages the whole ladder as a budgeted [`Solve`] implementation.
 //!
-//! Every failure of [`repair`] and [`repair_neighbourhood`] (and their
-//! `_in` forms) carries the partial Ψ/Υ of the placements it kept, as
-//! does a [`retime`] failure that names a job missing its window. The
-//! ladder passes the incremental tier's values on when a budget or
-//! cancellation stops it before re-synthesis. A failed round reads them
-//! off its placements by job position
-//! ([`tagio_core::metrics::quality_by`]) instead of building and sorting
-//! a partial [`Schedule`], so a failure costs one `O(n)` pass.
+//! Every failure of [`repair_in`] and [`repair_neighbourhood_in`] carries
+//! the partial Ψ/Υ of the placements it kept, as does a [`retime_in`]
+//! failure that names a job missing its window. The ladder passes the
+//! incremental tier's values on when a budget or cancellation stops it
+//! before re-synthesis. A failed round reads them off its placements by
+//! job position ([`tagio_core::metrics::quality_by`]) instead of building
+//! and sorting a partial [`Schedule`], so a failure costs one `O(n)`
+//! pass.
 //!
 //! No demand-bound certificate runs ahead of the ladder: on implicit-
 //! deadline (`D = T`), zero-offset sets that passed the online service's
@@ -57,7 +57,8 @@ use tagio_core::time::{Duration, Time};
 /// [`repair_or_resynthesize_in`] accept a long-lived scratch and recycle
 /// those collections' capacity across calls. Every buffer is cleared
 /// before use: a reused scratch produces bit-identical results to a
-/// fresh (`Default`) one, which is what the plain entry points pass.
+/// fresh (`Default`) one, so one-off callers pass
+/// `&mut RepairScratch::default()`.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
     /// Per job position, its base start when that placement is still
@@ -111,23 +112,7 @@ pub struct RepairOutcome {
 /// that could not be packed — or the pinned placements that no longer
 /// fit together (e.g. a WCET spike overlapped two pinned jobs) — with
 /// the partial Ψ/Υ committed so far. Callers escalate to
-/// [`repair_neighbourhood`] or [`repair_or_resynthesize`].
-pub fn repair(
-    jobs: &JobSet,
-    base: &Schedule,
-    disturbed: &[JobId],
-    policy: SlotPolicy,
-) -> Result<(Schedule, usize), Infeasible> {
-    repair_in(jobs, base, disturbed, policy, &mut RepairScratch::default())
-}
-
-/// [`repair`], recycling the working memory of `scratch` across calls.
-///
-/// Results are identical to [`repair`]; only the allocation traffic
-/// differs. This is the entry point the online admission loop uses.
-///
-/// # Errors
-/// Exactly as [`repair`].
+/// [`repair_neighbourhood_in`] or [`repair_or_resynthesize_in`].
 pub fn repair_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -304,16 +289,9 @@ fn try_repair(
 ///
 /// # Errors
 /// An [`InfeasibleCause::NoFeasibleSlot`] diagnostic naming the job that
-/// would miss its window (callers escalate to [`repair_neighbourhood`]
-/// or a full re-synthesis), or the jobs `base` does not cover at all.
-pub fn retime(jobs: &JobSet, base: &Schedule) -> Result<Schedule, Infeasible> {
-    retime_in(jobs, base, &mut RepairScratch::default())
-}
-
-/// [`retime`], recycling the working memory of `scratch` across calls.
-///
-/// # Errors
-/// Exactly as [`retime`].
+/// would miss its window (callers escalate to
+/// [`repair_neighbourhood_in`] or a full re-synthesis), or the jobs
+/// `base` does not cover at all.
 pub fn retime_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -370,19 +348,6 @@ pub fn retime_in(
 /// # Errors
 /// The final round's diagnostic when every escalation round failed or
 /// the widening stopped growing.
-pub fn repair_neighbourhood(
-    jobs: &JobSet,
-    base: &Schedule,
-    policy: SlotPolicy,
-) -> Result<(Schedule, usize), Infeasible> {
-    repair_neighbourhood_in(jobs, base, policy, &mut RepairScratch::default())
-}
-
-/// [`repair_neighbourhood`], recycling the working memory of `scratch`
-/// across calls.
-///
-/// # Errors
-/// Exactly as [`repair_neighbourhood`].
 pub fn repair_neighbourhood_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -435,53 +400,19 @@ pub fn repair_neighbourhood_in(
     Err(last_failure.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
 }
 
-/// [`repair`], escalating to [`repair_neighbourhood`] and finally to a
-/// full Algorithm 1 re-synthesis (the static scheduler with `policy`)
-/// when the incremental paths fail.
+/// [`repair_in`] (or [`repair_neighbourhood_in`] when `disturbed` is
+/// empty), escalating to a full Algorithm 1 re-synthesis (the static
+/// scheduler with `policy`) when the incremental tier fails: an *anytime*
+/// repair ladder under `ctx`. Each tier costs one budget iteration; when
+/// the budget or the cancellation flag stops the ladder before a feasible
+/// schedule is found, the error combines the stopping cause with the
+/// incremental diagnostic (congested jobs, partial Ψ/Υ). Pass
+/// [`SolverCtx::new`] for an unbudgeted run.
 ///
 /// # Errors
-/// The full method's diagnostic when it, too, finds the set infeasible.
-pub fn repair_or_resynthesize(
-    jobs: &JobSet,
-    base: &Schedule,
-    disturbed: &[JobId],
-    policy: SlotPolicy,
-) -> Result<RepairOutcome, Infeasible> {
-    repair_or_resynthesize_with(jobs, base, disturbed, policy, &SolverCtx::new())
-}
-
-/// [`repair_or_resynthesize`] under a [`SolverCtx`]: an *anytime* repair
-/// ladder. Each tier (plain/neighbourhood repair, then full
-/// re-synthesis) costs one budget iteration; when the budget or the
-/// cancellation flag stops the ladder before a feasible schedule is
-/// found, the error combines the stopping cause with the best incremental
-/// diagnostic gathered so far (congested jobs, partial Ψ/Υ).
-///
-/// # Errors
-/// The final tier's diagnostic, or a budget/cancellation diagnostic
-/// carrying the last tier's partial result.
-pub fn repair_or_resynthesize_with(
-    jobs: &JobSet,
-    base: &Schedule,
-    disturbed: &[JobId],
-    policy: SlotPolicy,
-    ctx: &SolverCtx,
-) -> Result<RepairOutcome, Infeasible> {
-    repair_or_resynthesize_in(
-        jobs,
-        base,
-        disturbed,
-        policy,
-        ctx,
-        &mut RepairScratch::default(),
-    )
-}
-
-/// [`repair_or_resynthesize_with`], recycling the working memory of
-/// `scratch` across calls — the whole anytime ladder, allocation-lean.
-///
-/// # Errors
-/// Exactly as [`repair_or_resynthesize_with`].
+/// The re-synthesis tier's diagnostic when it, too, finds the set
+/// infeasible, or a budget/cancellation diagnostic carrying the
+/// incremental tier's partial result.
 pub fn repair_or_resynthesize_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -494,7 +425,7 @@ pub fn repair_or_resynthesize_in(
     if let Err(cause) = budget.spend(1) {
         return Err(Infeasible::new(cause));
     }
-    // repair_neighbourhood embeds the plain attempt (it escalates from
+    // repair_neighbourhood_in embeds the plain attempt (it escalates from
     // that attempt's failure diagnostics), so with no explicit disturbed
     // set it covers both incremental tiers in one call.
     let repaired = if disturbed.is_empty() {
@@ -565,8 +496,15 @@ impl Solve for RepairSolver {
     }
 
     fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
-        repair_or_resynthesize_with(jobs, &self.base, &[], self.policy, ctx)
-            .map(|outcome| outcome.schedule)
+        repair_or_resynthesize_in(
+            jobs,
+            &self.base,
+            &[],
+            self.policy,
+            ctx,
+            &mut RepairScratch::default(),
+        )
+        .map(|outcome| outcome.schedule)
     }
 }
 
@@ -586,6 +524,16 @@ mod tests {
             .unwrap()
     }
 
+    /// A one-off plain repair under the default policy.
+    fn repair(
+        jobs: &JobSet,
+        base: &Schedule,
+        disturbed: &[JobId],
+    ) -> Result<(Schedule, usize), Infeasible> {
+        let mut scratch = RepairScratch::default();
+        repair_in(jobs, base, disturbed, SlotPolicy::default(), &mut scratch)
+    }
+
     fn base_for(tasks: &TaskSet) -> (JobSet, Schedule) {
         let jobs = JobSet::expand(tasks);
         let s = StaticScheduler::new().schedule(&jobs).expect("feasible");
@@ -598,8 +546,7 @@ mod tests {
             .into_iter()
             .collect();
         let (jobs, base) = base_for(&tasks);
-        let (repaired, replaced) =
-            repair(&jobs, &base, &[], SlotPolicy::default()).expect("repairable");
+        let (repaired, replaced) = repair(&jobs, &base, &[]).expect("repairable");
         assert_eq!(replaced, 0);
         assert_eq!(repaired, base);
     }
@@ -618,8 +565,7 @@ mod tests {
             .filter(|j| j.id().task == TaskId(2))
             .map(|j| j.id())
             .collect();
-        let (repaired, replaced) =
-            repair(&jobs, &base, &disturbed, SlotPolicy::default()).expect("repairable");
+        let (repaired, replaced) = repair(&jobs, &base, &disturbed).expect("repairable");
         repaired.validate(&jobs).unwrap();
         assert_eq!(replaced, disturbed.len());
         // Undisturbed jobs kept their placements.
@@ -640,8 +586,7 @@ mod tests {
             .filter(|j| j.id().task == TaskId(1))
             .map(|j| j.id())
             .collect();
-        let (repaired, _) =
-            repair(&jobs, &base, &disturbed, SlotPolicy::default()).expect("repairable");
+        let (repaired, _) = repair(&jobs, &base, &disturbed).expect("repairable");
         let j = jobs.get(disturbed[0]).unwrap();
         assert_eq!(repaired.start_of(j.id()), Some(j.ideal_start()));
     }
@@ -660,7 +605,7 @@ mod tests {
             .filter(|j| j.id().task == TaskId(1))
             .map(|j| j.id())
             .collect();
-        let err = repair(&jobs, &base, &disturbed, SlotPolicy::default()).unwrap_err();
+        let err = repair(&jobs, &base, &disturbed).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert_eq!(err.tasks, vec![TaskId(1)], "the newcomer found no slot");
         assert!(err.best_psi.is_some(), "partial progress reported");
@@ -678,7 +623,8 @@ mod tests {
             .into_iter()
             .collect();
         let jobs = JobSet::expand(&fat);
-        let retimed = retime(&jobs, &base).expect("order-preserving shift fits");
+        let retimed = retime_in(&jobs, &base, &mut RepairScratch::default())
+            .expect("order-preserving shift fits");
         retimed.validate(&jobs).unwrap();
         use tagio_core::time::Time;
         assert_eq!(
@@ -705,7 +651,7 @@ mod tests {
             .into_iter()
             .collect();
         let jobs = JobSet::expand(&fat);
-        let err = retime(&jobs, &base).unwrap_err();
+        let err = retime_in(&jobs, &base, &mut RepairScratch::default()).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert!(!err.jobs.is_empty(), "the shoved job is named");
         // And a base missing some job cannot be retimed either; the
@@ -713,7 +659,12 @@ mod tests {
         let jobs_more: TaskSet = vec![task(0, 8, 500, 2), task(1, 4, 500, 1), task(2, 8, 500, 6)]
             .into_iter()
             .collect();
-        let err = retime(&JobSet::expand(&jobs_more), &base).unwrap_err();
+        let err = retime_in(
+            &JobSet::expand(&jobs_more),
+            &base,
+            &mut RepairScratch::default(),
+        )
+        .unwrap_err();
         assert!(err.tasks.contains(&TaskId(2)));
     }
 
@@ -746,12 +697,19 @@ mod tests {
             .filter(|j| j.id().task == TaskId(1))
             .map(|j| j.id())
             .collect();
-        let plain = repair(&jobs, &base, &disturbed, SlotPolicy::default());
+        let plain = repair(&jobs, &base, &disturbed);
         if let Ok((s, _)) = &plain {
             s.validate(&jobs).unwrap();
         }
-        let escalated = repair_or_resynthesize(&jobs, &base, &[], SlotPolicy::default())
-            .expect("feasible overall");
+        let escalated = repair_or_resynthesize_in(
+            &jobs,
+            &base,
+            &[],
+            SlotPolicy::default(),
+            &SolverCtx::new(),
+            &mut RepairScratch::default(),
+        )
+        .expect("feasible overall");
         escalated.schedule.validate(&jobs).unwrap();
     }
 
@@ -767,8 +725,13 @@ mod tests {
             .into_iter()
             .collect();
         let jobs = JobSet::expand(&fat);
-        let (repaired, replaced) =
-            repair_neighbourhood(&jobs, &base, SlotPolicy::default()).expect("repairable");
+        let (repaired, replaced) = repair_neighbourhood_in(
+            &jobs,
+            &base,
+            SlotPolicy::default(),
+            &mut RepairScratch::default(),
+        )
+        .expect("repairable");
         repaired.validate(&jobs).unwrap();
         assert!(replaced >= 2, "both overlapping jobs re-placed");
     }
@@ -787,8 +750,15 @@ mod tests {
             .filter(|j| j.id().task == TaskId(1))
             .map(|j| j.id())
             .collect();
-        let outcome =
-            repair_or_resynthesize(&jobs, &base, &disturbed, SlotPolicy::default()).unwrap();
+        let outcome = repair_or_resynthesize_in(
+            &jobs,
+            &base,
+            &disturbed,
+            SlotPolicy::default(),
+            &SolverCtx::new(),
+            &mut RepairScratch::default(),
+        )
+        .unwrap();
         outcome.schedule.validate(&jobs).unwrap();
         // Repair alone may or may not manage this; the point is the
         // fallback produces a valid full schedule when it does not.
@@ -809,8 +779,7 @@ mod tests {
             .cloned()
             .collect();
         let jobs = JobSet::expand(&remaining);
-        let (repaired, replaced) =
-            repair(&jobs, &base, &[], SlotPolicy::default()).expect("shrinking is trivial");
+        let (repaired, replaced) = repair(&jobs, &base, &[]).expect("shrinking is trivial");
         repaired.validate(&jobs).unwrap();
         assert_eq!(replaced, 0);
     }
@@ -828,7 +797,7 @@ mod tests {
             .into_iter()
             .collect();
         let jobs = JobSet::expand(&fat);
-        let err = repair(&jobs, &base, &[], SlotPolicy::default()).unwrap_err();
+        let err = repair(&jobs, &base, &[]).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert_eq!(err.tasks, vec![TaskId(0), TaskId(1)], "both pins named");
         let disturbed: Vec<JobId> = jobs
@@ -836,8 +805,7 @@ mod tests {
             .filter(|j| j.id().task == TaskId(0))
             .map(|j| j.id())
             .collect();
-        let (repaired, replaced) =
-            repair(&jobs, &base, &disturbed, SlotPolicy::default()).expect("re-place fat task");
+        let (repaired, replaced) = repair(&jobs, &base, &disturbed).expect("re-place fat task");
         repaired.validate(&jobs).unwrap();
         assert_eq!(replaced, 1);
     }
@@ -872,13 +840,21 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(1, 8, 2_000, 4)).unwrap();
         let jobs = JobSet::expand(&grown);
-        let unbudgeted = repair_or_resynthesize(&jobs, &base, &[], SlotPolicy::default());
-        let budgeted = repair_or_resynthesize_with(
+        let unbudgeted = repair_or_resynthesize_in(
+            &jobs,
+            &base,
+            &[],
+            SlotPolicy::default(),
+            &SolverCtx::new(),
+            &mut RepairScratch::default(),
+        );
+        let budgeted = repair_or_resynthesize_in(
             &jobs,
             &base,
             &[],
             SlotPolicy::default(),
             &SolverCtx::new().with_iteration_budget(1),
+            &mut RepairScratch::default(),
         );
         match (unbudgeted, budgeted) {
             // The incremental tier alone fixed it: budget 1 suffices.

@@ -73,8 +73,7 @@ pub use fps::{fps_online_schedulable, FpsOffline};
 pub use ga_sched::{reconfigure, GaScheduleResult, GaScheduler};
 pub use gpiocp::Gpiocp;
 pub use heuristic::{
-    repair, repair_in, repair_neighbourhood, repair_neighbourhood_in, repair_or_resynthesize,
-    repair_or_resynthesize_in, repair_or_resynthesize_with, retime, retime_in, ConflictGraph,
+    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, ConflictGraph,
     RepairOutcome, RepairScratch, RepairSolver, SlotPolicy, StaticScheduler, Timeline,
     TimelineScratch,
 };

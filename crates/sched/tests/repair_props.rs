@@ -8,8 +8,8 @@
 //! changes any result. This suite drives random task-set perturbations
 //! (arrivals, departures, WCET changes via re-admission) through all four
 //! ladder entry points, comparing every reused-scratch outcome against
-//! the fresh-allocation path bit by bit (`Schedule`, replaced counts, and
-//! full `Infeasible` diagnostics alike).
+//! the same call on a fresh `RepairScratch::default()` bit by bit
+//! (`Schedule`, replaced counts, and full `Infeasible` diagnostics alike).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -18,9 +18,8 @@ use tagio_core::solve::{InfeasibleCause, SolverCtx};
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
 use tagio_core::time::Duration;
 use tagio_sched::{
-    repair, repair_in, repair_neighbourhood, repair_neighbourhood_in, repair_or_resynthesize_in,
-    repair_or_resynthesize_with, retime, retime_in, RepairScratch, Scheduler, SlotPolicy,
-    StaticScheduler,
+    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairScratch,
+    Scheduler, SlotPolicy, StaticScheduler,
 };
 
 /// Builds a valid task from drawn parameters. The ideal offset sits in
@@ -108,19 +107,21 @@ proptest! {
                 .map(|j| j.id())
                 .collect();
 
-            let fresh = repair(&jobs, &base, &disturbed, policy);
+            let fresh = repair_in(&jobs, &base, &disturbed, policy, &mut RepairScratch::default());
             let reused = repair_in(&jobs, &base, &disturbed, policy, &mut scratch);
             prop_assert_eq!(fresh, reused, "repair diverged at step {}", i);
 
-            let fresh = retime(&jobs, &base);
+            let fresh = retime_in(&jobs, &base, &mut RepairScratch::default());
             let reused = retime_in(&jobs, &base, &mut scratch);
             prop_assert_eq!(fresh, reused, "retime diverged at step {}", i);
 
-            let fresh = repair_neighbourhood(&jobs, &base, policy);
+            let fresh = repair_neighbourhood_in(&jobs, &base, policy, &mut RepairScratch::default());
             let reused = repair_neighbourhood_in(&jobs, &base, policy, &mut scratch);
             prop_assert_eq!(fresh, reused, "neighbourhood diverged at step {}", i);
 
-            let fresh = repair_or_resynthesize_with(&jobs, &base, &[], policy, &ctx);
+            let fresh = repair_or_resynthesize_in(
+                &jobs, &base, &[], policy, &ctx, &mut RepairScratch::default(),
+            );
             let reused = repair_or_resynthesize_in(&jobs, &base, &[], policy, &ctx, &mut scratch);
             prop_assert_eq!(fresh, reused, "ladder diverged at step {}", i);
         }
