@@ -34,11 +34,10 @@
 use tagio_bench::{Method, Options, Outcome, Runner, Sweep};
 use tagio_online::scenario::{Scenario, ScenarioConfig};
 use tagio_online::service::RepairStrategy;
-use tagio_sched::SlotPolicy;
 
 fn strategy_method(name: &str, strategy: RepairStrategy) -> Method<Scenario> {
     Method::new(name, move |scenario: &Scenario, _| {
-        let out = scenario.replay(strategy, SlotPolicy::default());
+        let out = scenario.replay(strategy);
         Outcome::with_metrics(vec![
             ("acceptance", out.acceptance),
             ("repair_latency_us", out.mean_admission_micros),

@@ -104,9 +104,8 @@ pub struct Infeasible {
     /// Of the incremental repair entry points, `repair_in` and
     /// `repair_neighbourhood_in` fill it on every failure, and
     /// `retime_in` does when a job misses its window. The repair
-    /// ladder carries its incremental tier's value only when a budget or
-    /// cancellation stops it before re-synthesis; otherwise its error is
-    /// the re-synthesis diagnostic, which the static scheduler fills too.
+    /// ladder's error is the re-synthesis diagnostic, which the static
+    /// scheduler fills too.
     pub best_psi: Option<f64>,
     /// Best partial Υ achieved before giving up, when measured. Filled by
     /// the same entry points as [`Infeasible::best_psi`].

@@ -48,7 +48,7 @@
 //! all randomness and all cross-partition coupling live in the
 //! sequential staging, commit and wave-formation steps.
 
-use crate::service::{EventOutcome, OnlineScheduler, OnlineStats, RejectReason, RepairStrategy};
+use crate::service::{EventOutcome, OnlineScheduler, OnlineStats, RejectReason};
 use crate::tenant::{utilisation_ppm, QosClass, TenantCounters, TenantLedger, TenantRegistry, PPM};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -116,7 +116,8 @@ impl core::str::FromStr for PlacementPolicy {
     }
 }
 
-/// Fleet-wide configuration.
+/// Fleet-wide configuration. Every partition integrates by incremental
+/// repair ([`RepairStrategy::Incremental`](crate::service::RepairStrategy::Incremental)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// The arrival placement policy.
@@ -130,8 +131,6 @@ pub struct FleetConfig {
     /// Seed of the routing RNG (tie-breaks only; all decisions are a
     /// pure function of config + event stream).
     pub seed: u64,
-    /// Integration strategy handed to every partition.
-    pub strategy: RepairStrategy,
     /// Tenant contracts. A trivial (empty) registry — the default —
     /// disables the router quota/fair gate and tenant-aware shedding
     /// entirely, keeping untenanted fleets bit-identical to the
@@ -146,7 +145,6 @@ impl Default for FleetConfig {
             retries: 1,
             threads: 0,
             seed: 2020,
-            strategy: RepairStrategy::default(),
             tenants: TenantRegistry::new(),
         }
     }
@@ -501,10 +499,8 @@ impl FleetScheduler {
         let mut devs: Vec<DeviceId> = devices.into_iter().collect();
         devs.sort_unstable();
         devs.dedup();
-        let mut partitions: Vec<OnlineScheduler> = devs
-            .into_iter()
-            .map(|d| OnlineScheduler::new(d).with_strategy(config.strategy))
-            .collect();
+        let mut partitions: Vec<OnlineScheduler> =
+            devs.into_iter().map(OnlineScheduler::new).collect();
         for p in &mut partitions {
             p.set_tenant_registry(config.tenants.clone());
         }
@@ -539,7 +535,7 @@ impl FleetScheduler {
                 .collect();
             match OnlineScheduler::bootstrap(*device, fresh) {
                 Ok(svc) => {
-                    fleet.partitions[idx] = svc.with_strategy(fleet.config.strategy);
+                    fleet.partitions[idx] = svc;
                     fleet.partitions[idx].set_tenant_registry(fleet.config.tenants.clone());
                 }
                 Err(tasks) => {

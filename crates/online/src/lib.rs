@@ -14,11 +14,12 @@
 //!    incrementally), plus a trivial utilisation gate, so hopeless
 //!    arrivals are rejected without touching the schedule.
 //! 2. **Incremental schedule repair**
-//!    ([`tagio_sched::heuristic::repair::repair_in`]) — undisturbed jobs
-//!    keep their validated placements; only the disturbed neighbourhood
-//!    goes back through LCC-D slot allocation, falling back to a full
-//!    Algorithm 1 re-synthesis (and, when the cached analysis signals feasibility, to a
-//!    non-preemptive FPS schedule) when repair fails.
+//!    ([`tagio_sched::heuristic::repair::repair_or_resynthesize_in`]) —
+//!    undisturbed jobs keep their validated placements; only the
+//!    disturbed neighbourhood goes back through LCC-D slot allocation,
+//!    falling back to a full Algorithm 1 re-synthesis (and, when the
+//!    cached analysis signals feasibility, to a non-preemptive FPS
+//!    schedule) when repair fails.
 //! 3. **Overload shedding** — when a utilisation spike makes the set
 //!    infeasible, active tasks are dropped in *quality order* (smallest
 //!    peak quality `Vmax` first) until a feasible schedule exists again.

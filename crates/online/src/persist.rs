@@ -31,14 +31,21 @@
 //! still writes byte-exact v1 — pre-tenant snapshots, digests and
 //! recovery flows are untouched — and the parser speaks both versions.
 //!
-//! The `config` line's trailing `lean=<bool>` token is **retired**: it
-//! selects nothing. Writers emit the fixed `lean=true`, so snapshots and
-//! their digests stay byte-identical, and the parser accepts either value
-//! and ignores it, so snapshots that recorded `lean=false` still load.
+//! Two `config` line tokens are **retired**: they select nothing, and
+//! writers emit them fixed, so snapshots and their digests stay
+//! byte-identical.
+//!
+//! * `lean=<bool>` is written as `lean=true`. The parser accepts either
+//!   value and ignores it, so snapshots that recorded `lean=false` still
+//!   load.
+//! * `strategy=<name>` is written as `strategy=incremental`, the only
+//!   repair strategy a fleet partition runs. The parser rejects any other
+//!   value with an `unsupported repair strategy` error: restoring such a
+//!   snapshot as incremental would replay different decisions.
 
 use crate::fleet::{FleetConfig, FleetScheduler, FleetStats, PlacementPolicy};
-use crate::scenario::{format_event_body, parse_event_body};
-use crate::service::{OnlineScheduler, OnlineStats, RepairStrategy};
+use crate::scenario::{format_event_body, kv, parse_event_body, tagged};
+use crate::service::{OnlineScheduler, OnlineStats};
 use crate::tenant::{QosClass, TenantCounters, TenantId, TenantLedger, TenantRegistry, TenantSpec};
 use crate::wal::{EpochRecord, WalContents};
 use std::collections::BTreeMap;
@@ -48,7 +55,6 @@ use tagio_core::schedule::{Schedule, ScheduleEntry};
 use tagio_core::solve::InfeasibleCause;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio_core::time::{Duration, Time};
-use tagio_sched::SlotPolicy;
 
 /// The snapshot format's magic + version header line. Bump the version
 /// when the line grammar changes; [`FleetSnapshot::parse`] rejects
@@ -212,21 +218,6 @@ impl core::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn strategy_str(strategy: RepairStrategy) -> &'static str {
-    match strategy {
-        RepairStrategy::Incremental => "incremental",
-        RepairStrategy::FullResynthesis => "full-resynthesis",
-    }
-}
-
-fn strategy_from(s: &str) -> Result<RepairStrategy, String> {
-    match s {
-        "incremental" => Ok(RepairStrategy::Incremental),
-        "full-resynthesis" => Ok(RepairStrategy::FullResynthesis),
-        other => Err(format!("unknown repair strategy `{other}`")),
-    }
-}
-
 impl FleetSnapshot {
     /// Captures `fleet` at its current epoch boundary.
     #[must_use]
@@ -289,8 +280,6 @@ impl FleetSnapshot {
         for p in &self.partitions {
             let svc = OnlineScheduler::restore(
                 p.device,
-                self.config.strategy,
-                SlotPolicy::default(),
                 p.active.iter().cloned().collect::<TaskSet>(),
                 p.pool.iter().map(|t| (t.id(), t.clone())).collect(),
                 p.spike_percent,
@@ -344,12 +333,11 @@ impl FleetSnapshot {
         out.push('\n');
         out.push_str(&format!("epoch {}\n", self.epoch));
         out.push_str(&format!(
-            "config policy={} retries={} threads={} seed={} strategy={} lean=true\n",
+            "config policy={} retries={} threads={} seed={} strategy=incremental lean=true\n",
             self.config.policy.as_str(),
             self.config.retries,
             self.config.threads,
             self.config.seed,
-            strategy_str(self.config.strategy),
         ));
         for (tenant, spec) in self.config.tenants.iter() {
             out.push_str(&format!(
@@ -531,10 +519,13 @@ impl FleetSnapshot {
                         .map_err(err)?
                         .parse()
                         .map_err(|_| err("bad seed".into()))?;
-                    let strategy =
-                        strategy_from(kv(words.next(), "strategy").map_err(err)?).map_err(err)?;
-                    // Retired token (see the module docs): either value
-                    // loads; only a non-bool is malformed.
+                    // Retired tokens (see the module docs): the strategy
+                    // must be the one partitions run; either lean value
+                    // loads, only a non-bool is malformed.
+                    let strategy = kv(words.next(), "strategy").map_err(err)?;
+                    if strategy != "incremental" {
+                        return Err(err(format!("unsupported repair strategy `{strategy}`")));
+                    }
                     kv(words.next(), "lean")
                         .map_err(err)?
                         .parse::<bool>()
@@ -544,7 +535,6 @@ impl FleetSnapshot {
                         retries,
                         threads,
                         seed,
-                        strategy,
                         tenants: TenantRegistry::new(),
                     });
                 }
@@ -804,20 +794,8 @@ fn tenant_counter_body<'a>(
     ))
 }
 
-fn kv<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    word.and_then(|w| w.strip_prefix(key))
-        .and_then(|w| w.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=<value>"))
-}
-
 fn num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("bad number `{s}`"))
-}
-
-fn tagged(word: Option<&str>, tag: char) -> Result<u32, String> {
-    word.and_then(|w| w.strip_prefix(tag))
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(|| format!("expected {tag}<number>"))
 }
 
 fn cause_line<'a>(
@@ -1063,6 +1041,14 @@ mod tests {
             .unwrap_err()
             .message
             .contains("bad lean flag"));
+        // The retired strategy token: only `incremental` is written and
+        // loaded; any other strategy names its line.
+        assert!(text.contains(" strategy=incremental lean=true\n"));
+        let config_line = 1 + text.lines().position(|l| l.starts_with("config ")).unwrap();
+        let full = text.replacen(" strategy=incremental ", " strategy=full-resynthesis ", 1);
+        let err = FleetSnapshot::parse(&full).unwrap_err();
+        assert_eq!(err.line, config_line, "{err}");
+        assert!(err.message.contains("unsupported repair strategy"), "{err}");
     }
 
     #[test]

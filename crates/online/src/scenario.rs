@@ -24,7 +24,6 @@ use tagio_core::event::{Mode, ModeId, SystemEvent, TimedEvent};
 use tagio_core::solve::InfeasibleCause;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::time::{Duration, Time};
-use tagio_sched::SlotPolicy;
 use tagio_workload::generator::SystemConfig;
 use tagio_workload::periods::PeriodPool;
 
@@ -272,19 +271,17 @@ impl Scenario {
     }
 
     /// Replays the scenario through a fresh [`OnlineScheduler`] using
-    /// `strategy` and `policy`, and summarises what happened.
+    /// `strategy`, and summarises what happened.
     ///
     /// If the base system cannot be bootstrapped wholesale it is admitted
     /// task-by-task instead (counted as arrivals), so every scenario
     /// replays.
     #[must_use]
-    pub fn replay(&self, strategy: RepairStrategy, policy: SlotPolicy) -> ReplayOutcome {
+    pub fn replay(&self, strategy: RepairStrategy) -> ReplayOutcome {
         let mut svc = match OnlineScheduler::bootstrap(self.device, self.base.clone()) {
-            Ok(svc) => svc.with_strategy(strategy).with_policy(policy),
+            Ok(svc) => svc.with_strategy(strategy),
             Err(base) => {
-                let mut svc = OnlineScheduler::new(self.device)
-                    .with_strategy(strategy)
-                    .with_policy(policy);
+                let mut svc = OnlineScheduler::new(self.device).with_strategy(strategy);
                 for t in &base {
                     let _ = svc.apply(&SystemEvent::Arrival(t.clone()));
                 }
@@ -1242,17 +1239,17 @@ pub(crate) fn parse_event_body<'a>(
     match verb {
         "arrive" => parse_arrival(words),
         "depart" => {
-            let id = parse_tagged(words.next(), 't')?;
+            let id = tagged(words.next(), 't')?;
             Ok(SystemEvent::Departure(TaskId(id)))
         }
         "mode" => {
-            let id = parse_tagged(words.next(), 'm')?;
+            let id = tagged(words.next(), 'm')?;
             let list = words.next().ok_or_else(|| "missing task list".to_owned())?;
             let active = if list == "-" {
                 Vec::new()
             } else {
                 list.split(',')
-                    .map(|w| parse_tagged(Some(w), 't').map(TaskId))
+                    .map(|w| tagged(Some(w), 't').map(TaskId))
                     .collect::<Result<Vec<_>, _>>()?
             };
             Ok(SystemEvent::ModeChange(Mode {
@@ -1261,7 +1258,7 @@ pub(crate) fn parse_event_body<'a>(
             }))
         }
         "spike" => {
-            let device = parse_tagged(words.next(), 'd')?;
+            let device = tagged(words.next(), 'd')?;
             let percent: u32 = words
                 .next()
                 .and_then(|w| w.parse().ok())
@@ -1272,7 +1269,7 @@ pub(crate) fn parse_event_body<'a>(
             })
         }
         "death" => {
-            let device = parse_tagged(words.next(), 'd')?;
+            let device = tagged(words.next(), 'd')?;
             Ok(SystemEvent::PartitionDeath {
                 device: DeviceId(device),
             })
@@ -1281,15 +1278,25 @@ pub(crate) fn parse_event_body<'a>(
     }
 }
 
-fn parse_tagged(word: Option<&str>, tag: char) -> Result<u32, String> {
+/// Parses a `<tag><number>` word (`t3`, `d0`, ...) — the id grammar of
+/// the trace dialect, shared with the snapshot and WAL readers.
+pub(crate) fn tagged(word: Option<&str>, tag: char) -> Result<u32, String> {
     word.and_then(|w| w.strip_prefix(tag))
         .and_then(|w| w.parse().ok())
         .ok_or_else(|| format!("expected {tag}<number>"))
 }
 
+/// The value of a `<key>=<value>` word, shared with the snapshot and WAL
+/// readers.
+pub(crate) fn kv<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String> {
+    word.and_then(|w| w.strip_prefix(key))
+        .and_then(|w| w.strip_prefix('='))
+        .ok_or_else(|| format!("expected {key}=<value>"))
+}
+
 fn parse_arrival<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<SystemEvent, String> {
-    let id = parse_tagged(words.next(), 't')?;
-    let device = parse_tagged(words.next(), 'd')?;
+    let id = tagged(words.next(), 't')?;
+    let device = tagged(words.next(), 'd')?;
     let mut wcet = None;
     let mut period = None;
     let mut deadline = None;
@@ -1407,7 +1414,7 @@ mod tests {
             arrivals: 8,
             ..ScenarioConfig::default()
         });
-        let out = s.replay(RepairStrategy::Incremental, SlotPolicy::default());
+        let out = s.replay(RepairStrategy::Incremental);
         assert!(out.arrivals >= 8);
         assert!(out.admitted <= out.arrivals);
         assert!((0.0..=1.0).contains(&out.acceptance));
@@ -1422,8 +1429,8 @@ mod tests {
             arrivals: 6,
             ..ScenarioConfig::default()
         });
-        let a = s.replay(RepairStrategy::Incremental, SlotPolicy::default());
-        let b = s.replay(RepairStrategy::Incremental, SlotPolicy::default());
+        let a = s.replay(RepairStrategy::Incremental);
+        let b = s.replay(RepairStrategy::Incremental);
         assert_eq!(
             (a.arrivals, a.admitted, a.repairs),
             (b.arrivals, b.admitted, b.repairs)

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use tagio_core::event::{Mode, SystemEvent};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
-use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
+use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
 use tagio_sched::heuristic::repair::{repair_in, repair_or_resynthesize_in, retime_in};
@@ -341,7 +341,6 @@ impl Metrics for OnlineStats {
 pub struct OnlineScheduler {
     device: DeviceId,
     strategy: RepairStrategy,
-    policy: SlotPolicy,
     /// Active tasks at their *effective* (spike-scaled) WCETs.
     tasks: TaskSet,
     /// Every task ever admitted, at nominal WCET (mode changes re-admit
@@ -366,13 +365,12 @@ pub struct OnlineScheduler {
 
 impl OnlineScheduler {
     /// A service for `device` with no active tasks and the default
-    /// strategy/policy.
+    /// strategy.
     #[must_use]
     pub fn new(device: DeviceId) -> Self {
         OnlineScheduler {
             device,
             strategy: RepairStrategy::default(),
-            policy: SlotPolicy::default(),
             tasks: TaskSet::new(),
             pool: BTreeMap::new(),
             spike_percent: 100,
@@ -393,13 +391,6 @@ impl OnlineScheduler {
         self
     }
 
-    /// Overrides the slot policy used by repair and re-synthesis.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SlotPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Starts a service from an initial task set (one full synthesis; the
     /// set must belong to `device`).
     ///
@@ -411,7 +402,7 @@ impl OnlineScheduler {
             return Err(tasks);
         }
         let jobs = JobSet::expand(&tasks);
-        let Ok(schedule) = StaticScheduler::with_policy(svc.policy)
+        let Ok(schedule) = StaticScheduler::new()
             .schedule(&jobs)
             .or_else(|_| FpsOffline::new().schedule(&jobs))
         else {
@@ -430,7 +421,8 @@ impl OnlineScheduler {
 
     /// Rebuilds a service from snapshotted state (`crate::persist`): the
     /// active set at effective WCETs, the nominal pool, the spike level,
-    /// the exact live schedule, and the decision counters. Jobs, cached
+    /// the exact live schedule, and the decision counters, under the
+    /// default strategy. Jobs, cached
     /// Ψ/Υ and a cold analysis cache are rederived — cold-vs-warm cache
     /// equivalence means decisions are unchanged; only the first few
     /// admissions after a restore pay the analysis again.
@@ -438,11 +430,8 @@ impl OnlineScheduler {
     /// # Errors
     /// Returns a message when the schedule does not validate against the
     /// active set's expanded jobs (a corrupt or mismatched snapshot).
-    #[allow(clippy::too_many_arguments)] // snapshot fields map 1:1 to parameters
     pub(crate) fn restore(
         device: DeviceId,
-        strategy: RepairStrategy,
-        policy: SlotPolicy,
         active: TaskSet,
         pool: BTreeMap<TaskId, IoTask>,
         spike_percent: u32,
@@ -460,8 +449,7 @@ impl OnlineScheduler {
         };
         Ok(OnlineScheduler {
             device,
-            strategy,
-            policy,
+            strategy: RepairStrategy::default(),
             tasks: active,
             pool,
             spike_percent: spike_percent.max(1),
@@ -791,11 +779,11 @@ impl OnlineScheduler {
         let mut scratch = std::mem::take(&mut self.scratch);
         let (schedule, timed) = time(|| {
             let repaired = |scratch: &mut RepairScratch| {
-                repair_in(&jobs, &self.schedule, &[], self.policy, scratch).map(|(s, _)| s)
+                repair_in(&jobs, &self.schedule, SlotPolicy::default(), scratch).map(|(s, _)| s)
             };
             match self.strategy {
                 RepairStrategy::Incremental => repaired(&mut scratch),
-                RepairStrategy::FullResynthesis => StaticScheduler::with_policy(self.policy)
+                RepairStrategy::FullResynthesis => StaticScheduler::new()
                     .schedule(&jobs)
                     .or_else(|_| repaired(&mut scratch)),
             }
@@ -923,17 +911,13 @@ impl OnlineScheduler {
                             repair_or_resynthesize_in(
                                 &jobs,
                                 &self.schedule,
-                                &[],
-                                self.policy,
-                                &SolverCtx::new(),
+                                SlotPolicy::default(),
                                 &mut scratch,
                             )
                             .map(|o| o.schedule)
                         })
                     }
-                    RepairStrategy::FullResynthesis => {
-                        StaticScheduler::with_policy(self.policy).schedule(&jobs)
-                    }
+                    RepairStrategy::FullResynthesis => StaticScheduler::new().schedule(&jobs),
                 }
                 .or_else(|_| FpsOffline::new().schedule(&jobs))
             });
@@ -997,21 +981,18 @@ impl OnlineScheduler {
                 self.schedule.clone()
             };
             let outcome = match self.strategy {
-                RepairStrategy::Incremental => repair_or_resynthesize_in(
-                    &jobs,
-                    &base,
-                    &[],
-                    self.policy,
-                    &SolverCtx::new(),
-                    &mut scratch,
-                ),
-                RepairStrategy::FullResynthesis => StaticScheduler::with_policy(self.policy)
-                    .schedule(&jobs)
-                    .map(|schedule| tagio_sched::RepairOutcome {
-                        schedule,
-                        replaced: jobs.len(),
-                        resynthesized: true,
-                    }),
+                RepairStrategy::Incremental => {
+                    repair_or_resynthesize_in(&jobs, &base, SlotPolicy::default(), &mut scratch)
+                }
+                RepairStrategy::FullResynthesis => {
+                    StaticScheduler::new().schedule(&jobs).map(|schedule| {
+                        tagio_sched::RepairOutcome {
+                            schedule,
+                            replaced: jobs.len(),
+                            resynthesized: true,
+                        }
+                    })
+                }
             };
             outcome.or_else(|diagnostic| {
                 // The response-time signal: try the actual FPS

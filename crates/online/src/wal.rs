@@ -27,7 +27,7 @@
 //! [`parse_wal`]/[`WalSource::load`] truncate (and flag) instead of
 //! failing, which is exactly the prefix a recovering fleet may trust.
 
-use crate::scenario::{format_event_body, parse_event_body};
+use crate::scenario::{format_event_body, kv, parse_event_body, tagged};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -208,10 +208,10 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
                     .ok_or_else(|| err("`routed` outside an epoch record".into()))?;
                 let origin = match kv(words.next(), "from").map_err(err)? {
                     "-" => None,
-                    w => Some(DeviceId(tagged(w, 'd').map_err(err)?)),
+                    w => Some(DeviceId(tagged(Some(w), 'd').map_err(err)?)),
                 };
-                let target =
-                    DeviceId(tagged(kv(words.next(), "to").map_err(err)?, 'd').map_err(err)?);
+                let target = kv(words.next(), "to").map_err(err)?;
+                let target = DeviceId(tagged(Some(target), 'd').map_err(err)?);
                 let attempt: u32 = kv(words.next(), "attempt")
                     .map_err(err)?
                     .parse()
@@ -262,7 +262,7 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
                     let (dev, rest) = word
                         .split_once('=')
                         .ok_or_else(|| err(format!("expected d<dev>=<hex>:<hex>, got `{word}`")))?;
-                    let device = DeviceId(tagged(dev, 'd').map_err(err)?);
+                    let device = DeviceId(tagged(Some(dev), 'd').map_err(err)?);
                     let (sched, stats) = rest
                         .split_once(':')
                         .ok_or_else(|| err("digest missing `:`".into()))?;
@@ -286,18 +286,6 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
         epochs,
         torn_tail: open.is_some() || partial,
     })
-}
-
-fn kv<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    word.and_then(|w| w.strip_prefix(key))
-        .and_then(|w| w.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=<value>"))
-}
-
-fn tagged(word: &str, tag: char) -> Result<u32, String> {
-    word.strip_prefix(tag)
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(|| format!("expected {tag}<number>"))
 }
 
 /// An in-memory log: the reference [`WalSink`]/[`WalSource`] pair (and

@@ -10,7 +10,6 @@
 use tagio_core::task::TaskId;
 use tagio_online::scenario::{Scenario, ScenarioConfig};
 use tagio_online::service::RepairStrategy;
-use tagio_sched::SlotPolicy;
 
 /// The default arrival sweep shared with the `online_scenarios` binary:
 /// arrival counts per scenario, each replayed over a few seeds.
@@ -37,8 +36,8 @@ fn scenarios_at(arrivals: usize, base_seed: u64) -> Vec<Scenario> {
 fn incremental_accepts_at_least_the_full_resynthesis_count() {
     for arrivals in default_sweep() {
         for scenario in scenarios_at(arrivals, 2020) {
-            let inc = scenario.replay(RepairStrategy::Incremental, SlotPolicy::default());
-            let full = scenario.replay(RepairStrategy::FullResynthesis, SlotPolicy::default());
+            let inc = scenario.replay(RepairStrategy::Incremental);
+            let full = scenario.replay(RepairStrategy::FullResynthesis);
             assert!(
                 inc.admitted >= full.admitted,
                 "arrivals={arrivals}: incremental admitted {} < full {}",
@@ -61,8 +60,8 @@ fn replays_are_reproducible_across_runs() {
         seed: 77,
         ..ScenarioConfig::default()
     });
-    let a = scenario.replay(RepairStrategy::Incremental, SlotPolicy::default());
-    let b = scenario.replay(RepairStrategy::Incremental, SlotPolicy::default());
+    let a = scenario.replay(RepairStrategy::Incremental);
+    let b = scenario.replay(RepairStrategy::Incremental);
     assert_eq!(a.admitted, b.admitted);
     assert_eq!(a.repairs, b.repairs);
     assert_eq!(a.resyntheses, b.resyntheses);
@@ -79,7 +78,7 @@ fn quality_degradation_is_bounded_and_repairs_dominate() {
     let mut repairs = 0usize;
     let mut resyntheses = 0usize;
     for scenario in scenarios_at(16, 2020) {
-        let out = scenario.replay(RepairStrategy::Incremental, SlotPolicy::default());
+        let out = scenario.replay(RepairStrategy::Incremental);
         repairs += out.repairs;
         resyntheses += out.resyntheses;
         // An FPS-guarantee admission deliberately trades all of Ψ for
@@ -115,8 +114,8 @@ fn trace_dump_replays_identically_through_parse() {
         ))
         .expect("own trace parses"),
     };
-    let a = scenario.replay(RepairStrategy::Incremental, SlotPolicy::default());
-    let b = reparsed.replay(RepairStrategy::Incremental, SlotPolicy::default());
+    let a = scenario.replay(RepairStrategy::Incremental);
+    let b = reparsed.replay(RepairStrategy::Incremental);
     assert_eq!(a.admitted, b.admitted);
     assert_eq!(a.psi.to_bits(), b.psi.to_bits());
 }

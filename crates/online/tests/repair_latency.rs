@@ -6,7 +6,6 @@
 
 use tagio_online::scenario::{Scenario, ScenarioConfig};
 use tagio_online::service::RepairStrategy;
-use tagio_sched::SlotPolicy;
 
 fn default_sweep() -> Vec<usize> {
     vec![4, 8, 12, 16]
@@ -34,11 +33,7 @@ fn scenarios_at(arrivals: usize, base_seed: u64) -> Vec<Scenario> {
 fn measure() -> (f64, f64) {
     let best = |scenario: &Scenario, strategy: RepairStrategy| {
         (0..3)
-            .map(|_| {
-                scenario
-                    .replay(strategy, SlotPolicy::default())
-                    .mean_admission_micros
-            })
+            .map(|_| scenario.replay(strategy).mean_admission_micros)
             .fold(f64::INFINITY, f64::min)
     };
     let mut inc_total = 0.0;

@@ -126,25 +126,15 @@ impl<'a> Timeline<'a> {
     /// `(job index, start)` — the *repair* path: unaffected jobs keep
     /// their (possibly shifted) offline starts while disturbed jobs are
     /// re-allocated around them. Exactness is derived per placement
-    /// (`start == ideal_start`).
+    /// (`start == ideal_start`). The buffers of `scratch` are recycled
+    /// instead of allocated fresh; pair with
+    /// [`Timeline::into_schedule_in`] to hand them back once the timeline
+    /// is finalised.
     ///
     /// # Panics
     /// Panics if the placements mutually overlap (they come from a
     /// validated schedule; see `heuristic::repair` which pre-checks this
     /// and falls back to full re-synthesis instead of panicking).
-    #[must_use]
-    pub fn with_placements(jobs: &'a JobSet, placements: &[(usize, Time)]) -> Self {
-        Self::with_placements_in(jobs, placements, &mut TimelineScratch::default())
-    }
-
-    /// [`Timeline::with_placements`], recycling the buffers of `scratch`
-    /// instead of allocating fresh ones. Pair with
-    /// [`Timeline::into_schedule_in`] to hand the buffers back once the
-    /// timeline is finalised.
-    ///
-    /// # Panics
-    /// Panics if the placements mutually overlap, exactly like
-    /// [`Timeline::with_placements`].
     #[must_use]
     pub fn with_placements_in(
         jobs: &'a JobSet,

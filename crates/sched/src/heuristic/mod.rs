@@ -26,7 +26,7 @@ pub use graph::ConflictGraph;
 pub use lccd::{SlotPolicy, Timeline, TimelineScratch};
 pub use repair::{
     repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairOutcome,
-    RepairScratch, RepairSolver,
+    RepairScratch,
 };
 
 use crate::scheduler::Scheduler;

@@ -4,29 +4,28 @@
 //! LCC-D allocation over *every* job. When a running system gains or loses
 //! one task, almost all of that work is re-derivable from the live
 //! schedule: the undisturbed jobs keep their validated placements, and
-//! only the disturbed jobs (a new task's releases, or jobs displaced by a
-//! WCET change) go back through slot allocation.
+//! only the disturbed jobs (a new task's releases, or jobs whose base
+//! placement a WCET change made infeasible) go back through slot
+//! allocation.
 //!
 //! [`repair_in`] is that fast path: it pins the base schedule's
-//! placements for every untouched job, tries each disturbed job first at
-//! its *ideal* instant (preserving Ψ where possible) and then through the
-//! LCC-D allocator. Rather than degrading into a recursive displacement
-//! search, it reports an [`Infeasible`] diagnostic naming the congested
-//! jobs when the neighbourhood does not fit; [`repair_neighbourhood_in`]
-//! escalates from exactly those diagnostics, and
-//! [`repair_or_resynthesize_in`] falls back to a full Algorithm 1 run —
-//! the paper's offline method. The online service layers admission
-//! control and shedding on top (`tagio-online`); [`RepairSolver`]
-//! packages the whole ladder as a budgeted [`Solve`] implementation.
+//! placements for every job that still fits them, tries each other job
+//! first at its *ideal* instant (preserving Ψ where possible) and then
+//! through the LCC-D allocator. Rather than degrading into a recursive
+//! displacement search, it reports an [`Infeasible`] diagnostic naming the
+//! congested jobs when the neighbourhood does not fit. The ladder,
+//! [`repair_or_resynthesize_in`], is neighbourhood repair
+//! ([`repair_neighbourhood_in`], which escalates from exactly those
+//! diagnostics), then a full Algorithm 1 run — the paper's offline
+//! method. The online service layers admission control and shedding on
+//! top (`tagio-online`).
 //!
 //! Every failure of [`repair_in`] and [`repair_neighbourhood_in`] carries
 //! the partial Ψ/Υ of the placements it kept, as does a [`retime_in`]
-//! failure that names a job missing its window. The ladder passes the
-//! incremental tier's values on when a budget or cancellation stops it
-//! before re-synthesis. A failed round reads them off its placements by
-//! job position ([`tagio_core::metrics::quality_by`]) instead of building
-//! and sorting a partial [`Schedule`], so a failure costs one `O(n)`
-//! pass.
+//! failure that names a job missing its window. A failed round reads
+//! them off its placements by job position
+//! ([`tagio_core::metrics::quality_by`]) instead of building and sorting
+//! a partial [`Schedule`], so a failure costs one `O(n)` pass.
 //!
 //! No demand-bound certificate runs ahead of the ladder: on implicit-
 //! deadline (`D = T`), zero-offset sets that passed the online service's
@@ -39,19 +38,18 @@
 use super::lccd::{placement_quality, SlotPolicy, Timeline, TimelineScratch};
 use super::StaticScheduler;
 use crate::scheduler::Scheduler;
-use crate::solve::Solve;
 use std::collections::{HashMap, HashSet};
 use tagio_core::job::{Job, JobId, JobSet};
 use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
-use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
+use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::TaskId;
 use tagio_core::time::{Duration, Time};
 
 /// Reusable working memory for the repair ladder.
 ///
 /// A single incremental repair allocates a dozen transient collections —
-/// lookup tables, pinned/disturbed sets, the timeline's slot buffers.
+/// lookup tables, the pinned set, the timeline's slot buffers.
 /// The online admission path runs a repair per event, so
 /// [`repair_in`] / [`retime_in`] / [`repair_neighbourhood_in`] /
 /// [`repair_or_resynthesize_in`] accept a long-lived scratch and recycle
@@ -70,7 +68,6 @@ pub struct RepairScratch {
     /// Per job position, `true` when the job is re-placed rather than
     /// pinned. Escalation rounds grow it in place.
     disturbed: Vec<bool>,
-    disturbed_ids: Vec<JobId>,
     base_starts: Vec<(JobId, Time)>,
     pinned: Vec<(usize, Time)>,
     to_place: Vec<usize>,
@@ -98,10 +95,10 @@ pub struct RepairOutcome {
 
 /// Repairs `base` into a feasible schedule for `jobs`.
 ///
-/// Every job of `jobs` that appears in `base`, is **not** listed in
-/// `disturbed`, and whose base placement is still feasible (its window or
-/// WCET may have changed since `base` was synthesised) keeps its start.
-/// All other jobs — the disturbed neighbourhood — are placed anew:
+/// Every job of `jobs` that appears in `base` and whose base placement is
+/// still feasible (its window or WCET may have changed since `base` was
+/// synthesised) keeps its start. All other jobs — the disturbed
+/// neighbourhood — are placed anew:
 /// first at their ideal instant when free, otherwise through the LCC-D
 /// allocator under `policy`, highest priority first (Algorithm 1 line 11).
 ///
@@ -116,17 +113,10 @@ pub struct RepairOutcome {
 pub fn repair_in(
     jobs: &JobSet,
     base: &Schedule,
-    disturbed: &[JobId],
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
     prepare(jobs, base, scratch);
-    scratch.disturbed_ids.clear();
-    scratch.disturbed_ids.extend_from_slice(disturbed);
-    scratch.disturbed_ids.sort_unstable();
-    for (flag, job) in scratch.disturbed.iter_mut().zip(jobs) {
-        *flag = scratch.disturbed_ids.binary_search(&job.id()).is_ok();
-    }
     try_repair(jobs, policy, scratch)
 }
 
@@ -202,8 +192,8 @@ fn try_repair(
         .extend((0..all.len()).filter(|&i| disturbed[i] || scratch.base_at[i].is_none()));
 
     // Pinned placements must still be mutually disjoint under the jobs'
-    // *current* WCETs; if not, the disturbance reaches beyond the declared
-    // neighbourhood and repair cannot help. The diagnostic names the
+    // *current* WCETs; if not, the disturbance reaches beyond the
+    // neighbourhood and this round cannot help. The diagnostic names the
     // overlapping placements so escalation frees exactly those pockets.
     // `pinned` is in (start, finish) order, so neighbours suffice.
     scratch.failed.clear();
@@ -233,8 +223,9 @@ fn try_repair(
     // Periodicity fast path: once one job of a task is placed, its later
     // jobs usually fit at the same relative offset (the schedule repeats,
     // §III.C) — an O(log n) probe instead of a full slot allocation.
-    // `to_place` keeps a task's jobs consecutive (same priority, release
-    // order), so one offset per task suffices.
+    // `to_place` does not keep a task's jobs consecutive (jobs of
+    // equal-priority tasks interleave by release), so the offset is kept
+    // per task and looked up by the job's task.
     scratch.offsets.clear();
     scratch.failed_tasks.clear();
     for pos in 0..scratch.to_place.len() {
@@ -400,56 +391,25 @@ pub fn repair_neighbourhood_in(
     Err(last_failure.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
 }
 
-/// [`repair_in`] (or [`repair_neighbourhood_in`] when `disturbed` is
-/// empty), escalating to a full Algorithm 1 re-synthesis (the static
-/// scheduler with `policy`) when the incremental tier fails: an *anytime*
-/// repair ladder under `ctx`. Each tier costs one budget iteration; when
-/// the budget or the cancellation flag stops the ladder before a feasible
-/// schedule is found, the error combines the stopping cause with the
-/// incremental diagnostic (congested jobs, partial Ψ/Υ). Pass
-/// [`SolverCtx::new`] for an unbudgeted run.
+/// The repair ladder: [`repair_neighbourhood_in`], escalating to a full
+/// Algorithm 1 re-synthesis (the static scheduler with `policy`) when
+/// the incremental tier fails.
 ///
 /// # Errors
 /// The re-synthesis tier's diagnostic when it, too, finds the set
-/// infeasible, or a budget/cancellation diagnostic carrying the
-/// incremental tier's partial result.
+/// infeasible.
 pub fn repair_or_resynthesize_in(
     jobs: &JobSet,
     base: &Schedule,
-    disturbed: &[JobId],
     policy: SlotPolicy,
-    ctx: &SolverCtx,
     scratch: &mut RepairScratch,
 ) -> Result<RepairOutcome, Infeasible> {
-    let mut budget = ctx.budget();
-    if let Err(cause) = budget.spend(1) {
-        return Err(Infeasible::new(cause));
-    }
-    // repair_neighbourhood_in embeds the plain attempt (it escalates from
-    // that attempt's failure diagnostics), so with no explicit disturbed
-    // set it covers both incremental tiers in one call.
-    let repaired = if disturbed.is_empty() {
-        repair_neighbourhood_in(jobs, base, policy, scratch)
-    } else {
-        repair_in(jobs, base, disturbed, policy, scratch)
-    };
-    let incremental_failure = match repaired {
-        Ok((schedule, replaced)) => {
-            return Ok(RepairOutcome {
-                schedule,
-                replaced,
-                resynthesized: false,
-            })
-        }
-        Err(failure) => failure,
-    };
-    if let Err(cause) = budget.spend(1) {
-        // Budget gone before the expensive tier: surface the stopping
-        // cause, but keep the incremental diagnostic's detail.
-        let mut out = Infeasible::new(cause).with_jobs(incremental_failure.jobs);
-        out.best_psi = incremental_failure.best_psi;
-        out.best_upsilon = incremental_failure.best_upsilon;
-        return Err(out);
+    if let Ok((schedule, replaced)) = repair_neighbourhood_in(jobs, base, policy, scratch) {
+        return Ok(RepairOutcome {
+            schedule,
+            replaced,
+            resynthesized: false,
+        });
     }
     StaticScheduler::with_policy(policy)
         .schedule(jobs)
@@ -458,54 +418,6 @@ pub fn repair_or_resynthesize_in(
             replaced: jobs.len(),
             resynthesized: true,
         })
-}
-
-/// The repair ladder as a named, budgeted [`Solve`] implementation:
-/// solves any job set *towards* a fixed base schedule, pinning whatever
-/// placements survive.
-///
-/// This is how downstream systems (and the registry's trait-object
-/// tests) treat incremental repair as just another solver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairSolver {
-    base: Schedule,
-    policy: SlotPolicy,
-}
-
-impl RepairSolver {
-    /// A solver repairing towards `base` with the default LCC-D policy.
-    #[must_use]
-    pub fn new(base: Schedule) -> Self {
-        RepairSolver {
-            base,
-            policy: SlotPolicy::default(),
-        }
-    }
-
-    /// Overrides the slot policy used by repair and re-synthesis.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SlotPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-impl Solve for RepairSolver {
-    fn name(&self) -> &str {
-        "repair"
-    }
-
-    fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
-        repair_or_resynthesize_in(
-            jobs,
-            &self.base,
-            &[],
-            self.policy,
-            ctx,
-            &mut RepairScratch::default(),
-        )
-        .map(|outcome| outcome.schedule)
-    }
 }
 
 #[cfg(test)]
@@ -525,13 +437,13 @@ mod tests {
     }
 
     /// A one-off plain repair under the default policy.
-    fn repair(
-        jobs: &JobSet,
-        base: &Schedule,
-        disturbed: &[JobId],
-    ) -> Result<(Schedule, usize), Infeasible> {
-        let mut scratch = RepairScratch::default();
-        repair_in(jobs, base, disturbed, SlotPolicy::default(), &mut scratch)
+    fn repair(jobs: &JobSet, base: &Schedule) -> Result<(Schedule, usize), Infeasible> {
+        repair_in(
+            jobs,
+            base,
+            SlotPolicy::default(),
+            &mut RepairScratch::default(),
+        )
     }
 
     fn base_for(tasks: &TaskSet) -> (JobSet, Schedule) {
@@ -546,7 +458,7 @@ mod tests {
             .into_iter()
             .collect();
         let (jobs, base) = base_for(&tasks);
-        let (repaired, replaced) = repair(&jobs, &base, &[]).expect("repairable");
+        let (repaired, replaced) = repair(&jobs, &base).expect("repairable");
         assert_eq!(replaced, 0);
         assert_eq!(repaired, base);
     }
@@ -560,15 +472,10 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(2, 8, 500, 3)).unwrap();
         let jobs = JobSet::expand(&grown);
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(2))
-            .map(|j| j.id())
-            .collect();
-        let (repaired, replaced) = repair(&jobs, &base, &disturbed).expect("repairable");
+        let (repaired, replaced) = repair(&jobs, &base).expect("repairable");
         repaired.validate(&jobs).unwrap();
-        assert_eq!(replaced, disturbed.len());
-        // Undisturbed jobs kept their placements.
+        // Only the newcomer's jobs, which have no base placement, moved.
+        assert_eq!(replaced, jobs.len() - base.len());
         for e in &base {
             assert_eq!(repaired.start_of(e.job), Some(e.start));
         }
@@ -581,13 +488,8 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(1, 8, 500, 5)).unwrap(); // ideal slot is free
         let jobs = JobSet::expand(&grown);
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(1))
-            .map(|j| j.id())
-            .collect();
-        let (repaired, _) = repair(&jobs, &base, &disturbed).expect("repairable");
-        let j = jobs.get(disturbed[0]).unwrap();
+        let (repaired, _) = repair(&jobs, &base).expect("repairable");
+        let j = jobs.get(JobId::new(TaskId(1), 0)).unwrap();
         assert_eq!(repaired.start_of(j.id()), Some(j.ideal_start()));
     }
 
@@ -600,12 +502,7 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(1, 4, 3_000, 1)).unwrap();
         let jobs = JobSet::expand(&grown);
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(1))
-            .map(|j| j.id())
-            .collect();
-        let err = repair(&jobs, &base, &disturbed).unwrap_err();
+        let err = repair(&jobs, &base).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert_eq!(err.tasks, vec![TaskId(1)], "the newcomer found no slot");
         assert!(err.best_psi.is_some(), "partial progress reported");
@@ -692,21 +589,14 @@ mod tests {
             )
             .unwrap();
         let jobs = JobSet::expand(&grown);
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(1))
-            .map(|j| j.id())
-            .collect();
-        let plain = repair(&jobs, &base, &disturbed);
+        let plain = repair(&jobs, &base);
         if let Ok((s, _)) = &plain {
             s.validate(&jobs).unwrap();
         }
         let escalated = repair_or_resynthesize_in(
             &jobs,
             &base,
-            &[],
             SlotPolicy::default(),
-            &SolverCtx::new(),
             &mut RepairScratch::default(),
         )
         .expect("feasible overall");
@@ -745,17 +635,10 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(1, 8, 2_000, 4)).unwrap();
         let jobs = JobSet::expand(&grown);
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(1))
-            .map(|j| j.id())
-            .collect();
         let outcome = repair_or_resynthesize_in(
             &jobs,
             &base,
-            &disturbed,
             SlotPolicy::default(),
-            &SolverCtx::new(),
             &mut RepairScratch::default(),
         )
         .unwrap();
@@ -779,7 +662,7 @@ mod tests {
             .cloned()
             .collect();
         let jobs = JobSet::expand(&remaining);
-        let (repaired, replaced) = repair(&jobs, &base, &[]).expect("shrinking is trivial");
+        let (repaired, replaced) = repair(&jobs, &base).expect("shrinking is trivial");
         repaired.validate(&jobs).unwrap();
         assert_eq!(replaced, 0);
     }
@@ -787,8 +670,8 @@ mod tests {
     #[test]
     fn overlapping_pinned_placements_fail_cleanly() {
         // A WCET spike makes two *pinned* placements overlap: repair must
-        // report both placements (not panic), unless the grown task is
-        // declared disturbed — then it is re-placed around the survivor.
+        // report both placements (not panic). Re-placing them is the
+        // neighbourhood tier's job (`neighbourhood_repair_handles_overlapping_pins`).
         let tasks: TaskSet = vec![task(0, 8, 500, 2), task(1, 8, 500, 3)]
             .into_iter()
             .collect();
@@ -797,74 +680,8 @@ mod tests {
             .into_iter()
             .collect();
         let jobs = JobSet::expand(&fat);
-        let err = repair(&jobs, &base, &[]).unwrap_err();
+        let err = repair(&jobs, &base).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert_eq!(err.tasks, vec![TaskId(0), TaskId(1)], "both pins named");
-        let disturbed: Vec<JobId> = jobs
-            .iter()
-            .filter(|j| j.id().task == TaskId(0))
-            .map(|j| j.id())
-            .collect();
-        let (repaired, replaced) = repair(&jobs, &base, &disturbed).expect("re-place fat task");
-        repaired.validate(&jobs).unwrap();
-        assert_eq!(replaced, 1);
-    }
-
-    #[test]
-    fn repair_solver_is_a_budgeted_solver() {
-        let old: TaskSet = vec![task(0, 8, 500, 2), task(1, 8, 500, 5)]
-            .into_iter()
-            .collect();
-        let (_, base) = base_for(&old);
-        let mut grown = old.clone();
-        grown.push(task(2, 8, 500, 3)).unwrap();
-        let jobs = JobSet::expand(&grown);
-        let solver = RepairSolver::new(base);
-        // Unlimited: solves incrementally.
-        let s = solver.solve(&jobs, &SolverCtx::new()).expect("repairable");
-        s.validate(&jobs).unwrap();
-        // Zero budget: the ladder never starts.
-        let err = solver
-            .solve(&jobs, &SolverCtx::new().with_iteration_budget(0))
-            .unwrap_err();
-        assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
-    }
-
-    #[test]
-    fn budgeted_repair_skips_the_resynthesis_tier() {
-        // A case the incremental tiers cannot fix but re-synthesis can:
-        // with budget 1, the ladder stops after the incremental tier and
-        // the error keeps the incremental diagnostic's detail.
-        let old: TaskSet = vec![task(0, 8, 2_000, 4)].into_iter().collect();
-        let (_, base) = base_for(&old);
-        let mut grown = old.clone();
-        grown.push(task(1, 8, 2_000, 4)).unwrap();
-        let jobs = JobSet::expand(&grown);
-        let unbudgeted = repair_or_resynthesize_in(
-            &jobs,
-            &base,
-            &[],
-            SlotPolicy::default(),
-            &SolverCtx::new(),
-            &mut RepairScratch::default(),
-        );
-        let budgeted = repair_or_resynthesize_in(
-            &jobs,
-            &base,
-            &[],
-            SlotPolicy::default(),
-            &SolverCtx::new().with_iteration_budget(1),
-            &mut RepairScratch::default(),
-        );
-        match (unbudgeted, budgeted) {
-            // The incremental tier alone fixed it: budget 1 suffices.
-            (Ok(a), Ok(b)) if !a.resynthesized => assert_eq!(a.schedule, b.schedule),
-            // Re-synthesis was needed: the budgeted run reports exhaustion.
-            (Ok(a), Err(e)) => {
-                assert!(a.resynthesized);
-                assert_eq!(e.cause, InfeasibleCause::BudgetExhausted);
-            }
-            (a, b) => panic!("unexpected combination: {a:?} vs {b:?}"),
-        }
     }
 }

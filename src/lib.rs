@@ -132,7 +132,7 @@ pub mod prelude {
     pub use tagio_online::wal::{FileWal, MemoryWal, WalSink, WalSource};
     pub use tagio_sched::{
         check_capacity, BoxedSolver, EdfOffline, FpsOffline, GaScheduler, Gpiocp, MethodError,
-        MethodSet, MethodSpec, OptimalPsi, Registry, RepairSolver, Scheduler, SchedulerBug,
-        SchedulingReport, Solve, StaticScheduler,
+        MethodSet, MethodSpec, OptimalPsi, Registry, Scheduler, SchedulerBug, SchedulingReport,
+        Solve, StaticScheduler,
     };
 }
