@@ -11,7 +11,8 @@ use crate::report::{MethodReport, PointReport, Report};
 use crate::{parallel_map_with, EvalSystem, Options};
 use tagio_ga::{hypervolume_2d, GaConfig, Objectives};
 use tagio_sched::{
-    fps_online_schedulable, GaScheduler, MethodError, MethodSet, SchedulingReport, SolverCtx,
+    fps_online_schedulable, make_scheduler, GaScheduler, MethodError, MethodSet, SchedulingReport,
+    SolverCtx,
 };
 
 /// One point of a sweep: a display label plus the numeric parameter value.
@@ -165,8 +166,7 @@ impl Method<EvalSystem> {
     /// # Errors
     /// Returns [`MethodError`] for specs the registry rejects.
     pub fn scheduler(name: &str) -> Result<Self, MethodError> {
-        let mut methods = Self::from_set(MethodSet::from_names([name])?);
-        Ok(methods.remove(0))
+        Ok(Self::wrap(name.trim().to_owned(), make_scheduler(name)?))
     }
 
     /// One method per entry of a [`MethodSet`] — the bridge from

@@ -73,6 +73,6 @@ pub use metrics::{MetricSet, Metrics};
 pub use pool::{available_workers, WorkerPool};
 pub use quality::{QualityCurve, QualityShape};
 pub use schedule::{entry_for, Schedule, ScheduleEntry};
-pub use solve::{Infeasible, InfeasibleCause, SolveBudget, SolverCtx};
+pub use solve::{Infeasible, InfeasibleCause, SolverCtx};
 pub use task::{DeviceId, IoTask, IoTaskBuilder, Priority, TaskId, TaskSet};
 pub use time::{Duration, Time};

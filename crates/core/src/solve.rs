@@ -1,23 +1,18 @@
-//! The shared vocabulary of the unified solving API: structured
-//! infeasibility diagnostics ([`Infeasible`]) and per-call solver
-//! contexts ([`SolverCtx`]).
+//! The shared vocabulary of the solving API: structured infeasibility
+//! diagnostics ([`Infeasible`]) and the per-call solver context
+//! ([`SolverCtx`]).
 //!
 //! Every scheduling method in the workspace reports failure as an
 //! [`Infeasible`] value instead of a bare `None`: *why* it failed
 //! ([`InfeasibleCause`]), *where* (the offending task/job ids), and *how
 //! close it got* (the best partial Ψ/Υ achieved before giving up). The
-//! [`SolverCtx`] travels with each solve call and carries the
-//! deterministic seed, the time/iteration budget, a cooperative
-//! cancellation flag and the thread configuration — per-call knobs that
-//! used to be baked into scheduler constructors.
+//! [`SolverCtx`] travels with a solve call and carries its deterministic
+//! seed.
 
 use crate::job::JobId;
 use crate::task::{DeviceId, TaskId};
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Why a solve produced no feasible schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -33,23 +28,22 @@ pub enum InfeasibleCause {
     /// The slot allocator (LCC-D, repair, reconfiguration) found no
     /// feasible slot for some job without displacing committed work.
     NoFeasibleSlot,
-    /// The solver's time/iteration budget expired before any feasible
-    /// schedule was found; the diagnostic carries the best partial
-    /// result reached.
+    /// The exhaustive oracle (`OptimalPsi`) ran out of its branch-node
+    /// budget (`optimal-psi:nodes=N`) before reaching any complete
+    /// schedule; the diagnostic carries the partial assignment it was
+    /// exploring.
     BudgetExhausted,
-    /// Cooperative cancellation was requested before a feasible schedule
-    /// was found.
-    Cancelled,
 }
 
 impl InfeasibleCause {
-    /// Every cause, in declaration order.
-    pub const ALL: [InfeasibleCause; 5] = [
+    /// Every cause, in declaration order. New causes are appended, so
+    /// the discriminants (and the orders of maps keyed by cause) never
+    /// move.
+    pub const ALL: [InfeasibleCause; 4] = [
         InfeasibleCause::UtilisationOverload,
         InfeasibleCause::BlockingBound,
         InfeasibleCause::NoFeasibleSlot,
         InfeasibleCause::BudgetExhausted,
-        InfeasibleCause::Cancelled,
     ];
 
     /// Stable kebab-case identifier (used in reports and JSON output).
@@ -60,7 +54,6 @@ impl InfeasibleCause {
             InfeasibleCause::BlockingBound => "blocking-bound",
             InfeasibleCause::NoFeasibleSlot => "no-feasible-slot",
             InfeasibleCause::BudgetExhausted => "budget-exhausted",
-            InfeasibleCause::Cancelled => "cancelled",
         }
     }
 }
@@ -95,8 +88,8 @@ pub struct Infeasible {
     /// the tasks of the unplaceable jobs.
     pub tasks: Vec<TaskId>,
     /// Offending jobs (deduplicated, sorted): the jobs that missed their
-    /// deadline, found no slot, or were still unplaced when the budget
-    /// expired.
+    /// deadline, found no slot, or were still unplaced when the oracle's
+    /// node budget ran out.
     pub jobs: Vec<JobId>,
     /// Best partial Ψ achieved before giving up (exact jobs among the
     /// placements committed so far), when the method measured one.
@@ -219,38 +212,30 @@ impl fmt::Display for Infeasible {
 
 impl std::error::Error for Infeasible {}
 
-/// Per-call solver context: deterministic seed, time/iteration budget,
-/// cooperative cancellation and thread configuration.
+/// Per-call solver context: the deterministic seed of one solve call.
 ///
-/// A default context is unlimited, unseeded and leaves the thread count
-/// unset: every solver falls back to its own constructor-time defaults
-/// for anything the context does not specify.
+/// A default context is unseeded: every solver then falls back to its
+/// constructor-time seed.
 ///
 /// ```
 /// use tagio_core::solve::SolverCtx;
-/// let ctx = SolverCtx::new().with_seed(7).with_iteration_budget(100);
+/// let ctx = SolverCtx::new().with_seed(7);
 /// assert_eq!(ctx.seed_or(0), 7);
-/// let mut budget = ctx.budget();
-/// assert!(budget.spend(100).is_ok());
-/// assert!(budget.spend(1).is_err());
+/// assert_eq!(SolverCtx::new().seed_or(3), 3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SolverCtx {
     seed: Option<u64>,
-    time_budget: Option<Duration>,
-    iteration_budget: Option<u64>,
-    threads: Option<usize>,
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl SolverCtx {
-    /// An unlimited, unseeded context.
+    /// An unseeded context.
     #[must_use]
     pub fn new() -> Self {
         SolverCtx::default()
     }
 
-    /// A context with only a deterministic seed set.
+    /// A context with a deterministic seed set.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
         SolverCtx::new().with_seed(seed)
@@ -261,40 +246,6 @@ impl SolverCtx {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Sets a wall-clock budget. Anytime solvers stop refining when it
-    /// expires and return the best feasible schedule found so far, or an
-    /// [`InfeasibleCause::BudgetExhausted`] diagnostic when none was.
-    #[must_use]
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// Sets an iteration budget in solver-defined units (GA generations,
-    /// branch-and-bound nodes, repair escalation tiers).
-    #[must_use]
-    pub fn with_iteration_budget(mut self, iterations: u64) -> Self {
-        self.iteration_budget = Some(iterations);
-        self
-    }
-
-    /// Sets the worker-thread count for solvers with parallel phases
-    /// (`0` = all available cores).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Attaches a cooperative cancellation flag; solvers poll it at
-    /// checkpoint boundaries and return [`InfeasibleCause::Cancelled`]
-    /// (or their best feasible result so far) once it is raised.
-    #[must_use]
-    pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
         self
     }
 
@@ -310,88 +261,6 @@ impl SolverCtx {
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
     }
-
-    /// The thread override, if one was set.
-    #[must_use]
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// `true` when the cancellation flag is raised.
-    #[must_use]
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// `true` when any time or iteration budget is set.
-    #[must_use]
-    pub fn is_budgeted(&self) -> bool {
-        self.time_budget.is_some() || self.iteration_budget.is_some()
-    }
-
-    /// Starts metering this context's budget for one solve call.
-    /// The wall-clock budget begins counting *now*.
-    #[must_use]
-    pub fn budget(&self) -> SolveBudget {
-        SolveBudget {
-            deadline: self.time_budget.map(|d| Instant::now() + d),
-            iterations_left: self.iteration_budget,
-            cancel: self.cancel.clone(),
-        }
-    }
-}
-
-/// A running budget meter for one solve call (see [`SolverCtx::budget`]).
-///
-/// Solvers call [`SolveBudget::spend`] at checkpoint boundaries; the
-/// first `Err` tells them to stop and report (or return their best
-/// feasible result so far, for anytime solvers).
-#[derive(Debug, Clone)]
-pub struct SolveBudget {
-    deadline: Option<Instant>,
-    iterations_left: Option<u64>,
-    cancel: Option<Arc<AtomicBool>>,
-}
-
-impl SolveBudget {
-    /// A meter that never exhausts (the default-context behaviour).
-    #[must_use]
-    pub fn unlimited() -> Self {
-        SolveBudget {
-            deadline: None,
-            iterations_left: None,
-            cancel: None,
-        }
-    }
-
-    /// Records `cost` iterations of work and checks every limit.
-    ///
-    /// # Errors
-    /// [`InfeasibleCause::Cancelled`] when the cancellation flag is
-    /// raised, [`InfeasibleCause::BudgetExhausted`] when the wall-clock
-    /// deadline passed or fewer than `cost` iterations remain.
-    pub fn spend(&mut self, cost: u64) -> Result<(), InfeasibleCause> {
-        if self
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
-            return Err(InfeasibleCause::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(InfeasibleCause::BudgetExhausted);
-        }
-        if let Some(left) = self.iterations_left.as_mut() {
-            if *left < cost {
-                *left = 0;
-                return Err(InfeasibleCause::BudgetExhausted);
-            }
-            *left -= cost;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -400,17 +269,34 @@ mod tests {
 
     #[test]
     fn cause_strings_are_stable_and_distinct() {
+        // The encoding is pinned: decision digests hash `cause as u8`, and
+        // snapshot `reject_causes` maps sort by it. New causes append.
         let causes = [
-            InfeasibleCause::UtilisationOverload,
-            InfeasibleCause::BlockingBound,
-            InfeasibleCause::NoFeasibleSlot,
-            InfeasibleCause::BudgetExhausted,
-            InfeasibleCause::Cancelled,
+            (
+                InfeasibleCause::UtilisationOverload,
+                0,
+                "utilisation-overload",
+            ),
+            (InfeasibleCause::BlockingBound, 1, "blocking-bound"),
+            (InfeasibleCause::NoFeasibleSlot, 2, "no-feasible-slot"),
+            (InfeasibleCause::BudgetExhausted, 3, "budget-exhausted"),
         ];
-        let mut names: Vec<&str> = causes.iter().map(|c| c.as_str()).collect();
+        for (i, (cause, code, name)) in causes.into_iter().enumerate() {
+            assert_eq!(cause as u8, code, "{cause}");
+            assert_eq!(
+                InfeasibleCause::ALL[i],
+                cause,
+                "ALL is in declaration order"
+            );
+            assert_eq!(cause.as_str(), name);
+            assert_eq!(name.parse::<InfeasibleCause>(), Ok(cause));
+        }
+        assert_eq!(InfeasibleCause::ALL.len(), causes.len());
+        let mut names: Vec<&str> = causes.iter().map(|c| c.2).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), causes.len());
+        assert!("cancelled".parse::<InfeasibleCause>().is_err());
         assert_eq!(
             InfeasibleCause::NoFeasibleSlot.to_string(),
             "no-feasible-slot"
@@ -435,7 +321,7 @@ mod tests {
             ]
         );
         assert!(d.is_populated());
-        assert!(!Infeasible::new(InfeasibleCause::Cancelled).is_populated());
+        assert!(!Infeasible::new(InfeasibleCause::BudgetExhausted).is_populated());
     }
 
     #[test]
@@ -476,42 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn iteration_budget_exhausts_once() {
-        let ctx = SolverCtx::new().with_iteration_budget(3);
-        let mut b = ctx.budget();
-        assert!(b.spend(2).is_ok());
-        assert!(b.spend(1).is_ok());
-        assert_eq!(b.spend(1), Err(InfeasibleCause::BudgetExhausted));
-        // Unlimited never exhausts.
-        let mut u = SolveBudget::unlimited();
-        assert!(u.spend(u64::MAX).is_ok());
-    }
-
-    #[test]
-    fn zero_time_budget_is_immediately_exhausted() {
-        let ctx = SolverCtx::new().with_time_budget(Duration::ZERO);
-        assert!(ctx.is_budgeted());
-        let mut b = ctx.budget();
-        assert_eq!(b.spend(0), Err(InfeasibleCause::BudgetExhausted));
-    }
-
-    #[test]
-    fn cancellation_flag_wins_over_budgets() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let ctx = SolverCtx::new()
-            .with_cancel_flag(Arc::clone(&flag))
-            .with_iteration_budget(0);
-        assert!(!ctx.cancelled());
-        flag.store(true, Ordering::Relaxed);
-        assert!(ctx.cancelled());
-        assert_eq!(ctx.budget().spend(0), Err(InfeasibleCause::Cancelled));
-    }
-
-    #[test]
     fn seed_accessors() {
         assert_eq!(SolverCtx::new().seed(), None);
         assert_eq!(SolverCtx::new().seed_or(9), 9);
         assert_eq!(SolverCtx::seeded(4).seed_or(9), 4);
-        assert_eq!(SolverCtx::new().with_threads(2).threads(), Some(2));
+        assert_eq!(SolverCtx::new().with_seed(4).seed(), Some(4));
     }
 }

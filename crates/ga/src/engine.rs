@@ -258,34 +258,6 @@ where
     P::Gene: Sync,
     R: Rng,
 {
-    run_until(problem, config, rng, |_| false)
-}
-
-/// [`run`] with a cooperative stop hook, making the engine an *anytime*
-/// solver: `stop(generation)` is consulted before each generation's
-/// variation step, and a `true` ends the run immediately — the archive
-/// of everything found so far is returned unchanged.
-///
-/// The hook is how budgeted/cancellable solves are built on the engine
-/// (see `tagio-sched`'s GA scheduler): the initial population is always
-/// evaluated, so even a zero-budget run returns generation-0 results.
-/// Determinism: for a fixed seed and a deterministic hook (e.g. an
-/// iteration budget), the result is bit-identical across runs and thread
-/// counts; wall-clock hooks trade that for bounded latency.
-///
-/// # Panics
-/// Panics if the problem has an empty genome or the population is zero.
-pub fn run_until<P, R>(
-    problem: &P,
-    config: &GaConfig,
-    rng: &mut R,
-    mut stop: impl FnMut(usize) -> bool,
-) -> ParetoFront<P::Gene>
-where
-    P: Problem + Sync,
-    P::Gene: Sync,
-    R: Rng,
-{
     assert!(problem.genome_len() > 0, "empty genome");
     assert!(config.population > 0, "empty population");
     let len = problem.genome_len();
@@ -314,10 +286,7 @@ where
         offer_if_finite(&mut front, g, o, config.archive_capacity);
     }
 
-    for generation in 0..config.generations {
-        if stop(generation) {
-            break;
-        }
+    for _ in 0..config.generations {
         // --- variation ---
         let mut offspring: Vec<Vec<P::Gene>> = Vec::with_capacity(config.population);
         for slot in 0..config.population {
@@ -563,31 +532,6 @@ mod tests {
         let front = run(&Needle, &cfg, &mut StdRng::seed_from_u64(8));
         let best = front.best_by(0).expect("non-empty").objectives.values()[0];
         assert!(best > 0.99, "hint not used: best {best}");
-    }
-
-    #[test]
-    fn run_until_stops_early_and_matches_truncated_run() {
-        // Stopping after 5 generations equals running a 5-generation
-        // config outright (same seed): the hook is a clean truncation.
-        let long = GaConfig {
-            population: 20,
-            generations: 40,
-            ..GaConfig::default()
-        };
-        let short = GaConfig {
-            generations: 5,
-            ..long.clone()
-        };
-        let truncated = run_until(&Segment, &long, &mut StdRng::seed_from_u64(21), |g| g >= 5);
-        let reference = run(&Segment, &short, &mut StdRng::seed_from_u64(21));
-        assert_eq!(truncated.len(), reference.len());
-        for (a, b) in truncated.solutions().iter().zip(reference.solutions()) {
-            assert_eq!(a.genome, b.genome);
-            assert_eq!(a.objectives, b.objectives);
-        }
-        // A stop-at-once run still evaluates the initial population.
-        let zero = run_until(&Segment, &long, &mut StdRng::seed_from_u64(21), |_| true);
-        assert!(!zero.is_empty());
     }
 
     #[test]

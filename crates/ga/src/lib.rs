@@ -44,7 +44,7 @@ pub mod objectives;
 pub mod parallel;
 pub mod weights;
 
-pub use engine::{evaluate_population, run, run_until, GaConfig, ParetoFront, Problem, Solution};
+pub use engine::{evaluate_population, run, GaConfig, ParetoFront, Problem, Solution};
 pub use hypervolume::hypervolume_2d;
 pub use objectives::{non_dominated_indices, Objectives};
 pub use parallel::chunk_map;

@@ -14,7 +14,8 @@
 //! non-dominated schedule found, from which callers typically take the
 //! best-Ψ and best-Υ ends (as Figs. 6 and 7 do).
 
-use crate::solve::{check_capacity, Solve};
+use crate::scheduler::Scheduler;
+use crate::solve::check_capacity;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use tagio_core::job::JobSet;
@@ -26,14 +27,9 @@ use tagio_ga::{GaConfig, Objectives, Problem};
 
 /// The GA-based scheduler ("GA" in the paper's figures).
 ///
-/// Implements [`Solve`] directly (not the legacy context-free
-/// `Scheduler` trait): the [`SolverCtx`] seed overrides the
-/// constructor-baked one, the context's thread override replaces
-/// [`GaConfig::threads`], and the time/iteration budget turns the search
-/// into an *anytime* solver — one generation costs one budget iteration,
-/// and when the budget expires the best non-dominated front found so far
-/// is used. The scheduler is bit-identical across runs for a fixed
-/// context seed (and no wall-clock budget).
+/// Overrides [`Scheduler::schedule_with`]: the [`SolverCtx`] seed, when
+/// set, replaces the constructor-baked one. The scheduler is
+/// bit-identical across runs (and thread counts) for a fixed seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaScheduler {
     config: GaConfig,
@@ -77,18 +73,6 @@ impl GaScheduler {
         self
     }
 
-    /// Seeds a fraction of the initial population at the jobs' *ideal
-    /// starts* instead of random points of the quality window.
-    ///
-    /// The paper initialises fully randomly; this is an extension knob (the
-    /// `ablation_ga` bench quantifies it). `0.0` restores the paper's
-    /// behaviour.
-    #[must_use]
-    pub fn with_ideal_seeding(mut self, fraction: f64) -> Self {
-        self.config.hint_fraction = fraction;
-        self
-    }
-
     /// Runs the search under a default context and returns the full
     /// non-dominated front.
     ///
@@ -98,17 +82,13 @@ impl GaScheduler {
         self.search_with(jobs, &SolverCtx::new())
     }
 
-    /// Runs the search under `ctx` and returns the full non-dominated
-    /// front. One generation costs one `ctx` budget iteration; when the
-    /// budget (or the cancellation flag) stops the run, the archive
-    /// gathered so far is summarised instead — the *anytime* behaviour.
+    /// Runs the search with the `ctx` seed (or the constructor seed when
+    /// `ctx` sets none) and returns the full non-dominated front.
     ///
     /// # Errors
-    /// [`InfeasibleCause::UtilisationOverload`] on outright overload,
-    /// [`InfeasibleCause::Cancelled`] when cancelled before the search
-    /// started, a budget/cancellation diagnostic when the run stopped
-    /// with an empty archive, and [`InfeasibleCause::NoFeasibleSlot`]
-    /// when the full search found no feasible genome.
+    /// [`InfeasibleCause::UtilisationOverload`] on outright overload and
+    /// [`InfeasibleCause::NoFeasibleSlot`] when the search found no
+    /// feasible genome.
     pub fn search_with(
         &self,
         jobs: &JobSet,
@@ -123,32 +103,11 @@ impl GaScheduler {
             });
         }
         check_capacity(jobs)?;
-        if ctx.cancelled() {
-            return Err(Infeasible::new(InfeasibleCause::Cancelled));
-        }
         let problem = IoSchedulingProblem { jobs };
-        let config = GaConfig {
-            threads: ctx.threads().unwrap_or(self.config.threads),
-            ..self.config.clone()
-        };
         let mut rng = StdRng::seed_from_u64(ctx.seed_or(self.seed));
-        let mut budget = ctx.budget();
-        let mut stopped = None;
-        let front = tagio_ga::run_until(&problem, &config, &mut rng, |_generation| {
-            match budget.spend(1) {
-                Ok(()) => false,
-                Err(cause) => {
-                    stopped = Some(cause);
-                    true
-                }
-            }
-        });
+        let front = tagio_ga::run(&problem, &self.config, &mut rng);
         if front.is_empty() {
-            // Nothing feasible archived: either the search proved it (no
-            // stop) or the budget cut it short.
-            return Err(Infeasible::new(
-                stopped.unwrap_or(InfeasibleCause::NoFeasibleSlot),
-            ));
+            return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot));
         }
         let mut triples: Vec<(f64, f64, Schedule)> = Vec::with_capacity(front.len());
         for sol in front.solutions() {
@@ -185,14 +144,20 @@ impl Default for GaScheduler {
     }
 }
 
-impl Solve for GaScheduler {
-    fn name(&self) -> &str {
+impl Scheduler for GaScheduler {
+    fn name(&self) -> &'static str {
         "ga"
+    }
+
+    /// The balanced schedule of the front found with the constructor
+    /// seed (see [`GaScheduler::schedule_with`]).
+    fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
+        self.schedule_with(jobs, &SolverCtx::new())
     }
 
     /// Returns the balanced (equal-weight) non-dominated schedule of the
     /// front found under `ctx`.
-    fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
+    fn schedule_with(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
         let result = self.search_with(jobs, ctx)?;
         Ok(result
             .front
@@ -603,7 +568,12 @@ mod tests {
         let sys = SystemConfig::paper(0.5).generate(&mut rng);
         let jobs = JobSet::expand(&sys);
         let seeded = quick_ga()
-            .with_ideal_seeding(0.2)
+            .with_config(GaConfig {
+                population: 30,
+                generations: 25,
+                hint_fraction: 0.2,
+                ..GaConfig::default()
+            })
             .search(&jobs)
             .expect("feasible");
         for (_, _, s) in &seeded.front {

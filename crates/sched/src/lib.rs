@@ -11,30 +11,27 @@
 //! | [`fps::fps_online_schedulable`] | worst-case response-time test \[18\] | "FPS-online" curve |
 //! | [`gpiocp::Gpiocp`] | FIFO queue of timed requests \[2\] | prior state of the art |
 //!
-//! # The unified solving API
+//! # The solving API
 //!
-//! Every method is a [`Solve`]r: `solve(&jobs, &ctx)` returns
+//! Every method is a [`Scheduler`]: `schedule(&jobs)` returns
 //! `Result<Schedule, Infeasible>` — a validated
 //! [`Schedule`](tagio_core::schedule::Schedule), or a structured
 //! [`Infeasible`] diagnostic (cause, offending task/job ids, best
-//! partial Ψ/Υ). The per-call [`SolverCtx`] carries the deterministic
-//! seed, time/iteration budget, cooperative cancellation and thread
-//! configuration; budgeted solvers (the GA, [`OptimalPsi`], the repair
-//! ladder) are *anytime* — they return the best feasible schedule found
-//! when the budget expires. Simple methods implement the context-free
-//! [`Scheduler`] trait and are blanket-adapted.
+//! partial Ψ/Υ). `schedule_with(&jobs, &ctx)` also passes a per-call
+//! [`SolverCtx`], whose one setting is the deterministic seed; only the
+//! GA reads it.
 //!
-//! Methods are also constructible *by name* through the runtime-
-//! extensible [`Registry`] with parameterized specs (`"fps-offline"`,
-//! `"static:best-fit"`, `"ga:pop=64,gens=500,seed=7"` — grammar in
-//! [`registry`]) and selectable in bulk via [`MethodSet`], so experiment
-//! harnesses never hardcode constructor imports; sweeps over many
-//! systems fold their reports into [`stats::MethodStats`] (sample counts
-//! plus mean/min/max of Ψ and Υ).
+//! Methods are also constructible *by name* through [`make_scheduler`]
+//! with parameterized specs (`"fps-offline"`, `"static:best-fit"`,
+//! `"ga:pop=64,gens=500,seed=7"` — grammar in [`registry`]) and
+//! selectable in bulk via [`MethodSet`], so experiment harnesses never
+//! hardcode constructor imports; sweeps over many systems fold their
+//! reports into [`stats::MethodStats`] (sample counts plus mean/min/max
+//! of Ψ and Υ).
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use tagio_sched::{Solve, SolverCtx, SchedulingReport};
+//! use tagio_sched::{make_scheduler, Scheduler, SolverCtx, SchedulingReport};
 //! use tagio_sched::heuristic::StaticScheduler;
 //! use tagio_workload::generator::SystemConfig;
 //! use tagio_core::job::JobSet;
@@ -42,11 +39,12 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let system = SystemConfig::paper(0.4).generate(&mut rng);
 //! let jobs = JobSet::expand(&system);
-//! match StaticScheduler::new().solve(&jobs, &SolverCtx::new()) {
+//! match StaticScheduler::new().schedule(&jobs) {
 //!     Ok(schedule) => assert!(schedule.validate(&jobs).is_ok()),
 //!     Err(infeasible) => println!("no schedule: {infeasible}"),
 //! }
-//! let report = SchedulingReport::evaluate(&StaticScheduler::new(), &jobs).unwrap();
+//! let ga = make_scheduler("ga:pop=8,gens=4").unwrap();
+//! let report = SchedulingReport::evaluate_with(ga.as_ref(), &jobs, &SolverCtx::seeded(1)).unwrap();
 //! assert!(report.psi >= 0.0 && report.psi <= 1.0);
 //! ```
 
@@ -78,12 +76,12 @@ pub use heuristic::{
 };
 pub use optimal::OptimalPsi;
 pub use registry::{
-    make_scheduler, method_names, registry_help, BoxedSolver, MethodArgs, MethodError,
-    MethodParseError, MethodSet, MethodSpec, Registry,
+    make_scheduler, method_names, BoxedSolver, MethodArgs, MethodError, MethodParseError,
+    MethodSet, MethodSpec,
 };
 pub use scheduler::{Scheduler, SchedulingReport};
-pub use solve::{check_capacity, SchedulerBug, Solve};
+pub use solve::{check_capacity, SchedulerBug};
 pub use stats::{MethodStats, Summary};
 // The shared solving vocabulary, re-exported so `tagio_sched` alone is a
 // complete import surface for solver code.
-pub use tagio_core::solve::{Infeasible, InfeasibleCause, SolveBudget, SolverCtx};
+pub use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};

@@ -12,17 +12,17 @@
 //! keeps feasibility and does not move any exact job off its ideal instant,
 //! and an exact job *is* anchored by definition. The search is exponential
 //! in the number of jobs and intended for test oracles and micro-studies
-//! (≲ 12 jobs). [`OptimalPsi`] implements [`Solve`] directly — one
-//! branch node costs one [`SolverCtx`] budget iteration, so a budgeted
-//! solve is *anytime*: it returns the best complete schedule found when
-//! the budget expires, or a `BudgetExhausted` diagnostic carrying the
-//! partial assignment it was exploring.
+//! (≲ 12 jobs). The constructor's branch-node budget bounds the search,
+//! which is *anytime*: when the budget runs out it returns the best
+//! complete schedule found so far, or a `BudgetExhausted` diagnostic
+//! carrying the partial assignment it was exploring.
 
-use crate::solve::{check_capacity, Solve};
+use crate::scheduler::Scheduler;
+use crate::solve::check_capacity;
 use tagio_core::job::JobSet;
 use tagio_core::metrics;
 use tagio_core::schedule::{entry_for, Schedule};
-use tagio_core::solve::{Infeasible, InfeasibleCause, SolveBudget, SolverCtx};
+use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::time::Time;
 
 /// Exhaustive Ψ-optimal scheduler (small instances only).
@@ -48,33 +48,20 @@ impl OptimalPsi {
     }
 
     /// The best achievable Ψ numerator (number of exact jobs), along with
-    /// the schedule attaining it, under a default (unlimited) context.
+    /// the schedule attaining it.
     ///
-    /// # Errors
-    /// See [`OptimalPsi::solve_exact_with`].
-    pub fn solve_exact(&self, jobs: &JobSet) -> Result<(usize, Schedule), Infeasible> {
-        self.solve_exact_with(jobs, &SolverCtx::new())
-    }
-
-    /// The best achievable Ψ numerator and its schedule, under `ctx`.
-    ///
-    /// The search spends one `ctx` budget iteration per branch node (on
-    /// top of the constructor's node budget). It is *anytime*: when a
-    /// budget expires after at least one complete schedule was found, the
-    /// best one found so far is returned.
+    /// The search is *anytime*: when the node budget runs out after at
+    /// least one complete schedule was found, the best one found so far
+    /// is returned.
     ///
     /// # Errors
     /// [`InfeasibleCause::UtilisationOverload`] on outright overload;
-    /// [`InfeasibleCause::BudgetExhausted`] (or `Cancelled`) when the
-    /// search stopped before finding any complete schedule — the
-    /// diagnostic carries the partial assignment being explored (its
-    /// unplaced jobs and partial Ψ/Υ); [`InfeasibleCause::NoFeasibleSlot`]
-    /// when the exhausted search proves no anchored schedule exists.
-    pub fn solve_exact_with(
-        &self,
-        jobs: &JobSet,
-        ctx: &SolverCtx,
-    ) -> Result<(usize, Schedule), Infeasible> {
+    /// [`InfeasibleCause::BudgetExhausted`] when the node budget ran out
+    /// before any complete schedule was found — the diagnostic carries
+    /// the partial assignment being explored (its unplaced jobs and
+    /// partial Ψ/Υ); [`InfeasibleCause::NoFeasibleSlot`] when the
+    /// exhausted search proves no anchored schedule exists.
+    pub fn solve_exact(&self, jobs: &JobSet) -> Result<(usize, Schedule), Infeasible> {
         let n = jobs.len();
         if n == 0 {
             return Ok((0, Schedule::new()));
@@ -88,23 +75,17 @@ impl OptimalPsi {
             best: None,
             nodes: 0,
             node_budget: self.node_budget,
-            budget: ctx.budget(),
-            stopped: None,
             snapshot: None,
         };
         search.dfs(Time::ZERO, 0);
         if let Some((exact, best)) = search.best {
             return Ok((exact, best));
         }
-        match search.stopped {
-            Some(cause) => {
-                let mut err = Infeasible::new(cause);
-                if let Some((exact, partial, unplaced)) = search.snapshot {
-                    err = err
-                        .with_jobs(unplaced)
-                        .with_partial(exact as f64 / n as f64, metrics::upsilon(&partial, jobs));
-                }
-                Err(err)
+        match search.snapshot {
+            Some((exact, partial, unplaced)) => {
+                Err(Infeasible::new(InfeasibleCause::BudgetExhausted)
+                    .with_jobs(unplaced)
+                    .with_partial(exact as f64 / n as f64, metrics::upsilon(&partial, jobs)))
             }
             None => Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
                 .with_jobs(jobs.iter().map(tagio_core::job::Job::id))
@@ -119,13 +100,13 @@ impl Default for OptimalPsi {
     }
 }
 
-impl Solve for OptimalPsi {
-    fn name(&self) -> &str {
+impl Scheduler for OptimalPsi {
+    fn name(&self) -> &'static str {
         "optimal-psi"
     }
 
-    fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
-        self.solve_exact_with(jobs, ctx).map(|(_, s)| s)
+    fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
+        self.solve_exact(jobs).map(|(_, s)| s)
     }
 }
 
@@ -138,17 +119,14 @@ struct Search<'a> {
     best: Option<(usize, Schedule)>,
     nodes: u64,
     node_budget: u64,
-    budget: SolveBudget,
-    /// Why the search stopped early, when it did.
-    stopped: Option<InfeasibleCause>,
-    /// The partial assignment at the stopping point: exact count, the
-    /// partial schedule, and the unplaced jobs.
+    /// The partial assignment where the node budget ran out, when it
+    /// did: exact count, the partial schedule, and the unplaced jobs.
     #[allow(clippy::type_complexity)]
     snapshot: Option<(usize, Schedule, Vec<tagio_core::job::JobId>)>,
 }
 
 impl Search<'_> {
-    fn stop(&mut self, cause: InfeasibleCause, exact: usize) {
+    fn stop(&mut self, exact: usize) {
         let all = self.jobs.as_slice();
         let partial: Schedule = self
             .order
@@ -160,21 +138,16 @@ impl Search<'_> {
             .filter(|&i| !self.used[i])
             .map(|i| all[i].id())
             .collect();
-        self.stopped = Some(cause);
         self.snapshot = Some((exact, partial, unplaced));
     }
 
     fn dfs(&mut self, cursor: Time, exact: usize) {
-        if self.stopped.is_some() {
+        if self.snapshot.is_some() {
             return;
         }
         self.nodes += 1;
         if self.nodes > self.node_budget {
-            self.stop(InfeasibleCause::BudgetExhausted, exact);
-            return;
-        }
-        if let Err(cause) = self.budget.spend(1) {
-            self.stop(cause, exact);
+            self.stop(exact);
             return;
         }
         let all = self.jobs.as_slice();
@@ -407,22 +380,22 @@ mod tests {
     }
 
     #[test]
-    fn ctx_iteration_budget_terminates_early_and_anytime() {
+    fn node_budget_terminates_early_and_anytime() {
         let set: TaskSet = (0..6)
             .map(|i| task(i, 32, 1000, 8 + u64::from(i) * 2))
             .collect();
         let jobs = JobSet::expand(&set);
-        // Tiny context budget, generous node budget: same early stop
-        // through the SolverCtx path.
-        let err = OptimalPsi::new()
-            .solve_exact_with(&jobs, &SolverCtx::new().with_iteration_budget(2))
+        let err = OptimalPsi::with_node_budget(2)
+            .solve_exact(&jobs)
             .unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
         // A budget large enough to find *some* complete schedule but not
         // finish the search still returns a best-so-far (anytime).
-        let mid = OptimalPsi::new()
-            .solve_exact_with(&jobs, &SolverCtx::new().with_iteration_budget(50))
+        let (exact, mid) = OptimalPsi::with_node_budget(50)
+            .solve_exact(&jobs)
             .expect("anytime: a complete schedule was reachable in 50 nodes");
-        mid.1.validate(&jobs).unwrap();
+        mid.validate(&jobs).unwrap();
+        let (optimal, _) = OptimalPsi::new().solve_exact(&jobs).unwrap();
+        assert!(exact <= optimal);
     }
 }

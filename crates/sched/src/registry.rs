@@ -1,4 +1,4 @@
-//! A runtime-extensible registry of scheduling methods with
+//! The fixed table of built-in scheduling methods with
 //! **parameterized method names**, so experiments select and configure
 //! solvers by string (`"fps-offline,static:best-fit,ga:pop=64,gens=500"`)
 //! instead of hardcoding one import and constructor call per method —
@@ -24,22 +24,15 @@
 //! Duplicate keys/flags are rejected at parse time; keys a method does
 //! not understand are rejected by its factory ([`MethodError::BadParam`]),
 //! so a typo can never silently select defaults.
-//!
-//! # Extending the registry
-//!
-//! [`Registry`] is a value: downstream crates start from
-//! [`Registry::with_builtins`] (or empty) and [`Registry::register`]
-//! their own factories — any [`Solve`] implementation plugs in.
-//! [`MethodSet::parse_in`] then accepts the custom names everywhere a
-//! built-in would work. Registering an existing name replaces that
-//! entry, so a downstream crate can also shadow a built-in.
 
-use crate::scheduler::SchedulingReport;
-use crate::solve::{SchedulerBug, Solve};
-use tagio_core::solve::SolverCtx;
+use crate::scheduler::{Scheduler, SchedulingReport};
+use crate::solve::SchedulerBug;
+use tagio_core::job::JobSet;
+use tagio_core::schedule::Schedule;
+use tagio_core::solve::{Infeasible, SolverCtx};
 
 /// A ready-to-use solver trait object (shareable across worker threads).
-pub type BoxedSolver = Box<dyn Solve + Send + Sync>;
+pub type BoxedSolver = Box<dyn Scheduler + Send + Sync>;
 
 /// A parsed method specification: a base name plus ordered parameters
 /// (see the [module docs](self) for the grammar).
@@ -276,11 +269,11 @@ impl std::error::Error for MethodParseError {}
 pub enum MethodError {
     /// The specification string violates the grammar.
     Parse(MethodParseError),
-    /// The base name is not registered.
+    /// The base name is not a built-in method.
     Unknown {
         /// The requested base name.
         name: String,
-        /// Every registered base name, in registry order.
+        /// Every built-in base name, in table order.
         known: Vec<String>,
     },
     /// The method rejected a parameter (unknown key, malformed value,
@@ -325,303 +318,182 @@ impl core::fmt::Display for MethodError {
 
 impl std::error::Error for MethodError {}
 
-/// One registry row.
-struct Entry {
-    name: String,
-    summary: String,
-    make: Factory,
-}
+/// Every built-in method: base name, one-line summary, factory. Names
+/// are stable: experiment CLIs, reports and the JSON output all key on
+/// them.
+#[allow(clippy::type_complexity)] // the row shape is spelled out once, here
+const BUILTINS: [(
+    &str,
+    &str,
+    fn(&MethodSpec) -> Result<BoxedSolver, MethodError>,
+); 6] = [
+    (
+        "fps-offline",
+        "non-preemptive fixed-priority schedule simulated offline",
+        |spec| {
+            spec.args().finish()?;
+            Ok(Box::new(crate::fps::FpsOffline::new()))
+        },
+    ),
+    (
+        "edf-offline",
+        "non-preemptive earliest-deadline-first schedule simulated offline",
+        |spec| {
+            spec.args().finish()?;
+            Ok(Box::new(crate::edf::EdfOffline::new()))
+        },
+    ),
+    (
+        "gpiocp",
+        "GPIOCP FIFO replay of timed requests (prior state of the art)",
+        |spec| {
+            spec.args().finish()?;
+            Ok(Box::new(crate::gpiocp::Gpiocp::new()))
+        },
+    ),
+    (
+        "static",
+        "Algorithm 1: dependency graphs + slot allocation; flags \
+         lcc-d (default) | first-fit | best-fit | worst-fit",
+        make_static,
+    ),
+    (
+        "ga",
+        "multi-objective GA; keys pop=N, gens=N, seed=N (pins the seed, \
+         overriding the caller's per-call context), threads=N, hint=F \
+         (ideal-seeded fraction); defaults: quick config, seed 0, serial \
+         evaluation",
+        make_ga,
+    ),
+    (
+        "optimal-psi",
+        "exhaustive best-Psi oracle (exponential; tiny job sets only); \
+         key nodes=N (branch-node budget)",
+        |spec| {
+            use crate::optimal::OptimalPsi;
+            let mut args = spec.args();
+            let nodes = args.parsed::<u64>("nodes")?;
+            args.finish()?;
+            Ok(Box::new(match nodes {
+                Some(n) => OptimalPsi::with_node_budget(n),
+                None => OptimalPsi::new(),
+            }))
+        },
+    ),
+];
 
-/// A method factory: builds a solver from a parsed, parameterized spec.
-pub type Factory = Box<dyn Fn(&MethodSpec) -> Result<BoxedSolver, MethodError> + Send + Sync>;
-
-/// A runtime-extensible, name-indexed collection of method factories.
-///
-/// ```
-/// use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
-/// use tagio_core::{job::JobSet, schedule::Schedule};
-/// use tagio_sched::{Registry, Solve};
-///
-/// struct Nope;
-/// impl Solve for Nope {
-///     fn name(&self) -> &str { "nope" }
-///     fn solve(&self, _: &JobSet, _: &SolverCtx) -> Result<Schedule, Infeasible> {
-///         Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot))
-///     }
-/// }
-///
-/// let mut registry = Registry::with_builtins();
-/// registry.register("nope", "always refuses (downstream example)", |spec| {
-///     spec.args().finish()?; // no parameters accepted
-///     Ok(Box::new(Nope))
-/// });
-/// assert!(registry.make("nope").is_ok());
-/// assert!(registry.make("static:best-fit").is_ok());
-/// assert!(registry.make("nope:loud").is_err()); // unknown parameter
-/// ```
-pub struct Registry {
-    entries: Vec<Entry>,
-}
-
-impl Registry {
-    /// An empty registry (downstream crates that want full control).
-    #[must_use]
-    pub fn empty() -> Self {
-        Registry {
-            entries: Vec::new(),
+fn make_static(spec: &MethodSpec) -> Result<BoxedSolver, MethodError> {
+    use crate::heuristic::{SlotPolicy, StaticScheduler};
+    let mut args = spec.args();
+    let mut policy = None;
+    for (flag, p) in [
+        ("lcc-d", SlotPolicy::LeastContentionCapacityDecreasing),
+        ("first-fit", SlotPolicy::FirstFit),
+        ("best-fit", SlotPolicy::BestFit),
+        ("worst-fit", SlotPolicy::WorstFit),
+    ] {
+        if args.flag(flag) && policy.replace(p).is_some() {
+            return Err(MethodError::bad_param(
+                "static".into(),
+                "conflicting slot-policy flags".into(),
+            ));
         }
     }
+    args.finish()?;
+    Ok(Box::new(StaticScheduler::with_policy(
+        policy.unwrap_or_default(),
+    )))
+}
 
-    /// Every in-tree method. Names are stable: experiment CLIs, reports
-    /// and the JSON output all key on them.
-    #[must_use]
-    pub fn with_builtins() -> Self {
-        let mut r = Registry::empty();
-        r.register(
-            "fps-offline",
-            "non-preemptive fixed-priority schedule simulated offline",
-            |spec| {
-                spec.args().finish()?;
-                Ok(Box::new(crate::fps::FpsOffline::new()))
-            },
-        );
-        r.register(
-            "edf-offline",
-            "non-preemptive earliest-deadline-first schedule simulated offline",
-            |spec| {
-                spec.args().finish()?;
-                Ok(Box::new(crate::edf::EdfOffline::new()))
-            },
-        );
-        r.register(
-            "gpiocp",
-            "GPIOCP FIFO replay of timed requests (prior state of the art)",
-            |spec| {
-                spec.args().finish()?;
-                Ok(Box::new(crate::gpiocp::Gpiocp::new()))
-            },
-        );
-        r.register(
-            "static",
-            "Algorithm 1: dependency graphs + slot allocation; flags \
-             lcc-d (default) | first-fit | best-fit | worst-fit",
-            |spec| {
-                use crate::heuristic::{SlotPolicy, StaticScheduler};
-                let mut args = spec.args();
-                let mut policy = None;
-                for (flag, p) in [
-                    ("lcc-d", SlotPolicy::LeastContentionCapacityDecreasing),
-                    ("first-fit", SlotPolicy::FirstFit),
-                    ("best-fit", SlotPolicy::BestFit),
-                    ("worst-fit", SlotPolicy::WorstFit),
-                ] {
-                    if args.flag(flag) && policy.replace(p).is_some() {
-                        return Err(MethodError::bad_param(
-                            "static".into(),
-                            "conflicting slot-policy flags".into(),
-                        ));
-                    }
-                }
-                args.finish()?;
-                Ok(Box::new(StaticScheduler::with_policy(
-                    policy.unwrap_or_default(),
-                )))
-            },
-        );
-        r.register(
-            "ga",
-            "multi-objective GA; keys pop=N, gens=N, seed=N (pins the seed, \
-             overriding the caller's per-call context), threads=N, hint=F \
-             (ideal-seeded fraction); defaults: quick config, seed 0, serial \
-             evaluation",
-            |spec| {
-                use crate::ga_sched::GaScheduler;
-                use tagio_ga::GaConfig;
-                let mut args = spec.args();
-                // Registry methods may already run inside a sweep's worker
-                // pool, so this GA evaluates serially by default —
-                // `threads: 0` would nest an all-core pool per system.
-                let mut config = GaConfig {
-                    threads: 1,
-                    ..GaConfig::quick()
-                };
-                if let Some(pop) = args.parsed::<usize>("pop")? {
-                    config.population = pop;
-                }
-                if let Some(gens) = args.parsed::<usize>("gens")? {
-                    config.generations = gens;
-                }
-                if let Some(threads) = args.parsed::<usize>("threads")? {
-                    config.threads = threads;
-                }
-                if let Some(hint) = args.parsed::<f64>("hint")? {
-                    if !(0.0..=1.0).contains(&hint) {
-                        return Err(MethodError::bad_param(
-                            "ga".into(),
-                            format!("hint={hint} outside [0, 1]"),
-                        ));
-                    }
-                    config.hint_fraction = hint;
-                }
-                let seed = args.parsed::<u64>("seed")?;
-                args.finish()?;
-                if config.population == 0 {
-                    return Err(MethodError::bad_param(
-                        "ga".into(),
-                        "pop=0 (population must be positive)".into(),
-                    ));
-                }
-                let ga = GaScheduler::new().with_config(config);
-                Ok(match seed {
-                    // An explicit spec seed must win over whatever seed
-                    // the caller's context carries (the experiment
-                    // engine seeds per system): pin it at this boundary.
-                    Some(seed) => Box::new(PinnedSeed {
-                        inner: ga.with_seed(seed),
-                        seed,
-                    }),
-                    None => Box::new(ga),
-                })
-            },
-        );
-        r.register(
-            "optimal-psi",
-            "exhaustive best-Psi oracle (exponential; tiny job sets only); \
-             key nodes=N (branch-node budget)",
-            |spec| {
-                use crate::optimal::OptimalPsi;
-                let mut args = spec.args();
-                let nodes = args.parsed::<u64>("nodes")?;
-                args.finish()?;
-                Ok(Box::new(match nodes {
-                    Some(n) => OptimalPsi::with_node_budget(n),
-                    None => OptimalPsi::new(),
-                }))
-            },
-        );
-        r
+fn make_ga(spec: &MethodSpec) -> Result<BoxedSolver, MethodError> {
+    use crate::ga_sched::GaScheduler;
+    use tagio_ga::GaConfig;
+    let mut args = spec.args();
+    // Built-in methods may already run inside a sweep's worker pool, so
+    // this GA evaluates serially by default — `threads: 0` would nest an
+    // all-core pool per system.
+    let mut config = GaConfig {
+        threads: 1,
+        ..GaConfig::quick()
+    };
+    if let Some(pop) = args.parsed::<usize>("pop")? {
+        config.population = pop;
     }
-
-    /// Registers (or replaces) the factory for base name `name`.
-    ///
-    /// # Panics
-    /// Panics when `name` violates the grammar — registration happens at
-    /// startup, and a bad name would make the entry unselectable.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        summary: impl Into<String>,
-        make: impl Fn(&MethodSpec) -> Result<BoxedSolver, MethodError> + Send + Sync + 'static,
-    ) {
-        let name = name.into();
-        check_word(&name, "method name")
-            .unwrap_or_else(|e| panic!("registering invalid method name: {e}"));
-        let entry = Entry {
-            name,
-            summary: summary.into(),
-            make: Box::new(make),
-        };
-        match self.entries.iter_mut().find(|e| e.name == entry.name) {
-            Some(existing) => *existing = entry,
-            None => self.entries.push(entry),
+    if let Some(gens) = args.parsed::<usize>("gens")? {
+        config.generations = gens;
+    }
+    if let Some(threads) = args.parsed::<usize>("threads")? {
+        config.threads = threads;
+    }
+    if let Some(hint) = args.parsed::<f64>("hint")? {
+        if !(0.0..=1.0).contains(&hint) {
+            return Err(MethodError::bad_param(
+                "ga".into(),
+                format!("hint={hint} outside [0, 1]"),
+            ));
         }
+        config.hint_fraction = hint;
+    }
+    let seed = args.parsed::<u64>("seed")?;
+    args.finish()?;
+    if config.population == 0 {
+        return Err(MethodError::bad_param(
+            "ga".into(),
+            "pop=0 (population must be positive)".into(),
+        ));
+    }
+    let ga = GaScheduler::new().with_config(config);
+    Ok(match seed {
+        // An explicit spec seed must win over whatever seed the caller's
+        // context carries (the experiment engine seeds per system): pin
+        // it at this boundary.
+        Some(seed) => Box::new(PinnedSeed(ga.with_seed(seed))),
+        None => Box::new(ga),
+    })
+}
+
+/// A GA whose spec pinned `seed=N`: it ignores the per-call context, so
+/// its constructor seed beats the caller's per-call seeding.
+struct PinnedSeed(crate::ga_sched::GaScheduler);
+
+impl Scheduler for PinnedSeed {
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 
-    /// The registered base names, in registration order.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.name.clone()).collect()
+    fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
+        self.0.schedule(jobs)
     }
 
-    /// `true` when base name `name` is registered.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name == name)
-    }
-
-    /// A `name — summary` help listing of every registered method.
-    #[must_use]
-    pub fn help(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| format!("{:<14} {}", e.name, e.summary))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Parses `spec` and instantiates the method it names.
-    ///
-    /// # Errors
-    /// [`MethodError`] on grammar violations, unknown base names, or
-    /// parameters the method rejects.
-    pub fn make(&self, spec: &str) -> Result<BoxedSolver, MethodError> {
-        let parsed = MethodSpec::parse(spec)?;
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.name == parsed.base())
-            .ok_or_else(|| MethodError::Unknown {
-                name: parsed.base().to_owned(),
-                known: self.names(),
-            })?;
-        (entry.make)(&parsed)
+    fn schedule_with(&self, jobs: &JobSet, _ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
+        self.0.schedule(jobs)
     }
 }
 
-/// Forces a spec-pinned seed into every solve call's context, so an
-/// explicit `seed=N` parameter beats the caller's per-call seeding.
-struct PinnedSeed<S> {
-    inner: S,
-    seed: u64,
-}
-
-impl<S: Solve> Solve for PinnedSeed<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn solve(
-        &self,
-        jobs: &tagio_core::job::JobSet,
-        ctx: &SolverCtx,
-    ) -> Result<tagio_core::schedule::Schedule, tagio_core::solve::Infeasible> {
-        self.inner.solve(jobs, &ctx.clone().with_seed(self.seed))
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_builtins()
-    }
-}
-
-impl core::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Registry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-/// The built-in base names, in registry order (convenience over
-/// [`Registry::with_builtins`]).
+/// The built-in base names, in table order.
 #[must_use]
 pub fn method_names() -> Vec<String> {
-    Registry::with_builtins().names()
+    BUILTINS
+        .iter()
+        .map(|(name, _, _)| (*name).to_owned())
+        .collect()
 }
 
-/// Instantiates `spec` against the built-in registry, `None` on any
-/// error (legacy convenience; prefer [`Registry::make`] for the
-/// diagnostic).
-#[must_use]
-pub fn make_scheduler(spec: &str) -> Option<BoxedSolver> {
-    Registry::with_builtins().make(spec).ok()
-}
-
-/// A `name — summary` help listing of the built-in methods.
-#[must_use]
-pub fn registry_help() -> String {
-    Registry::with_builtins().help()
+/// Parses `spec` and instantiates the built-in method it names.
+///
+/// # Errors
+/// [`MethodError`] on grammar violations, unknown base names, or
+/// parameters the method rejects.
+pub fn make_scheduler(spec: &str) -> Result<BoxedSolver, MethodError> {
+    let parsed = MethodSpec::parse(spec)?;
+    let (_, _, make) = BUILTINS
+        .iter()
+        .find(|(name, _, _)| *name == parsed.base())
+        .ok_or_else(|| MethodError::Unknown {
+            name: parsed.base().to_owned(),
+            known: method_names(),
+        })?;
+    make(&parsed)
 }
 
 /// An ordered set of instantiated methods, keyed by the spec string they
@@ -638,8 +510,7 @@ pub struct MethodSet {
 }
 
 impl MethodSet {
-    /// Instantiates the named methods against the built-in registry,
-    /// preserving order.
+    /// Instantiates the named built-in methods, preserving order.
     ///
     /// # Errors
     /// The first [`MethodError`] any spec produces.
@@ -648,30 +519,15 @@ impl MethodSet {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        Self::from_names_in(&Registry::with_builtins(), names)
-    }
-
-    /// Instantiates the named methods against `registry`, preserving
-    /// order.
-    ///
-    /// # Errors
-    /// The first [`MethodError`] any spec produces.
-    pub fn from_names_in<I, S>(registry: &Registry, names: I) -> Result<Self, MethodError>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
         let mut methods = Vec::new();
         for name in names {
             let name = name.as_ref().trim();
-            let solver = registry.make(name)?;
-            methods.push((name.to_owned(), solver));
+            methods.push((name.to_owned(), make_scheduler(name)?));
         }
         Ok(MethodSet { methods })
     }
 
-    /// Parses a comma-separated method list against the built-in
-    /// registry.
+    /// Parses a comma-separated list of built-in methods.
     ///
     /// Note the comma does double duty: it separates methods *and*
     /// parameters. The splitting rule is simple and deterministic: a
@@ -680,23 +536,14 @@ impl MethodSet {
     /// spec. So `"static:best-fit,ga:pop=8,gens=9"` selects **two**
     /// methods with `gens=9` attached to the `ga` spec — but *flag*
     /// parameters attach only directly after their `:`; a spec needing
-    /// two flags can be built via [`MethodSpec`]/[`Registry::make`],
+    /// two flags can be built via [`MethodSpec`]/[`make_scheduler`],
     /// not via a CSV list.
     ///
     /// # Errors
     /// The first [`MethodError`] any spec produces, or
     /// [`MethodError::EmptySelection`] for a list with no names at all.
     pub fn parse(csv: &str) -> Result<Self, MethodError> {
-        Self::parse_in(&Registry::with_builtins(), csv)
-    }
-
-    /// [`MethodSet::parse`] against a caller-supplied registry.
-    ///
-    /// # Errors
-    /// The first [`MethodError`] any spec produces, or
-    /// [`MethodError::EmptySelection`].
-    pub fn parse_in(registry: &Registry, csv: &str) -> Result<Self, MethodError> {
-        let set = Self::from_names_in(registry, split_specs(csv))?;
+        let set = Self::from_names(split_specs(csv))?;
         if set.is_empty() {
             return Err(MethodError::EmptySelection(csv.to_owned()));
         }
@@ -708,7 +555,7 @@ impl MethodSet {
     #[must_use]
     pub fn paper_baselines() -> Self {
         Self::from_names(["fps-offline", "gpiocp", "static", "ga"])
-            .expect("paper baselines are registered")
+            .expect("paper baselines are built in")
     }
 
     /// Display names, in order.
@@ -730,7 +577,7 @@ impl MethodSet {
     }
 
     /// Iterates `(display name, solver)` pairs in order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &(dyn Solve + Send + Sync))> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &(dyn Scheduler + Send + Sync))> {
         self.methods.iter().map(|(n, s)| (n.as_str(), s.as_ref()))
     }
 
@@ -741,26 +588,11 @@ impl MethodSet {
     ///
     /// # Errors
     /// The first [`SchedulerBug`] any method triggers.
-    pub fn evaluate(
-        &self,
-        jobs: &tagio_core::job::JobSet,
-    ) -> Result<Vec<SchedulingReport>, SchedulerBug> {
-        self.evaluate_with(jobs, &SolverCtx::new())
-    }
-
-    /// Runs every method on `jobs` under `ctx`.
-    ///
-    /// # Errors
-    /// The first [`SchedulerBug`] any method triggers.
-    pub fn evaluate_with(
-        &self,
-        jobs: &tagio_core::job::JobSet,
-        ctx: &SolverCtx,
-    ) -> Result<Vec<SchedulingReport>, SchedulerBug> {
+    pub fn evaluate(&self, jobs: &JobSet) -> Result<Vec<SchedulingReport>, SchedulerBug> {
         self.methods
             .iter()
             .map(|(name, solver)| {
-                let mut report = SchedulingReport::evaluate_with(solver.as_ref(), jobs, ctx)?;
+                let mut report = SchedulingReport::evaluate(solver.as_ref(), jobs)?;
                 report.method = name.clone();
                 Ok(report)
             })
@@ -820,7 +652,6 @@ impl core::fmt::Debug for MethodSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tagio_core::job::JobSet;
     use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
     use tagio_core::time::Duration;
 
@@ -839,16 +670,13 @@ mod tests {
 
     #[test]
     fn every_registered_name_instantiates() {
-        let registry = Registry::with_builtins();
-        for name in registry.names() {
-            assert!(registry.make(&name).is_ok(), "{name} not constructible");
+        for name in method_names() {
+            assert!(make_scheduler(&name).is_ok(), "{name} not constructible");
         }
         assert!(matches!(
-            registry.make("nonsense"),
+            make_scheduler("nonsense"),
             Err(MethodError::Unknown { .. })
         ));
-        assert!(make_scheduler("nonsense").is_none());
-        assert!(make_scheduler("static").is_some());
     }
 
     #[test]
@@ -858,6 +686,11 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len());
+        // Every name is selectable through the grammar, and documented.
+        for (name, summary, _) in BUILTINS {
+            assert!(check_word(name, "method name").is_ok(), "{name}");
+            assert!(!summary.is_empty(), "{name} has no summary");
+        }
     }
 
     #[test]
@@ -900,7 +733,6 @@ mod tests {
 
     #[test]
     fn unknown_parameters_are_rejected_not_ignored() {
-        let registry = Registry::with_builtins();
         for bad in [
             "fps-offline:fast",
             "static:pop=3",
@@ -912,7 +744,7 @@ mod tests {
             "optimal-psi:nodes=a-lot",
         ] {
             assert!(
-                matches!(registry.make(bad), Err(MethodError::BadParam { .. })),
+                matches!(make_scheduler(bad), Err(MethodError::BadParam { .. })),
                 "{bad} must be rejected"
             );
         }
@@ -923,11 +755,10 @@ mod tests {
         // A 1-generation, tiny-population GA must still solve the
         // single-job set — and a different seed must not break
         // feasibility (both exercise the factory's plumbing end-to-end).
-        let registry = Registry::with_builtins();
         for spec in ["ga:pop=8,gens=1", "ga:pop=8,gens=1,seed=7,hint=0.5"] {
-            let solver = registry.make(spec).unwrap();
+            let solver = make_scheduler(spec).unwrap();
             let schedule = solver
-                .solve(&jobs(), &SolverCtx::new())
+                .schedule_with(&jobs(), &SolverCtx::new())
                 .expect("tiny budget still schedules one job");
             schedule.validate(&jobs()).unwrap();
         }
@@ -938,8 +769,6 @@ mod tests {
         // `ga:seed=7` pins the seed: two different caller contexts must
         // produce the same schedule, equal to a constructor-seeded GA.
         use crate::ga_sched::GaScheduler;
-        use crate::solve::Solve;
-        let registry = Registry::with_builtins();
         let contended: TaskSet = (0..3)
             .map(|id| {
                 IoTask::builder(TaskId(id), DeviceId(0))
@@ -952,9 +781,9 @@ mod tests {
             })
             .collect();
         let jobs = JobSet::expand(&contended);
-        let pinned = registry.make("ga:pop=16,gens=6,seed=7").unwrap();
-        let a = pinned.solve(&jobs, &SolverCtx::seeded(1)).unwrap();
-        let b = pinned.solve(&jobs, &SolverCtx::seeded(2)).unwrap();
+        let pinned = make_scheduler("ga:pop=16,gens=6,seed=7").unwrap();
+        let a = pinned.schedule_with(&jobs, &SolverCtx::seeded(1)).unwrap();
+        let b = pinned.schedule_with(&jobs, &SolverCtx::seeded(2)).unwrap();
         assert_eq!(a, b, "spec seed pins the run");
         let reference = GaScheduler::new()
             .with_config(tagio_ga::GaConfig {
@@ -964,48 +793,16 @@ mod tests {
                 ..tagio_ga::GaConfig::quick()
             })
             .with_seed(7)
-            .solve(&jobs, &SolverCtx::new())
+            .schedule(&jobs)
             .unwrap();
         assert_eq!(a, reference);
+        assert_eq!(pinned.schedule(&jobs).unwrap(), reference);
         // Without `seed=`, the caller's context seed takes effect.
-        let unpinned = registry.make("ga:pop=16,gens=6").unwrap();
-        let c = unpinned.solve(&jobs, &SolverCtx::seeded(7)).unwrap();
+        let unpinned = make_scheduler("ga:pop=16,gens=6").unwrap();
+        let c = unpinned
+            .schedule_with(&jobs, &SolverCtx::seeded(7))
+            .unwrap();
         assert_eq!(c, reference);
-    }
-
-    #[test]
-    fn downstream_registration_and_shadowing() {
-        use tagio_core::schedule::entry_for;
-        let mut registry = Registry::with_builtins();
-        registry.register("ideal", "places every job at its ideal start", |spec| {
-            spec.args().finish()?;
-            struct Ideal;
-            impl crate::scheduler::Scheduler for Ideal {
-                fn name(&self) -> &'static str {
-                    "ideal"
-                }
-                fn schedule(
-                    &self,
-                    jobs: &JobSet,
-                ) -> Result<tagio_core::schedule::Schedule, tagio_core::solve::Infeasible>
-                {
-                    Ok(jobs.iter().map(|j| entry_for(j, j.ideal_start())).collect())
-                }
-            }
-            Ok(Box::new(Ideal))
-        });
-        assert!(registry.contains("ideal"));
-        let set = MethodSet::parse_in(&registry, "ideal,static").unwrap();
-        let reports = set.evaluate(&jobs()).unwrap();
-        assert_eq!(reports[0].method, "ideal");
-        assert_eq!(reports[0].psi, 1.0);
-        // Shadowing replaces in place (no duplicate names).
-        let before = registry.names().len();
-        registry.register("static", "shadowed", |_| {
-            Err(MethodError::bad_param("static".into(), "shadowed".into()))
-        });
-        assert_eq!(registry.names().len(), before);
-        assert!(registry.make("static").is_err());
     }
 
     #[test]
@@ -1061,14 +858,6 @@ mod tests {
         assert_eq!(set.names(), vec!["fps-offline", "gpiocp", "static", "ga"]);
         assert!(!set.is_empty());
         assert_eq!(set.len(), 4);
-    }
-
-    #[test]
-    fn help_lists_every_method() {
-        let help = registry_help();
-        for name in method_names() {
-            assert!(help.contains(&name));
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The legacy context-free scheduler interface and the per-run report.
+//! The scheduler interface every method implements, and the per-run
+//! report.
 //!
-//! [`Scheduler`] is the simple way to implement an offline method: one
-//! `schedule` call, no per-call context. Every `Scheduler` automatically
-//! implements the primary [`Solve`] trait through a
-//! blanket adapter, so legacy methods plug into the registry, the
-//! experiment engine and the online service unchanged.
+//! [`Scheduler`] is one call shape for the static heuristic, the GA, the
+//! classic baselines and the exhaustive oracle: `schedule(&jobs)`
+//! returns a validated [`Schedule`] or a structured [`Infeasible`]
+//! diagnostic. Seeded methods also read a per-call [`SolverCtx`] through
+//! [`Scheduler::schedule_with`].
 
 use serde::{Deserialize, Serialize};
 use tagio_core::job::JobSet;
@@ -12,17 +13,20 @@ use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, SolverCtx};
 
-use crate::solve::{SchedulerBug, Solve};
+use crate::solve::SchedulerBug;
 
-/// An offline job-level I/O scheduler for one partition (context-free).
+/// An object-safe offline job-level I/O scheduler for one partition.
 ///
 /// Implementations compute the actual start time `κi^j` of every job in
 /// the hyper-period, or report infeasibility with a structured
-/// diagnostic. All schedules returned by implementations in this crate
-/// satisfy [`Schedule::validate`] against the input job set.
+/// diagnostic.
 ///
-/// Methods that want per-call seeds or budgets implement
-/// [`Solve`] directly instead.
+/// Contracts:
+///
+/// * **Validity** — every `Ok` schedule passes [`Schedule::validate`]
+///   against the input job set.
+/// * **Determinism** — for a fixed context seed, repeated calls are
+///   bit-identical.
 pub trait Scheduler {
     /// Human-readable method name (used in experiment reports).
     fn name(&self) -> &'static str;
@@ -34,6 +38,17 @@ pub trait Scheduler {
     /// schedule the set: the cause, the offending task/job ids, and the
     /// best partial Ψ/Υ achieved before giving up.
     fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible>;
+
+    /// Produces a feasible schedule for `jobs` under `ctx`. Only seeded
+    /// methods read the context; the default ignores it and calls
+    /// [`Scheduler::schedule`].
+    ///
+    /// # Errors
+    /// As [`Scheduler::schedule`].
+    fn schedule_with(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
+        let _ = ctx;
+        self.schedule(jobs)
+    }
 }
 
 /// The outcome of running a solver on one job set, with the paper's
@@ -61,7 +76,10 @@ impl SchedulingReport {
     /// [`SchedulerBug`] when the solver returns a schedule that fails
     /// validation — a bug in the method, not an input error (this used
     /// to panic).
-    pub fn evaluate<S: Solve + ?Sized>(solver: &S, jobs: &JobSet) -> Result<Self, SchedulerBug> {
+    pub fn evaluate<S: Scheduler + ?Sized>(
+        solver: &S,
+        jobs: &JobSet,
+    ) -> Result<Self, SchedulerBug> {
         Self::evaluate_with(solver, jobs, &SolverCtx::new())
     }
 
@@ -69,12 +87,12 @@ impl SchedulingReport {
     ///
     /// # Errors
     /// [`SchedulerBug`] when the solver returns an invalid schedule.
-    pub fn evaluate_with<S: Solve + ?Sized>(
+    pub fn evaluate_with<S: Scheduler + ?Sized>(
         solver: &S,
         jobs: &JobSet,
         ctx: &SolverCtx,
     ) -> Result<Self, SchedulerBug> {
-        match solver.solve(jobs, ctx) {
+        match solver.schedule_with(jobs, ctx) {
             Ok(schedule) => {
                 schedule
                     .validate(jobs)
@@ -189,15 +207,5 @@ mod tests {
         let bug = SchedulingReport::evaluate(&Buggy, &jobs()).unwrap_err();
         assert_eq!(bug.method, "buggy");
         assert!(bug.to_string().contains("invalid schedule"));
-    }
-
-    #[test]
-    fn evaluate_with_honours_cancellation() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let ctx = SolverCtx::new().with_cancel_flag(Arc::new(AtomicBool::new(true)));
-        let r = SchedulingReport::evaluate_with(&Ideal, &jobs(), &ctx).unwrap();
-        assert!(!r.schedulable);
-        assert_eq!(r.diagnostic.unwrap().cause, InfeasibleCause::Cancelled);
     }
 }

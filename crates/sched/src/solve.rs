@@ -1,80 +1,13 @@
-//! The unified solving interface: the object-safe [`Solve`] trait, the
-//! capacity pre-check shared by every method, and the [`SchedulerBug`]
-//! error that replaced the old `SchedulingReport::evaluate` panic.
-//!
-//! [`Solve`] is the primary public API of this crate: one call shape for
-//! the static heuristic, the GA, the classic baselines, incremental
-//! repair and any downstream custom method. The legacy [`Scheduler`]
-//! trait (context-free methods) is blanket-adapted, so every existing
-//! scheduler is already a solver:
-//!
-//! ```
-//! use tagio_core::{job::JobSet, solve::SolverCtx};
-//! use tagio_sched::{Solve, StaticScheduler};
-//! # use tagio_core::{task::*, time::Duration};
-//! # let tasks: TaskSet = vec![IoTask::builder(TaskId(0), DeviceId(0))
-//! #     .wcet(Duration::from_micros(100)).period(Duration::from_millis(4))
-//! #     .ideal_offset(Duration::from_millis(2)).margin(Duration::from_millis(1))
-//! #     .build().unwrap()].into_iter().collect();
-//! let jobs = JobSet::expand(&tasks);
-//! let solver: &dyn Solve = &StaticScheduler::new();
-//! let schedule = solver.solve(&jobs, &SolverCtx::new()).expect("feasible");
-//! assert!(schedule.validate(&jobs).is_ok());
-//! ```
+//! What every solver shares: the capacity pre-check each method runs
+//! first, and the [`SchedulerBug`] error that replaced the old
+//! `SchedulingReport::evaluate` panic.
 
-use crate::scheduler::Scheduler;
 use core::fmt;
 use tagio_core::error::ValidateScheduleError;
 use tagio_core::job::JobSet;
-use tagio_core::schedule::Schedule;
-use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
+use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::TaskId;
 use tagio_core::time::Time;
-
-/// An object-safe scheduling solver: produces a feasible
-/// [`Schedule`] for a job set under a per-call [`SolverCtx`], or a
-/// structured [`Infeasible`] diagnostic.
-///
-/// Contracts:
-///
-/// * **Validity** — every `Ok` schedule passes
-///   [`Schedule::validate`] against the input job set.
-/// * **Determinism** — for a fixed context seed (and no wall-clock
-///   budget), repeated calls are bit-identical.
-/// * **Anytime** — solvers with budgets return the best feasible
-///   schedule found when the budget expires, and an
-///   [`InfeasibleCause::BudgetExhausted`] diagnostic (carrying the best
-///   partial result) only when nothing feasible was reached.
-///
-/// Every legacy [`Scheduler`] implements `Solve` through a blanket
-/// adapter that ignores the context beyond the cancellation flag.
-pub trait Solve {
-    /// Method display name (used in experiment reports).
-    fn name(&self) -> &str;
-
-    /// Produces a feasible schedule for `jobs` under `ctx`.
-    ///
-    /// # Errors
-    /// A structured [`Infeasible`] diagnostic when no feasible schedule
-    /// was produced: the cause, the offending task/job ids, and the best
-    /// partial Ψ/Υ achieved.
-    fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible>;
-}
-
-impl<S: Scheduler + ?Sized> Solve for S {
-    fn name(&self) -> &str {
-        Scheduler::name(self)
-    }
-
-    /// Context-free methods honour only the cancellation flag; seeds and
-    /// budgets have nothing to configure.
-    fn solve(&self, jobs: &JobSet, ctx: &SolverCtx) -> Result<Schedule, Infeasible> {
-        if ctx.cancelled() {
-            return Err(Infeasible::new(InfeasibleCause::Cancelled));
-        }
-        self.schedule(jobs)
-    }
-}
 
 /// The necessary-condition capacity check every method runs first: total
 /// execution demand beyond the scheduling horizon can never be feasible
@@ -200,17 +133,5 @@ mod tests {
             "{s}"
         );
         assert!(std::error::Error::source(&bug).is_some());
-    }
-
-    #[test]
-    fn cancellation_short_circuits_legacy_schedulers() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let flag = Arc::new(AtomicBool::new(true));
-        let ctx = SolverCtx::new().with_cancel_flag(flag);
-        let err = crate::StaticScheduler::new()
-            .solve(&overloaded_jobs(), &ctx)
-            .unwrap_err();
-        assert_eq!(err.cause, InfeasibleCause::Cancelled);
     }
 }

@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tagio_sched::{make_scheduler, method_names, MethodError, MethodSet, MethodSpec, Registry};
+use tagio_sched::{make_scheduler, method_names, MethodError, MethodSet, MethodSpec};
 
 /// A registered base name drawn by index.
 fn name_at(i: usize) -> String {
@@ -90,10 +90,9 @@ proptest! {
     #[test]
     fn unknown_keys_are_rejected_per_method(i in 0usize..10, key in word(), value in word()) {
         let base = name_at(i);
-        let registry = Registry::with_builtins();
         let spec = format!("{base}:zz{key}={value}");
         // `zz` prefix guarantees the key is none of the documented ones.
-        let err = match registry.make(&spec) {
+        let err = match make_scheduler(&spec) {
             Err(err) => err,
             Ok(_) => {
                 prop_assert!(false, "unknown key `{spec}` was accepted");
@@ -174,7 +173,7 @@ proptest! {
         } else {
             format!("{}x", name_at(i))
         };
-        let direct = make_scheduler(&name).is_some();
+        let direct = make_scheduler(&name).is_ok();
         let parsed = MethodSet::parse(&name).is_ok();
         prop_assert_eq!(direct, parsed);
         if direct {
@@ -211,7 +210,7 @@ fn documented_grammar_examples_parse() {
         "optimal-psi:nodes=10000",
     ] {
         assert!(
-            make_scheduler(spec).is_some(),
+            make_scheduler(spec).is_ok(),
             "documented example `{spec}` no longer constructs"
         );
     }

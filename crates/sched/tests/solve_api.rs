@@ -1,21 +1,18 @@
-//! Acceptance tests of the unified solving API:
+//! Acceptance tests of the solving API:
 //!
-//! * every registry method returns a *populated* [`Infeasible`]
+//! * every built-in method returns a *populated* `Infeasible`
 //!   diagnostic on an infeasible job set;
 //! * a GA solve with the same [`SolverCtx`] seed is bit-identical
 //!   across runs;
-//! * a budgeted solve terminates early with a partial-result
+//! * a node-budgeted oracle terminates early with a partial-result
 //!   diagnostic;
-//! * [`Solve`] is object-safe (trait objects, boxed collections, and
-//!   the legacy-`Scheduler` blanket adapter all coexist).
+//! * [`Scheduler`] is object-safe (trait objects and boxed collections).
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use tagio_core::job::JobSet;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio_core::time::Duration;
 use tagio_sched::{
-    GaScheduler, InfeasibleCause, OptimalPsi, Registry, Scheduler, Solve, SolverCtx,
+    make_scheduler, method_names, GaScheduler, InfeasibleCause, OptimalPsi, Scheduler, SolverCtx,
     StaticScheduler,
 };
 
@@ -50,18 +47,17 @@ fn contended_jobs() -> JobSet {
 }
 
 /// The headline acceptance criterion: every in-tree scheduler, asked by
-/// registry name, reports a populated diagnostic (cause + offending ids
-/// or partial result) instead of a bare failure.
+/// name, reports a populated diagnostic (cause + offending ids or
+/// partial result) instead of a bare failure.
 #[test]
 fn every_registry_method_returns_a_populated_diagnostic() {
-    let registry = Registry::with_builtins();
     let jobs = overloaded_jobs();
-    let names = registry.names();
-    assert!(names.len() >= 6, "builtins registered: {names:?}");
+    let names = method_names();
+    assert!(names.len() >= 6, "builtins: {names:?}");
     for name in names {
-        let solver = registry.make(&name).expect("builtin constructs");
+        let solver = make_scheduler(&name).expect("builtin constructs");
         let err = solver
-            .solve(&jobs, &SolverCtx::new())
+            .schedule_with(&jobs, &SolverCtx::new())
             .expect_err("overload is infeasible for every method");
         assert!(
             err.is_populated(),
@@ -89,22 +85,14 @@ fn ga_solves_are_bit_identical_for_a_fixed_ctx_seed() {
         ..tagio_ga::GaConfig::default()
     });
     let ctx = SolverCtx::seeded(41);
-    let a = ga.solve(&jobs, &ctx).expect("feasible");
-    let b = ga.solve(&jobs, &ctx).expect("feasible");
+    let a = ga.schedule_with(&jobs, &ctx).expect("feasible");
+    let b = ga.schedule_with(&jobs, &ctx).expect("feasible");
     assert_eq!(a, b, "same ctx seed must be bit-identical");
     // The ctx seed overrides the constructor seed: two different ctx
     // seeds may legitimately differ, but ctx seed vs. the same value
     // baked into the constructor must agree.
-    let baked = ga
-        .clone()
-        .with_seed(41)
-        .solve(&jobs, &SolverCtx::new())
-        .unwrap();
+    let baked = ga.clone().with_seed(41).schedule(&jobs).unwrap();
     assert_eq!(a, baked, "ctx seed and constructor seed are the same knob");
-    // And the thread override cannot change the result (parallel
-    // evaluation is bit-identical by construction).
-    let threaded = ga.solve(&jobs, &ctx.clone().with_threads(4)).unwrap();
-    assert_eq!(a, threaded);
 }
 
 #[test]
@@ -113,8 +101,8 @@ fn budgeted_solve_terminates_early_with_partial_result_diagnostic() {
     // cannot reach any complete schedule, so the solve must stop early
     // and report how far it got.
     let jobs = contended_jobs();
-    let err = OptimalPsi::new()
-        .solve(&jobs, &SolverCtx::new().with_iteration_budget(3))
+    let err = OptimalPsi::with_node_budget(3)
+        .schedule(&jobs)
         .expect_err("3 nodes cannot complete a 6-job search");
     assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
     assert!(
@@ -122,54 +110,24 @@ fn budgeted_solve_terminates_early_with_partial_result_diagnostic() {
         "partial result attached: {err:?}"
     );
     assert!(!err.jobs.is_empty(), "unplaced jobs named: {err:?}");
-    // The same holds through the registry's parameterized spec.
-    let registry = Registry::with_builtins();
-    let solver = registry.make("optimal-psi:nodes=2").unwrap();
-    let err = solver.solve(&jobs, &SolverCtx::new()).unwrap_err();
+    // The same holds through the parameterized spec.
+    let solver = make_scheduler("optimal-psi:nodes=2").unwrap();
+    let err = solver.schedule(&jobs).unwrap_err();
     assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
 }
 
+/// Object safety: `dyn Scheduler` must work as a reference and in a box
+/// — `BoxedSolver` and `MethodSet` depend on it — and dispatch
+/// `schedule_with` to the implementor's override.
 #[test]
-fn zero_time_budget_is_still_anytime_for_the_ga() {
-    // A zero wall-clock budget stops the GA before generation 0, but the
-    // initial population is always evaluated — on a feasible set the
-    // solver still returns a valid schedule (anytime contract).
-    let jobs = contended_jobs();
-    let ga = GaScheduler::new().with_config(tagio_ga::GaConfig {
-        population: 16,
-        generations: 50,
-        threads: 1,
-        ..tagio_ga::GaConfig::default()
-    });
-    let ctx = SolverCtx::seeded(7).with_time_budget(std::time::Duration::ZERO);
-    let schedule = ga.solve(&jobs, &ctx).expect("generation-0 front suffices");
-    schedule.validate(&jobs).unwrap();
-}
-
-#[test]
-fn cancellation_is_cooperative_and_uniform() {
-    let flag = Arc::new(AtomicBool::new(true));
-    let ctx = SolverCtx::new().with_cancel_flag(flag);
-    let jobs = contended_jobs();
-    // A direct Solve implementor and a blanket-adapted legacy Scheduler
-    // report the same cause.
-    let ga_err = GaScheduler::new().solve(&jobs, &ctx).unwrap_err();
-    let static_err = StaticScheduler::new().solve(&jobs, &ctx).unwrap_err();
-    assert_eq!(ga_err.cause, InfeasibleCause::Cancelled);
-    assert_eq!(static_err.cause, InfeasibleCause::Cancelled);
-}
-
-/// Object safety: `dyn Solve` must work as a reference, in a box, and
-/// through the legacy blanket adapter — the registry depends on it.
-#[test]
-fn solve_is_object_safe() {
-    fn by_ref(solver: &dyn Solve, jobs: &JobSet) -> String {
-        let _ = solver.solve(jobs, &SolverCtx::new());
+fn scheduler_is_object_safe() {
+    fn by_ref(solver: &dyn Scheduler, jobs: &JobSet) -> String {
+        let _ = solver.schedule_with(jobs, &SolverCtx::new());
         solver.name().to_owned()
     }
 
     let jobs = contended_jobs();
-    let solvers: Vec<Box<dyn Solve + Send + Sync>> = vec![
+    let solvers: Vec<Box<dyn Scheduler + Send + Sync>> = vec![
         Box::new(StaticScheduler::new()),
         Box::new(GaScheduler::new()),
         Box::new(OptimalPsi::with_node_budget(10)),
@@ -177,18 +135,17 @@ fn solve_is_object_safe() {
     let names: Vec<String> = solvers.iter().map(|s| by_ref(s.as_ref(), &jobs)).collect();
     assert_eq!(names, vec!["static", "ga", "optimal-psi"]);
 
-    // A legacy Scheduler trait object is itself a Solve (the blanket
-    // impl covers `dyn Scheduler` through its `?Sized` bound).
-    let legacy: Box<dyn Scheduler + Send + Sync> = Box::new(StaticScheduler::new());
-    assert_eq!(Solve::name(&*legacy), "static");
-    assert!(Solve::solve(&*legacy, &jobs, &SolverCtx::new()).is_ok());
+    // Through the trait object, the context seed still reaches the GA.
+    let ga: &dyn Scheduler = solvers[1].as_ref();
+    let seeded = ga.schedule_with(&jobs, &SolverCtx::seeded(5)).unwrap();
+    let baked = GaScheduler::new().with_seed(5).schedule(&jobs).unwrap();
+    assert_eq!(seeded, baked);
 }
 
 /// The diagnostic distinguishes *why* sets fail: overload vs. blocking
 /// vs. slot allocation.
 #[test]
 fn causes_discriminate_failure_modes() {
-    let registry = Registry::with_builtins();
     // Under-capacity but FIFO-unschedulable: three requests firing near
     // their shared deadline.
     let fifo_stress = {
@@ -204,10 +161,9 @@ fn causes_discriminate_failure_modes() {
         let set: TaskSet = vec![mk(0), mk(1), mk(2)].into_iter().collect();
         JobSet::expand(&set)
     };
-    let err = registry
-        .make("gpiocp")
+    let err = make_scheduler("gpiocp")
         .unwrap()
-        .solve(&fifo_stress, &SolverCtx::new())
+        .schedule(&fifo_stress)
         .unwrap_err();
     assert_eq!(err.cause, InfeasibleCause::BlockingBound);
     assert!(err.best_psi.is_some(), "partial schedule quality attached");

@@ -50,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.hyperperiod()
     );
 
-    // The unified solving API: any method, one call shape, a seeded
-    // per-call context, and structured infeasibility diagnostics.
-    let schedule = match StaticScheduler::new().solve(&jobs, &SolverCtx::seeded(0)) {
+    // The solving API: any method, one call shape, a seeded per-call
+    // context, and structured infeasibility diagnostics.
+    let schedule = match StaticScheduler::new().schedule_with(&jobs, &SolverCtx::seeded(0)) {
         Ok(schedule) => schedule,
         Err(infeasible) => {
             // `infeasible` names the cause, the offending task/job ids

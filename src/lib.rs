@@ -25,10 +25,11 @@
 //!
 //! ## Quickstart
 //!
-//! The [`prelude`] is the one-import surface of the unified solving
-//! API: solvers return `Result<Schedule, Infeasible>` — a validated
-//! schedule, or a structured diagnostic saying *why* and *where* the
-//! set is infeasible and how close the method got.
+//! The [`prelude`] is the one-import surface of the solving API: every
+//! method is a [`Scheduler`](prelude::Scheduler) returning
+//! `Result<Schedule, Infeasible>` — a validated schedule, or a
+//! structured diagnostic saying *why* and *where* the set is infeasible
+//! and how close the method got.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -42,10 +43,8 @@
 //! let system = SystemConfig::paper(0.4).generate(&mut rng);
 //! let jobs = JobSet::expand(&system);
 //!
-//! // Any method by (parameterized) name, solved under a per-call
-//! // context: deterministic seed, optional budgets, cancellation.
-//! let solver = Registry::with_builtins().make("static:best-fit")?;
-//! match solver.solve(&jobs, &SolverCtx::seeded(1)) {
+//! // Any method by (parameterized) name, solved with a per-call seed.
+//! match make_scheduler("static:best-fit")?.schedule_with(&jobs, &SolverCtx::seeded(1)) {
 //!     Ok(schedule) => {
 //!         schedule.validate(&jobs)?;
 //!         println!(
@@ -73,10 +72,11 @@ pub use tagio_online as online;
 pub use tagio_sched as sched;
 pub use tagio_workload as workload;
 
-/// The unified solving API in one import: the [`Solve`](prelude::Solve)
-/// trait and its context/diagnostics, the runtime-extensible method
-/// [`Registry`](prelude::Registry), every in-tree solver, the core
-/// model types a solve call touches, and the online entry points — the
+/// The solving API in one import: the [`Scheduler`](prelude::Scheduler)
+/// trait and its seed context and diagnostics, the by-name factory
+/// [`make_scheduler`](prelude::make_scheduler), every in-tree solver,
+/// the core model types a solve call touches, and the online entry
+/// points — the
 /// per-partition [`OnlineScheduler`](prelude::OnlineScheduler), the
 /// multi-partition [`FleetScheduler`](prelude::FleetScheduler) with its
 /// [`PlacementPolicy`](prelude::PlacementPolicy), and the event
@@ -96,10 +96,11 @@ pub use tagio_workload as workload;
 /// .collect();
 /// let jobs = JobSet::expand(&tasks);
 ///
-/// // Budgeted, seeded, cancellable solving — per call, not per
-/// // constructor.
-/// let ctx = SolverCtx::seeded(7).with_iteration_budget(1_000);
-/// let report = SchedulingReport::evaluate_with(&StaticScheduler::new(), &jobs, &ctx).unwrap();
+/// // Seeded solving, per call rather than per constructor.
+/// let ctx = SolverCtx::seeded(7);
+/// let schedule = make_scheduler("ga:pop=8,gens=4")?.schedule_with(&jobs, &ctx)?;
+/// assert!(schedule.validate(&jobs).is_ok());
+/// let report = SchedulingReport::evaluate(&StaticScheduler::new(), &jobs)?;
 /// assert!(report.schedulable);
 ///
 /// // Infeasibility is a value, not a panic or a bare `None`.
@@ -115,24 +116,25 @@ pub use tagio_workload as workload;
 ///     })
 ///     .collect();
 /// let err = StaticScheduler::new()
-///     .solve(&JobSet::expand(&overload), &ctx)
+///     .schedule(&JobSet::expand(&overload))
 ///     .unwrap_err();
 /// assert_eq!(err.cause, InfeasibleCause::UtilisationOverload);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub mod prelude {
     pub use tagio_core::event::{RoutedEvent, SystemEvent, TimedEvent};
     pub use tagio_core::job::{Job, JobId, JobSet};
     pub use tagio_core::pool::{available_workers, WorkerPool};
     pub use tagio_core::schedule::{Schedule, ScheduleEntry};
-    pub use tagio_core::solve::{Infeasible, InfeasibleCause, SolveBudget, SolverCtx};
+    pub use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
     pub use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
     pub use tagio_online::fleet::{FleetConfig, FleetScheduler, PlacementPolicy};
     pub use tagio_online::persist::{FleetSnapshot, RecoveryReport};
     pub use tagio_online::service::OnlineScheduler;
     pub use tagio_online::wal::{FileWal, MemoryWal, WalSink, WalSource};
     pub use tagio_sched::{
-        check_capacity, BoxedSolver, EdfOffline, FpsOffline, GaScheduler, Gpiocp, MethodError,
-        MethodSet, MethodSpec, OptimalPsi, Registry, Scheduler, SchedulerBug, SchedulingReport,
-        Solve, StaticScheduler,
+        check_capacity, make_scheduler, BoxedSolver, EdfOffline, FpsOffline, GaScheduler, Gpiocp,
+        MethodError, MethodSet, MethodSpec, OptimalPsi, Scheduler, SchedulerBug, SchedulingReport,
+        StaticScheduler,
     };
 }

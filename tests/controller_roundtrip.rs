@@ -17,7 +17,7 @@ use tagio::core::schedule::Schedule;
 use tagio::core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio::core::time::{Duration, Time};
 use tagio::ga::GaConfig;
-use tagio::sched::{GaScheduler, Scheduler, Solve, SolverCtx, StaticScheduler};
+use tagio::sched::{GaScheduler, Scheduler, StaticScheduler};
 use tagio::workload::SystemConfig;
 
 /// The paper's jitter bound for the proposed controller: zero deviation.
@@ -87,9 +87,7 @@ fn ga_schedule_round_trips_with_zero_jitter() {
             ..GaConfig::quick()
         })
         .with_seed(7);
-    let schedule = ga
-        .solve(&jobs, &SolverCtx::new())
-        .expect("GA finds a feasible schedule");
+    let schedule = ga.schedule(&jobs).expect("GA finds a feasible schedule");
     replay_and_check(&tasks, &jobs, &schedule, "GA");
 }
 

@@ -7,8 +7,8 @@ use tagio::core::job::JobSet;
 use tagio::core::metrics;
 use tagio::ga::GaConfig;
 use tagio::sched::{
-    fps_online_schedulable, FpsOffline, GaScheduler, Gpiocp, Scheduler, SchedulingReport, Solve,
-    SolverCtx, StaticScheduler,
+    fps_online_schedulable, FpsOffline, GaScheduler, Gpiocp, Scheduler, SchedulingReport,
+    StaticScheduler,
 };
 use tagio::workload::SystemConfig;
 
@@ -29,14 +29,14 @@ fn every_scheduler_produces_validating_schedules() {
         for _ in 0..3 {
             let tasks = SystemConfig::paper(u).generate(&mut rng);
             let jobs = JobSet::expand(&tasks);
-            let solvers: Vec<Box<dyn Solve>> = vec![
+            let solvers: Vec<Box<dyn Scheduler>> = vec![
                 Box::new(FpsOffline::new()),
                 Box::new(Gpiocp::new()),
                 Box::new(StaticScheduler::new()),
                 Box::new(quick_ga(7)),
             ];
             for s in &solvers {
-                if let Ok(schedule) = s.solve(&jobs, &SolverCtx::new()) {
+                if let Ok(schedule) = s.schedule(&jobs) {
                     schedule
                         .validate(&jobs)
                         .unwrap_or_else(|e| panic!("{} invalid at U={u}: {e}", s.name()));
