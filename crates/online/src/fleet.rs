@@ -53,12 +53,14 @@ use crate::tenant::{utilisation_ppm, QosClass, TenantCounters, TenantLedger, Ten
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::{Mutex, PoisonError};
 use tagio_core::event::SystemEvent;
 use tagio_core::pool::WorkerPool;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{MetricSet, Metrics};
+use tagio_sched::LadderWork;
 
 /// How the router picks an arrival's partition (and the order in which
 /// rejected arrivals are re-offered).
@@ -126,7 +128,10 @@ pub struct FleetConfig {
     /// (`0` disables cross-partition retry).
     pub retries: usize,
     /// Worker threads for the parallel admission phase (`0` = all
-    /// cores). Results are identical for every value.
+    /// cores): how many pool workers pull partition lanes from one
+    /// epoch's (or retry wave's) submission, each taking the next
+    /// non-empty lane as soon as it finishes its last. Results are
+    /// identical for every value.
     pub threads: usize,
     /// Seed of the routing RNG (tie-breaks only; all decisions are a
     /// pure function of config + event stream).
@@ -588,6 +593,18 @@ impl FleetScheduler {
         let mut total = OnlineStats::default();
         for p in &self.partitions {
             total.merge(p.stats());
+        }
+        total
+    }
+
+    /// Every partition's [`OnlineScheduler::ladder_work`] summed in
+    /// partition-id order. Like the per-partition counters, the sum is
+    /// observability only and stays out of every stats digest.
+    #[must_use]
+    pub fn ladder_work(&self) -> LadderWork {
+        let mut total = LadderWork::default();
+        for p in &self.partitions {
+            total.merge(&p.ladder_work());
         }
         total
     }
@@ -1560,12 +1577,20 @@ fn shuffle(rng: &mut StdRng, order: &mut [usize]) {
 }
 
 /// Drains each partition's lane of event indices into its result buffer,
-/// in parallel on the persistent [`WorkerPool`] when `width > 1`.
-/// Arrivals are *offered* ([`OnlineScheduler::offer`] — the admission
-/// pipeline, task re-bound only on admit); every other event is applied
-/// as-is. Lane indices at or past `events.len()` address `orphans`
-/// (rehoming offers from the retry waves). Lanes touch disjoint
-/// partitions, so results are identical for any width.
+/// in parallel on the persistent [`WorkerPool`] when `width > 1` and more
+/// than one lane has work. Arrivals are *offered*
+/// ([`OnlineScheduler::offer`] — the admission pipeline, task re-bound
+/// only on admit); every other event is applied as-is. Lane indices at
+/// or past `events.len()` address `orphans` (rehoming offers from the
+/// retry waves).
+///
+/// Lanes are pulled, not pre-split: `width` closures each take the next
+/// non-empty `(partition, lane, results)` triple from one shared,
+/// lock-guarded iterator until it runs dry, so a worker that finishes a
+/// short lane moves straight on to the next one instead of idling
+/// behind a fixed chunk. Lanes touch disjoint partitions and write their
+/// own result buffers, so results are identical for any width and any
+/// pull order.
 fn eval_lanes(
     partitions: &mut [OnlineScheduler],
     lanes: &[Vec<usize>],
@@ -1586,29 +1611,33 @@ fn eval_lanes(
             out.push((i, outcome));
         }
     };
-    if width <= 1 || partitions.len() <= 1 {
+    let busy = lanes.iter().filter(|lane| !lane.is_empty()).count();
+    let width = width.min(busy);
+    if width <= 1 {
         for ((svc, lane), out) in partitions.iter_mut().zip(lanes).zip(results.iter_mut()) {
             eval(svc, lane, out);
         }
         return;
     }
-    let chunk = partitions.len().div_ceil(width);
-    let eval = &eval;
-    WorkerPool::global().map_chunks(
+    let next = Mutex::new(
         partitions
-            .chunks_mut(chunk)
-            .zip(lanes.chunks(chunk))
-            .zip(results.chunks_mut(chunk))
-            .map(|((svcs, lane_chunk), out_chunk)| {
-                move || {
-                    for ((svc, lane), out) in
-                        svcs.iter_mut().zip(lane_chunk).zip(out_chunk.iter_mut())
-                    {
-                        eval(svc, lane, out);
-                    }
-                }
-            }),
+            .iter_mut()
+            .zip(lanes)
+            .zip(results.iter_mut())
+            .filter(|((_, lane), _)| !lane.is_empty()),
     );
+    let (next, eval) = (&next, &eval);
+    WorkerPool::global().map_chunks((0..width).map(|_| {
+        move || loop {
+            // The guard drops at the end of this statement, so lanes
+            // evaluate outside the lock.
+            let lane = next.lock().unwrap_or_else(PoisonError::into_inner).next();
+            match lane {
+                Some(((svc, lane), out)) => eval(svc, lane, out),
+                None => return,
+            }
+        }
+    }));
 }
 
 fn mean_over(partitions: &[OnlineScheduler], f: impl Fn(&OnlineScheduler) -> f64) -> f64 {

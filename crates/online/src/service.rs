@@ -40,7 +40,7 @@ use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
 use tagio_sched::heuristic::repair::{repair_in, repair_or_resynthesize_in, retime_in};
 use tagio_sched::heuristic::{SlotPolicy, StaticScheduler};
-use tagio_sched::{AnalysisCache, FpsOffline, RepairScratch, Scheduler};
+use tagio_sched::{AnalysisCache, FpsOffline, LadderWork, RepairScratch, Scheduler};
 
 /// How the service integrates schedule changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -524,6 +524,15 @@ impl OnlineScheduler {
         &self.cache
     }
 
+    /// The repair ladder's allocator work counters over this partition's
+    /// life. They are observability only: no decision reads them, and
+    /// [`OnlineStats`], its digest, snapshots and the WAL leave them out,
+    /// so a partition recovered from a snapshot counts from zero.
+    #[must_use]
+    pub fn ladder_work(&self) -> LadderWork {
+        self.scratch.work()
+    }
+
     /// Ψ of the live schedule, cached at every commit point. It is
     /// bit-identical to a full scan; `tagio-audit`'s `online_quality`
     /// suite recomputes it independently after every event.
@@ -586,7 +595,8 @@ impl OnlineScheduler {
         self.schedule = Schedule::new();
         self.cache.clear();
         self.quality = (1.0, 1.0);
-        self.scratch = RepairScratch::default();
+        // The repair scratch stays: its buffers are cleared before every
+        // use, and its work counters cover the partition's whole life.
         EventOutcome::PartitionDied {
             device: self.device,
             orphans,

@@ -16,6 +16,11 @@
 //! Width 7 deliberately exceeds the partition count: the fleet clamps
 //! lane width to the number of partitions, and an over-provisioned pool
 //! must behave exactly like a fitted one.
+//!
+//! Workers pull lanes one at a time, so a skewed epoch (one long lane,
+//! the others empty or nearly so) is where pull order varies most from
+//! run to run. A fixed trace of such epochs is replayed at widths
+//! {1, 2, 3, 4}, and must be bit-identical too.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,6 +28,7 @@ use tagio_core::event::{Mode, ModeId, SystemEvent};
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId};
 use tagio_core::time::Duration;
 use tagio_online::fleet::{FleetConfig, FleetOutcome, FleetScheduler};
+use tagio_online::persist::stats_digest;
 use tagio_online::service::EventOutcome;
 
 /// Devices in the fleet under test (4 partitions).
@@ -170,4 +176,72 @@ proptest! {
             }
         }
     }
+}
+
+/// Epochs that first fit routes almost entirely to partition 0 (every
+/// arrival's affinity): partition 0 alone, then partition 0 plus one
+/// arrival on device 2, then an overload of partition 0 whose retries
+/// spill single offers onto the other partitions, next to one spike on
+/// device 3.
+fn skewed_epochs() -> Vec<Vec<SystemEvent>> {
+    let arrivals = |ids: std::ops::Range<u32>, permille: u64| {
+        ids.map(move |id| SystemEvent::Arrival(pool_task(id, 0, id as usize, permille, id)))
+            .collect::<Vec<_>>()
+    };
+    let mut second = arrivals(8..14, 40);
+    second.insert(3, SystemEvent::Arrival(pool_task(14, 2, 1, 60, 1)));
+    let mut third = arrivals(20..28, 150);
+    third.push(SystemEvent::UtilisationSpike {
+        device: DeviceId(3),
+        percent: 150,
+    });
+    vec![arrivals(0..8, 30), second, third]
+}
+
+#[test]
+fn skewed_lanes_replay_identically_at_every_width() {
+    let mut fleets: Vec<(usize, FleetScheduler)> = [1usize, 2, 3, 4]
+        .iter()
+        .map(|&w| (w, fleet_at(w)))
+        .collect();
+    for (epoch, events) in skewed_epochs().iter().enumerate() {
+        let outcomes: Vec<Vec<FleetOutcome>> = fleets
+            .iter_mut()
+            .map(|(_, fleet)| fleet.apply_batch(events).into_iter().map(canon).collect())
+            .collect();
+        let (reference, wide) = fleets.split_first().expect("four widths");
+        for ((w, fleet), got) in wide.iter().zip(&outcomes[1..]) {
+            assert_eq!(&outcomes[0], got, "outcomes, width {w}, epoch {epoch}");
+            assert_eq!(reference.1.stats(), fleet.stats(), "fleet stats, width {w}");
+            assert_eq!(
+                reference.1.ladder_work(),
+                fleet.ladder_work(),
+                "work, width {w}"
+            );
+            for (a, b) in reference.1.partitions().iter().zip(fleet.partitions()) {
+                let on = (w, epoch, a.device());
+                assert_eq!(a.schedule(), b.schedule(), "schedule at {on:?}");
+                assert_eq!(
+                    stats_digest(a.stats()),
+                    stats_digest(b.stats()),
+                    "stats at {on:?}"
+                );
+                assert_eq!(a.psi().to_bits(), b.psi().to_bits(), "psi at {on:?}");
+                assert_eq!(
+                    a.upsilon().to_bits(),
+                    b.upsilon().to_bits(),
+                    "upsilon at {on:?}"
+                );
+            }
+        }
+    }
+    // The trace really is skewed: partition 0 holds most of the work.
+    let fleet = &fleets[0].1;
+    let tasks: Vec<usize> = fleet.partitions().iter().map(|p| p.tasks().len()).collect();
+    assert!(tasks[0] > tasks[1..].iter().sum::<usize>(), "{tasks:?}");
+    assert!(
+        fleet.stats().retries > 0,
+        "no retry wave ran: {:?}",
+        fleet.stats()
+    );
 }

@@ -17,11 +17,24 @@
 //!    leftwards (never before their releases), and place the job in the
 //!    coalesced gap.
 //! 3. Otherwise the allocation — and Algorithm 1 — fails (line 19).
+//!
+//! The contention count of step 1 only visits the pending jobs that
+//! could fit somewhere in the *hull* of the fitting slots, the span from
+//! the first slot's start to the last slot's end. This prefilter is
+//! exact. Every fitting slot lies inside the hull. A job that fits
+//! `[a, b]` therefore also fits the hull, because clipping a job's window
+//! to a wider span never leaves less room. So a job that fails the hull
+//! test fails every slot and adds nothing to any slot's count. The
+//! survivors are counted in their original order, so the per-slot
+//! early-exit cap stops at the same count and the same slot wins.
+//! Zero-WCET jobs fit every span and survive the filter, exactly as the
+//! full scan counts them for every slot.
 
 use tagio_core::job::{Job, JobSet};
 use tagio_core::metrics;
 use tagio_core::schedule::{Schedule, ScheduleEntry};
 use tagio_core::time::{Duration, Time};
+use tagio_core::{MetricSet, Metrics};
 
 /// Slot-selection policy for the direct-fit case; LCC-D is the paper's
 /// policy, the others exist for the ablation bench.
@@ -54,24 +67,81 @@ impl Placed {
     }
 }
 
-/// Reusable buffers for [`Timeline`] construction and allocation.
+/// Deterministic work counters of the allocator: how much ranking and
+/// shifting the LCC-D inner loops did. They count work, not time, so
+/// two runs over the same inputs report the same numbers on any
+/// machine and at any pool width.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LadderWork {
+    /// [`Timeline::allocate`] calls.
+    pub allocate_calls: u64,
+    /// LCC-D rankings over more than one fitting slot.
+    pub lccd_rankings: u64,
+    /// Pending jobs tested against a ranking's hull (the prefilter).
+    pub prefilter_visits: u64,
+    /// `(slot, pending job)` pairs the contention count examined.
+    pub contention_pairs: u64,
+    /// Shifted-fit searches (no slot fitted directly, but the window's
+    /// total free capacity did).
+    pub shift_calls: u64,
+    /// Candidate slot runs whose compaction was dry-run.
+    pub shift_candidates: u64,
+    /// Dry runs that passed; each commits one shift.
+    pub dry_run_passes: u64,
+}
+
+impl Metrics for LadderWork {
+    fn merge(&mut self, other: &Self) {
+        self.allocate_calls += other.allocate_calls;
+        self.lccd_rankings += other.lccd_rankings;
+        self.prefilter_visits += other.prefilter_visits;
+        self.contention_pairs += other.contention_pairs;
+        self.shift_calls += other.shift_calls;
+        self.shift_candidates += other.shift_candidates;
+        self.dry_run_passes += other.dry_run_passes;
+    }
+
+    fn snapshot(&self) -> MetricSet {
+        let mut m = MetricSet::new();
+        m.push("ladder_allocate_calls", self.allocate_calls as f64);
+        m.push("ladder_lccd_rankings", self.lccd_rankings as f64);
+        m.push("ladder_prefilter_visits", self.prefilter_visits as f64);
+        m.push("ladder_contention_pairs", self.contention_pairs as f64);
+        m.push("ladder_shift_calls", self.shift_calls as f64);
+        m.push("ladder_shift_candidates", self.shift_candidates as f64);
+        m.push("ladder_dry_run_passes", self.dry_run_passes as f64);
+        m
+    }
+}
+
+/// Reusable buffers for [`Timeline`] construction and allocation, plus
+/// the allocator's [`LadderWork`] counters.
 ///
-/// Every `allocate` call needs slot lists, fitting filters, candidate
-/// runs and (on the shifting path) a rollback snapshot; a repair-driven
-/// admission loop runs thousands of such calls per second, so the online
-/// hot path keeps one scratch alive and threads it through
-/// [`Timeline::with_placements_in`] / [`Timeline::into_schedule_in`]
-/// instead of re-allocating the buffers per admission. A fresh
-/// (`Default`) scratch reproduces the original allocating behaviour
-/// exactly — the buffers are cleared before every use, so reuse never
-/// changes results, only allocation traffic.
+/// Every `allocate` call needs slot lists, fitting filters, the LCC-D
+/// prefilter's survivors and (on the shifting path) candidate runs; a
+/// repair-driven admission loop runs thousands of such calls per
+/// second, so the online hot path keeps one scratch alive and threads
+/// it through [`Timeline::with_placements_in`] /
+/// [`Timeline::into_schedule_in`] instead of re-allocating the buffers
+/// per admission. A fresh (`Default`) scratch reproduces the original
+/// allocating behaviour exactly — the buffers are cleared before every
+/// use, so reuse never changes results, only allocation traffic. The
+/// counters accumulate across every timeline built from the scratch.
 #[derive(Debug, Default)]
 pub struct TimelineScratch {
     placed: Vec<Placed>,
     slots: Vec<(Time, Time)>,
     fitting: Vec<(Time, Time)>,
+    rivals: Vec<usize>,
     candidates: Vec<(usize, usize, usize)>,
-    snapshot: Vec<Placed>,
+    work: LadderWork,
+}
+
+impl TimelineScratch {
+    /// The work counters of every timeline recycled into this scratch.
+    pub(crate) fn work(&self) -> LadderWork {
+        self.work
+    }
 }
 
 /// The partition timeline during allocation: executions sorted by start.
@@ -82,8 +152,10 @@ pub struct Timeline<'a> {
     horizon: Time,
     slots: Vec<(Time, Time)>,
     fitting: Vec<(Time, Time)>,
+    /// The pending jobs that pass an LCC-D ranking's hull prefilter.
+    rivals: Vec<usize>,
     candidates: Vec<(usize, usize, usize)>,
-    snapshot: Vec<Placed>,
+    work: LadderWork,
 }
 
 impl<'a> Timeline<'a> {
@@ -94,32 +166,30 @@ impl<'a> Timeline<'a> {
     /// guarantees they do not).
     #[must_use]
     pub fn with_exact_jobs(jobs: &'a JobSet, exact: &[usize]) -> Self {
+        Self::with_exact_jobs_in(jobs, exact, &mut TimelineScratch::default())
+    }
+
+    /// [`Timeline::with_exact_jobs`] on the buffers of `scratch`.
+    pub(crate) fn with_exact_jobs_in(
+        jobs: &'a JobSet,
+        exact: &[usize],
+        scratch: &mut TimelineScratch,
+    ) -> Self {
         let all = jobs.as_slice();
-        let mut placed: Vec<Placed> = exact
-            .iter()
-            .map(|&i| Placed {
-                job: i,
-                start: all[i].ideal_start(),
-                wcet: all[i].wcet(),
-                exact: true,
-            })
-            .collect();
-        placed.sort_by_key(|p| p.start);
-        for w in placed.windows(2) {
-            assert!(
-                w[0].finish() <= w[1].start,
-                "exact jobs overlap: decomposition bug"
-            );
-        }
-        Timeline {
+        let mut placed = std::mem::take(&mut scratch.placed);
+        placed.clear();
+        placed.extend(exact.iter().map(|&i| Placed {
+            job: i,
+            start: all[i].ideal_start(),
+            wcet: all[i].wcet(),
+            exact: true,
+        }));
+        Self::from_placed(
             jobs,
             placed,
-            horizon: jobs.horizon(),
-            slots: Vec::new(),
-            fitting: Vec::new(),
-            candidates: Vec::new(),
-            snapshot: Vec::new(),
-        }
+            scratch,
+            "exact jobs overlap: decomposition bug",
+        )
     }
 
     /// Starts a timeline from arbitrary pre-existing placements
@@ -150,12 +220,26 @@ impl<'a> Timeline<'a> {
             wcet: all[i].wcet(),
             exact: start == all[i].ideal_start(),
         }));
+        Self::from_placed(
+            jobs,
+            placed,
+            scratch,
+            "pinned placements overlap: repair seed bug",
+        )
+    }
+
+    /// Sorts `placed`, checks it is disjoint (panicking with `overlap`
+    /// otherwise), and takes the remaining buffers and the work
+    /// counters from `scratch`.
+    fn from_placed(
+        jobs: &'a JobSet,
+        mut placed: Vec<Placed>,
+        scratch: &mut TimelineScratch,
+        overlap: &str,
+    ) -> Self {
         placed.sort_by_key(|p| p.start);
         for w in placed.windows(2) {
-            assert!(
-                w[0].finish() <= w[1].start,
-                "pinned placements overlap: repair seed bug"
-            );
+            assert!(w[0].finish() <= w[1].start, "{overlap}");
         }
         Timeline {
             jobs,
@@ -163,8 +247,9 @@ impl<'a> Timeline<'a> {
             horizon: jobs.horizon(),
             slots: std::mem::take(&mut scratch.slots),
             fitting: std::mem::take(&mut scratch.fitting),
+            rivals: std::mem::take(&mut scratch.rivals),
             candidates: std::mem::take(&mut scratch.candidates),
-            snapshot: std::mem::take(&mut scratch.snapshot),
+            work: scratch.work,
         }
     }
 
@@ -260,6 +345,7 @@ impl<'a> Timeline<'a> {
         pending: &[usize],
         policy: SlotPolicy,
     ) -> Option<Time> {
+        self.work.allocate_calls += 1;
         let job = &self.jobs.as_slice()[job_idx];
         let (lo, hi) = (job.release(), job.abs_deadline());
         // The slot buffers live on `self` so repeated allocations reuse
@@ -295,14 +381,14 @@ impl<'a> Timeline<'a> {
     }
 
     fn pick_slot(
-        &self,
+        &mut self,
         fitting: &[(Time, Time)],
         pending: &[usize],
         policy: SlotPolicy,
     ) -> (Time, Time) {
         // Every policy reduces to the sole candidate when only one slot
         // fits — skip the ranking scans (the LCC-D contention count walks
-        // all pending jobs per slot, a real cost on escalated repairs).
+        // the pending jobs per slot, a real cost on escalated repairs).
         if fitting.len() == 1 {
             return fitting[0];
         }
@@ -330,41 +416,59 @@ impl<'a> Timeline<'a> {
                     s
                 }
             }),
-            SlotPolicy::LeastContentionCapacityDecreasing => {
-                // Selection key is (contention, usable, start), minimised.
-                // Slot starts are unique (slots are disjoint), so no two
-                // slots tie on the full key and a manual strict-minimum
-                // loop equals `min_by_key`. That lets the contention count
-                // stop early: once a slot exceeds the best count seen, it
-                // has already lost — on escalated repairs `pending` holds
-                // hundreds of jobs, and the cap turns the O(slots×pending)
-                // scan into nearly O(pending) total.
-                let all = self.jobs.as_slice();
-                let mut best = fitting[0];
-                let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
-                for &slot in fitting {
-                    let cap = best_key.0;
-                    let mut contention = 0usize;
-                    for &p in pending {
-                        let other = &all[p];
-                        let olo = slot.0.max(other.release());
-                        let ohi = slot.1.min(other.abs_deadline());
-                        if ohi.saturating_sub(olo) >= other.wcet() {
-                            contention += 1;
-                            if contention > cap {
-                                break;
-                            }
-                        }
-                    }
-                    let key = (contention, Self::usable(slot), slot.0);
-                    if key < best_key {
-                        best = slot;
-                        best_key = key;
+            SlotPolicy::LeastContentionCapacityDecreasing => self.least_contended(fitting, pending),
+        }
+    }
+
+    /// The LCC-D choice among two or more fitting slots: the slot usable
+    /// by the fewest pending jobs, ties to the least usable capacity.
+    ///
+    /// Selection key is (contention, usable, start), minimised. Slot
+    /// starts are unique (slots are disjoint), so no two slots tie on the
+    /// full key and a manual strict-minimum loop equals `min_by_key`.
+    /// That lets the contention count stop early: once a slot exceeds the
+    /// best count seen, it has already lost. Only the pending jobs that
+    /// fit the slots' hull are counted at all (see the module docs for
+    /// why that prefilter is exact).
+    fn least_contended(&mut self, fitting: &[(Time, Time)], pending: &[usize]) -> (Time, Time) {
+        let all = self.jobs.as_slice();
+        let hull = (fitting[0].0, fitting[fitting.len() - 1].1);
+        let mut rivals = std::mem::take(&mut self.rivals);
+        rivals.clear();
+        rivals.extend(
+            pending
+                .iter()
+                .copied()
+                .filter(|&p| fits_span(&all[p], hull)),
+        );
+        let mut pairs = 0usize;
+        let mut best = fitting[0];
+        let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
+        for &slot in fitting {
+            let cap = best_key.0;
+            let mut contention = 0usize;
+            let mut examined = rivals.len();
+            for (k, &p) in rivals.iter().enumerate() {
+                if fits_span(&all[p], slot) {
+                    contention += 1;
+                    if contention > cap {
+                        examined = k + 1;
+                        break;
                     }
                 }
-                best
+            }
+            pairs += examined;
+            let key = (contention, Self::usable(slot), slot.0);
+            if key < best_key {
+                best = slot;
+                best_key = key;
             }
         }
+        self.rivals = rivals;
+        self.work.lccd_rankings += 1;
+        self.work.prefilter_visits += pending.len() as u64;
+        self.work.contention_pairs += pairs as u64;
+        best
     }
 
     /// Case 2 (lines 15–17): find the run of consecutive slots whose total
@@ -372,6 +476,7 @@ impl<'a> Timeline<'a> {
     /// timing-accurate jobs; compact those jobs leftwards and place the job
     /// in the coalesced gap. Returns the job's start.
     fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> Option<Time> {
+        self.work.shift_calls += 1;
         let job = &self.jobs.as_slice()[job_idx];
         let n = slots.len();
         // Candidate runs [a..=b], ranked by (exact jobs shifted, start).
@@ -391,6 +496,7 @@ impl<'a> Timeline<'a> {
         candidates.sort_unstable();
         let mut placed = None;
         for &(_, a, b) in &candidates {
+            self.work.shift_candidates += 1;
             placed = self.try_compact_and_place(job_idx, slots[a].0, slots[b].1);
             if placed.is_some() {
                 break;
@@ -407,16 +513,31 @@ impl<'a> Timeline<'a> {
     }
 
     /// Shifts every placement inside `[lo, hi)` as early as allowed
-    /// (never before its release or `lo`'s preceding boundary), then tries
-    /// to place `job_idx` in the coalesced tail gap and returns its start.
-    /// Rolls back on failure.
+    /// (never before its release or `lo`), then places `job_idx` in the
+    /// coalesced tail gap and returns its start, or `None` (leaving the
+    /// timeline untouched) when the gap cannot hold the job.
     ///
     /// Compaction is deterministic, so the coalesced cursor is first
-    /// computed by a read-only dry run; the mutation (and its rollback
-    /// snapshot) only happens once the gap provably fits. Candidate runs
-    /// overwhelmingly *fail* — `allocate_with_shift` tries them in cost
-    /// order — and the dry run turns each failure from a full
-    /// clone/shift/sort/rollback cycle into a short window walk.
+    /// computed by a read-only dry run, and the timeline is only written
+    /// once the gap provably fits. Candidate runs overwhelmingly *fail*
+    /// — `allocate_with_shift` tries them in cost order — and the dry run
+    /// turns each failure into a short window walk.
+    ///
+    /// Once the dry run passes, the commit cannot fail, so it keeps no
+    /// rollback snapshot and never re-sorts:
+    ///
+    /// - `lo` and `hi` are bounds of free slots, so no placement
+    ///   straddles either. Every placement `window_range` returns lies
+    ///   inside `[lo, hi]`, every earlier one finishes by `lo`, and every
+    ///   later one starts at or after `hi`.
+    /// - Compacting that sorted, disjoint run leftwards from `lo` keeps
+    ///   it sorted and disjoint: each new start is at least the previous
+    ///   new finish and at most its old start, so the run stays inside
+    ///   `[lo, hi]` and `placed` stays sorted as a whole.
+    /// - The commit ends on the dry run's cursor, so the gap
+    ///   `[gap_lo, gap_lo + wcet)` is the one the dry run checked. It
+    ///   starts after every compacted finish and ends by `hi`, so it is
+    ///   free.
     fn try_compact_and_place(&mut self, job_idx: usize, lo: Time, hi: Time) -> Option<Time> {
         let all = self.jobs.as_slice();
         let job = &all[job_idx];
@@ -433,17 +554,18 @@ impl<'a> Timeline<'a> {
             };
             cursor = cursor.max(start + p.wcet);
         }
+        // The coalesced gap: from the last shifted finish to `hi`, clipped
+        // to the job's own window.
         let gap_lo = cursor.max(job.release());
         let gap_hi = hi.min(job.abs_deadline());
         if gap_hi.saturating_sub(gap_lo) < job.wcet() {
             return None;
         }
+        self.work.dry_run_passes += 1;
 
-        // Rollback snapshot into the reusable buffer: `clone_from` keeps
-        // its capacity across calls instead of allocating a fresh Vec.
-        let mut snapshot = std::mem::take(&mut self.snapshot);
-        snapshot.clone_from(&self.placed);
-
+        // Checked in debug builds: compaction keeps `placed` in start
+        // order, and keeps a disjoint timeline disjoint.
+        let was_disjoint = cfg!(debug_assertions) && sorted_and_disjoint(&self.placed);
         let mut cursor = lo;
         for p in &mut self.placed[first..past] {
             let new_start = cursor.max(all[p.job].release());
@@ -453,23 +575,17 @@ impl<'a> Timeline<'a> {
             }
             cursor = cursor.max(p.finish());
         }
-        self.placed.sort_by_key(|p| p.start);
-
-        // The coalesced gap: from the last shifted finish to `hi`, clipped
-        // to the job's own window.
-        let gap_lo = cursor.max(job.release());
-        let gap_hi = hi.min(job.abs_deadline());
-        let placed = if gap_hi.saturating_sub(gap_lo) >= job.wcet()
-            && self.is_free(gap_lo, gap_lo + job.wcet())
-        {
-            self.place(job_idx, gap_lo, false);
-            Some(gap_lo)
-        } else {
-            std::mem::swap(&mut self.placed, &mut snapshot);
-            None
-        };
-        self.snapshot = snapshot;
-        placed
+        debug_assert!(
+            self.placed.windows(2).all(|w| w[0].start <= w[1].start),
+            "compaction broke the start order"
+        );
+        debug_assert!(
+            !was_disjoint || sorted_and_disjoint(&self.placed),
+            "compaction made two executions overlap"
+        );
+        debug_assert!(cursor.max(job.release()) == gap_lo);
+        self.place(job_idx, gap_lo, false);
+        Some(gap_lo)
     }
 
     fn is_free(&self, lo: Time, hi: Time) -> bool {
@@ -513,7 +629,7 @@ impl<'a> Timeline<'a> {
 
     /// [`Timeline::into_schedule`], returning the timeline's buffers to
     /// `scratch` so the next [`Timeline::with_placements_in`] reuses
-    /// their capacity.
+    /// their capacity, and its work counters so they keep accumulating.
     #[must_use]
     pub fn into_schedule_in(self, scratch: &mut TimelineScratch) -> Schedule {
         let schedule = self
@@ -530,13 +646,15 @@ impl<'a> Timeline<'a> {
     }
 
     /// Drops the timeline without building a schedule, returning its
-    /// buffers to `scratch` like [`Timeline::into_schedule_in`] does.
+    /// buffers and counters to `scratch` like
+    /// [`Timeline::into_schedule_in`] does.
     pub(crate) fn recycle(self, scratch: &mut TimelineScratch) {
         scratch.placed = self.placed;
         scratch.slots = self.slots;
         scratch.fitting = self.fitting;
+        scratch.rivals = self.rivals;
         scratch.candidates = self.candidates;
-        scratch.snapshot = self.snapshot;
+        scratch.work = self.work;
     }
 
     /// Number of placements currently at their ideal instants.
@@ -569,6 +687,24 @@ fn push_clipped(out: &mut Vec<(Time, Time)>, s: Time, e: Time, lo: Time, hi: Tim
     if ce > cs {
         out.push((cs, ce));
     }
+}
+
+/// Whether every placement finishes by the next one's start: `placed`
+/// is in start order and no two executions overlap. Finishes are then
+/// monotone too, which `window_range`, `collect_slots` and `is_free`
+/// rely on. Placements of positive-WCET jobs always keep this; a
+/// zero-WCET placement inserted after a longer execution with the same
+/// start breaks it.
+fn sorted_and_disjoint(placed: &[Placed]) -> bool {
+    placed.windows(2).all(|w| w[0].finish() <= w[1].start)
+}
+
+/// Whether `job` can run to completion inside `span` intersected with its
+/// own window — the contention predicate of LCC-D.
+fn fits_span(job: &Job, (lo, hi): (Time, Time)) -> bool {
+    hi.min(job.abs_deadline())
+        .saturating_sub(lo.max(job.release()))
+        >= job.wcet()
 }
 
 /// Convenience used in tests and by the scheduler: a job's usable length in
@@ -885,5 +1021,261 @@ mod tests {
             }
             check(&tl, &format!("random timeline {round}"));
         }
+    }
+
+    /// A random job set on a `span` ms timeline with integer-ms windows.
+    /// With `zero_wcet`, about one job in six has zero WCET. About one
+    /// window in four runs to the horizon (`span`, which no deadline
+    /// exceeds).
+    fn random_jobs(rng: &mut rand::rngs::StdRng, n: u32, span: u64, zero_wcet: bool) -> JobSet {
+        use rand::RngExt;
+        let jobs = (0..n)
+            .map(|t| {
+                let release = rng.random_range(0..span - 1);
+                let deadline = if rng.random_range(0..4u32) == 0 {
+                    span
+                } else {
+                    rng.random_range(release + 1..=span)
+                };
+                let wcet = if zero_wcet && rng.random_range(0..6u32) == 0 {
+                    0
+                } else {
+                    rng.random_range(1..=(deadline - release).min(8))
+                };
+                let ideal = rng.random_range(release..=deadline - wcet);
+                job(t, release, ideal, deadline, wcet, rng.random_range(0..3u32))
+            })
+            .collect();
+        jobset(jobs, span)
+    }
+
+    /// Places a random subset of `js` at its ideal or a random instant
+    /// (when free) and returns the jobs left unplaced, shuffled.
+    fn seed_timeline(
+        rng: &mut rand::rngs::StdRng,
+        tl: &mut Timeline<'_>,
+        js: &JobSet,
+    ) -> Vec<usize> {
+        use rand::RngExt;
+        let mut left = Vec::new();
+        for i in 0..js.len() {
+            let j = &js.as_slice()[i];
+            let placed = match rng.random_range(0..3u32) {
+                0 => tl.try_place_ideal(i),
+                1 => {
+                    let room = j.latest_start().saturating_sub(j.release());
+                    let at = j.release()
+                        + Duration::from_millis(rng.random_range(0..=room.as_micros() / 1000));
+                    tl.try_place_at(i, at)
+                }
+                _ => false,
+            };
+            if !placed {
+                left.push(i);
+            }
+        }
+        for k in (1..left.len()).rev() {
+            left.swap(k, rng.random_range(0..=k));
+        }
+        left
+    }
+
+    /// The full-pending LCC-D scan the prefilter replaced: every pending
+    /// job is tested against every fitting slot.
+    fn reference_lccd(
+        tl: &Timeline<'_>,
+        fitting: &[(Time, Time)],
+        pending: &[usize],
+    ) -> (Time, Time) {
+        let all = tl.jobs.as_slice();
+        let mut best = fitting[0];
+        let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
+        for &slot in fitting {
+            let contention = pending
+                .iter()
+                .filter(|&&p| {
+                    let other = &all[p];
+                    let olo = slot.0.max(other.release());
+                    let ohi = slot.1.min(other.abs_deadline());
+                    ohi.saturating_sub(olo) >= other.wcet()
+                })
+                .count();
+            let key = (contention, Timeline::usable(slot), slot.0);
+            if key < best_key {
+                best = slot;
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    /// The allocator with a clone-and-rollback shift: every candidate run
+    /// snapshots the timeline, compacts, re-sorts, and restores the
+    /// snapshot when the coalesced gap does not take the job.
+    fn reference_allocate(
+        tl: &mut Timeline<'_>,
+        job_idx: usize,
+        pending: &[usize],
+    ) -> Option<Time> {
+        let all = tl.jobs.as_slice();
+        let job = &all[job_idx];
+        let slots = tl.slots_within(job.release(), job.abs_deadline());
+        let fitting: Vec<_> = slots
+            .iter()
+            .copied()
+            .filter(|&s| Timeline::usable(s) >= job.wcet())
+            .collect();
+        if !fitting.is_empty() {
+            let slot = reference_lccd(tl, &fitting, pending);
+            tl.place(job_idx, slot.0, false);
+            return Some(slot.0);
+        }
+        if slots.iter().map(|&s| Timeline::usable(s)).sum::<Duration>() < job.wcet() {
+            return None;
+        }
+        let mut candidates = Vec::new();
+        for a in 0..slots.len() {
+            let mut total = Duration::ZERO;
+            for b in a..slots.len() {
+                total += Timeline::usable(slots[b]);
+                if total >= job.wcet() {
+                    candidates.push((tl.exact_between(slots[a].0, slots[b].1), a, b));
+                    break;
+                }
+            }
+        }
+        candidates.sort_unstable();
+        for (_, a, b) in candidates {
+            let (lo, hi) = (slots[a].0, slots[b].1);
+            let snapshot = tl.placed.clone();
+            let (first, past) = tl.window_range(lo, hi);
+            let mut cursor = lo;
+            for p in &mut tl.placed[first..past] {
+                let new_start = cursor.max(all[p.job].release());
+                if new_start < p.start {
+                    p.start = new_start;
+                    p.exact = false;
+                }
+                cursor = cursor.max(p.finish());
+            }
+            tl.placed.sort_by_key(|p| p.start);
+            let gap_lo = cursor.max(job.release());
+            let gap_hi = hi.min(job.abs_deadline());
+            if gap_hi.saturating_sub(gap_lo) >= job.wcet()
+                && tl.is_free(gap_lo, gap_lo + job.wcet())
+            {
+                tl.place(job_idx, gap_lo, false);
+                return Some(gap_lo);
+            }
+            tl.placed = snapshot;
+        }
+        None
+    }
+
+    /// The hull prefilter never changes the LCC-D choice: on random
+    /// timelines and random pending suffixes, `pick_slot` agrees with the
+    /// full-pending scan, zero-WCET jobs and horizon-clipped windows
+    /// included.
+    #[test]
+    fn pick_slot_matches_the_full_pending_scan() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut single, mut ranked, mut zero_wcet_rivals, mut at_horizon) = (0, 0, 0, 0);
+        for round in 0..3000 {
+            let n = rng.random_range(2..24u32);
+            let span = rng.random_range(12..80u64);
+            let js = random_jobs(&mut rng, n, span, true);
+            let mut tl = Timeline::with_exact_jobs(&js, &[]);
+            let left = seed_timeline(&mut rng, &mut tl, &js);
+            let Some((&target, rest)) = left.split_first() else {
+                continue;
+            };
+            let job = &js.as_slice()[target];
+            let fitting: Vec<_> = tl
+                .slots_within(job.release(), job.abs_deadline())
+                .into_iter()
+                .filter(|&s| Timeline::usable(s) >= job.wcet())
+                .collect();
+            if fitting.is_empty() {
+                continue;
+            }
+            let pending = &rest[rng.random_range(0..=rest.len())..];
+            let want = reference_lccd(&tl, &fitting, pending);
+            let got = tl.pick_slot(
+                &fitting,
+                pending,
+                SlotPolicy::LeastContentionCapacityDecreasing,
+            );
+            assert_eq!(
+                got, want,
+                "round {round}: fitting {fitting:?}, pending {pending:?}"
+            );
+            if fitting.len() == 1 {
+                single += 1;
+            } else {
+                ranked += 1;
+                zero_wcet_rivals += usize::from(
+                    pending
+                        .iter()
+                        .any(|&p| js.as_slice()[p].wcet() == Duration::ZERO),
+                );
+                at_horizon += usize::from(fitting[fitting.len() - 1].1 == js.horizon());
+            }
+        }
+        assert!(
+            single > 100 && ranked > 500,
+            "{single} single, {ranked} ranked"
+        );
+        assert!(
+            zero_wcet_rivals > 100 && at_horizon > 100,
+            "{zero_wcet_rivals}, {at_horizon}"
+        );
+    }
+
+    /// The rollback-free shift commits exactly what a clone-and-rollback
+    /// shift commits: after every `allocate` of a random sequence the
+    /// timeline equals the reference's, and is sorted and disjoint.
+    ///
+    /// Disjointness is only asserted for job sets without zero-WCET jobs:
+    /// `is_free` looks at the last placement starting before an interval
+    /// ends, and a zero-length placement sharing its start with a longer
+    /// one can hide that one from it. Both allocators share that
+    /// behaviour (the equality still holds), and validated tasks always
+    /// have a positive WCET.
+    #[test]
+    fn allocate_matches_a_clone_and_rollback_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut scratch = TimelineScratch::default();
+        let mut positive_rounds = 0;
+        for round in 0..1500 {
+            let n = rng.random_range(4..28u32);
+            let span = rng.random_range(16..64u64);
+            let js = random_jobs(&mut rng, n, span, round % 2 == 1);
+            let mut tl = Timeline::with_placements_in(&js, &[], &mut scratch);
+            let left = seed_timeline(&mut rng, &mut tl, &js);
+            let positive = js.iter().all(|j| j.wcet() > Duration::ZERO);
+            positive_rounds += usize::from(positive);
+            for (k, &idx) in left.iter().enumerate() {
+                let pending = &left[k + 1..];
+                let mut reference = tl.clone();
+                let want = reference_allocate(&mut reference, idx, pending);
+                let got = tl.allocate(idx, pending, SlotPolicy::default());
+                let case = format!("round {round}, job {idx}");
+                assert_eq!(got, want, "{case}");
+                assert_eq!(tl.placed, reference.placed, "{case}");
+                if positive {
+                    assert!(sorted_and_disjoint(&tl.placed), "{case}: {:?}", tl.placed);
+                }
+            }
+            tl.recycle(&mut scratch);
+        }
+        let work = scratch.work();
+        assert!(positive_rounds >= 750, "{positive_rounds}");
+        assert!(work.dry_run_passes > 200, "{work:?}");
+        assert!(work.shift_candidates > work.dry_run_passes, "{work:?}");
+        assert!(work.lccd_rankings > 1000, "{work:?}");
     }
 }

@@ -23,7 +23,7 @@ pub mod lccd;
 pub mod repair;
 
 pub use graph::ConflictGraph;
-pub use lccd::{SlotPolicy, Timeline, TimelineScratch};
+pub use lccd::{LadderWork, SlotPolicy, Timeline, TimelineScratch};
 pub use repair::{
     repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairOutcome,
     RepairScratch,
@@ -95,35 +95,48 @@ impl Scheduler for StaticScheduler {
     /// sacrificed job the allocator could not place (Algorithm 1 line
     /// 19), with the partial Ψ/Υ of the committed placements.
     fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
-        check_capacity(jobs)?;
-        let graph = ConflictGraph::build(jobs);
-        let (exact, sacrificed) = graph.decompose(jobs);
-        let mut timeline = Timeline::with_exact_jobs(jobs, &exact);
-
-        // Allocate sacrificed jobs, largest Pi first (Algorithm 1 line 11).
-        let all = jobs.as_slice();
-        let mut order = sacrificed;
-        order.sort_by(|&a, &b| {
-            all[b]
-                .priority()
-                .cmp(&all[a].priority())
-                .then(all[a].release().cmp(&all[b].release()))
-                .then(all[a].id().task.cmp(&all[b].id().task))
-        });
-        for pos in 0..order.len() {
-            let idx = order[pos];
-            let pending = &order[pos + 1..];
-            if timeline.allocate(idx, pending, self.policy).is_none() {
-                // Algorithm 1 line 19: {infeasible, 0} — enriched with
-                // where the allocation died and how far it got.
-                let (psi, upsilon) = timeline.partial_quality(&mut Vec::new());
-                return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-                    .with_jobs([all[idx].id()])
-                    .with_partial(psi, upsilon));
-            }
-        }
-        Ok(timeline.into_schedule())
+        synthesize_in(jobs, self.policy, &mut TimelineScratch::default())
     }
+}
+
+/// Algorithm 1 under `policy`, on the buffers and work counters of
+/// `scratch`: the one body behind [`StaticScheduler::schedule`] (fresh
+/// scratch) and the repair ladder's re-synthesis tier (the ladder's
+/// scratch). Errors as [`StaticScheduler::schedule`] documents.
+pub(crate) fn synthesize_in(
+    jobs: &JobSet,
+    policy: SlotPolicy,
+    scratch: &mut TimelineScratch,
+) -> Result<Schedule, Infeasible> {
+    check_capacity(jobs)?;
+    let graph = ConflictGraph::build(jobs);
+    let (exact, sacrificed) = graph.decompose(jobs);
+    let mut timeline = Timeline::with_exact_jobs_in(jobs, &exact, scratch);
+
+    // Allocate sacrificed jobs, largest Pi first (Algorithm 1 line 11).
+    let all = jobs.as_slice();
+    let mut order = sacrificed;
+    order.sort_by(|&a, &b| {
+        all[b]
+            .priority()
+            .cmp(&all[a].priority())
+            .then(all[a].release().cmp(&all[b].release()))
+            .then(all[a].id().task.cmp(&all[b].id().task))
+    });
+    for pos in 0..order.len() {
+        let idx = order[pos];
+        let pending = &order[pos + 1..];
+        if timeline.allocate(idx, pending, policy).is_none() {
+            // Algorithm 1 line 19: {infeasible, 0} — enriched with
+            // where the allocation died and how far it got.
+            let (psi, upsilon) = timeline.partial_quality(&mut Vec::new());
+            timeline.recycle(scratch);
+            return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
+                .with_jobs([all[idx].id()])
+                .with_partial(psi, upsilon));
+        }
+    }
+    Ok(timeline.into_schedule_in(scratch))
 }
 
 #[cfg(test)]

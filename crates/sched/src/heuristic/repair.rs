@@ -35,9 +35,8 @@
 //! `Σ ⌊(b − a)/Ti⌋·Ci ≤ U·(b − a) ≤ b − a` once the gate has ensured
 //! `U ≤ 1`.
 
-use super::lccd::{placement_quality, SlotPolicy, Timeline, TimelineScratch};
-use super::StaticScheduler;
-use crate::scheduler::Scheduler;
+use super::lccd::{placement_quality, LadderWork, SlotPolicy, Timeline, TimelineScratch};
+use super::synthesize_in;
 use std::collections::{HashMap, HashSet};
 use tagio_core::job::{Job, JobId, JobSet};
 use tagio_core::metrics;
@@ -56,7 +55,9 @@ use tagio_core::time::{Duration, Time};
 /// those collections' capacity across calls. Every buffer is cleared
 /// before use: a reused scratch produces bit-identical results to a
 /// fresh (`Default`) one, so one-off callers pass
-/// `&mut RepairScratch::default()`.
+/// `&mut RepairScratch::default()`. The scratch also accumulates the
+/// allocator's [`LadderWork`] counters over every ladder tier it ran,
+/// the re-synthesis tier included.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
     /// Per job position, its base start when that placement is still
@@ -79,6 +80,14 @@ pub struct RepairScratch {
     order: Vec<(Time, usize)>,
     by_job: Vec<Option<Time>>,
     timeline: TimelineScratch,
+}
+
+impl RepairScratch {
+    /// The allocator work counted over every call that used this scratch.
+    #[must_use]
+    pub fn work(&self) -> LadderWork {
+        self.timeline.work()
+    }
 }
 
 /// How a repaired schedule was obtained.
@@ -411,18 +420,18 @@ pub fn repair_or_resynthesize_in(
             resynthesized: false,
         });
     }
-    StaticScheduler::with_policy(policy)
-        .schedule(jobs)
-        .map(|schedule| RepairOutcome {
-            schedule,
-            replaced: jobs.len(),
-            resynthesized: true,
-        })
+    synthesize_in(jobs, policy, &mut scratch.timeline).map(|schedule| RepairOutcome {
+        schedule,
+        replaced: jobs.len(),
+        resynthesized: true,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristic::StaticScheduler;
+    use crate::scheduler::Scheduler;
     use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
     use tagio_core::time::Duration;
 

@@ -72,7 +72,8 @@ pub use ga_sched::{reconfigure, GaScheduleResult, GaScheduler};
 pub use gpiocp::Gpiocp;
 pub use heuristic::{
     repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, ConflictGraph,
-    RepairOutcome, RepairScratch, SlotPolicy, StaticScheduler, Timeline, TimelineScratch,
+    LadderWork, RepairOutcome, RepairScratch, SlotPolicy, StaticScheduler, Timeline,
+    TimelineScratch,
 };
 pub use optimal::OptimalPsi;
 pub use registry::{
