@@ -303,11 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_fold_agrees_with_sched_method_stats() {
-        // Scheduler-backed outcomes and tagio_sched::MethodStats are two
-        // folds over the same SchedulingReports; this pins them to the
-        // same "among schedulable systems" semantics.
-        use tagio_sched::{MethodStats, SchedulingReport};
+    fn scheduler_fold_summarises_schedulable_systems_only() {
+        // The paper's figures average Ψ/Υ "among schedulable systems":
+        // the infeasible report counts as a sample but adds no Ψ/Υ.
+        use tagio_sched::SchedulingReport;
         let reports = [
             SchedulingReport {
                 method: "static".into(),
@@ -331,14 +330,15 @@ mod tests {
                 diagnostic: None,
             },
         ];
-        let stats = MethodStats::collect("static", reports.iter());
         let outcomes: Vec<Outcome> = reports.iter().map(Outcome::from_report).collect();
         let row = MethodReport::from_outcomes("static", &outcomes);
-        assert_eq!(row.samples, stats.samples);
-        assert_eq!(row.feasible, stats.schedulable);
-        assert!((row.feasible_fraction() - stats.schedulable_fraction()).abs() < 1e-12);
-        assert_eq!(*row.metric("psi").unwrap(), stats.psi);
-        assert_eq!(*row.metric("upsilon").unwrap(), stats.upsilon);
+        assert_eq!((row.samples, row.feasible), (3, 2));
+        assert!((row.feasible_fraction() - 2.0 / 3.0).abs() < 1e-12);
+        let psi = row.metric("psi").unwrap();
+        assert_eq!((psi.count(), psi.min(), psi.max()), (2, 0.4, 1.0));
+        let upsilon = row.metric("upsilon").unwrap();
+        assert_eq!(upsilon.count(), 2);
+        assert!((upsilon.mean() - 0.7).abs() < 1e-12);
     }
 
     #[test]

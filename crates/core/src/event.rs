@@ -155,47 +155,6 @@ impl SystemEvent {
     }
 }
 
-/// Routing metadata a fleet router stamps on an event when dispatching it
-/// to a partition: where the event came from, where it was sent, and which
-/// placement attempt this is (`0` = the policy's first choice, `k` = the
-/// `k`-th cross-partition retry after a rejection).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoutedEvent {
-    /// The event as offered to the target partition (arrivals are already
-    /// retargeted to `target`).
-    pub event: SystemEvent,
-    /// The partition the event originally named, if any (the arrival's
-    /// device before routing, a spike's device).
-    pub origin: Option<DeviceId>,
-    /// The partition the router chose.
-    pub target: DeviceId,
-    /// Placement attempt number: `0` for the first offer, incremented on
-    /// every cross-partition admission retry.
-    pub attempt: u32,
-}
-
-impl RoutedEvent {
-    /// Routes `event` to `target` as attempt number `attempt`, recording
-    /// the event's own device as the origin and retargeting it to the
-    /// chosen partition.
-    #[must_use]
-    pub fn dispatch(event: &SystemEvent, target: DeviceId, attempt: u32) -> RoutedEvent {
-        RoutedEvent {
-            origin: event.device(),
-            event: event.retargeted(target),
-            target,
-            attempt,
-        }
-    }
-
-    /// `true` when the router moved the event away from the partition it
-    /// originally named (a migration).
-    #[must_use]
-    pub fn migrated(&self) -> bool {
-        self.origin.is_some_and(|o| o != self.target)
-    }
-}
-
 /// A [`SystemEvent`] stamped with its occurrence instant (relative to the
 /// schedule epoch). Event traces are ordered by `at`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -348,25 +307,6 @@ mod tests {
             Some(DeviceId(5)),
             "deaths follow the new partition"
         );
-    }
-
-    #[test]
-    fn routed_events_track_origin_and_migration() {
-        let routed = RoutedEvent::dispatch(&SystemEvent::Arrival(task(0)), DeviceId(2), 0);
-        assert_eq!(routed.origin, Some(DeviceId(0)));
-        assert_eq!(routed.target, DeviceId(2));
-        assert!(routed.migrated());
-        match &routed.event {
-            SystemEvent::Arrival(t) => assert_eq!(t.device(), DeviceId(2)),
-            other => panic!("{other:?}"),
-        }
-        let home = RoutedEvent::dispatch(&SystemEvent::Arrival(task(0)), DeviceId(0), 1);
-        assert!(!home.migrated());
-        assert_eq!(home.attempt, 1);
-        // Device-free events never count as migrated.
-        let depart = RoutedEvent::dispatch(&SystemEvent::Departure(TaskId(0)), DeviceId(3), 0);
-        assert_eq!(depart.origin, None);
-        assert!(!depart.migrated());
     }
 
     #[test]

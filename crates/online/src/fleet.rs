@@ -1056,20 +1056,21 @@ impl FleetScheduler {
             let mut results = std::mem::take(&mut self.staging.results);
             for (p, lane_results) in results.iter_mut().enumerate() {
                 for (i, outcome) in lane_results.drain(..) {
-                    self.commit_wave_offer(p, i, outcome, events, outcomes);
+                    self.commit_offer(p, i, outcome, events, outcomes);
                 }
             }
             self.staging.results = results;
         }
     }
 
-    /// Commits one retry-wave offer: ownership, counters and the final
-    /// outcome on admission; a carried diagnostic on rejection (the
-    /// plan stays pending for the next wave or final attribution).
-    /// Lane indices at or past `n_events` are orphan rehoming offers —
-    /// their resolutions land in the per-orphan results, not the
-    /// epoch's outcome slots.
-    fn commit_wave_offer(
+    /// Commits one offer, from the lane phase or a retry wave:
+    /// ownership, counters and the final outcome on admission; a carried
+    /// diagnostic on rejection (the plan stays pending for the next wave
+    /// or final attribution). A lane-phase admission is a plan with
+    /// `attempts == 1`. Lane indices at or past `events.len()` are
+    /// orphan rehoming offers — their resolutions land in the
+    /// per-orphan results, not the epoch's outcome slots.
+    fn commit_offer(
         &mut self,
         p: usize,
         i: usize,
@@ -1103,14 +1104,17 @@ impl FleetScheduler {
                         c.admitted += 1;
                     }
                 }
-                self.stats.retry_admissions += 1;
+                let plan = &self.staging.plans[k];
+                if plan.attempts > 1 {
+                    self.stats.retry_admissions += 1;
+                }
                 let device = self.partitions[p].device();
-                if device != self.staging.plans[k].origin {
+                if device != plan.origin {
                     self.stats.migrations += 1;
                 }
                 outcomes[i] = Some(FleetOutcome {
                     partition: Some(device),
-                    attempts: self.staging.plans[k].attempts,
+                    attempts: plan.attempts,
                     outcome,
                 });
             }
@@ -1185,6 +1189,7 @@ impl FleetScheduler {
     }
 
     /// Commits one parallel-phase outcome: ownership and fleet counters.
+    /// Arrival offers go through [`Self::commit_offer`].
     fn commit(
         &mut self,
         p: usize,
@@ -1195,41 +1200,11 @@ impl FleetScheduler {
         mode_acc: &mut BTreeMap<usize, (Vec<TaskId>, Vec<TaskId>)>,
     ) {
         let device = self.partitions[p].device();
-        let plan_ix = self.staging.plan_of.get(i).copied().unwrap_or(usize::MAX);
         match outcome {
-            EventOutcome::Admitted { task, .. } => {
-                self.owner.insert(task, p);
-                if plan_ix != usize::MAX {
-                    self.stats.admitted += 1;
-                    if let SystemEvent::Arrival(t) = &events[i] {
-                        if let Some(c) = self.stats.tenant_entry(t.tenant()) {
-                            c.admitted += 1;
-                        }
-                    }
-                    if device != self.staging.plans[plan_ix].origin {
-                        self.stats.migrations += 1;
-                    }
-                }
-                outcomes[i] = Some(FleetOutcome {
-                    partition: Some(device),
-                    attempts: 1,
-                    outcome,
-                });
-            }
-            EventOutcome::Rejected { task, reason } => {
-                self.record_partition_reject(p, &reason);
-                if plan_ix != usize::MAX {
-                    // Leave the outcome slot empty: phase 4 retries. The
-                    // reason moves into the plan — no clone on the
-                    // gate-saturated hot path.
-                    self.staging.plans[plan_ix].carried.push(reason);
-                } else {
-                    outcomes[i] = Some(FleetOutcome {
-                        partition: Some(device),
-                        attempts: 0,
-                        outcome: EventOutcome::Rejected { task, reason },
-                    });
-                }
+            // Only a staged arrival's offer admits or rejects; it commits
+            // exactly like a retry-wave offer.
+            EventOutcome::Admitted { .. } | EventOutcome::Rejected { .. } => {
+                self.commit_offer(p, i, outcome, events, outcomes);
             }
             EventOutcome::Departed { task } => {
                 // Only the recorded owner may release the id: a same-batch

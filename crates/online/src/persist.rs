@@ -835,7 +835,6 @@ impl FleetScheduler {
             epoch: self.stats().epochs,
             seed: self.config().seed,
             events: events.to_vec(),
-            routed: Vec::new(),
             digests: self
                 .partitions()
                 .iter()

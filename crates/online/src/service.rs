@@ -22,10 +22,12 @@
 //!    falling back to full LCC-D re-synthesis, falling back (only under a
 //!    pre-check guarantee) to the FPS schedule.
 //!
-//! Departures shrink the schedule in place. Mode changes are batches of
-//! departures and re-admissions from the known-task pool. Utilisation
-//! spikes rescale every active WCET and, when the result no longer fits,
-//! shed active tasks until it does — best-effort and over-quota tenants
+//! Departures filter the live schedule: the survivors keep every
+//! placement, and the departed task's rows leave the hyper-period table
+//! (§III.C). Mode changes are batches of departures and re-admissions
+//! from the known-task pool. Utilisation spikes rescale every active
+//! WCET and, when the result no longer fits, shed active tasks until it
+//! does — best-effort and over-quota tenants
 //! first (per the installed [`TenantRegistry`]), then in quality order
 //! (smallest `Vmax` first). With no registry installed the order is the
 //! pre-tenant quality-only one.
@@ -38,7 +40,7 @@ use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
-use tagio_sched::heuristic::repair::{repair_in, repair_or_resynthesize_in, retime_in};
+use tagio_sched::heuristic::repair::{repair_or_resynthesize_in, retime_in};
 use tagio_sched::heuristic::{SlotPolicy, StaticScheduler};
 use tagio_sched::{AnalysisCache, FpsOffline, LadderWork, RepairScratch, Scheduler};
 
@@ -408,14 +410,10 @@ impl OnlineScheduler {
         else {
             return Err(tasks);
         };
-        debug_assert!(schedule.validate(&jobs).is_ok());
         for t in &tasks {
             svc.pool.insert(t.id(), t.clone());
         }
-        svc.tasks = tasks;
-        svc.jobs = jobs;
-        svc.schedule = schedule;
-        svc.quality = metrics::quality(&svc.schedule, &svc.jobs);
+        svc.install(tasks, jobs, schedule);
         Ok(svc)
     }
 
@@ -442,25 +440,12 @@ impl OnlineScheduler {
         schedule
             .validate(&jobs)
             .map_err(|e| format!("snapshot schedule invalid for {device}: {e}"))?;
-        let quality = if jobs.is_empty() {
-            (1.0, 1.0)
-        } else {
-            metrics::quality(&schedule, &jobs)
-        };
-        Ok(OnlineScheduler {
-            device,
-            strategy: RepairStrategy::default(),
-            tasks: active,
-            pool,
-            spike_percent: spike_percent.max(1),
-            jobs,
-            schedule,
-            cache: AnalysisCache::new(),
-            stats,
-            quality,
-            scratch: RepairScratch::default(),
-            registry: TenantRegistry::new(),
-        })
+        let mut svc = OnlineScheduler::new(device);
+        svc.pool = pool;
+        svc.spike_percent = spike_percent.max(1);
+        svc.stats = stats;
+        svc.install(active, jobs, schedule);
+        Ok(svc)
     }
 
     /// Installs the tenant registry consulted by overload shedding (the
@@ -588,13 +573,12 @@ impl OnlineScheduler {
             .iter()
             .map(|t| self.pool.get(&t.id()).cloned().unwrap_or_else(|| t.clone()))
             .collect();
-        self.tasks = TaskSet::new();
+        let empty = TaskSet::new();
+        let jobs = JobSet::expand(&empty);
+        self.install(empty, jobs, Schedule::new());
         self.pool.clear();
         self.spike_percent = 100;
-        self.jobs = JobSet::from_jobs(Vec::new(), tagio_core::time::Duration::ZERO);
-        self.schedule = Schedule::new();
         self.cache.clear();
-        self.quality = (1.0, 1.0);
         // The repair scratch stays: its buffers are cleared before every
         // use, and its work counters cover the partition's whole life.
         EventOutcome::PartitionDied {
@@ -723,10 +707,7 @@ impl OnlineScheduler {
             Ok((jobs, outcome, latency)) => {
                 let replaced = outcome.replaced;
                 let resynthesized = outcome.resynthesized;
-                self.tasks = candidate;
-                self.jobs = jobs;
-                self.schedule = outcome.schedule;
-                self.quality = metrics::quality(&self.schedule, &self.jobs);
+                self.install(candidate, jobs, outcome.schedule);
                 self.pool.insert(id, nominal.retarget(self.device));
                 self.stats.admitted += 1;
                 if let Some(c) = self.stats.tenant_entry(effective.tenant()) {
@@ -772,52 +753,29 @@ impl OnlineScheduler {
         EventOutcome::Departed { task: id }
     }
 
-    /// Commits a shrink of the active set to `remaining` (a subset):
-    /// incremental pins every surviving placement (always feasible), the
-    /// full-re-synthesis baseline re-runs Algorithm 1 (its defining
-    /// cost) with the pinning repair as a safety net. Callers handle
-    /// cache invalidation and stats.
+    /// Commits a shrink of the active set to `remaining` (a subset) by
+    /// filtering the live schedule down to the survivors' jobs; the
+    /// full-re-synthesis baseline re-runs Algorithm 1 first (its defining
+    /// cost) and filters only if that fails. Callers handle cache
+    /// invalidation and stats.
     ///
-    /// This path can never fail: removing tasks only removes jobs, and a
-    /// feasible schedule restricted to a subset of its jobs stays
-    /// feasible. Should a repair tier still decline (a solver bug, not an
-    /// input condition), the live placements are filtered down directly
-    /// instead of panicking — departures on the hot path must always
-    /// land.
+    /// The filter is exact and cannot fail. The survivors' hyper-period
+    /// `H′` divides the old `H`, and job `j` of a task has the same
+    /// release, window and WCET under either expansion, so every
+    /// surviving job already has a placement that satisfies Constraint 1.
+    /// Dropping rows only frees device time, so Constraint 2 still holds.
+    /// It is the schedule `repair_in` returns here, since that pins every
+    /// placement that still fits and has nothing left to place.
     fn shrink_to(&mut self, remaining: TaskSet) {
         let jobs = JobSet::expand(&remaining);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (schedule, timed) = time(|| {
-            let repaired = |scratch: &mut RepairScratch| {
-                repair_in(&jobs, &self.schedule, SlotPolicy::default(), scratch).map(|(s, _)| s)
-            };
-            match self.strategy {
-                RepairStrategy::Incremental => repaired(&mut scratch),
-                RepairStrategy::FullResynthesis => StaticScheduler::new()
-                    .schedule(&jobs)
-                    .or_else(|_| repaired(&mut scratch)),
-            }
-            .unwrap_or_else(|_| {
-                // Infallible last resort: keep exactly the surviving
-                // jobs' validated placements. The new hyper-period
-                // divides the old one, so every remaining job id already
-                // has an entry.
-                let keep: std::collections::BTreeSet<tagio_core::job::JobId> =
-                    jobs.iter().map(tagio_core::job::Job::id).collect();
-                self.schedule
-                    .iter()
-                    .filter(|e| keep.contains(&e.job))
-                    .copied()
-                    .collect()
-            })
+        let (schedule, timed) = time(|| match self.strategy {
+            RepairStrategy::Incremental => restrict(&self.schedule, &remaining),
+            RepairStrategy::FullResynthesis => StaticScheduler::new()
+                .schedule(&jobs)
+                .unwrap_or_else(|_| restrict(&self.schedule, &remaining)),
         });
-        self.scratch = scratch;
         self.record_construction(timed);
-        debug_assert!(schedule.validate(&jobs).is_ok());
-        self.tasks = remaining;
-        self.jobs = jobs;
-        self.schedule = schedule;
-        self.quality = metrics::quality(&self.schedule, &self.jobs);
+        self.install(remaining, jobs, schedule);
     }
 
     fn on_mode_change(&mut self, mode: &Mode) -> EventOutcome {
@@ -905,7 +863,7 @@ impl OnlineScheduler {
             }
         }
         // Then shed in quality order until a feasible schedule exists.
-        loop {
+        let (candidate, jobs, schedule) = loop {
             let candidate: TaskSet = survivors.iter().cloned().collect();
             let jobs = JobSet::expand(&candidate);
             let mut scratch = std::mem::take(&mut self.scratch);
@@ -934,28 +892,16 @@ impl OnlineScheduler {
             self.scratch = scratch;
             self.record_construction(timed);
             if let Ok(schedule) = result {
-                debug_assert!(schedule.validate(&jobs).is_ok());
-                self.cache.clear(); // every WCET changed
-                self.tasks = candidate;
-                self.jobs = jobs;
-                self.schedule = schedule;
-                self.quality = metrics::quality(&self.schedule, &self.jobs);
-                self.stats.shed += shed.len();
-                return EventOutcome::SpikeApplied { percent, shed };
+                break (candidate, jobs, schedule);
             }
             // Drop the lowest shed rank (best-effort, then over-quota
             // guaranteed) and, within a rank, the smallest peak quality
             // (ties: larger id first, so older/higher-value streams
             // survive).
             let Some(victim) = shed_victim(&self.registry, &survivors) else {
-                // Nothing left to shed: an empty set is trivially valid.
-                self.cache.clear();
-                self.tasks = TaskSet::new();
-                self.jobs = JobSet::from_jobs(Vec::new(), tagio_core::time::Duration::ZERO);
-                self.schedule = Schedule::new();
-                self.quality = (1.0, 1.0);
-                self.stats.shed += shed.len();
-                return EventOutcome::SpikeApplied { percent, shed };
+                // Nothing left to shed: `survivors` is empty, so `jobs`
+                // is too, and the empty schedule is trivially valid.
+                break (candidate, jobs, Schedule::new());
             };
             let victim = survivors.remove(victim);
             shed.push(victim.id());
@@ -963,7 +909,11 @@ impl OnlineScheduler {
             if let Some(c) = self.stats.tenant_entry(victim.tenant()) {
                 c.shed += 1;
             }
-        }
+        };
+        self.cache.clear(); // every WCET changed
+        self.install(candidate, jobs, schedule);
+        self.stats.shed += shed.len();
+        EventOutcome::SpikeApplied { percent, shed }
     }
 
     /// Builds the schedule for `candidate` (arrival path). Returns the
@@ -1029,7 +979,6 @@ impl OnlineScheduler {
         self.stats.admission_time += latency;
         self.stats.admission_events += 1;
         let outcome = result?;
-        debug_assert!(outcome.schedule.validate(&jobs).is_ok());
         if outcome.resynthesized {
             self.stats.resyntheses += 1;
         } else {
@@ -1042,6 +991,37 @@ impl OnlineScheduler {
         self.stats.repair_time += latency;
         self.stats.repair_events += 1;
     }
+
+    /// Commits a new partition state: the active set, its jobs and their
+    /// validated schedule. Every state change goes through here, so the
+    /// cached Ψ/Υ always matches the live schedule.
+    fn install(&mut self, tasks: TaskSet, jobs: JobSet, schedule: Schedule) {
+        debug_assert!(schedule.validate(&jobs).is_ok());
+        self.quality = metrics::quality(&schedule, &jobs);
+        self.tasks = tasks;
+        self.jobs = jobs;
+        self.schedule = schedule;
+    }
+}
+
+/// The rows of `schedule` that belong to `remaining`'s jobs over its own
+/// hyper-period `H′`: job `j` of a task with period `T` stays when
+/// `j < H′/T`. Start order is kept.
+fn restrict(schedule: &Schedule, remaining: &TaskSet) -> Schedule {
+    let hyperperiod = remaining.hyperperiod();
+    let releases: BTreeMap<TaskId, u64> = remaining
+        .iter()
+        .map(|t| (t.id(), hyperperiod / t.period()))
+        .collect();
+    schedule
+        .iter()
+        .filter(|e| {
+            releases
+                .get(&e.job.task)
+                .is_some_and(|&n| u64::from(e.job.index) < n)
+        })
+        .copied()
+        .collect()
 }
 
 /// Index of the shedding victim: lowest [`crate::tenant::ShedRank`]

@@ -1,13 +1,12 @@
 //! Durable write-ahead log for the fleet epoch pipeline.
 //!
 //! Every [`FleetScheduler::apply_batch`](crate::FleetScheduler::apply_batch)
-//! epoch can be journalled as an [`EpochRecord`]: the routed event batch
-//! (the replay payload), optional [`RoutedEvent`] observability notes
-//! (which partition each offer actually went to — metadata the plain
-//! trace format drops), and a **commit line** carrying the epoch id, the
+//! epoch can be journalled as an [`EpochRecord`]: the epoch's event batch
+//! (the replay payload) and a **commit line** carrying the epoch id, the
 //! fleet seed and per-partition digests of the post-commit schedules and
-//! stats. `crate::persist` replays the suffix of a log on top of a
-//! [`FleetSnapshot`](crate::persist::FleetSnapshot) and checks every
+//! stats. Replay re-derives where every offer went, so the log records
+//! no routing metadata. `crate::persist` replays the suffix of a log on
+//! top of a [`FleetSnapshot`](crate::persist::FleetSnapshot) and checks every
 //! commit digest, so divergence is detected at the epoch that caused it
 //! rather than at the end of recovery.
 //!
@@ -18,7 +17,6 @@
 //! epoch 3
 //! ev arrive t5 d0 c=120 t=30000 dl=30000 o=0 delta=7500 theta=7500 p=8 vmax=9 vmin=0
 //! ev depart t2
-//! routed from=d0 to=d1 attempt=1 arrive t5 d1 c=120 ...
 //! commit 3 seed=2020 events=2 d0=00000000deadbeef:00000000cafebabe d1=...
 //! ```
 //!
@@ -31,7 +29,7 @@ use crate::scenario::{format_event_body, kv, parse_event_body, tagged};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tagio_core::event::{RoutedEvent, SystemEvent};
+use tagio_core::event::SystemEvent;
 use tagio_core::task::DeviceId;
 
 /// One committed epoch: what was applied, and what it produced.
@@ -46,10 +44,6 @@ pub struct EpochRecord {
     pub seed: u64,
     /// The epoch's input events, in order — the replay payload.
     pub events: Vec<SystemEvent>,
-    /// Router observability notes: where offers actually went
-    /// (origin/target/attempt metadata the plain trace format cannot
-    /// carry). Not consulted by replay, but round-tripped exactly.
-    pub routed: Vec<RoutedEvent>,
     /// Per-partition `(schedule digest, stats digest)` of the
     /// post-commit state, keyed by device — the crash-consistency
     /// check. Computed by [`crate::persist::schedule_digest`] and
@@ -123,18 +117,6 @@ pub fn format_record(record: &EpochRecord) -> String {
         out.push_str(&format_event_body(event));
         out.push('\n');
     }
-    for routed in &record.routed {
-        let from = match routed.origin {
-            Some(d) => format!("d{}", d.0),
-            None => "-".to_owned(),
-        };
-        out.push_str(&format!(
-            "routed from={from} to=d{} attempt={} {}\n",
-            routed.target.0,
-            routed.attempt,
-            format_event_body(&routed.event),
-        ));
-    }
     out.push_str(&format!(
         "commit {} seed={} events={}",
         record.epoch,
@@ -163,8 +145,8 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
         None => ("", !s.trim().is_empty()),
     };
     let mut epochs = Vec::new();
-    // The record being assembled: (epoch id, events, routed notes).
-    let mut open: Option<(usize, Vec<SystemEvent>, Vec<RoutedEvent>)> = None;
+    // The record being assembled: (epoch id, events).
+    let mut open: Option<(usize, Vec<SystemEvent>)> = None;
     for (i, raw) in body.lines().enumerate() {
         let line = i + 1;
         let err = |message: String| WalError { line, message };
@@ -187,10 +169,10 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
                     .next()
                     .and_then(|w| w.parse().ok())
                     .ok_or_else(|| err("expected `epoch <id>`".into()))?;
-                open = Some((id, Vec::new(), Vec::new()));
+                open = Some((id, Vec::new()));
             }
             "ev" => {
-                let (_, events, _) = open
+                let (_, events) = open
                     .as_mut()
                     .ok_or_else(|| err("`ev` outside an epoch record".into()))?;
                 let verb = words
@@ -202,36 +184,8 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
                 }
                 events.push(event);
             }
-            "routed" => {
-                let (_, _, routed) = open
-                    .as_mut()
-                    .ok_or_else(|| err("`routed` outside an epoch record".into()))?;
-                let origin = match kv(words.next(), "from").map_err(err)? {
-                    "-" => None,
-                    w => Some(DeviceId(tagged(Some(w), 'd').map_err(err)?)),
-                };
-                let target = kv(words.next(), "to").map_err(err)?;
-                let target = DeviceId(tagged(Some(target), 'd').map_err(err)?);
-                let attempt: u32 = kv(words.next(), "attempt")
-                    .map_err(err)?
-                    .parse()
-                    .map_err(|_| err("bad attempt number".into()))?;
-                let verb = words
-                    .next()
-                    .ok_or_else(|| err("missing event verb".into()))?;
-                let event = parse_event_body(verb, &mut words).map_err(err)?;
-                if words.next().is_some() {
-                    return Err(err("trailing tokens".into()));
-                }
-                routed.push(RoutedEvent {
-                    event,
-                    origin,
-                    target,
-                    attempt,
-                });
-            }
             "commit" => {
-                let (epoch, events, routed) = open
+                let (epoch, events) = open
                     .take()
                     .ok_or_else(|| err("`commit` outside an epoch record".into()))?;
                 let id: usize = words
@@ -275,7 +229,6 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
                     epoch,
                     seed,
                     events,
-                    routed,
                     digests,
                 });
             }
@@ -421,20 +374,6 @@ mod tests {
                     device: DeviceId(0),
                 },
             ],
-            routed: vec![
-                RoutedEvent {
-                    event: SystemEvent::Arrival(mk(5, 1)),
-                    origin: Some(DeviceId(0)),
-                    target: DeviceId(1),
-                    attempt: 2,
-                },
-                RoutedEvent {
-                    event: SystemEvent::Departure(TaskId(2)),
-                    origin: None,
-                    target: DeviceId(0),
-                    attempt: 0,
-                },
-            ],
             digests,
         }
     }
@@ -487,6 +426,14 @@ mod tests {
         let bad = wal.text().replace("events=6", "events=5");
         let err = MemoryWal::from_text(bad).load().unwrap_err();
         assert!(err.message.contains("record holds"), "{err}");
+
+        // Records carry no routing notes: `routed` is an unknown verb.
+        let bad = wal.text().replace(
+            "commit 1",
+            "routed from=- to=d0 attempt=0 depart t2\ncommit 1",
+        );
+        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        assert!(err.message.contains("unknown WAL verb `routed`"), "{err}");
     }
 
     #[test]
@@ -536,13 +483,7 @@ mod tests {
         let record = EpochRecord {
             epoch: 1,
             seed: 11,
-            events: vec![SystemEvent::Arrival(tagged.clone())],
-            routed: vec![RoutedEvent {
-                event: SystemEvent::Arrival(tagged),
-                origin: None,
-                target: DeviceId(0),
-                attempt: 0,
-            }],
+            events: vec![SystemEvent::Arrival(tagged)],
             digests: BTreeMap::new(),
         };
         let mut wal = MemoryWal::new();

@@ -95,6 +95,53 @@ fn thread_count_never_changes_schedules_or_stats() {
     }
 }
 
+/// Lane-phase and retry-wave offers commit through one path: a lane-phase
+/// admission reports one attempt (with no retry budget, every admission
+/// is one), and `retry_admissions` counts exactly the admitted outcomes
+/// that took more.
+#[test]
+fn retry_admissions_count_exactly_the_admitted_retries() {
+    let mut retried_anywhere = 0;
+    for policy in PlacementPolicy::ALL {
+        for (partitions, arrivals) in default_sweep() {
+            for scenario in scenarios_at(partitions, arrivals, 2020) {
+                for (retries, threads) in [(0, 1), (1, 1), (1, 4), (partitions as usize, 4)] {
+                    let config = FleetConfig {
+                        policy,
+                        retries,
+                        threads,
+                        ..FleetConfig::default()
+                    };
+                    let mut fleet = FleetScheduler::bootstrap(&scenario.bases, config);
+                    let stream: Vec<_> = scenario.events.iter().map(|e| e.event.clone()).collect();
+                    let (mut first, mut retried) = (0, 0);
+                    for chunk in stream.chunks(4) {
+                        for out in fleet.apply_batch(chunk) {
+                            if matches!(out.outcome, EventOutcome::Admitted { .. }) {
+                                match out.attempts {
+                                    1 => first += 1,
+                                    n => {
+                                        assert!(n > 1 && retries > 0, "policy {policy}: {out:?}");
+                                        retried += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let stats = fleet.stats();
+                    assert_eq!(stats.retry_admissions, retried, "policy {policy}");
+                    assert_eq!(stats.admitted, first + retried, "policy {policy}");
+                    retried_anywhere += retried;
+                }
+            }
+        }
+    }
+    assert!(
+        retried_anywhere > 0,
+        "the sweep must exercise retry admissions"
+    );
+}
+
 #[test]
 fn cross_partition_retry_never_reduces_acceptance() {
     for (partitions, arrivals) in default_sweep() {

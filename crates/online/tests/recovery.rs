@@ -4,8 +4,7 @@
 //!
 //! 1. **WAL round-trip** — every event kind (arrivals with all eleven
 //!    task fields, departures, mode changes, spikes, partition deaths)
-//!    plus the routed-offer metadata the plain trace format drops
-//!    (origin/target/attempt) survives `format_record`/`parse_wal`
+//!    and the commit digests survive `format_record`/`parse_wal`
 //!    bit-exactly, over random logs.
 //! 2. **Crash injection** — a fleet journals every epoch and snapshots
 //!    on an interval; the test kills it at a random epoch boundary
@@ -22,7 +21,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tagio_core::event::{Mode, ModeId, RoutedEvent, SystemEvent};
+use tagio_core::event::{Mode, ModeId, SystemEvent};
 use tagio_core::solve::InfeasibleCause;
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId};
 use tagio_core::time::Duration;
@@ -133,15 +132,13 @@ fn assert_single_ownership(fleet: &FleetScheduler) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Satellite 1: the WAL dialect round-trips random logs exactly —
-    /// every event kind, full task field sets, routed-offer metadata
-    /// (origin/target/attempt) and commit digests included.
+    /// The WAL dialect round-trips random logs exactly — every event
+    /// kind, full task field sets and commit digests included.
     #[test]
-    fn wal_round_trips_every_event_kind_and_routed_metadata(
+    fn wal_round_trips_every_event_kind(
         records in vec(
             (
                 vec((0u32..12, 0u32..DEVICES, 0usize..4, 20u64..200, 0usize..7), 1..8),
-                vec((0u32..12, 0u32..DEVICES, 0u32..2, 0u32..4, 0usize..7), 0..4),
                 vec((0u32..DEVICES, 0u64..u64::MAX, 0u64..u64::MAX), 0..4),
                 0u64..u64::MAX,
             ),
@@ -150,7 +147,7 @@ proptest! {
     ) {
         let mut wal = MemoryWal::new();
         let mut expected = Vec::new();
-        for (i, (events, routed, digests, seed)) in records.iter().enumerate() {
+        for (i, (events, digests, seed)) in records.iter().enumerate() {
             let record = EpochRecord {
                 epoch: i + 1,
                 seed: *seed,
@@ -159,16 +156,6 @@ proptest! {
                     .enumerate()
                     .map(|(j, &(slot, device, period_ix, wcet, kind))| {
                         event_for(j, slot, device, period_ix, wcet, kind)
-                    })
-                    .collect(),
-                routed: routed
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(slot, device, migrated, attempt, kind))| RoutedEvent {
-                        event: event_for(j, slot, device, period_ix_of(kind), 60, kind),
-                        origin: (migrated == 1).then_some(DeviceId((device + 1) % DEVICES)),
-                        target: DeviceId(device),
-                        attempt,
                     })
                     .collect(),
                 digests: digests
@@ -272,12 +259,6 @@ proptest! {
             assert_single_ownership(&recovered);
         }
     }
-}
-
-/// Maps a drawn routed-event kind to a period index (keeps the routed
-/// strategy tuple small).
-fn period_ix_of(kind: usize) -> usize {
-    kind % 4
 }
 
 /// A task aimed at `device` that a lightly-loaded partition accepts.

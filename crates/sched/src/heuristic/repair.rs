@@ -49,7 +49,7 @@ use tagio_core::time::{Duration, Time};
 ///
 /// A single incremental repair allocates a dozen transient collections —
 /// lookup tables, the pinned set, the timeline's slot buffers.
-/// The online admission path runs a repair per event, so
+/// The online service runs the ladder on every arrival and spike, so
 /// [`repair_in`] / [`retime_in`] / [`repair_neighbourhood_in`] /
 /// [`repair_or_resynthesize_in`] accept a long-lived scratch and recycle
 /// those collections' capacity across calls. Every buffer is cleared

@@ -25,9 +25,7 @@
 //! with parameterized specs (`"fps-offline"`, `"static:best-fit"`,
 //! `"ga:pop=64,gens=500,seed=7"` — grammar in [`registry`]) and
 //! selectable in bulk via [`MethodSet`], so experiment harnesses never
-//! hardcode constructor imports; sweeps over many systems fold their
-//! reports into [`stats::MethodStats`] (sample counts plus mean/min/max
-//! of Ψ and Υ).
+//! hardcode constructor imports.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -82,7 +80,7 @@ pub use registry::{
 };
 pub use scheduler::{Scheduler, SchedulingReport};
 pub use solve::{check_capacity, SchedulerBug};
-pub use stats::{MethodStats, Summary};
+pub use stats::Summary;
 // The shared solving vocabulary, re-exported so `tagio_sched` alone is a
 // complete import surface for solver code.
 pub use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};

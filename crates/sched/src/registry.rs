@@ -25,8 +25,7 @@
 //! not understand are rejected by its factory ([`MethodError::BadParam`]),
 //! so a typo can never silently select defaults.
 
-use crate::scheduler::{Scheduler, SchedulingReport};
-use crate::solve::SchedulerBug;
+use crate::scheduler::Scheduler;
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, SolverCtx};
@@ -580,24 +579,6 @@ impl MethodSet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &(dyn Scheduler + Send + Sync))> {
         self.methods.iter().map(|(n, s)| (n.as_str(), s.as_ref()))
     }
-
-    /// Runs every method on `jobs` under a default context, returning one
-    /// report per method with the set's display name attached (so
-    /// `static:first-fit` is distinguishable from `static` in sweep
-    /// output).
-    ///
-    /// # Errors
-    /// The first [`SchedulerBug`] any method triggers.
-    pub fn evaluate(&self, jobs: &JobSet) -> Result<Vec<SchedulingReport>, SchedulerBug> {
-        self.methods
-            .iter()
-            .map(|(name, solver)| {
-                let mut report = SchedulingReport::evaluate(solver.as_ref(), jobs)?;
-                report.method = name.clone();
-                Ok(report)
-            })
-            .collect()
-    }
 }
 
 /// Splits a CSV selection into method specs: a segment containing `=`
@@ -652,6 +633,7 @@ impl core::fmt::Debug for MethodSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::SchedulingReport;
     use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
     use tagio_core::time::Duration;
 
@@ -842,17 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_attaches_display_names() {
-        let set = MethodSet::parse("static:first-fit,static:worst-fit").unwrap();
-        let reports = set.evaluate(&jobs()).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].method, "static:first-fit");
-        assert_eq!(reports[1].method, "static:worst-fit");
-        // A single unconflicted job: every policy schedules it exactly.
-        assert!(reports.iter().all(|r| r.schedulable && r.psi == 1.0));
-    }
-
-    #[test]
     fn paper_baselines_match_figure_legend() {
         let set = MethodSet::paper_baselines();
         assert_eq!(set.names(), vec!["fps-offline", "gpiocp", "static", "ga"]);
@@ -869,8 +840,9 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
-                    let reports = set.evaluate(&jobs).unwrap();
-                    assert_eq!(reports.len(), 4);
+                    for (_, solver) in set.iter() {
+                        SchedulingReport::evaluate(solver, &jobs).unwrap();
+                    }
                 });
             }
         });

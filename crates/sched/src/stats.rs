@@ -1,8 +1,7 @@
-//! Sweep statistics: folding many [`SchedulingReport`]s into per-method
-//! summaries (sample counts, schedulability fraction, mean/min/max of Ψ
-//! and Υ) — the accumulation layer shared by every experiment binary.
+//! Sweep statistics: the running [`Summary`] (sample count and
+//! mean/min/max) the experiment reports fold Ψ, Υ and every other
+//! per-system metric into.
 
-use crate::scheduler::SchedulingReport;
 use serde::{Deserialize, Serialize};
 use tagio_core::{MetricSet, Metrics};
 
@@ -117,112 +116,9 @@ impl Metrics for Summary {
     }
 }
 
-/// Per-method statistics over a sweep point: how many systems were tried,
-/// how many were schedulable, and the Ψ/Υ distributions among the
-/// schedulable ones (the paper's figures average "among schedulable
-/// systems").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MethodStats {
-    /// Method display name.
-    pub method: String,
-    /// Systems evaluated.
-    pub samples: usize,
-    /// Systems found schedulable.
-    pub schedulable: usize,
-    /// Ψ over the schedulable systems.
-    pub psi: Summary,
-    /// Υ over the schedulable systems.
-    pub upsilon: Summary,
-}
-
-impl MethodStats {
-    /// An empty accumulator for `method`.
-    #[must_use]
-    pub fn new(method: impl Into<String>) -> Self {
-        MethodStats {
-            method: method.into(),
-            samples: 0,
-            schedulable: 0,
-            psi: Summary::new(),
-            upsilon: Summary::new(),
-        }
-    }
-
-    /// Folds one scheduling outcome in. Ψ/Υ only contribute when the
-    /// system was schedulable, matching the figures' "among schedulable
-    /// systems" convention.
-    pub fn record(&mut self, report: &SchedulingReport) {
-        self.samples += 1;
-        if report.schedulable {
-            self.schedulable += 1;
-            self.psi.push(report.psi);
-            self.upsilon.push(report.upsilon);
-        }
-    }
-
-    /// Folds an iterator of reports into a fresh accumulator.
-    #[must_use]
-    pub fn collect<'a>(
-        method: impl Into<String>,
-        reports: impl IntoIterator<Item = &'a SchedulingReport>,
-    ) -> Self {
-        let mut stats = MethodStats::new(method);
-        for r in reports {
-            stats.record(r);
-        }
-        stats
-    }
-
-    /// Fraction of evaluated systems found schedulable; `0.0` before any
-    /// sample.
-    #[must_use]
-    pub fn schedulable_fraction(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.schedulable as f64 / self.samples as f64
-        }
-    }
-
-    /// Folds another accumulator of the *same method* in (disjoint
-    /// sample sets — e.g. per-shard sweeps aggregated after the fact).
-    pub fn merge(&mut self, other: &MethodStats) {
-        self.samples += other.samples;
-        self.schedulable += other.schedulable;
-        Summary::merge(&mut self.psi, &other.psi);
-        Summary::merge(&mut self.upsilon, &other.upsilon);
-    }
-}
-
-impl Metrics for MethodStats {
-    fn merge(&mut self, other: &Self) {
-        MethodStats::merge(self, other);
-    }
-
-    fn snapshot(&self) -> MetricSet {
-        let mut set = MetricSet::new();
-        set.push("samples", self.samples as f64);
-        set.push("schedulable", self.schedulable as f64);
-        set.push("schedulable_fraction", self.schedulable_fraction());
-        set.push("psi", self.psi.mean());
-        set.push("upsilon", self.upsilon.mean());
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report(schedulable: bool, psi: f64, upsilon: f64) -> SchedulingReport {
-        SchedulingReport {
-            method: "m".into(),
-            schedulable,
-            psi,
-            upsilon,
-            diagnostic: None,
-        }
-    }
 
     #[test]
     fn summary_tracks_mean_min_max() {
@@ -256,70 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn method_stats_fold_reports() {
-        let reports = [
-            report(true, 1.0, 0.9),
-            report(false, 0.0, 0.0),
-            report(true, 0.5, 0.7),
-        ];
-        let stats = MethodStats::collect("static", reports.iter());
-        assert_eq!(stats.samples, 3);
-        assert_eq!(stats.schedulable, 2);
-        assert!((stats.schedulable_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        // Infeasible zeros stay out of the psi/upsilon distributions.
-        assert_eq!(stats.psi.count(), 2);
-        assert_eq!(stats.psi.min(), 0.5);
-        assert_eq!(stats.psi.max(), 1.0);
-        assert!((stats.upsilon.mean() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_method_stats_are_benign() {
-        let stats = MethodStats::new("ga");
-        assert_eq!(stats.schedulable_fraction(), 0.0);
-        assert_eq!(stats.psi.mean(), 0.0);
-    }
-
-    #[test]
-    fn method_stats_merge_equals_single_fold() {
-        let reports = [
-            report(true, 1.0, 0.9),
-            report(false, 0.0, 0.0),
-            report(true, 0.5, 0.7),
-            report(true, 0.2, 0.3),
-        ];
-        let mut a = MethodStats::collect("static", reports[..2].iter());
-        let b = MethodStats::collect("static", reports[2..].iter());
-        a.merge(&b);
-        let whole = MethodStats::collect("static", reports.iter());
-        assert_eq!(
-            (a.samples, a.schedulable),
-            (whole.samples, whole.schedulable)
-        );
-        assert_eq!(a.psi.count(), whole.psi.count());
-        assert_eq!(
-            (a.psi.min(), a.psi.max()),
-            (whole.psi.min(), whole.psi.max())
-        );
-        // Sums fold in a different order; only bitwise association differs.
-        assert!((a.psi.mean() - whole.psi.mean()).abs() < 1e-12);
-        assert!((a.upsilon.mean() - whole.upsilon.mean()).abs() < 1e-12);
-    }
-
-    #[test]
     fn snapshots_use_stable_metric_names() {
         use tagio_core::Metrics as _;
-        let stats = MethodStats::collect(
-            "static",
-            [report(true, 0.8, 0.6), report(false, 0.0, 0.0)].iter(),
-        );
-        let set = stats.snapshot();
-        assert_eq!(set.get("samples"), Some(2.0));
-        assert_eq!(set.get("schedulable"), Some(1.0));
-        assert_eq!(set.get("schedulable_fraction"), Some(0.5));
-        assert_eq!(set.get("psi"), Some(0.8));
-        let summary = stats.psi.snapshot();
-        assert_eq!(summary.get("count"), Some(1.0));
-        assert_eq!(summary.get("mean"), Some(0.8));
+        let mut summary = Summary::new();
+        summary.push(0.8);
+        let set = summary.snapshot();
+        assert_eq!(set.get("count"), Some(1.0));
+        assert_eq!(set.get("mean"), Some(0.8));
+        assert_eq!((set.get("min"), set.get("max")), (Some(0.8), Some(0.8)));
     }
 }

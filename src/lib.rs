@@ -122,7 +122,7 @@ pub use tagio_workload as workload;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub mod prelude {
-    pub use tagio_core::event::{RoutedEvent, SystemEvent, TimedEvent};
+    pub use tagio_core::event::{SystemEvent, TimedEvent};
     pub use tagio_core::job::{Job, JobId, JobSet};
     pub use tagio_core::pool::{available_workers, WorkerPool};
     pub use tagio_core::schedule::{Schedule, ScheduleEntry};
