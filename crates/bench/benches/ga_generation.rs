@@ -45,13 +45,11 @@ impl Problem for IoProblem<'_> {
     }
 
     fn evaluate(&self, genome: &[u64]) -> Objectives {
-        match reconfigure(self.jobs, genome) {
-            Ok(schedule) => Objectives::from(vec![
-                metrics::psi(&schedule, self.jobs),
-                metrics::upsilon(&schedule, self.jobs),
-            ]),
-            Err(_) => Objectives::from(vec![-1.0, -1.0]),
-        }
+        let (psi, upsilon) = match reconfigure(self.jobs, genome) {
+            Ok(schedule) => metrics::quality(&schedule, self.jobs),
+            Err(_) => (-1.0, -1.0),
+        };
+        Objectives::from(vec![psi, upsilon])
     }
 }
 

@@ -8,7 +8,8 @@
 //! describe the sweep, name the methods, run, render.
 
 use crate::report::{MethodReport, PointReport, Report};
-use crate::{parallel_map_with, EvalSystem, Options};
+use crate::{EvalSystem, Options};
+use tagio_core::pool::WorkerPool;
 use tagio_ga::{hypervolume_2d, GaConfig, Objectives};
 use tagio_sched::{
     fps_online_schedulable, make_scheduler, GaScheduler, MethodError, MethodSet, SchedulingReport,
@@ -298,8 +299,8 @@ impl Runner {
             let rows = methods
                 .iter()
                 .map(|method| {
-                    let outcomes =
-                        parallel_map_with(&systems, outer, |sys| method.evaluate(sys, point));
+                    let outcomes = WorkerPool::global()
+                        .map(&systems, outer, |sys| method.evaluate(sys, point));
                     MethodReport::from_outcomes(method.name(), &outcomes)
                 })
                 .collect();

@@ -227,7 +227,7 @@ impl Options {
     /// [`GaConfig::quick`] with the CLI's population/generations.
     ///
     /// GA-internal evaluation threads are the workers left over after the
-    /// sweep's outer `parallel_map` over systems claims its share, so the
+    /// sweep's outer pool map over systems claims its share, so the
     /// two parallel layers compose without oversubscribing: sweeping many
     /// systems runs each GA serially, while a sweep of fewer systems than
     /// cores (e.g. one paper-scale run) hands the spare cores to the GA.
@@ -278,40 +278,6 @@ pub fn generate_systems(u: f64, count: usize, base_seed: u64) -> Vec<EvalSystem>
             EvalSystem { seed, tasks, jobs }
         })
         .collect()
-}
-
-/// Maps `f` over `items` on all available cores, preserving order.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, tagio_core::pool::available_workers(), f)
-}
-
-/// Maps `f` over `items` with chunking width `threads` on the shared
-/// persistent [`tagio_core::pool::WorkerPool`], preserving order
-/// (results are written back by index, so the output is identical to a
-/// serial map for any width). Delegates to the same chunked map the GA
-/// engine evaluates populations with ([`tagio_ga::chunk_map`]).
-pub fn parallel_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    tagio_ga::chunk_map(items, threads, f)
-}
-
-/// Arithmetic mean, 0.0 for an empty slice.
-#[must_use]
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
 }
 
 /// The Fig. 5 utilisation sweep (0.2 … 0.9, step 0.05).
@@ -458,23 +424,6 @@ mod tests {
         let b = generate_systems(0.4, 2, 2);
         assert_ne!(a[0].tasks, a[1].tasks);
         assert_ne!(a[0].tasks, b[0].tasks);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let doubled = parallel_map(&items, |x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        for threads in [1, 3, 7, 200] {
-            assert_eq!(parallel_map_with(&items, threads, |x| x * 2), doubled);
-        }
-        assert!(parallel_map_with(&items[..0], 4, |x| *x).is_empty());
-    }
-
-    #[test]
-    fn mean_handles_empty() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
     }
 
     #[test]

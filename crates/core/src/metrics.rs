@@ -12,6 +12,11 @@
 //! feasibility, and jobs missing from the schedule simply contribute zero
 //! achieved quality).
 //!
+//! The two metrics are summed in one place, [`quality_by`], in [`JobSet`]
+//! order: [`quality`] resolves a [`Schedule`]'s starts and sums through
+//! it, and [`psi`] and [`upsilon`] are its two halves, so every scorer
+//! gets the same bits for the same placement.
+//!
 //! The module also hosts the shared stats-emission vocabulary: every
 //! counter struct in the workspace (`OnlineStats`, `FleetStats`,
 //! `Summary`, `MethodStats`, …) implements the [`Metrics`] trait, so
@@ -19,7 +24,7 @@
 //! the same named-metric schema — a [`MetricSet`] — instead of each
 //! hand-rolling its own.
 
-use crate::job::JobSet;
+use crate::job::{JobId, JobSet};
 use crate::schedule::Schedule;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
@@ -102,25 +107,17 @@ pub trait Metrics {
     fn snapshot(&self) -> MetricSet;
 }
 
-/// Sorted `(job, start)` lookup table over a schedule's entries.
-///
-/// Every metric below resolves one schedule entry per job; going through
-/// [`Schedule::start_of`] makes that a linear scan per job — quadratic
-/// over the whole set, and these metrics garnish every admission verdict
-/// on the online hot path. One `O(n log n)` sort turns each lookup into
-/// a binary search. Entries arrive in start order and the sort key is
-/// `(job, start)`, so the first match for a job is its earliest entry —
-/// exactly what `start_of`'s first-found scan returns.
-fn start_index(schedule: &Schedule) -> Vec<(crate::job::JobId, crate::time::Time)> {
+/// Sorted `(job, start)` lookup table over a schedule's entries: one
+/// `O(n log n)` sort instead of a [`Schedule::start_of`] scan per job.
+/// The sort key is `(job, start)`, so a job's first match is its earliest
+/// entry — exactly what `start_of`'s first-found scan returns.
+fn start_index(schedule: &Schedule) -> Vec<(JobId, Time)> {
     let mut index: Vec<_> = schedule.iter().map(|e| (e.job, e.start)).collect();
     index.sort_unstable();
     index
 }
 
-fn indexed_start(
-    index: &[(crate::job::JobId, crate::time::Time)],
-    job: crate::job::JobId,
-) -> Option<crate::time::Time> {
+fn indexed_start(index: &[(JobId, Time)], job: JobId) -> Option<Time> {
     let pos = index.partition_point(|&(j, _)| j < job);
     match index.get(pos) {
         Some(&(j, start)) if j == job => Some(start),
@@ -128,7 +125,8 @@ fn indexed_start(
     }
 }
 
-/// Ψ (Eq. (1)): fraction of jobs with exact timing-accurate control.
+/// Ψ (Eq. (1)): fraction of jobs with exact timing-accurate control —
+/// the first half of [`quality`].
 ///
 /// Returns 1.0 for an empty job set (vacuously all-exact).
 ///
@@ -146,46 +144,23 @@ fn indexed_start(
 /// ```
 #[must_use]
 pub fn psi(schedule: &Schedule, jobs: &JobSet) -> f64 {
-    if jobs.is_empty() {
-        return 1.0;
-    }
-    let index = start_index(schedule);
-    let exact = jobs
-        .iter()
-        .filter(|j| indexed_start(&index, j.id()) == Some(j.ideal_start()))
-        .count();
-    exact as f64 / jobs.len() as f64
+    quality(schedule, jobs).0
 }
 
 /// Υ (Eq. (2)): aggregate achieved quality normalised by aggregate peak
-/// quality.
+/// quality — the second half of [`quality`].
 ///
 /// Jobs absent from the schedule contribute zero achieved quality. Returns
 /// 1.0 for an empty job set, and 0.0 if the aggregate peak quality is not a
 /// positive number (degenerate task sets).
 #[must_use]
 pub fn upsilon(schedule: &Schedule, jobs: &JobSet) -> f64 {
-    if jobs.is_empty() {
-        return 1.0;
-    }
-    let peak = jobs.peak_quality();
-    if peak <= 0.0 || peak.is_nan() {
-        return 0.0;
-    }
-    let index = start_index(schedule);
-    let achieved: f64 = jobs
-        .iter()
-        .filter_map(|j| indexed_start(&index, j.id()).map(|s| j.quality_at(s)))
-        .sum();
-    achieved / peak
+    quality(schedule, jobs).1
 }
 
-/// Ψ and Υ in one pass over the job set.
-///
-/// Bit-identical to calling [`psi`] and [`upsilon`] separately (same
-/// iteration order, same `f64` summation order), but touches each job's
-/// schedule entry once instead of twice — the form the online service's
-/// incremental quality cache refreshes through on its hot path.
+/// Ψ and Υ of `schedule`: each job resolves its earliest schedule entry
+/// (what [`Schedule::start_of`]'s first-found scan returns) and is summed
+/// by [`quality_by`]. Callers that want both metrics call this once.
 #[must_use]
 pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
     let index = start_index(schedule);
@@ -197,18 +172,20 @@ pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
 /// start of the `i`-th job of `jobs` (in [`JobSet`] order), or `None`
 /// when that job is unplaced.
 ///
-/// This is [`quality`]'s one summation loop. Allocators that already
-/// hold their placements by job position call it directly instead of
-/// building a [`Schedule`] and sorting it into a lookup table, and get
-/// the bits [`psi`] and [`upsilon`] give for that schedule.
+/// This is the module's one Ψ/Υ summation loop: [`quality`], and through
+/// it [`psi`] and [`upsilon`], sum here too. Allocators that already hold
+/// their placements by job position (the repair ladder, the GA's genome
+/// scoring) call it directly instead of building a [`Schedule`] and
+/// sorting it into a lookup table, and get the bits [`quality`] gives
+/// for that schedule.
 #[must_use]
 pub fn quality_by(jobs: &JobSet, mut start_of: impl FnMut(usize) -> Option<Time>) -> (f64, f64) {
     if jobs.is_empty() {
         return (1.0, 1.0);
     }
     let mut exact = 0usize;
-    // `Iterator::sum::<f64>()` folds from -0.0; start there so an empty
-    // schedule yields the same bits as `upsilon`.
+    // Start where `Iterator::sum::<f64>()` does, so an empty schedule
+    // sums to the same -0.0 bits an iterator sum gives.
     let mut achieved = -0.0f64;
     for (i, job) in jobs.iter().enumerate() {
         if let Some(start) = start_of(i) {
@@ -325,8 +302,8 @@ mod tests {
     #[test]
     fn psi_counts_exact_starts_only() {
         let jobs = two_task_jobs();
-        let a = jobs.get(crate::job::JobId::new(TaskId(0), 0)).unwrap();
-        let b = jobs.get(crate::job::JobId::new(TaskId(1), 0)).unwrap();
+        let a = jobs.get(JobId::new(TaskId(0), 0)).unwrap();
+        let b = jobs.get(JobId::new(TaskId(1), 0)).unwrap();
         let s: Schedule = vec![
             entry_for(a, a.ideal_start()),
             entry_for(b, b.ideal_start() + Duration::from_micros(1)),
@@ -377,41 +354,90 @@ mod tests {
     #[test]
     fn unscheduled_jobs_contribute_zero_quality() {
         let jobs = two_task_jobs();
-        let a = jobs.get(crate::job::JobId::new(TaskId(0), 0)).unwrap();
+        let a = jobs.get(JobId::new(TaskId(0), 0)).unwrap();
         let s: Schedule = vec![entry_for(a, a.ideal_start())].into_iter().collect();
         // achieved = 2 (task0 at peak), peak total = 5
         assert!((upsilon(&s, &jobs) - 2.0 / 5.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn quality_is_bit_identical_to_psi_and_upsilon() {
-        let jobs = two_task_jobs();
-        let a = jobs.get(crate::job::JobId::new(TaskId(0), 0)).unwrap();
-        let b = jobs.get(crate::job::JobId::new(TaskId(1), 0)).unwrap();
-        // Mixed exact/late/missing entries exercise all three branches.
-        let schedules: Vec<Schedule> = vec![
-            jobs.iter().map(|j| entry_for(j, j.ideal_start())).collect(),
-            vec![
-                entry_for(a, a.ideal_start()),
-                entry_for(b, b.ideal_start() + Duration::from_micros(400)),
-            ]
-            .into_iter()
-            .collect(),
-            vec![entry_for(a, a.ideal_start())].into_iter().collect(),
-            Schedule::new(),
-        ];
-        for (i, s) in schedules.iter().enumerate() {
-            let (p, u) = quality(s, &jobs);
-            assert_eq!(p.to_bits(), psi(s, &jobs).to_bits(), "psi case {i}");
-            assert_eq!(
-                u.to_bits(),
-                upsilon(s, &jobs).to_bits(),
-                "upsilon case {i}: {u} vs {}",
-                upsilon(s, &jobs)
-            );
+    /// The separate Ψ and Υ loops `psi` and `upsilon` ran before both
+    /// became views of `quality`, kept verbatim as the oracle.
+    fn reference(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
+        if jobs.is_empty() {
+            return (1.0, 1.0);
         }
-        let empty = JobSet::from_jobs(vec![], Duration::from_millis(1));
-        assert_eq!(quality(&Schedule::new(), &empty), (1.0, 1.0));
+        let index = start_index(schedule);
+        let exact = jobs
+            .iter()
+            .filter(|j| indexed_start(&index, j.id()) == Some(j.ideal_start()))
+            .count();
+        let psi = exact as f64 / jobs.len() as f64;
+        let peak = jobs.peak_quality();
+        if peak <= 0.0 || peak.is_nan() {
+            return (psi, 0.0);
+        }
+        let achieved: f64 = jobs
+            .iter()
+            .filter_map(|j| indexed_start(&index, j.id()).map(|s| j.quality_at(s)))
+            .sum();
+        (psi, achieved / peak)
+    }
+
+    /// Random paper-shaped task sets (periods dividing 1440 ms, `θ = T/4`,
+    /// DMPO with `Vmax = P + 1`, `Vmin = 1`), each scored empty and with
+    /// every job exact, shifted, missing or scheduled twice (the earlier
+    /// entry counts); plus the empty job set.
+    #[test]
+    fn psi_upsilon_and_quality_match_the_separate_loops_bit_for_bit() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound.max(1)
+        };
+        let check = |s: &Schedule, jobs: &JobSet| {
+            let ((p, u), (qp, qu)) = (reference(s, jobs), quality(s, jobs));
+            let got = [qp, qu, psi(s, jobs), upsilon(s, jobs)].map(f64::to_bits);
+            assert_eq!(got, [p, u, p, u].map(f64::to_bits));
+        };
+        let us = Duration::from_micros;
+        for _ in 0..40 {
+            let mut set = TaskSet::new();
+            for id in 0..1 + next(8) as u32 {
+                let period =
+                    Duration::from_millis([10, 20, 30, 40, 60, 80, 120, 240][next(8) as usize]);
+                let margin = period / 4;
+                let task = IoTask::builder(TaskId(id), DeviceId(0))
+                    .wcet(us(1 + next(margin.as_micros())))
+                    .period(period)
+                    .ideal_offset(margin + us(next(period.as_micros() / 2)))
+                    .margin(margin)
+                    .build()
+                    .unwrap();
+                set.push(task).unwrap();
+            }
+            set.assign_dmpo();
+            set.set_global_vmin(1.0);
+            let jobs = JobSet::expand(&set);
+            check(&Schedule::new(), &jobs);
+            let mut s = Schedule::new();
+            for job in &jobs {
+                let off = entry_for(
+                    job,
+                    job.window_start() + us(next(job.margin().as_micros() * 2)),
+                );
+                let exact = entry_for(job, job.ideal_start());
+                match next(4) {
+                    0 => s.insert(exact),
+                    1 => s.insert(off),
+                    2 => {}
+                    _ => s.extend([off, exact]),
+                }
+            }
+            check(&s, &jobs);
+        }
+        check(&Schedule::new(), &JobSet::from_jobs(vec![], us(1)));
     }
 
     #[test]
@@ -455,8 +481,8 @@ mod tests {
     #[test]
     fn accuracy_stats_aggregate_errors() {
         let jobs = two_task_jobs();
-        let a = jobs.get(crate::job::JobId::new(TaskId(0), 0)).unwrap();
-        let b = jobs.get(crate::job::JobId::new(TaskId(1), 0)).unwrap();
+        let a = jobs.get(JobId::new(TaskId(0), 0)).unwrap();
+        let b = jobs.get(JobId::new(TaskId(1), 0)).unwrap();
         let s: Schedule = vec![
             entry_for(a, a.ideal_start()),
             entry_for(b, b.ideal_start() + Duration::from_micros(600)),

@@ -126,7 +126,7 @@ where
 {
     let requested = tagio_core::pool::resolve_width(threads);
     let workers = requested.min(genomes.len().div_ceil(MIN_EVAL_CHUNK)).max(1);
-    crate::parallel::chunk_map(genomes, workers, |genome| problem.evaluate(genome))
+    tagio_core::pool::WorkerPool::global().map(genomes, workers, |genome| problem.evaluate(genome))
 }
 
 /// Minimum genomes per evaluation worker before another thread is engaged.

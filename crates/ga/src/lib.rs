@@ -9,6 +9,9 @@
 //! survivor selection so the front stays well spread.
 //!
 //! The engine is problem-agnostic: implement [`Problem`] and call [`run`].
+//! [`evaluate_population`] scores each generation on the workspace's
+//! shared [`tagio_core::pool::WorkerPool`] directly; the crate has no
+//! parallel-map layer of its own.
 //!
 //! ```
 //! use rand::{Rng, RngExt, SeedableRng};
@@ -41,10 +44,8 @@ pub mod engine;
 pub mod hypervolume;
 pub mod nsga2;
 pub mod objectives;
-pub mod parallel;
 pub mod weights;
 
 pub use engine::{evaluate_population, run, GaConfig, ParetoFront, Problem, Solution};
 pub use hypervolume::hypervolume_2d;
 pub use objectives::{non_dominated_indices, Objectives};
-pub use parallel::chunk_map;

@@ -1229,6 +1229,19 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_a_ledger_spent_to_zero_is_a_fixed_point() {
+        let mut live = tenanted_fleet();
+        let _ = live.apply_batch(&[SystemEvent::Arrival(mkt(10, 0, 4, 1))]);
+        let mut snap = live.snapshot();
+        snap.ledger.accrue(TenantId(2), 2);
+        let banked = snap.ledger.deficit(TenantId(2));
+        assert!(snap.ledger.try_spend(TenantId(2), banked));
+        let text = snap.write();
+        assert!(!text.contains("deficit "), "{text}");
+        assert_eq!(FleetSnapshot::parse(&text).unwrap().write(), text);
+    }
+
+    #[test]
     fn restored_tenanted_fleet_continues_bit_identically() {
         let mut live = tenanted_fleet();
         let _ = live.apply_batch(&[

@@ -27,11 +27,17 @@ use tagio_core::time::{Duration, Time};
 use tagio_workload::generator::SystemConfig;
 use tagio_workload::periods::PeriodPool;
 
+/// The device partition every single-partition [`Scenario`] targets.
+const SCENARIO_DEVICE: DeviceId = DeviceId(0);
+
+/// Smallest period drawn for *arriving* tasks (base systems use the full
+/// paper pool). Short-period arrivals release many jobs at once and model
+/// bursty device traffic; this floor keeps arrival streams moderate.
+const MIN_ARRIVAL_PERIOD: Duration = Duration::from_millis(30);
+
 /// Parameters of scenario generation (the seed drives everything).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
-    /// The device partition all events target.
-    pub device: DeviceId,
     /// Utilisation of the base system admitted at bootstrap (a paper §V.A
     /// multiple of 0.05).
     pub base_utilisation: f64,
@@ -45,11 +51,6 @@ pub struct ScenarioConfig {
     pub spike_every: usize,
     /// Emit one mode change halfway through the stream.
     pub mode_change: bool,
-    /// Smallest period drawn for *arriving* tasks (the base system uses
-    /// the full paper pool). Short-period arrivals release many jobs at
-    /// once and model bursty device traffic; the default keeps arrival
-    /// streams moderate.
-    pub min_arrival_period: Duration,
     /// RNG seed.
     pub seed: u64,
 }
@@ -57,13 +58,11 @@ pub struct ScenarioConfig {
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
-            device: DeviceId(0),
             base_utilisation: 0.4,
             arrivals: 20,
             departure_permille: 450,
             spike_every: 7,
             mode_change: true,
-            min_arrival_period: Duration::from_millis(30),
             seed: 2020,
         }
     }
@@ -190,7 +189,7 @@ impl Scenario {
         let base: TaskSet = raw
             .iter()
             .enumerate()
-            .map(|(i, t)| rebuild_with_dm_priority(t, TaskId(i as u32), config.device))
+            .map(|(i, t)| rebuild_with_dm_priority(t, TaskId(i as u32), SCENARIO_DEVICE))
             .collect();
         let mut known: Vec<TaskId> = base.iter().map(IoTask::id).collect();
         let first_arrival_id = base.len() as u32;
@@ -203,7 +202,7 @@ impl Scenario {
         };
         for k in 0..config.arrivals {
             // One arrival: a fresh paper-style task.
-            let period = pool.sample_at_least(config.min_arrival_period, &mut rng);
+            let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, &mut rng);
             let margin = period / 4;
             let u = 0.02 + 0.08 * rng.random::<f64>();
             let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
@@ -213,7 +212,7 @@ impl Scenario {
             let delta_us = rng.random_range(margin.as_micros()..=(period - margin).as_micros());
             let id = TaskId(first_arrival_id + k as u32);
             let task = rebuild_with_dm_priority(
-                &IoTask::builder(id, config.device)
+                &IoTask::builder(id, SCENARIO_DEVICE)
                     .wcet(wcet)
                     .period(period)
                     .ideal_offset(Duration::from_micros(delta_us))
@@ -221,7 +220,7 @@ impl Scenario {
                     .build()
                     .expect("generated arrival parameters are valid"),
                 id,
-                config.device,
+                SCENARIO_DEVICE,
             );
             known.push(id);
             events.push(TimedEvent {
@@ -246,7 +245,7 @@ impl Scenario {
                 events.push(TimedEvent {
                     at: step(&mut at),
                     event: SystemEvent::UtilisationSpike {
-                        device: config.device,
+                        device: SCENARIO_DEVICE,
                         percent,
                     },
                 });
@@ -264,7 +263,7 @@ impl Scenario {
             }
         }
         Scenario {
-            device: config.device,
+            device: SCENARIO_DEVICE,
             base,
             events,
         }
@@ -368,8 +367,6 @@ pub struct FleetScenarioConfig {
     /// the dead partition restarts empty and its tasks are mass
     /// re-admitted onto survivors.
     pub death_every: usize,
-    /// Smallest period drawn for arriving tasks.
-    pub min_arrival_period: Duration,
     /// RNG seed.
     pub seed: u64,
     /// Number of tenants (`TenantId(1)..=TenantId(n)`). `0` disables the
@@ -407,7 +404,6 @@ impl Default for FleetScenarioConfig {
             spike_every: 9,
             mode_change: true,
             death_every: 0,
-            min_arrival_period: Duration::from_millis(30),
             seed: 2020,
             tenants: 0,
             best_effort_tenants: 0,
@@ -606,13 +602,6 @@ impl FleetScenarioConfigBuilder {
     #[must_use]
     pub fn death_every(mut self, every: usize) -> Self {
         self.config.death_every = every;
-        self
-    }
-
-    /// Smallest period drawn for arriving tasks.
-    #[must_use]
-    pub fn min_arrival_period(mut self, period: Duration) -> Self {
-        self.config.min_arrival_period = period;
         self
     }
 
@@ -879,7 +868,7 @@ impl FleetScenario {
                 }
                 (origin, tenant)
             };
-            let period = pool.sample_at_least(config.min_arrival_period, &mut rng);
+            let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, &mut rng);
             let margin = period / 4;
             let u = 0.02 + 0.08 * rng.random::<f64>();
             // Diurnal modulation: a triangle wave over `diurnal_period`
@@ -1602,7 +1591,6 @@ mod tests {
             .departure_permille(100)
             .spike_every(5)
             .mode_change(false)
-            .min_arrival_period(Duration::from_millis(20))
             .seed(7)
             .build()
             .expect("valid config builds");
@@ -1621,7 +1609,6 @@ mod tests {
                 spike_every: 5,
                 mode_change: false,
                 death_every: 0,
-                min_arrival_period: Duration::from_millis(20),
                 seed: 7,
                 tenants: 0,
                 best_effort_tenants: 0,

@@ -96,8 +96,6 @@ pub enum EventOutcome {
         /// `true` when integration needed a full re-synthesis (or the FPS
         /// fallback) instead of incremental repair.
         resynthesized: bool,
-        /// Wall-clock time spent constructing the new schedule.
-        latency: std::time::Duration,
     },
     /// An arrival was turned away; the schedule is unchanged.
     Rejected {
@@ -602,10 +600,9 @@ impl OnlineScheduler {
     /// Offers an arrival to this partition regardless of the task's own
     /// device binding — the fleet router's admission entry point. The
     /// decision pipeline is identical to applying
-    /// `SystemEvent::Arrival(task.retarget(self.device()))`, but the
-    /// task is re-bound only *on admission*: at nominal load (no active
-    /// spike) the utilisation gate runs before any clone, so a
-    /// gate-saturated partition turns offers away without allocating.
+    /// `SystemEvent::Arrival(task.retarget(self.device()))`: the gate
+    /// sees the task scaled to the current spike level and bound to this
+    /// partition.
     pub fn offer(&mut self, nominal: &IoTask) -> EventOutcome {
         self.stats.arrivals += 1;
         if let Some(c) = self.stats.tenant_entry(nominal.tenant()) {
@@ -619,19 +616,9 @@ impl OnlineScheduler {
                 reason: RejectReason::DuplicateTask,
             };
         }
-        if self.spike_percent == 100 {
-            // At 100% scaling is the identity (every valid task has a
-            // positive WCET, so the 1 µs floor never engages): gating on
-            // the nominal utilisation first reaches the same verdict as
-            // scale-then-gate, without building the scaled task at all.
-            if self.overloaded_by(nominal.utilisation()) {
-                return self.gate_reject(id, nominal.tenant());
-            }
-            return self.admit_effective(nominal, nominal.retarget(self.device));
-        }
         // Under a spike the scaled task may be invalid outright, and that
         // verdict precedes the gate — the order is observable, so it is
-        // preserved exactly.
+        // preserved exactly. At 100% the scaling is the identity.
         let Some(effective) = scale_task(nominal, self.spike_percent, self.device) else {
             self.reject_for_tenant(nominal.tenant());
             return EventOutcome::Rejected {
@@ -639,16 +626,24 @@ impl OnlineScheduler {
                 reason: RejectReason::InvalidUnderLoad,
             };
         };
-        if self.overloaded_by(effective.utilisation()) {
-            return self.gate_reject(id, nominal.tenant());
+        // 1. Utilisation gate: a necessary condition, checked without any
+        //    schedule work. The diagnostic names the newcomer — it is the
+        //    task that does not fit, whatever else is running.
+        if self.tasks.utilisation() + effective.utilisation() > 1.0 + 1e-9 {
+            self.reject_for_tenant(nominal.tenant());
+            self.stats.fast_rejects += 1;
+            self.stats
+                .record_reject_cause(InfeasibleCause::UtilisationOverload);
+            return EventOutcome::Rejected {
+                task: id,
+                reason: RejectReason::Infeasible(
+                    Infeasible::new(InfeasibleCause::UtilisationOverload)
+                        .with_tasks([id])
+                        .with_partial(self.psi(), self.upsilon()),
+                ),
+            };
         }
         self.admit_effective(nominal, effective)
-    }
-
-    /// 1. Utilisation gate: a necessary condition, checked without any
-    ///    schedule work.
-    fn overloaded_by(&self, utilisation: f64) -> bool {
-        self.tasks.utilisation() + utilisation > 1.0 + 1e-9
     }
 
     /// One rejection, counted fleet-wide and (for tagged traffic)
@@ -657,23 +652,6 @@ impl OnlineScheduler {
         self.stats.rejected += 1;
         if let Some(c) = self.stats.tenant_entry(tenant) {
             c.rejected += 1;
-        }
-    }
-
-    /// The gate's fast rejection. The diagnostic names the newcomer — it
-    /// is the task that does not fit, whatever else is running.
-    fn gate_reject(&mut self, id: TaskId, tenant: TenantId) -> EventOutcome {
-        self.reject_for_tenant(tenant);
-        self.stats.fast_rejects += 1;
-        self.stats
-            .record_reject_cause(InfeasibleCause::UtilisationOverload);
-        EventOutcome::Rejected {
-            task: id,
-            reason: RejectReason::Infeasible(
-                Infeasible::new(InfeasibleCause::UtilisationOverload)
-                    .with_tasks([id])
-                    .with_partial(self.psi(), self.upsilon()),
-            ),
         }
     }
 
@@ -704,7 +682,7 @@ impl OnlineScheduler {
         let guaranteed = self.cache.schedulable(&candidate);
         // 3. Integration tiers.
         match self.integrate(&candidate, guaranteed) {
-            Ok((jobs, outcome, latency)) => {
+            Ok((jobs, outcome)) => {
                 let replaced = outcome.replaced;
                 let resynthesized = outcome.resynthesized;
                 self.install(candidate, jobs, outcome.schedule);
@@ -717,7 +695,6 @@ impl OnlineScheduler {
                     task: id,
                     replaced,
                     resynthesized,
-                    latency,
                 }
             }
             Err(diagnostic) => {
@@ -917,15 +894,15 @@ impl OnlineScheduler {
     }
 
     /// Builds the schedule for `candidate` (arrival path). Returns the
-    /// expanded jobs, the repair outcome and the construction latency,
-    /// or the most informative diagnostic when every tier failed (the
-    /// re-synthesis tier's — the FPS fallback is quality-blind and only
-    /// consulted under a pre-check guarantee).
+    /// expanded jobs and the repair outcome, or the most informative
+    /// diagnostic when every tier failed (the re-synthesis tier's — the
+    /// FPS fallback is quality-blind and only consulted under a
+    /// pre-check guarantee).
     fn integrate(
         &mut self,
         candidate: &TaskSet,
         guaranteed: bool,
-    ) -> Result<(JobSet, tagio_sched::RepairOutcome, std::time::Duration), Infeasible> {
+    ) -> Result<(JobSet, tagio_sched::RepairOutcome), Infeasible> {
         let jobs = JobSet::expand(candidate);
         let new_h = candidate.hyperperiod();
         let old_h = self.tasks.hyperperiod();
@@ -984,7 +961,7 @@ impl OnlineScheduler {
         } else {
             self.stats.repairs += 1;
         }
-        Ok((jobs, outcome, latency))
+        Ok((jobs, outcome))
     }
 
     fn record_construction(&mut self, latency: std::time::Duration) {
@@ -1525,6 +1502,41 @@ mod tests {
         // the tie-aware invalidation keeps the higher-ranked entries).
         svc.apply(&SystemEvent::Arrival(mk(3, 8, 400, 6)));
         assert!(svc.cache().hits() > 0);
+    }
+
+    /// `offer` gates one way at every spike level: at 100% the rebuild
+    /// equals a plain re-bind for any task the builder and the mutators
+    /// can produce.
+    #[test]
+    fn full_load_scaling_is_a_rebind_for_every_constructible_task() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use tagio_core::task::Priority;
+        let mut rng = StdRng::seed_from_u64(5);
+        let us = Duration::from_micros;
+        for _ in 0..2_000 {
+            let period = rng.random_range(1..=10_000_000u64);
+            let deadline = rng.random_range(1..=period);
+            let wcet = rng.random_range(1..=deadline);
+            let delta = rng.random_range(0..=deadline - wcet);
+            let vmin = rng.random_range(-1e3..=1e3);
+            let mut task = IoTask::builder(TaskId(rng.random_range(0..64)), DeviceId(0))
+                .wcet(us(wcet))
+                .period(us(period))
+                .deadline(us(deadline))
+                .ideal_offset(us(delta))
+                .margin(us(rng.random_range(0..=delta.min(deadline - delta))))
+                .quality(vmin + rng.random_range(0.0..=1e3), vmin)
+                .release_offset(us(rng.random_range(0..period)))
+                .tenant(TenantId(rng.random_range(0..8)))
+                .build()
+                .unwrap();
+            let odd = [f64::NAN, f64::INFINITY, rng.random_range(-1e3..=1e3)];
+            task.set_priority(Priority(rng.random_range(0..100)));
+            task.set_vmax(odd[rng.random_range(0..3)]);
+            task.set_vmin(odd[rng.random_range(0..3)]);
+            let device = DeviceId(rng.random_range(0..4));
+            assert_eq!(scale_task(&task, 100, device), Some(task.retarget(device)));
+        }
     }
 
     #[test]

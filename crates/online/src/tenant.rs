@@ -290,20 +290,18 @@ impl TenantLedger {
     pub fn accrue(&mut self, tenant: TenantId, weight: u32) {
         let grant = u64::from(weight) * DEFICIT_QUANTUM_PPM;
         let cap = grant * DEFICIT_CAP_QUANTA;
-        let slot = self.deficits.entry(tenant).or_insert(0);
-        *slot = (*slot + grant).min(cap);
+        self.set_deficit(tenant, (self.deficit(tenant) + grant).min(cap));
     }
 
     /// Spends `cost_ppm` of `tenant`'s credit if enough is banked;
     /// returns whether the spend (and thus the admission) went through.
     pub fn try_spend(&mut self, tenant: TenantId, cost_ppm: u64) -> bool {
-        let slot = self.deficits.entry(tenant).or_insert(0);
-        if *slot >= cost_ppm {
-            *slot -= cost_ppm;
-            true
-        } else {
-            false
+        let banked = self.deficit(tenant);
+        if banked < cost_ppm {
+            return false;
         }
+        self.set_deficit(tenant, banked - cost_ppm);
+        true
     }
 
     /// The banked credit for `tenant` (0 when never accrued).
@@ -312,7 +310,8 @@ impl TenantLedger {
         self.deficits.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// Sets `tenant`'s banked credit verbatim (snapshot restore).
+    /// Sets `tenant`'s banked credit verbatim (snapshot restore). Every
+    /// write goes through here, so a zero balance is never stored.
     pub fn set_deficit(&mut self, tenant: TenantId, deficit_ppm: u64) {
         if deficit_ppm == 0 {
             self.deficits.remove(&tenant);
@@ -409,6 +408,17 @@ mod tests {
         // Weight scales the grant.
         ledger.accrue(TenantId(4), 3);
         assert_eq!(ledger.deficit(TenantId(4)), 3 * DEFICIT_QUANTUM_PPM);
+    }
+
+    #[test]
+    fn ledger_never_stores_a_zero_balance() {
+        let mut ledger = TenantLedger::new();
+        ledger.accrue(TenantId(1), 1);
+        // Spent to zero, accrued at weight 0, a failed spend from nothing.
+        assert!(ledger.try_spend(TenantId(1), DEFICIT_QUANTUM_PPM));
+        ledger.accrue(TenantId(2), 0);
+        assert!(!ledger.try_spend(TenantId(3), 1));
+        assert!(ledger.is_empty(), "{:?}", ledger.iter().collect::<Vec<_>>());
     }
 
     #[test]

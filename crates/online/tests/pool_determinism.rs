@@ -29,7 +29,6 @@ use tagio_core::task::{DeviceId, IoTask, Priority, TaskId};
 use tagio_core::time::Duration;
 use tagio_online::fleet::{FleetConfig, FleetOutcome, FleetScheduler};
 use tagio_online::persist::stats_digest;
-use tagio_online::service::EventOutcome;
 
 /// Devices in the fleet under test (4 partitions).
 const DEVICES: u32 = 4;
@@ -51,28 +50,6 @@ fn pool_task(id: u32, device: u32, period_ix: usize, wcet_permille: u64, prio: u
         .quality(f64::from(id % 7) + 1.0, 0.25)
         .build()
         .expect("pool parameters are valid")
-}
-
-/// Strips the wall-clock admission latency, the only legitimately
-/// run-dependent field, so fleet outcomes compare exactly.
-fn canon(outcome: FleetOutcome) -> FleetOutcome {
-    FleetOutcome {
-        outcome: match outcome.outcome {
-            EventOutcome::Admitted {
-                task,
-                replaced,
-                resynthesized,
-                ..
-            } => EventOutcome::Admitted {
-                task,
-                replaced,
-                resynthesized,
-                latency: std::time::Duration::ZERO,
-            },
-            other => other,
-        },
-        ..outcome
-    }
 }
 
 /// A fleet over [`DEVICES`] empty partitions at pool width `threads`,
@@ -139,14 +116,9 @@ proptest! {
         // lane evaluation, ordered commit, retry waves and deferred
         // departures all run against each other within the epoch.
         for (epoch, chunk) in events.chunks(5).enumerate() {
-            let expected: Vec<FleetOutcome> = reference
-                .apply_batch(chunk)
-                .into_iter()
-                .map(canon)
-                .collect();
+            let expected = reference.apply_batch(chunk);
             for (w, fleet) in &mut wide {
-                let got: Vec<FleetOutcome> =
-                    fleet.apply_batch(chunk).into_iter().map(canon).collect();
+                let got = fleet.apply_batch(chunk);
                 prop_assert_eq!(
                     &expected, &got,
                     "outcomes diverged at width {} in epoch {}", w, epoch
@@ -207,7 +179,7 @@ fn skewed_lanes_replay_identically_at_every_width() {
     for (epoch, events) in skewed_epochs().iter().enumerate() {
         let outcomes: Vec<Vec<FleetOutcome>> = fleets
             .iter_mut()
-            .map(|(_, fleet)| fleet.apply_batch(events).into_iter().map(canon).collect())
+            .map(|(_, fleet)| fleet.apply_batch(events))
             .collect();
         let (reference, wide) = fleets.split_first().expect("four widths");
         for ((w, fleet), got) in wide.iter().zip(&outcomes[1..]) {

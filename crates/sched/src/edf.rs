@@ -71,9 +71,10 @@ impl Scheduler for EdfOffline {
             let job = &all[idx];
             let start = now.max(job.release());
             if start > job.latest_start() {
+                let (psi, upsilon) = metrics::quality(&out, jobs);
                 return Err(Infeasible::new(InfeasibleCause::BlockingBound)
                     .with_jobs([job.id()])
-                    .with_partial(metrics::psi(&out, jobs), metrics::upsilon(&out, jobs)));
+                    .with_partial(psi, upsilon));
             }
             out.insert(entry_for(job, start));
             now = start + job.wcet();

@@ -10,9 +10,12 @@
 //! finally snapped back to their ideal starts where the neighbouring
 //! executions leave room. Infeasible individuals score `(−1, −1)`.
 //!
-//! Objectives are the paper's `(Ψ, Υ)`; the engine returns every
-//! non-dominated schedule found, from which callers typically take the
-//! best-Ψ and best-Υ ends (as Figs. 6 and 7 do).
+//! Objectives are the paper's `(Ψ, Υ)`, summed by [`metrics::quality_by`]
+//! straight from the reconfigured starts by job position: no [`Schedule`]
+//! is built or sorted per genome, and the bits equal [`metrics::quality`]
+//! of `reconfigure(genome)`. The engine returns every non-dominated
+//! schedule found, from which callers typically take the best-Ψ and
+//! best-Υ ends (as Figs. 6 and 7 do).
 
 use crate::scheduler::Scheduler;
 use crate::solve::check_capacity;
@@ -20,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use tagio_core::job::JobSet;
 use tagio_core::metrics;
-use tagio_core::schedule::{Schedule, ScheduleEntry};
+use tagio_core::schedule::{entry_for, Schedule};
 use tagio_core::solve::{Infeasible, InfeasibleCause, SolverCtx};
 use tagio_core::time::Time;
 use tagio_ga::{GaConfig, Objectives, Problem};
@@ -200,14 +203,13 @@ impl Problem for IoSchedulingProblem<'_> {
         Some(self.jobs.as_slice()[locus].ideal_start().as_micros())
     }
 
+    /// `(Ψ, Υ)` of the reconfigured starts; `(−1, −1)` when infeasible.
     fn evaluate(&self, genome: &[u64]) -> Objectives {
-        match reconfigure(self.jobs, genome) {
-            Ok(schedule) => Objectives::from(vec![
-                metrics::psi(&schedule, self.jobs),
-                metrics::upsilon(&schedule, self.jobs),
-            ]),
-            Err(_) => Objectives::from(vec![-1.0, -1.0]),
-        }
+        let (psi, upsilon) = match assign_starts(self.jobs, genome) {
+            Ok((_, starts)) => metrics::quality_by(self.jobs, |i| Some(starts[i])),
+            Err(_) => (-1.0, -1.0),
+        };
+        Objectives::from(vec![psi, upsilon])
     }
 }
 
@@ -223,6 +225,19 @@ impl Problem for IoSchedulingProblem<'_> {
 /// Panics on a genome whose length differs from the job set (caller
 /// bug, not an input condition).
 pub fn reconfigure(jobs: &JobSet, starts: &[u64]) -> Result<Schedule, Infeasible> {
+    let all = jobs.as_slice();
+    let (order, assigned) = assign_starts(jobs, starts)?;
+    Ok(order
+        .iter()
+        .map(|&i| entry_for(&all[i], assigned[i]))
+        .collect())
+}
+
+/// [`reconfigure`]'s start assignment: the execution order (job
+/// positions) and the reconfigured start of every job, by job position
+/// in `jobs`. The GA scores genomes straight from the starts, without
+/// building a [`Schedule`].
+fn assign_starts(jobs: &JobSet, starts: &[u64]) -> Result<(Vec<usize>, Vec<Time>), Infeasible> {
     let all = jobs.as_slice();
     assert_eq!(all.len(), starts.len(), "genome length mismatch");
 
@@ -301,14 +316,7 @@ pub fn reconfigure(jobs: &JobSet, starts: &[u64]) -> Result<Schedule, Infeasible
         }
     }
 
-    Ok(order
-        .iter()
-        .map(|&idx| ScheduleEntry {
-            job: all[idx].id(),
-            start: assigned[idx],
-            duration: all[idx].wcet(),
-        })
-        .collect())
+    Ok((order, assigned))
 }
 
 #[cfg(test)]
@@ -659,5 +667,38 @@ mod tests {
         assert_eq!(s.len(), jobs.len());
         assert!(jobs.iter().all(|j| s.start_of(j.id()).is_some()));
         let _ = JobId::new(TaskId(0), 0);
+    }
+
+    #[test]
+    fn genome_scores_match_schedule_based_scoring_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut feasible = 0;
+        for u in [0.3, 0.5, 0.7, 0.9] {
+            let jobs = JobSet::expand(&SystemConfig::paper(u).generate(&mut rng));
+            let problem = IoSchedulingProblem { jobs: &jobs };
+            let horizon = jobs.hyperperiod().as_micros();
+            for kind in 0..30 {
+                let genome: Vec<u64> = (0..jobs.len())
+                    .map(|locus| match kind % 3 {
+                        0 => problem.random_gene(locus, &mut rng),
+                        _ => rng.random_range(0..horizon),
+                    })
+                    .collect();
+                // The schedule-based scoring `evaluate` ran before it
+                // summed by job position, kept as the oracle.
+                let want = match reconfigure(&jobs, &genome) {
+                    Ok(s) => [metrics::psi(&s, &jobs), metrics::upsilon(&s, &jobs)],
+                    Err(_) => [-1.0, -1.0],
+                };
+                feasible += usize::from(want[0] >= 0.0);
+                let got: [f64; 2] = problem.evaluate(&genome).values().try_into().unwrap();
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "u={u} #{kind}"
+                );
+            }
+        }
+        assert!(feasible > 0 && feasible < 120, "{feasible} of 120 feasible");
     }
 }

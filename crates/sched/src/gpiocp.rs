@@ -65,9 +65,10 @@ impl Scheduler for Gpiocp {
             let job = &all[idx];
             let start = job.ideal_start().max(device_free);
             if start + job.wcet() > job.abs_deadline() {
+                let (psi, upsilon) = metrics::quality(&out, jobs);
                 return Err(Infeasible::new(InfeasibleCause::BlockingBound)
                     .with_jobs([job.id()])
-                    .with_partial(metrics::psi(&out, jobs), metrics::upsilon(&out, jobs)));
+                    .with_partial(psi, upsilon));
             }
             out.insert(entry_for(job, start));
             device_free = start + job.wcet();

@@ -943,7 +943,7 @@ mod tests {
     }
 
     /// The position lookup behind `partial_quality` must give the bits
-    /// `metrics::psi` / `metrics::upsilon` give for the finished schedule:
+    /// `metrics::quality` gives for the finished schedule:
     /// on empty, fully exact, shifted and partly placed timelines.
     #[test]
     fn partial_quality_matches_schedule_metrics_bit_for_bit() {
@@ -952,8 +952,7 @@ mod tests {
         fn check(tl: &Timeline<'_>, case: &str) {
             let (psi, upsilon) = tl.partial_quality(&mut Vec::new());
             let s = tl.clone().into_schedule();
-            let (want_psi, want_upsilon) =
-                (metrics::psi(&s, tl.jobs), metrics::upsilon(&s, tl.jobs));
+            let (want_psi, want_upsilon) = metrics::quality(&s, tl.jobs);
             assert_eq!(psi.to_bits(), want_psi.to_bits(), "psi, {case}");
             assert_eq!(upsilon.to_bits(), want_upsilon.to_bits(), "upsilon, {case}");
         }

@@ -323,9 +323,10 @@ pub fn retime_in(
         let job = &all[idx];
         let start = base_start.max(cursor).max(job.release());
         if start > job.latest_start() {
+            let (psi, upsilon) = metrics::quality(&out, jobs);
             return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
                 .with_jobs([job.id()])
-                .with_partial(metrics::psi(&out, jobs), metrics::upsilon(&out, jobs)));
+                .with_partial(psi, upsilon));
         }
         out.insert(tagio_core::schedule::ScheduleEntry {
             job: job.id(),

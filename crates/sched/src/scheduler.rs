@@ -97,11 +97,12 @@ impl SchedulingReport {
                 schedule
                     .validate(jobs)
                     .map_err(|e| SchedulerBug::new(solver.name(), e))?;
+                let (psi, upsilon) = metrics::quality(&schedule, jobs);
                 Ok(SchedulingReport {
                     method: solver.name().to_owned(),
                     schedulable: true,
-                    psi: metrics::psi(&schedule, jobs),
-                    upsilon: metrics::upsilon(&schedule, jobs),
+                    psi,
+                    upsilon,
                     diagnostic: None,
                 })
             }
