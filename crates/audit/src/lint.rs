@@ -30,6 +30,7 @@ const HOT_PATH: &[&str] = &[
     "crates/online/src/persist.rs",
     "crates/online/src/tenant.rs",
     "crates/sched/src/fps.rs",
+    "crates/sched/src/solve.rs",
     "crates/sched/src/cache.rs",
     "crates/sched/src/analysis.rs",
     "crates/sched/src/heuristic/repair.rs",

@@ -219,45 +219,6 @@ impl core::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 impl FleetSnapshot {
-    /// Captures `fleet` at its current epoch boundary.
-    #[must_use]
-    pub fn capture(fleet: &FleetScheduler) -> FleetSnapshot {
-        let devices: Vec<DeviceId> = fleet
-            .partitions()
-            .iter()
-            .map(OnlineScheduler::device)
-            .collect();
-        FleetSnapshot {
-            epoch: fleet.stats().epochs,
-            config: fleet.config().clone(),
-            rng_state: fleet.rng_state(),
-            stats: fleet.stats().clone(),
-            owner: fleet
-                .owner_map()
-                .iter()
-                .map(|(&id, &ix)| (id, devices[ix]))
-                .collect(),
-            overload: devices
-                .iter()
-                .copied()
-                .zip(fleet.overload_counts().iter().copied())
-                .collect(),
-            ledger: fleet.ledger().clone(),
-            partitions: fleet
-                .partitions()
-                .iter()
-                .map(|p| PartitionSnapshot {
-                    device: p.device(),
-                    spike_percent: p.spike_percent(),
-                    active: p.tasks().iter().cloned().collect(),
-                    pool: p.pool().values().cloned().collect(),
-                    entries: p.schedule().iter().cloned().collect(),
-                    stats: p.stats().clone(),
-                })
-                .collect(),
-        }
-    }
-
     /// Rebuilds a live fleet. Derived state (jobs, Ψ/Υ, caches) is
     /// recomputed; every partition's schedule is re-validated against
     /// its re-expanded jobs, so a corrupt snapshot fails here instead
@@ -851,7 +812,40 @@ impl FleetScheduler {
     /// Captures a [`FleetSnapshot`] at the current epoch boundary.
     #[must_use]
     pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot::capture(self)
+        let devices: Vec<DeviceId> = self
+            .partitions()
+            .iter()
+            .map(OnlineScheduler::device)
+            .collect();
+        FleetSnapshot {
+            epoch: self.stats().epochs,
+            config: self.config().clone(),
+            rng_state: self.rng_state(),
+            stats: self.stats().clone(),
+            owner: self
+                .owner_map()
+                .iter()
+                .map(|(&id, &ix)| (id, devices[ix]))
+                .collect(),
+            overload: devices
+                .iter()
+                .copied()
+                .zip(self.overload_counts().iter().copied())
+                .collect(),
+            ledger: self.ledger().clone(),
+            partitions: self
+                .partitions()
+                .iter()
+                .map(|p| PartitionSnapshot {
+                    device: p.device(),
+                    spike_percent: p.spike_percent(),
+                    active: p.tasks().iter().cloned().collect(),
+                    pool: p.pool().values().cloned().collect(),
+                    entries: p.schedule().iter().cloned().collect(),
+                    stats: p.stats().clone(),
+                })
+                .collect(),
+        }
     }
 
     /// Rebuilds a fleet from `snapshot` and replays every WAL epoch

@@ -15,7 +15,7 @@
 //! so traces can be stored, diffed and replayed outside the generator.
 
 use crate::fleet::{FleetConfig, FleetScheduler};
-use crate::service::{OnlineScheduler, RepairStrategy};
+use crate::service::{builder_from, OnlineScheduler, RepairStrategy};
 use crate::tenant::{TenantCounters, TenantRegistry, TenantSpec, PPM};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -127,8 +127,7 @@ pub struct ReplayOutcome {
 /// period ⇒ larger value), stable across arrivals — unlike re-running
 /// DMPO over the whole set, it never re-ranks already-admitted tasks (so
 /// cached analysis results stay valid).
-#[must_use]
-pub fn dm_priority(period: Duration) -> u32 {
+fn dm_priority(period: Duration) -> u32 {
     (PeriodPool::paper_default().hyperperiod().as_micros() / period.as_micros().max(1)) as u32
 }
 
@@ -148,31 +147,17 @@ fn blocking_cap() -> Duration {
 
 fn rebuild_with_dm_priority(task: &IoTask, id: TaskId, device: DeviceId) -> IoTask {
     let prio = dm_priority(task.period());
-    IoTask::builder(id, device)
+    builder_from(task, id, device)
         .wcet(task.wcet().min(blocking_cap()))
-        .period(task.period())
-        .deadline(task.deadline())
-        .ideal_offset(task.ideal_offset())
-        .margin(task.margin())
-        .release_offset(task.release_offset())
         .priority(tagio_core::task::Priority(prio))
         .quality(f64::from(prio) + 1.0, task.vmin())
-        .tenant(task.tenant())
         .build()
         .expect("rebuilding a valid task preserves validity")
 }
 
 /// The same task re-tagged with `tenant` (everything else unchanged).
 fn tag_tenant(task: &IoTask, tenant: TenantId) -> IoTask {
-    IoTask::builder(task.id(), task.device())
-        .wcet(task.wcet())
-        .period(task.period())
-        .deadline(task.deadline())
-        .ideal_offset(task.ideal_offset())
-        .margin(task.margin())
-        .release_offset(task.release_offset())
-        .priority(task.priority())
-        .quality(task.vmax(), task.vmin())
+    builder_from(task, task.id(), task.device())
         .tenant(tenant)
         .build()
         .expect("re-tagging a valid task preserves validity")

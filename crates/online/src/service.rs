@@ -38,7 +38,7 @@ use tagio_core::event::{Mode, SystemEvent};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
-use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
+use tagio_core::task::{DeviceId, IoTask, IoTaskBuilder, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
 use tagio_sched::heuristic::repair::{repair_or_resynthesize_in, retime_in};
 use tagio_sched::heuristic::{SlotPolicy, StaticScheduler};
@@ -452,12 +452,6 @@ impl OnlineScheduler {
     /// quality-only shedding order exactly.
     pub fn set_tenant_registry(&mut self, registry: TenantRegistry) {
         self.registry = registry;
-    }
-
-    /// The tenant registry in force on this partition.
-    #[must_use]
-    pub fn tenant_registry(&self) -> &TenantRegistry {
-        &self.registry
     }
 
     /// Every task ever admitted, at nominal WCET, keyed by id (the
@@ -1037,8 +1031,18 @@ fn shed_victim(registry: &TenantRegistry, tasks: &[IoTask]) -> Option<usize> {
 fn scale_task(task: &IoTask, percent: u32, device: DeviceId) -> Option<IoTask> {
     let scaled = (u128::from(task.wcet().as_micros()) * u128::from(percent) / 100).max(1);
     let wcet = tagio_core::time::Duration::from_micros(u64::try_from(scaled).ok()?);
-    IoTask::builder(task.id(), device)
+    builder_from(task, task.id(), device)
         .wcet(wcet)
+        .build()
+        .ok()
+}
+
+/// A builder pre-filled with every field of `task`, re-keyed to `id` on
+/// `device`: the crate's one copy of an [`IoTask`], so each caller
+/// overrides only the fields it changes.
+pub(crate) fn builder_from(task: &IoTask, id: TaskId, device: DeviceId) -> IoTaskBuilder {
+    IoTask::builder(id, device)
+        .wcet(task.wcet())
         .period(task.period())
         .deadline(task.deadline())
         .ideal_offset(task.ideal_offset())
@@ -1047,8 +1051,6 @@ fn scale_task(task: &IoTask, percent: u32, device: DeviceId) -> Option<IoTask> {
         .quality(task.vmax(), task.vmin())
         .release_offset(task.release_offset())
         .tenant(task.tenant())
-        .build()
-        .ok()
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {

@@ -3,9 +3,11 @@
 //! The headline assertions mirror the `online_scenarios` experiment's
 //! acceptance criteria on its default arrival sweep: across seeded
 //! scenarios, incremental repair must admit **at least** as many tasks as
-//! the always-re-synthesise baseline, at **at least 5×** lower mean
-//! schedule-construction latency. Scenarios are pure functions of their
-//! seeds, so everything except wall-clock latency is bit-reproducible.
+//! the always-re-synthesise baseline. The latency half (full
+//! re-synthesis at least 1.5× slower on wall-clock means, with a second
+//! strike) lives in `repair_latency.rs`. Scenarios are pure functions of
+//! their seeds, so everything except wall-clock latency is
+//! bit-reproducible.
 
 use tagio_core::task::TaskId;
 use tagio_online::scenario::{Scenario, ScenarioConfig};

@@ -4,15 +4,13 @@
 //! deadline-driven alternative and makes a useful extra reference point in
 //! ablations: like FPS it is work-conserving and ignorant of ideal start
 //! instants, so it achieves Ψ ≈ 0 while being at least as schedulable as
-//! FPS-offline on these workloads (deadline-ordered dispatch).
+//! FPS-offline on these workloads (the shared dispatcher, deadline-keyed).
 
 use crate::scheduler::Scheduler;
-use crate::solve::check_capacity;
+use crate::solve::{check_capacity, dispatch};
 use tagio_core::job::JobSet;
-use tagio_core::metrics;
-use tagio_core::schedule::{entry_for, Schedule};
+use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
-use tagio_core::time::Time;
 
 /// Offline non-preemptive earliest-deadline-first scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,44 +40,12 @@ impl Scheduler for EdfOffline {
     fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
         check_capacity(jobs)?;
         let all = jobs.as_slice();
-        let mut pending: Vec<usize> = Vec::new();
-        let mut next_release = 0usize;
-        let mut now = Time::ZERO;
-        let mut out = Schedule::new();
-
-        while next_release < all.len() || !pending.is_empty() {
-            while next_release < all.len() && all[next_release].release() <= now {
-                pending.push(next_release);
-                next_release += 1;
-            }
-            if pending.is_empty() {
-                now = all[next_release].release();
-                continue;
-            }
-            let (slot, &idx) = pending
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    all[a]
-                        .abs_deadline()
-                        .cmp(&all[b].abs_deadline())
-                        .then(all[a].release().cmp(&all[b].release()))
-                        .then(all[a].id().task.cmp(&all[b].id().task))
-                })
-                .expect("pending is non-empty");
-            pending.swap_remove(slot);
-            let job = &all[idx];
-            let start = now.max(job.release());
-            if start > job.latest_start() {
-                let (psi, upsilon) = metrics::quality(&out, jobs);
-                return Err(Infeasible::new(InfeasibleCause::BlockingBound)
-                    .with_jobs([job.id()])
-                    .with_partial(psi, upsilon));
-            }
-            out.insert(entry_for(job, start));
-            now = start + job.wcet();
-        }
-        Ok(out)
+        dispatch(
+            jobs,
+            |i| all[i].release(),
+            |i| (all[i].abs_deadline(), all[i].release(), all[i].id().task),
+            InfeasibleCause::BlockingBound,
+        )
     }
 }
 

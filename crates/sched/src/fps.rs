@@ -2,10 +2,10 @@
 //!
 //! * [`FpsOffline`] — the paper's "FPS-offline": a static schedule produced
 //!   before run-time by simulating non-preemptive fixed-priority dispatching
-//!   over the hyper-period. Work-conserving: whenever the device idles, the
-//!   highest-priority released pending job starts. Ideal start instants are
-//!   ignored entirely — which is why FPS achieves `Ψ = 0` in the paper's
-//!   Fig. 6.
+//!   over the hyper-period on the crate's shared dispatcher. Work-conserving:
+//!   whenever the device idles, the highest-priority released pending job
+//!   starts. Ideal start instants are ignored entirely — which is why FPS
+//!   achieves `Ψ = 0` in the paper's Fig. 6.
 //! * [`fps_online_schedulable`] — the paper's "FPS-online": the worst-case
 //!   schedulability *test* for dynamic non-preemptive FPS at run-time,
 //!   following the response-time analysis with lower-priority blocking of
@@ -13,13 +13,11 @@
 
 use crate::analysis::taskset_schedulable_np_fps;
 use crate::scheduler::Scheduler;
-use crate::solve::check_capacity;
+use crate::solve::{check_capacity, dispatch, priority_rank};
 use tagio_core::job::JobSet;
-use tagio_core::metrics;
-use tagio_core::schedule::{entry_for, Schedule};
+use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::TaskSet;
-use tagio_core::time::Time;
 
 /// The offline non-preemptive fixed-priority scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,53 +46,13 @@ impl Scheduler for FpsOffline {
     /// schedule's Ψ/Υ attached.
     fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
         check_capacity(jobs)?;
-        let mut pending: Vec<usize> = Vec::new();
-        let mut next_release = 0usize; // jobs are sorted by release
         let all = jobs.as_slice();
-        let mut now = Time::ZERO;
-        let mut out = Schedule::new();
-
-        while next_release < all.len() || !pending.is_empty() {
-            // Admit releases up to `now`.
-            while next_release < all.len() && all[next_release].release() <= now {
-                pending.push(next_release);
-                next_release += 1;
-            }
-            if pending.is_empty() {
-                // Idle until the next release.
-                now = all[next_release].release();
-                continue;
-            }
-            // Highest priority released job; ties by earliest release then
-            // id. The emptiness check above guarantees a candidate, so a
-            // plain argmax scan picks it without an `expect` (updating on
-            // ties keeps `Iterator::max_by`'s last-maximum semantics).
-            let mut slot = 0;
-            for s in 1..pending.len() {
-                let (a, b) = (pending[s], pending[slot]);
-                let ord = all[a]
-                    .priority()
-                    .cmp(&all[b].priority())
-                    .then(all[b].release().cmp(&all[a].release()))
-                    .then(all[b].id().task.cmp(&all[a].id().task));
-                if ord != std::cmp::Ordering::Less {
-                    slot = s;
-                }
-            }
-            let idx = pending[slot];
-            pending.swap_remove(slot);
-            let job = &all[idx];
-            let start = now.max(job.release());
-            if start > job.latest_start() {
-                let (psi, upsilon) = metrics::quality(&out, jobs);
-                return Err(Infeasible::new(InfeasibleCause::BlockingBound)
-                    .with_jobs([job.id()])
-                    .with_partial(psi, upsilon));
-            }
-            out.insert(entry_for(job, start));
-            now = start + job.wcet();
-        }
-        Ok(out)
+        dispatch(
+            jobs,
+            |i| all[i].release(),
+            |i| priority_rank(&all[i]),
+            InfeasibleCause::BlockingBound,
+        )
     }
 }
 
@@ -117,7 +75,7 @@ mod tests {
     use tagio_core::job::JobId;
     use tagio_core::metrics;
     use tagio_core::task::{DeviceId, IoTask, Priority, TaskId};
-    use tagio_core::time::Duration;
+    use tagio_core::time::{Duration, Time};
 
     fn mk_task(id: u32, period_ms: u64, wcet_us: u64, prio: u32) -> IoTask {
         IoTask::builder(TaskId(id), DeviceId(0))

@@ -12,15 +12,13 @@
 //! instant encoded in its timed command). The device serves requests in
 //! firing order; a request arriving at an idle device starts immediately —
 //! hence *exactly on time* — while a request arriving behind others queues
-//! and starts late.
+//! and starts late: the crate's shared dispatcher, keyed by firing instant.
 
 use crate::scheduler::Scheduler;
-use crate::solve::check_capacity;
+use crate::solve::{check_capacity, dispatch};
 use tagio_core::job::JobSet;
-use tagio_core::metrics;
-use tagio_core::schedule::{entry_for, Schedule};
+use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
-use tagio_core::time::Time;
 
 /// The FIFO-queued GPIOCP execution model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,30 +48,13 @@ impl Scheduler for Gpiocp {
     fn schedule(&self, jobs: &JobSet) -> Result<Schedule, Infeasible> {
         check_capacity(jobs)?;
         // Requests fire at ideal start instants; FIFO = firing order.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
         let all = jobs.as_slice();
-        order.sort_by(|&a, &b| {
-            all[a]
-                .ideal_start()
-                .cmp(&all[b].ideal_start())
-                .then(all[a].id().task.cmp(&all[b].id().task))
-                .then(all[a].id().index.cmp(&all[b].id().index))
-        });
-        let mut device_free = Time::ZERO;
-        let mut out = Schedule::new();
-        for idx in order {
-            let job = &all[idx];
-            let start = job.ideal_start().max(device_free);
-            if start + job.wcet() > job.abs_deadline() {
-                let (psi, upsilon) = metrics::quality(&out, jobs);
-                return Err(Infeasible::new(InfeasibleCause::BlockingBound)
-                    .with_jobs([job.id()])
-                    .with_partial(psi, upsilon));
-            }
-            out.insert(entry_for(job, start));
-            device_free = start + job.wcet();
-        }
-        Ok(out)
+        dispatch(
+            jobs,
+            |i| all[i].ideal_start(),
+            |i| (all[i].ideal_start(), all[i].id().task, all[i].id().index),
+            InfeasibleCause::BlockingBound,
+        )
     }
 }
 
@@ -83,7 +64,7 @@ mod tests {
     use tagio_core::job::JobId;
     use tagio_core::metrics;
     use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
-    use tagio_core::time::Duration;
+    use tagio_core::time::{Duration, Time};
 
     fn task(id: u32, period_ms: u64, wcet_us: u64, delta_ms: u64) -> IoTask {
         IoTask::builder(TaskId(id), DeviceId(0))

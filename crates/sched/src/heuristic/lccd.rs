@@ -707,13 +707,6 @@ fn fits_span(job: &Job, (lo, hi): (Time, Time)) -> bool {
         >= job.wcet()
 }
 
-/// Convenience used in tests and by the scheduler: a job's usable length in
-/// its release window.
-#[must_use]
-pub fn window_capacity(job: &Job) -> Duration {
-    job.abs_deadline() - job.release()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

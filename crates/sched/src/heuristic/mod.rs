@@ -30,7 +30,7 @@ pub use repair::{
 };
 
 use crate::scheduler::Scheduler;
-use crate::solve::check_capacity;
+use crate::solve::{check_capacity, priority_rank};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
@@ -116,13 +116,7 @@ pub(crate) fn synthesize_in(
     // Allocate sacrificed jobs, largest Pi first (Algorithm 1 line 11).
     let all = jobs.as_slice();
     let mut order = sacrificed;
-    order.sort_by(|&a, &b| {
-        all[b]
-            .priority()
-            .cmp(&all[a].priority())
-            .then(all[a].release().cmp(&all[b].release()))
-            .then(all[a].id().task.cmp(&all[b].id().task))
-    });
+    order.sort_by_key(|&i| priority_rank(&all[i]));
     for pos in 0..order.len() {
         let idx = order[pos];
         let pending = &order[pos + 1..];

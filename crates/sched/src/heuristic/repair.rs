@@ -18,7 +18,8 @@
 //! ([`repair_neighbourhood_in`], which escalates from exactly those
 //! diagnostics), then a full Algorithm 1 run — the paper's offline
 //! method. The online service layers admission control and shedding on
-//! top (`tagio-online`).
+//! top (`tagio-online`). [`retime_in`], the spike ladder's first tier,
+//! replays the base order through the baselines' shared dispatcher.
 //!
 //! Every failure of [`repair_in`] and [`repair_neighbourhood_in`] carries
 //! the partial Ψ/Υ of the placements it kept, as does a [`retime_in`]
@@ -37,9 +38,9 @@
 
 use super::lccd::{placement_quality, LadderWork, SlotPolicy, Timeline, TimelineScratch};
 use super::synthesize_in;
+use crate::solve::{dispatch, priority_rank};
 use std::collections::{HashMap, HashSet};
 use tagio_core::job::{Job, JobId, JobSet};
-use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::TaskId;
@@ -77,7 +78,6 @@ pub struct RepairScratch {
     offsets: HashMap<TaskId, Duration>,
     failed_tasks: HashSet<TaskId>,
     windows: Vec<(Time, Time)>,
-    order: Vec<(Time, usize)>,
     by_job: Vec<Option<Time>>,
     timeline: TimelineScratch,
 }
@@ -222,13 +222,7 @@ fn try_repair(
     let replaced = scratch.to_place.len();
 
     // Highest priority first, like the static scheduler's phase three.
-    scratch.to_place.sort_by(|&a, &b| {
-        all[b]
-            .priority()
-            .cmp(&all[a].priority())
-            .then(all[a].release().cmp(&all[b].release()))
-            .then(all[a].id().task.cmp(&all[b].id().task))
-    });
+    scratch.to_place.sort_by_key(|&i| priority_rank(&all[i]));
     // Periodicity fast path: once one job of a task is placed, its later
     // jobs usually fit at the same relative offset (the schedule repeats,
     // §III.C) — an O(log n) probe instead of a full slot allocation.
@@ -285,7 +279,7 @@ fn try_repair(
 /// every placement's finish stretches, so neighbours overlap pairwise,
 /// but the order is still right — each job keeps its start when possible
 /// and otherwise starts the instant its predecessor releases the device.
-/// Runs in `O(n log n)`.
+/// Runs in `O(n log n)` on the shared dispatcher, keyed by base start.
 ///
 /// # Errors
 /// An [`InfeasibleCause::NoFeasibleSlot`] diagnostic naming the job that
@@ -302,40 +296,20 @@ pub fn retime_in(
     let uncovered: Vec<JobId> = jobs
         .iter()
         .filter(|j| lookup_start(starts, j.id()).is_none())
-        .map(tagio_core::job::Job::id)
+        .map(Job::id)
         .collect();
     if !uncovered.is_empty() {
         return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs(uncovered));
     }
-    scratch.order.clear();
-    // Coverage was checked above, so the lookup never misses; `filter_map`
-    // keeps that invariant without an `expect`.
-    scratch.order.extend(
-        jobs.iter()
-            .enumerate()
-            .filter_map(|(idx, job)| lookup_start(starts, job.id()).map(|start| (start, idx))),
-    );
-    scratch.order.sort_unstable();
+    // Coverage was checked above: the fallback only avoids an `expect`.
     let all = jobs.as_slice();
-    let mut cursor = Time::ZERO;
-    let mut out = Schedule::new();
-    for &(base_start, idx) in &scratch.order {
-        let job = &all[idx];
-        let start = base_start.max(cursor).max(job.release());
-        if start > job.latest_start() {
-            let (psi, upsilon) = metrics::quality(&out, jobs);
-            return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-                .with_jobs([job.id()])
-                .with_partial(psi, upsilon));
-        }
-        out.insert(tagio_core::schedule::ScheduleEntry {
-            job: job.id(),
-            start,
-            duration: job.wcet(),
-        });
-        cursor = start + job.wcet();
-    }
-    Ok(out)
+    let base_start = |i: usize| lookup_start(starts, all[i].id()).unwrap_or(Time::ZERO);
+    dispatch(
+        jobs,
+        base_start,
+        |i| (base_start(i), i),
+        InfeasibleCause::NoFeasibleSlot,
+    )
 }
 
 /// Escalated repair: run the plain repair once to learn exactly *where*
