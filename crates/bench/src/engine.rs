@@ -161,34 +161,21 @@ impl<S: Sync> Method<S> {
 }
 
 impl Method<EvalSystem> {
-    /// A method from the scheduler registry, by (possibly parameterized)
-    /// spec (see [`tagio_sched::registry`] for the grammar).
+    /// A built-in method by name (see [`tagio_sched::registry`] for the
+    /// table).
     ///
     /// # Errors
-    /// Returns [`MethodError`] for specs the registry rejects.
+    /// Returns [`MethodError`] for names outside the table.
     pub fn scheduler(name: &str) -> Result<Self, MethodError> {
         Ok(Self::wrap(name.trim().to_owned(), make_scheduler(name)?))
     }
 
     /// One method per entry of a [`MethodSet`] — the bridge from
     /// `--methods fps-offline,static,...` to the engine. Each system is
-    /// solved under a [`SolverCtx`] carrying its per-system seed, so
-    /// seeded solvers (e.g. a registry `ga:...` spec) vary per system
-    /// like the figure binaries' GA does.
-    ///
-    /// Sweeps that want CLI budgets and the engine's thread split for
-    /// the `ga` column use [`Method::from_set_with_ga`].
-    #[must_use]
-    pub fn from_set(set: MethodSet) -> Vec<Self> {
-        set.into_iter()
-            .map(|(name, s)| Self::wrap(name, s))
-            .collect()
-    }
-
-    /// Like [`Method::from_set`], but a `ga` entry is replaced by
-    /// [`Method::ga`] with `config` — CLI budget, per-system seeds and the
-    /// engine's thread split — so its column stays comparable to the
-    /// figure binaries' GA.
+    /// solved under a [`SolverCtx`] carrying its per-system seed, and a
+    /// `ga` entry is replaced by [`Method::ga`] with `config` — CLI
+    /// budget, per-system seeds and the engine's thread split — so its
+    /// column stays comparable to the figure binaries' GA.
     #[must_use]
     pub fn from_set_with_ga(set: MethodSet, config: &GaConfig) -> Vec<Self> {
         set.into_iter()
@@ -373,7 +360,10 @@ mod tests {
     #[test]
     fn runner_output_is_thread_count_invariant() {
         let sweep = Sweep::over("U", [0.4]);
-        let methods = Method::from_set(MethodSet::parse("fps-offline,static").unwrap());
+        let methods = vec![
+            Method::scheduler("fps-offline").unwrap(),
+            Method::scheduler("static").unwrap(),
+        ];
         let mut reports = Vec::new();
         for threads in [1, 4] {
             let opts = Options {

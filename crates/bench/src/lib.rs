@@ -15,6 +15,8 @@
 //! | `ablation_baselines` | classic baselines (FPS, EDF, GPIOCP) at a glance |
 //! | `online_scenarios` | beyond the paper — online repair vs. full re-synthesis |
 //! | `fleet_scenarios` | beyond the paper — multi-partition fleet vs. one partition |
+//! | `failover_scenarios` | beyond the paper — fleet recovery from partition deaths |
+//! | `tenant_scenarios` | beyond the paper — tenant QoS contracts vs. an open fleet |
 //!
 //! All binaries run on the shared experiment [`engine`] — a [`Sweep`]
 //! descriptor, named [`Method`]s resolved through the scheduler registry,
@@ -63,8 +65,8 @@ pub struct Options {
     pub threads: usize,
     /// Emit the report as JSON instead of text tables.
     pub json: bool,
-    /// Optional comma-separated method-registry override (binaries that
-    /// support it pass this to [`tagio_sched::MethodSet::parse`]).
+    /// Optional comma-separated list of built-in method names (binaries
+    /// that support it pass this to [`tagio_sched::MethodSet::parse`]).
     pub methods: Option<String>,
     /// Optional comma-separated GA budget-list override
     /// (`POPxGENS[+seed]`, e.g. `20x20,50x50+seed`) — supported by
@@ -130,7 +132,10 @@ impl Options {
             };
             match flag.as_str() {
                 "--systems" => opts.systems = int("--systems", value("--systems")?)? as usize,
-                "--pop" => opts.population = int("--pop", value("--pop")?)? as usize,
+                "--pop" => match int("--pop", value("--pop")?)? {
+                    0 => return Err("--pop needs a positive population".into()),
+                    pop => opts.population = pop as usize,
+                },
                 "--gens" => opts.generations = int("--gens", value("--gens")?)? as usize,
                 "--seed" => opts.seed = int("--seed", value("--seed")?)?,
                 "--threads" => opts.threads = int("--threads", value("--threads")?)? as usize,
@@ -182,7 +187,8 @@ impl Options {
                 None => (entry, false),
             };
             let (pop, gens) = spec.split_once('x')?;
-            Some((pop.parse().ok()?, gens.parse().ok()?, seeded))
+            let pop = pop.parse().ok().filter(|&pop| pop > 0)?;
+            Some((pop, gens.parse().ok()?, seeded))
         };
         let budgets: Vec<(usize, usize, bool)> = csv
             .split(',')
@@ -190,7 +196,7 @@ impl Options {
             .map(|entry| {
                 parse_entry(entry.trim()).unwrap_or_else(|| {
                     usage_error(&format!(
-                        "--budgets: malformed entry `{entry}` (expected POPxGENS or POPxGENS+seed)"
+                        "--budgets: malformed entry `{entry}` (expected POPxGENS or POPxGENS+seed, POP > 0)"
                     ))
                 })
             })
@@ -370,6 +376,7 @@ mod tests {
         assert!(err(&["--systems"]).contains("needs a value"));
         assert!(err(&["--systems", "many"]).contains("needs an integer"));
         assert!(err(&["--seed", "1", "--gens"]).contains("needs a value"));
+        assert!(err(&["--pop", "0"]).contains("positive population"));
     }
 
     #[test]

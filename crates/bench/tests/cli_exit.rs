@@ -109,12 +109,15 @@ fn methods_accepting_binaries_reject_unknown_names() {
             .find(|(n, _)| *n == name)
             .expect("binary listed")
             .1;
-        let out = run(path, &["--methods", "made-up-method"]);
-        assert_usage_error(name, &out, "unknown method name");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("made-up-method"),
-            "{name}: diagnostic should echo the bad name"
-        );
+        // A formerly parameterized spec is just another unknown name.
+        for bad in ["made-up-method", "ga:pop=8"] {
+            let out = run(path, &["--methods", bad]);
+            assert_usage_error(name, &out, "unknown method name");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains(bad),
+                "{name}: diagnostic should echo the bad name {bad}"
+            );
+        }
     }
 }
 
@@ -126,6 +129,10 @@ fn budgets_flag_is_ablation_ga_only_and_validated() {
             let out = run(path, &["--budgets", "notabudget"]);
             assert_usage_error(name, &out, "malformed --budgets entry");
             assert!(String::from_utf8_lossy(&out.stderr).contains("notabudget"));
+            // A zero population is a usage error, not a GA panic.
+            let out = run(path, &["--budgets", "0x5"]);
+            assert_usage_error(name, &out, "zero-population --budgets entry");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("0x5"));
         } else {
             assert_usage_error(
                 name,
@@ -155,4 +162,15 @@ fn fixed_budget_binaries_reject_ga_overrides() {
         assert_usage_error(name, &run(path, &["--pop", "10"]), "--pop override");
         assert_usage_error(name, &run(path, &["--gens", "10"]), "--gens override");
     }
+}
+
+#[test]
+fn zero_population_is_a_usage_error() {
+    let (name, path) = binaries()
+        .into_iter()
+        .find(|(n, _)| *n == "fig5_schedulability")
+        .expect("binary listed");
+    let out = run(path, &["--pop", "0"]);
+    assert_usage_error(name, &out, "--pop 0");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--pop"));
 }

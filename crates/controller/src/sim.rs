@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::task::{DeviceId, TaskId, TaskSet};
-use tagio_core::time::Duration;
 
 /// A configured I/O controller ready to execute offline schedules.
 ///
@@ -225,18 +224,12 @@ pub fn partition_jobs(tasks: &TaskSet) -> BTreeMap<DeviceId, JobSet> {
         .collect()
 }
 
-/// The hyper-period of the whole system (LCM across partitions).
-#[must_use]
-pub fn system_hyperperiod(tasks: &TaskSet) -> Duration {
-    tasks.hyperperiod()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tagio_core::schedule::entry_for;
     use tagio_core::task::IoTask;
-    use tagio_core::time::Time;
+    use tagio_core::time::{Duration, Time};
 
     fn tasks_two_devices() -> TaskSet {
         let mk = |id: u32, dev: u32, period_ms: u64| {

@@ -19,7 +19,7 @@
 //!
 //! The module also hosts the shared stats-emission vocabulary: every
 //! counter struct in the workspace (`OnlineStats`, `FleetStats`,
-//! `Summary`, `MethodStats`, …) implements the [`Metrics`] trait, so
+//! `Summary`, `LadderWork`) implements the [`Metrics`] trait, so
 //! partition aggregation and the experiment binaries all fold and emit
 //! the same named-metric schema — a [`MetricSet`] — instead of each
 //! hand-rolling its own.

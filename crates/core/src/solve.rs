@@ -29,7 +29,7 @@ pub enum InfeasibleCause {
     /// feasible slot for some job without displacing committed work.
     NoFeasibleSlot,
     /// The exhaustive oracle (`OptimalPsi`) ran out of its branch-node
-    /// budget (`optimal-psi:nodes=N`) before reaching any complete
+    /// budget (`OptimalPsi::with_node_budget`) before reaching any complete
     /// schedule; the diagnostic carries the partial assignment it was
     /// exploring.
     BudgetExhausted,

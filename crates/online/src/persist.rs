@@ -594,10 +594,13 @@ impl FleetSnapshot {
                         return Err(err("`partition` before previous `end`".into()));
                     }
                     let device = tagged(words.next(), 'd').map_err(err)?;
-                    let spike = num(kv(words.next(), "spike").map_err(err)?).map_err(err)?;
+                    let spike_percent: u32 = kv(words.next(), "spike")
+                        .map_err(err)?
+                        .parse()
+                        .map_err(|_| err("bad spike".into()))?;
                     open = Some(PartitionSnapshot {
                         device: DeviceId(device),
-                        spike_percent: spike as u32,
+                        spike_percent,
                         active: Vec::new(),
                         pool: Vec::new(),
                         entries: Vec::new(),
@@ -1143,6 +1146,17 @@ mod tests {
         let err = FleetSnapshot::parse(&bad).unwrap_err();
         assert!(err.message.contains("unknown snapshot verb"), "{err}");
         assert!(err.line > 0);
+
+        // A spike beyond `u32` is an error, not a silent wrap to 100%.
+        let line = good
+            .lines()
+            .position(|l| l.starts_with("partition "))
+            .unwrap()
+            + 1;
+        let bad = good.replacen("spike=100", "spike=4294967396", 1);
+        let err = FleetSnapshot::parse(&bad).unwrap_err();
+        assert!(err.message.contains("bad spike"), "{err}");
+        assert_eq!(err.line, line);
     }
 
     fn mkt(id: u32, device: u32, delta_ms: u64, tenant: u32) -> IoTask {

@@ -734,8 +734,7 @@ pub struct TenantReplay {
 impl FleetReplayOutcome {
     /// The outcome as a named [`MetricSet`](tagio_core::MetricSet) — the exact column schema the
     /// `fleet_scenarios` experiment reports, so every consumer (the
-    /// experiment binary, the `throughput` bench, ad-hoc analysis) emits
-    /// identical metric names.
+    /// experiment binary, ad-hoc analysis) emits identical metric names.
     #[must_use]
     pub fn metric_set(&self) -> tagio_core::MetricSet {
         let mut set = tagio_core::MetricSet::new();

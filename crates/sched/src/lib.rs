@@ -22,10 +22,9 @@
 //! GA reads it.
 //!
 //! Methods are also constructible *by name* through [`make_scheduler`]
-//! with parameterized specs (`"fps-offline"`, `"static:best-fit"`,
-//! `"ga:pop=64,gens=500,seed=7"` — grammar in [`registry`]) and
-//! selectable in bulk via [`MethodSet`], so experiment harnesses never
-//! hardcode constructor imports.
+//! (`"fps-offline"`, `"static:best-fit"`, `"ga"` — the closed table in
+//! [`registry`]) and selectable in bulk via [`MethodSet`], so experiment
+//! harnesses never hardcode constructor imports.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -41,8 +40,9 @@
 //!     Ok(schedule) => assert!(schedule.validate(&jobs).is_ok()),
 //!     Err(infeasible) => println!("no schedule: {infeasible}"),
 //! }
-//! let ga = make_scheduler("ga:pop=8,gens=4").unwrap();
-//! let report = SchedulingReport::evaluate_with(ga.as_ref(), &jobs, &SolverCtx::seeded(1)).unwrap();
+//! let best_fit = make_scheduler("static:best-fit").unwrap();
+//! let report =
+//!     SchedulingReport::evaluate_with(best_fit.as_ref(), &jobs, &SolverCtx::seeded(1)).unwrap();
 //! assert!(report.psi >= 0.0 && report.psi <= 1.0);
 //! ```
 
@@ -74,10 +74,7 @@ pub use heuristic::{
     TimelineScratch,
 };
 pub use optimal::OptimalPsi;
-pub use registry::{
-    make_scheduler, method_names, BoxedSolver, MethodArgs, MethodError, MethodParseError,
-    MethodSet, MethodSpec,
-};
+pub use registry::{make_scheduler, method_names, BoxedSolver, MethodError, MethodSet};
 pub use scheduler::{Scheduler, SchedulingReport};
 pub use solve::{check_capacity, SchedulerBug};
 pub use stats::Summary;

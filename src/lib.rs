@@ -43,7 +43,7 @@
 //! let system = SystemConfig::paper(0.4).generate(&mut rng);
 //! let jobs = JobSet::expand(&system);
 //!
-//! // Any method by (parameterized) name, solved with a per-call seed.
+//! // Any built-in method by name, solved with a per-call seed.
 //! match make_scheduler("static:best-fit")?.schedule_with(&jobs, &SolverCtx::seeded(1)) {
 //!     Ok(schedule) => {
 //!         schedule.validate(&jobs)?;
@@ -98,7 +98,7 @@ pub use tagio_workload as workload;
 ///
 /// // Seeded solving, per call rather than per constructor.
 /// let ctx = SolverCtx::seeded(7);
-/// let schedule = make_scheduler("ga:pop=8,gens=4")?.schedule_with(&jobs, &ctx)?;
+/// let schedule = make_scheduler("ga")?.schedule_with(&jobs, &ctx)?;
 /// assert!(schedule.validate(&jobs).is_ok());
 /// let report = SchedulingReport::evaluate(&StaticScheduler::new(), &jobs)?;
 /// assert!(report.schedulable);
@@ -134,7 +134,7 @@ pub mod prelude {
     pub use tagio_online::wal::{FileWal, MemoryWal, WalSink, WalSource};
     pub use tagio_sched::{
         check_capacity, make_scheduler, BoxedSolver, EdfOffline, FpsOffline, GaScheduler, Gpiocp,
-        MethodError, MethodSet, MethodSpec, OptimalPsi, Scheduler, SchedulerBug, SchedulingReport,
+        MethodError, MethodSet, OptimalPsi, Scheduler, SchedulerBug, SchedulingReport,
         StaticScheduler,
     };
 }

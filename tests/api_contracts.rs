@@ -14,7 +14,7 @@ use tagio::core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
 use tagio::core::time::{Duration, Time};
 use tagio::hwcost::ResourceEstimate;
 use tagio::noc::{LatencyStats, Packet};
-use tagio::sched::{MethodError, MethodParseError, SchedulerBug, SchedulingReport};
+use tagio::sched::{MethodError, SchedulerBug, SchedulingReport};
 
 fn assert_send_sync<T: Send + Sync>() {}
 fn assert_serde<T: Serialize + DeserializeOwned>() {}
@@ -40,7 +40,6 @@ fn solver_error_types_are_well_behaved() {
     assert_error::<Infeasible>();
     assert_error::<SchedulerBug>();
     assert_error::<MethodError>();
-    assert_error::<MethodParseError>();
     // The cause enum renders stable kebab-case identifiers.
     assert_eq!(
         InfeasibleCause::BudgetExhausted.as_str(),
