@@ -33,6 +33,8 @@ const HOT_PATH: &[&str] = &[
     "crates/sched/src/solve.rs",
     "crates/sched/src/cache.rs",
     "crates/sched/src/analysis.rs",
+    "crates/sched/src/heuristic/mod.rs",
+    "crates/sched/src/heuristic/graph.rs",
     "crates/sched/src/heuristic/repair.rs",
     "crates/sched/src/heuristic/lccd.rs",
     "crates/core/src/pool.rs",

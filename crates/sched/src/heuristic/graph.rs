@@ -12,98 +12,180 @@
 //! slots for reallocation), until no conflicts remain. The surviving jobs
 //! (`λ*`) keep their ideal starts; the removed jobs (`λ¬`) go to the LCC-D
 //! allocator.
+//!
+//! # One pass, one dependency graph at a time
+//!
+//! Formation sorts the ideal executions by `(start, finish, position)` and
+//! sweeps them once to count degrees and once to fill a compressed sparse
+//! row (CSR) adjacency: two flat arrays instead of one list per job. In
+//! that order the dependency graphs are *runs*: a job starts a new graph
+//! exactly when its ideal start is at or past every earlier ideal finish.
+//!
+//! - A job starting before the latest earlier finish conflicts with the
+//!   job that owns that finish. That job starts no later, and strictly
+//!   earlier when the new job has zero length, since a zero-length
+//!   execution sorts before a longer one with the same start. So the new
+//!   job joins the current graph.
+//! - A job starting at or past every earlier finish conflicts with no
+//!   earlier job, and neither does any later one. So no edge crosses the
+//!   boundary.
+//!
+//! Decomposition then runs one small lazy heap per dependency graph. A
+//! removal lowers degrees only inside its own graph, so each graph's
+//! removal sequence equals the one a single heap over all jobs produces
+//! restricted to that graph, and the exact set `λ*` is identical. Only
+//! the interleaving of the graphs in the sacrificed list differs; LCC-D
+//! re-sorts that list by a total key (`solve::priority_rank`) anyway.
+//!
+//! Synthesis runs both phases on buffers kept in the caller's
+//! [`TimelineScratch`](super::TimelineScratch), so a repeated run
+//! allocates nothing once its buffers have grown.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tagio_core::job::JobSet;
+use tagio_core::task::{Priority, TaskId};
+use tagio_core::time::Time;
 
 /// The conflict adjacency of a job set examined at ideal executions.
 ///
 /// Indices refer to positions in `jobs.as_slice()`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConflictGraph {
-    adjacency: Vec<Vec<usize>>,
+    /// Ideal executions `(start, finish, position)`, sorted.
+    spans: Vec<(Time, Time, usize)>,
+    /// Where each dependency graph's run begins in `spans`, then
+    /// `spans.len()`.
+    bounds: Vec<usize>,
+    /// Row `i` of the adjacency is `adjacency[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    adjacency: Vec<usize>,
+}
+
+/// A decomposition priority: highest penalty, ties to lowest priority,
+/// latest release, lowest task id, then highest position.
+type RemovalKey = (usize, Reverse<Priority>, Time, Reverse<TaskId>, usize);
+
+/// Calls `edge(i, j)` once for every conflicting pair of the sorted
+/// ideal executions `spans`. With `a` before `b` in that order, the
+/// executions overlap iff `b` begins before `a` ends and `a` begins
+/// before `b` ends (the second test only matters for a zero-length `b`).
+/// Each job continues the sweep only while the first test holds, so the
+/// sweep is linear in the conflicts rather than quadratic in the jobs.
+fn for_each_conflict(spans: &[(Time, Time, usize)], mut edge: impl FnMut(usize, usize)) {
+    for (pos, &(start, finish, i)) in spans.iter().enumerate() {
+        for &(other_start, other_finish, j) in &spans[pos + 1..] {
+            if other_start >= finish {
+                break;
+            }
+            if start < other_finish {
+                edge(i, j);
+            }
+        }
+    }
 }
 
 impl ConflictGraph {
     /// Builds the conflict graph of `jobs` at their ideal executions.
     #[must_use]
     pub fn build(jobs: &JobSet) -> Self {
+        let mut graph = ConflictGraph::default();
+        graph.rebuild(jobs);
+        graph
+    }
+
+    /// [`ConflictGraph::build`] on this graph's buffers.
+    fn rebuild(&mut self, jobs: &JobSet) {
         let all = jobs.as_slice();
         let n = all.len();
-        let mut adjacency = vec![Vec::new(); n];
-        // Sweep in ideal-start order: with a ≤ b in that order, the ideal
-        // executions overlap iff b begins before a ends, so each job only
-        // needs the sweep continued while that holds — the all-pairs scan
-        // is quadratic in the job count, the sweep is linear in conflicts.
-        // (Same edge set as the pairwise check; adjacency lists come out
-        // in sweep order, which no consumer depends on.)
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| all[i].ideal_start());
-        for (pos, &i) in order.iter().enumerate() {
-            let ei = all[i].ideal_start() + all[i].wcet();
-            for &j in &order[pos + 1..] {
-                let sj = all[j].ideal_start();
-                if sj >= ei {
-                    break;
-                }
-                if all[i].ideal_start() < sj + all[j].wcet() {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                }
+        self.spans.clear();
+        self.spans.extend(
+            all.iter()
+                .enumerate()
+                .map(|(i, job)| (job.ideal_start(), job.ideal_start() + job.wcet(), i)),
+        );
+        self.spans.sort_unstable();
+
+        self.bounds.clear();
+        let mut reach = Time::ZERO;
+        for (pos, &(start, finish, _)) in self.spans.iter().enumerate() {
+            if start >= reach {
+                self.bounds.push(pos);
             }
+            reach = reach.max(finish);
         }
-        ConflictGraph { adjacency }
+        self.bounds.push(n);
+
+        // Degrees, then inclusive prefix sums: `offsets[i]` is the end of
+        // row `i`. Filling walks each row's cursor back to its start.
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for_each_conflict(&self.spans, |i, j| {
+            offsets[i] += 1;
+            offsets[j] += 1;
+        });
+        let mut total = 0;
+        for end in &mut offsets[..n] {
+            total += *end;
+            *end = total;
+        }
+        offsets[n] = total;
+        let adjacency = &mut self.adjacency;
+        adjacency.clear();
+        adjacency.resize(total, 0);
+        for_each_conflict(&self.spans, |i, j| {
+            offsets[i] -= 1;
+            adjacency[offsets[i]] = j;
+            offsets[j] -= 1;
+            adjacency[offsets[j]] = i;
+        });
     }
 
     /// Number of vertices.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.adjacency.len()
+        self.spans.len()
     }
 
     /// `true` when the graph has no vertices.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
+        self.spans.is_empty()
+    }
+
+    /// Number of conflict edges.
+    pub(crate) fn edges(&self) -> usize {
+        self.adjacency.len() / 2
     }
 
     /// The penalty weight `ψ` of job `i` (its degree).
     #[must_use]
     pub fn penalty(&self, i: usize) -> usize {
-        self.adjacency[i].len()
+        self.offsets[i + 1] - self.offsets[i]
     }
 
-    /// Neighbours of job `i`.
+    /// Neighbours of job `i`, in no particular order.
     #[must_use]
     pub fn neighbours(&self, i: usize) -> &[usize] {
-        &self.adjacency[i]
+        &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// The dependency graphs: connected components (singletons included),
     /// each sorted ascending; components ordered by smallest member.
     #[must_use]
     pub fn components(&self) -> Vec<Vec<usize>> {
-        let n = self.adjacency.len();
-        let mut seen = vec![false; n];
-        let mut out = Vec::new();
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut stack = vec![start];
-            let mut comp = Vec::new();
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                comp.push(v);
-                for &w in &self.adjacency[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            out.push(comp);
-        }
+        let mut out: Vec<Vec<usize>> = self
+            .bounds
+            .windows(2)
+            .map(|run| {
+                let mut component: Vec<usize> =
+                    self.spans[run[0]..run[1]].iter().map(|s| s.2).collect();
+                component.sort_unstable();
+                component
+            })
+            .collect();
+        out.sort_unstable_by_key(|component| component[0]);
         out
     }
 
@@ -111,30 +193,45 @@ impl ConflictGraph {
     ///
     /// Repeatedly removes the vertex with the highest current penalty
     /// weight; ties are broken by lowest priority, then by latest release
-    /// (both favour jobs with more reallocation slack), then by index for
-    /// determinism. Returns `(exact, sacrificed)`: the jobs that keep their
-    /// ideal starts and the removal order of the rest.
+    /// (both favour jobs with more reallocation slack), then by task id
+    /// and index for determinism. Returns `(exact, sacrificed)`: the jobs
+    /// that keep their ideal starts, ascending, and the rest in removal
+    /// order. Removal runs one dependency graph at a time, so the list
+    /// holds each graph's removals in sequence, graphs in ideal-start
+    /// order (see the module docs for why that is the same decomposition).
     #[must_use]
     pub fn decompose(&self, jobs: &JobSet) -> (Vec<usize>, Vec<usize>) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        let mut phases = Phases::default();
+        self.decompose_with(jobs, &mut phases);
+        (phases.exact, phases.sacrificed)
+    }
+
+    /// [`ConflictGraph::decompose`] into the buffers of `phases` (all but
+    /// its graph), leaving the result in `phases.exact` and
+    /// `phases.sacrificed`.
+    fn decompose_with(&self, jobs: &JobSet, phases: &mut Phases) {
         let all = jobs.as_slice();
-        let n = self.adjacency.len();
-        let mut degree: Vec<usize> = (0..n).map(|i| self.adjacency[i].len()).collect();
-        let mut removed = vec![false; n];
-        let mut sacrificed = Vec::new();
+        let n = self.len();
+        let Phases {
+            degree,
+            removed,
+            heap,
+            exact,
+            sacrificed,
+            ..
+        } = phases;
+        degree.clear();
+        degree.extend((0..n).map(|i| self.penalty(i)));
+        removed.clear();
+        removed.resize(n, false);
+        sacrificed.clear();
 
         // Max-heap with lazy decrease-key: a full rescan per removal is
-        // quadratic in the job count, while the conflict graph is sparse
-        // in practice (ideal executions only overlap locally in time). An
-        // entry is pushed whenever a vertex's degree changes; stale
-        // entries (recorded degree no longer current) are skipped on pop,
-        // so each pop yields exactly the vertex the rescan would have
-        // picked. The key mirrors the selection order: highest penalty,
-        // ties to lowest priority, latest release, lowest task id — and
-        // highest index last, matching `max_by`'s last-max-wins on the
-        // (degenerate) full tie.
-        let key = |i: usize, d: usize| {
+        // quadratic in the graph's size. An entry is pushed whenever a
+        // vertex's degree changes; stale entries (recorded degree no
+        // longer current) are skipped on pop, so each pop yields exactly
+        // the vertex the rescan would have picked.
+        let key = |i: usize, d: usize| -> RemovalKey {
             (
                 d,
                 Reverse(all[i].priority()),
@@ -143,38 +240,75 @@ impl ConflictGraph {
                 i,
             )
         };
-        let mut heap: BinaryHeap<_> = (0..n)
-            .filter(|&i| degree[i] > 0)
-            .map(|i| key(i, degree[i]))
-            .collect();
-        while let Some((d, _, _, _, v)) = heap.pop() {
-            if removed[v] || degree[v] != d {
-                continue;
+        for run in self.bounds.windows(2) {
+            let members = &self.spans[run[0]..run[1]];
+            if members.len() < 2 {
+                continue; // an isolated job keeps its ideal start
             }
-            removed[v] = true;
-            sacrificed.push(v);
-            for &w in &self.adjacency[v] {
-                if !removed[w] {
-                    degree[w] -= 1;
-                    if degree[w] > 0 {
-                        heap.push(key(w, degree[w]));
+            // Every member of a graph with two or more jobs has a conflict.
+            heap.clear();
+            heap.extend(members.iter().map(|&(_, _, i)| key(i, degree[i])));
+            while let Some((d, _, _, _, v)) = heap.pop() {
+                if removed[v] || degree[v] != d {
+                    continue;
+                }
+                removed[v] = true;
+                sacrificed.push(v);
+                for &w in self.neighbours(v) {
+                    if !removed[w] {
+                        degree[w] -= 1;
+                        if degree[w] > 0 {
+                            heap.push(key(w, degree[w]));
+                        }
                     }
                 }
+                degree[v] = 0;
             }
-            degree[v] = 0;
         }
-        let exact = (0..n).filter(|&i| !removed[i]).collect();
-        (exact, sacrificed)
+        exact.clear();
+        exact.extend((0..n).filter(|&i| !removed[i]));
+    }
+}
+
+/// Reusable working memory for Algorithm 1's phases one and two: the
+/// conflict graph, the decomposition's degrees, removal marks and heap,
+/// and its two outputs. Every buffer is cleared before use, so a reused
+/// `Phases` gives the results of a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct Phases {
+    graph: ConflictGraph,
+    degree: Vec<usize>,
+    removed: Vec<bool>,
+    heap: BinaryHeap<RemovalKey>,
+    exact: Vec<usize>,
+    sacrificed: Vec<usize>,
+}
+
+impl Phases {
+    /// Builds and decomposes the conflict graph of `jobs`. Returns the
+    /// exact jobs (ascending), the sacrificed jobs (in removal order, for
+    /// the caller to re-sort) and the number of conflict edges.
+    pub(crate) fn run(&mut self, jobs: &JobSet) -> (&[usize], &mut Vec<usize>, usize) {
+        let mut graph = std::mem::take(&mut self.graph);
+        graph.rebuild(jobs);
+        graph.decompose_with(jobs, self);
+        let edges = graph.edges();
+        self.graph = graph;
+        (&self.exact, &mut self.sacrificed, edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristic::{synthesize_in, SlotPolicy, StaticScheduler, Timeline, TimelineScratch};
+    use crate::scheduler::Scheduler;
+    use crate::solve::{check_capacity, priority_rank};
     use tagio_core::job::{Job, JobId};
     use tagio_core::quality::QualityCurve;
-    use tagio_core::task::{Priority, TaskId};
-    use tagio_core::time::{Duration, Time};
+    use tagio_core::schedule::Schedule;
+    use tagio_core::solve::{Infeasible, InfeasibleCause};
+    use tagio_core::time::Duration;
 
     /// Builds a job whose *ideal execution* is `[start, start+len)` (ms),
     /// with a wide release window so graph logic is isolated from window
@@ -335,5 +469,253 @@ mod tests {
         let (exact, sacrificed) = g.decompose(&jobs);
         assert_eq!(sacrificed.len(), 1);
         assert_eq!(exact.len(), 2);
+    }
+
+    /// The builder this module replaced: one adjacency list per job,
+    /// swept in ideal-start order.
+    fn reference_build(jobs: &JobSet) -> Vec<Vec<usize>> {
+        let all = jobs.as_slice();
+        let n = all.len();
+        let mut adjacency = vec![Vec::new(); n];
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| all[i].ideal_start());
+        for (pos, &i) in order.iter().enumerate() {
+            let ei = all[i].ideal_start() + all[i].wcet();
+            for &j in &order[pos + 1..] {
+                let sj = all[j].ideal_start();
+                if sj >= ei {
+                    break;
+                }
+                if all[i].ideal_start() < sj + all[j].wcet() {
+                    adjacency[i].push(j);
+                    adjacency[j].push(i);
+                }
+            }
+        }
+        adjacency
+    }
+
+    /// The connected components of `adjacency` by depth-first search,
+    /// each sorted, ordered by smallest member.
+    fn reference_components(adjacency: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        let mut seen = vec![false; adjacency.len()];
+        let mut out = Vec::new();
+        for start in 0..adjacency.len() {
+            if seen[start] {
+                continue;
+            }
+            let mut stack = vec![start];
+            let mut component = Vec::new();
+            seen[start] = true;
+            while let Some(v) = stack.pop() {
+                component.push(v);
+                for &w in &adjacency[v] {
+                    if !seen[w] {
+                        seen[w] = true;
+                        stack.push(w);
+                    }
+                }
+            }
+            component.sort_unstable();
+            out.push(component);
+        }
+        out
+    }
+
+    /// The decomposition this module replaced: one lazy heap over every
+    /// job of the set.
+    fn reference_decompose(adjacency: &[Vec<usize>], jobs: &JobSet) -> (Vec<usize>, Vec<usize>) {
+        let all = jobs.as_slice();
+        let n = adjacency.len();
+        let mut degree: Vec<usize> = adjacency.iter().map(Vec::len).collect();
+        let mut removed = vec![false; n];
+        let mut sacrificed = Vec::new();
+        let key = |i: usize, d: usize| {
+            (
+                d,
+                Reverse(all[i].priority()),
+                all[i].release(),
+                Reverse(all[i].id().task),
+                i,
+            )
+        };
+        let mut heap: BinaryHeap<_> = (0..n)
+            .filter(|&i| degree[i] > 0)
+            .map(|i| key(i, degree[i]))
+            .collect();
+        while let Some((d, _, _, _, v)) = heap.pop() {
+            if removed[v] || degree[v] != d {
+                continue;
+            }
+            removed[v] = true;
+            sacrificed.push(v);
+            for &w in &adjacency[v] {
+                if !removed[w] {
+                    degree[w] -= 1;
+                    if degree[w] > 0 {
+                        heap.push(key(w, degree[w]));
+                    }
+                }
+            }
+            degree[v] = 0;
+        }
+        let exact = (0..n).filter(|&i| !removed[i]).collect();
+        (exact, sacrificed)
+    }
+
+    /// A random job set of one of four shapes, by `round`: scattered
+    /// executions, executions on a coarse grid of equal ideal starts,
+    /// clusters of mutually overlapping executions (cliques), and
+    /// executions that each overlap the next (chains). Every shape but
+    /// the cliques includes zero-WCET jobs.
+    fn random_set(rng: &mut rand::rngs::StdRng, round: usize) -> JobSet {
+        use rand::RngExt;
+        let n = rng.random_range(0..40u32);
+        let jobs = (0..n)
+            .map(|t| {
+                let (start, len) = match round % 4 {
+                    0 => (rng.random_range(0..120u64), rng.random_range(0..10u64)),
+                    1 => (4 * rng.random_range(0..10u64), rng.random_range(0..12u64)),
+                    2 => (
+                        40 * rng.random_range(0..4u64) + rng.random_range(0..4u64),
+                        rng.random_range(5..10u64),
+                    ),
+                    _ => (
+                        3 * u64::from(t) + rng.random_range(0..2u64),
+                        rng.random_range(0..6u64),
+                    ),
+                };
+                job_at(t, start, len, rng.random_range(0..4u32))
+            })
+            .collect();
+        set(jobs)
+    }
+
+    /// The CSR graph and per-dependency-graph decomposition give the
+    /// replaced code's edges, components and exact set, and each
+    /// dependency graph's removals in the global heap's order; a reused
+    /// `Phases` agrees with both.
+    #[test]
+    fn phases_match_the_global_heap_reference() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut phases = Phases::default();
+        let (mut zero_wcet_conflicts, mut equal_starts, mut large, mut reordered) = (0, 0, 0, 0);
+        for round in 0..4000 {
+            let jobs = random_set(&mut rng, round);
+            let all = jobs.as_slice();
+            let case = format!("round {round}");
+            let adjacency = reference_build(&jobs);
+            let graph = ConflictGraph::build(&jobs);
+            assert_eq!(graph.len(), adjacency.len(), "{case}");
+            for (i, want) in adjacency.iter().enumerate() {
+                let mut got = graph.neighbours(i).to_vec();
+                let mut want = want.clone();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{case}, job {i}");
+                assert_eq!(graph.penalty(i), want.len(), "{case}, job {i}");
+                zero_wcet_conflicts +=
+                    usize::from(all[i].wcet() == Duration::ZERO && !want.is_empty());
+            }
+            let components = reference_components(&adjacency);
+            assert_eq!(graph.components(), components, "{case}");
+
+            let (want_exact, want_sacrificed) = reference_decompose(&adjacency, &jobs);
+            let (exact, sacrificed) = graph.decompose(&jobs);
+            assert_eq!(exact, want_exact, "{case}");
+            assert_eq!(sacrificed.len(), want_sacrificed.len(), "{case}");
+            for component in &components {
+                let within = |order: &[usize]| -> Vec<usize> {
+                    order
+                        .iter()
+                        .copied()
+                        .filter(|i| component.binary_search(i).is_ok())
+                        .collect()
+                };
+                assert_eq!(within(&sacrificed), within(&want_sacrificed), "{case}");
+                large += usize::from(component.len() >= 6);
+                equal_starts += usize::from(
+                    component
+                        .windows(2)
+                        .any(|w| all[w[0]].ideal_start() == all[w[1]].ideal_start()),
+                );
+            }
+            reordered += usize::from(sacrificed != want_sacrificed);
+
+            let (reused_exact, reused_sacrificed, edges) = phases.run(&jobs);
+            assert_eq!(reused_exact, &exact[..], "{case}");
+            assert_eq!(reused_sacrificed, &sacrificed, "{case}");
+            assert_eq!(
+                edges,
+                adjacency.iter().map(Vec::len).sum::<usize>() / 2,
+                "{case}"
+            );
+        }
+        assert!(
+            zero_wcet_conflicts > 200 && equal_starts > 200 && large > 200 && reordered > 200,
+            "{zero_wcet_conflicts} zero-WCET conflicts, {equal_starts} equal starts, \
+             {large} large graphs, {reordered} reordered"
+        );
+    }
+
+    /// Algorithm 1 on the reference phases: `synthesize_in`'s LCC-D loop
+    /// over `reference_build` and `reference_decompose`.
+    fn reference_synthesis(jobs: &JobSet, policy: SlotPolicy) -> Result<Schedule, Infeasible> {
+        check_capacity(jobs)?;
+        let adjacency = reference_build(jobs);
+        let (exact, sacrificed) = reference_decompose(&adjacency, jobs);
+        let mut timeline = Timeline::with_exact_jobs(jobs, &exact);
+        let all = jobs.as_slice();
+        let mut order = sacrificed;
+        order.sort_by_key(|&i| priority_rank(&all[i]));
+        for pos in 0..order.len() {
+            let idx = order[pos];
+            if timeline.allocate(idx, &order[pos + 1..], policy).is_none() {
+                let (psi, upsilon) = timeline.partial_quality(&mut Vec::new());
+                return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
+                    .with_jobs([all[idx].id()])
+                    .with_partial(psi, upsilon));
+            }
+        }
+        Ok(timeline.into_schedule())
+    }
+
+    /// The static scheduler, and synthesis on a reused scratch, give the
+    /// reference-driven synthesis's result on paper task sets: the same
+    /// schedule, or the same diagnostic with the same partial Ψ/Υ.
+    #[test]
+    fn static_schedule_matches_reference_driven_synthesis() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use tagio_workload::generator::SystemConfig;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut scratch = TimelineScratch::default();
+        let (mut schedulable, mut infeasible) = (0, 0);
+        for u in [0.3, 0.6, 0.85, 0.95, 1.0] {
+            for _ in 0..8 {
+                let jobs = JobSet::expand(&SystemConfig::paper(u).generate(&mut rng));
+                for policy in [SlotPolicy::default(), SlotPolicy::BestFit] {
+                    let want = reference_synthesis(&jobs, policy);
+                    let case = format!("u {u}, {} jobs, {policy:?}", jobs.len());
+                    assert_eq!(
+                        StaticScheduler::with_policy(policy).schedule(&jobs),
+                        want,
+                        "{case}"
+                    );
+                    assert_eq!(synthesize_in(&jobs, policy, &mut scratch), want, "{case}");
+                    if want.is_ok() {
+                        schedulable += 1;
+                    } else {
+                        infeasible += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            schedulable > 10 && infeasible > 5,
+            "{schedulable} schedulable, {infeasible} infeasible"
+        );
     }
 }

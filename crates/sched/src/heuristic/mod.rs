@@ -6,8 +6,9 @@
 //!    identify execution conflicts between jobs at their ideal starts.
 //! 2. **Graph decomposition** ([`graph::ConflictGraph::decompose`]) —
 //!    repeatedly sacrifice the job with the highest penalty weight `ψ`
-//!    until no conflicts remain; survivors (`λ*`) execute exactly at their
-//!    ideal instants, maximising Ψ.
+//!    until no conflicts remain, one dependency graph at a time;
+//!    survivors (`λ*`) execute exactly at their ideal instants,
+//!    maximising Ψ.
 //! 3. **LCC-D allocation** ([`lccd::Timeline::allocate`]) — pack the
 //!    sacrificed jobs (`λ¬`, highest priority first) into the free slots of
 //!    their release windows, shifting exact jobs only as a last resort.
@@ -31,6 +32,7 @@ pub use repair::{
 
 use crate::scheduler::Scheduler;
 use crate::solve::{check_capacity, priority_rank};
+use graph::Phases;
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
@@ -109,13 +111,28 @@ pub(crate) fn synthesize_in(
     scratch: &mut TimelineScratch,
 ) -> Result<Schedule, Infeasible> {
     check_capacity(jobs)?;
-    let graph = ConflictGraph::build(jobs);
-    let (exact, sacrificed) = graph.decompose(jobs);
-    let mut timeline = Timeline::with_exact_jobs_in(jobs, &exact, scratch);
+    // The scratch keeps phases one and two's buffers too; they come out
+    // while the timeline borrows the rest of it.
+    let mut phases = std::mem::take(&mut scratch.phases);
+    let result = synthesize_on(jobs, policy, &mut phases, scratch);
+    scratch.phases = phases;
+    result
+}
+
+/// [`synthesize_in`] past the capacity check, with phases one and two
+/// on `phases`.
+fn synthesize_on(
+    jobs: &JobSet,
+    policy: SlotPolicy,
+    phases: &mut Phases,
+    scratch: &mut TimelineScratch,
+) -> Result<Schedule, Infeasible> {
+    let (exact, order, edges) = phases.run(jobs);
+    scratch.work.conflict_edges += edges as u64;
+    let mut timeline = Timeline::with_exact_jobs_in(jobs, exact, scratch);
 
     // Allocate sacrificed jobs, largest Pi first (Algorithm 1 line 11).
     let all = jobs.as_slice();
-    let mut order = sacrificed;
     order.sort_by_key(|&i| priority_rank(&all[i]));
     for pos in 0..order.len() {
         let idx = order[pos];

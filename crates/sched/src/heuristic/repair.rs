@@ -17,9 +17,14 @@
 //! [`repair_or_resynthesize_in`], is neighbourhood repair
 //! ([`repair_neighbourhood_in`], which escalates from exactly those
 //! diagnostics), then a full Algorithm 1 run — the paper's offline
-//! method. The online service layers admission control and shedding on
-//! top (`tagio-online`). [`retime_in`], the spike ladder's first tier,
-//! replays the base order through the baselines' shared dispatcher.
+//! method. Only a round whose diagnostic seeds the next round needs
+//! every failure, so the neighbourhood tier's final round stops at its
+//! first failed allocation: on the rejection storm most ladders fail
+//! both tiers, and the rest of that round is work whose only product
+//! the ladder would throw away. The online service layers admission
+//! control and shedding on top (`tagio-online`). [`retime_in`], the
+//! spike ladder's first tier, replays the base order through the
+//! baselines' shared dispatcher.
 //!
 //! Every failure of [`repair_in`] and [`repair_neighbourhood_in`] carries
 //! the partial Ψ/Υ of the placements it kept, as does a [`retime_in`]
@@ -126,7 +131,7 @@ pub fn repair_in(
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
     prepare(jobs, base, scratch);
-    try_repair(jobs, policy, scratch)
+    try_repair(jobs, policy, scratch, false)
 }
 
 /// `(job, start)` pairs of a schedule, sorted by job id for binary
@@ -179,11 +184,15 @@ fn no_slot(all: &[Job], positions: &[usize]) -> Infeasible {
 /// One repair round on what [`prepare`] built: every job with a feasible
 /// base placement that is not disturbed keeps its start, and the rest
 /// are placed anew. On failure `scratch.failed` holds the positions the
-/// diagnostic names.
+/// diagnostic names. With `first_failure`, the round stops at its first
+/// failed allocation and names only that job: the verdict is already
+/// settled, and only a round whose diagnostic seeds a widening needs
+/// every failure.
 fn try_repair(
     jobs: &JobSet,
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
+    first_failure: bool,
 ) -> Result<(Schedule, usize), Infeasible> {
     let all = jobs.as_slice();
     let disturbed = &scratch.disturbed;
@@ -260,6 +269,9 @@ fn try_repair(
             }
             None => {
                 scratch.failed.push(idx);
+                if first_failure {
+                    break;
+                }
                 scratch.failed_tasks.insert(job.id().task);
             }
         }
@@ -320,9 +332,16 @@ pub fn retime_in(
 /// Bounded rounds only; beyond them a full re-synthesis is cheaper than
 /// chasing transitive closures.
 ///
+/// The final round seeds no widening, so it stops at its first failed
+/// allocation: a failing round fails whether or not it runs to the end.
+/// Earlier rounds run to the end, because every job they name widens
+/// the next round.
+///
 /// # Errors
-/// The final round's diagnostic when every escalation round failed or
-/// the widening stopped growing.
+/// The diagnostic of the last round that ran, when every escalation
+/// round failed or the widening stopped growing. When that is the final
+/// round and an allocation failed, it names only the first job that
+/// found no slot, with the partial Ψ/Υ placed up to that job.
 pub fn repair_neighbourhood_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -330,49 +349,57 @@ pub fn repair_neighbourhood_in(
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
     prepare(jobs, base, scratch);
-    let all = jobs.as_slice();
-    let mut last_failure = None;
-    // Round 0 is the plain repair; each later round frees the pockets the
-    // previous round's failures pointed at. Three rounds bound the cost —
+    // The first round is the plain repair; each later round frees the
+    // pockets the previous round's failures pointed at. Three rounds bound the cost —
     // past that, a full re-synthesis is the better spend.
-    for _round in 0..3 {
-        let failure = match try_repair(jobs, policy, scratch) {
+    const ROUNDS: usize = 3;
+    let mut round = 0;
+    loop {
+        round += 1;
+        scratch.timeline.work.neighbourhood_rounds += 1;
+        let failure = match try_repair(jobs, policy, scratch, round == ROUNDS) {
             Ok(done) => return Ok(done),
             Err(failure) => failure,
         };
-        scratch.windows.clear();
-        let mut grew = false;
-        for &i in &scratch.failed {
-            scratch
-                .windows
-                .push((all[i].release(), all[i].abs_deadline()));
-            grew |= !std::mem::replace(&mut scratch.disturbed[i], true);
-        }
-        // Free every pinned job inside the congested windows. (Jobs with
-        // no feasible base placement are re-placed regardless, so only
-        // pinned jobs need explicit entries.)
-        for (i, job) in all.iter().enumerate() {
-            if scratch.disturbed[i] {
-                continue;
-            }
-            let (lo, hi) = (job.release(), job.abs_deadline());
-            if scratch
-                .windows
-                .iter()
-                .any(|&(wlo, whi)| lo < whi && wlo < hi)
-            {
-                scratch.disturbed[i] = true;
-                grew = true;
-            }
-        }
-        last_failure = Some(failure);
-        if !grew {
-            break; // stuck: the same failure would repeat verbatim
+        // Past the last round, or stuck: the same failure would repeat
+        // verbatim.
+        if round == ROUNDS || !widen(jobs, scratch) {
+            return Err(failure);
         }
     }
-    // At least one round ran, so a failure was recorded; the fallback only
-    // exists to keep this path panic-free.
-    Err(last_failure.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
+}
+
+/// Adds the jobs the last failed round named, and every pinned job whose
+/// window overlaps one of theirs, to the disturbed set. Returns whether
+/// the set grew.
+fn widen(jobs: &JobSet, scratch: &mut RepairScratch) -> bool {
+    let all = jobs.as_slice();
+    scratch.windows.clear();
+    let mut grew = false;
+    for &i in &scratch.failed {
+        scratch
+            .windows
+            .push((all[i].release(), all[i].abs_deadline()));
+        grew |= !std::mem::replace(&mut scratch.disturbed[i], true);
+    }
+    // Free every pinned job inside the congested windows. (Jobs with
+    // no feasible base placement are re-placed regardless, so only
+    // pinned jobs need explicit entries.)
+    for (i, job) in all.iter().enumerate() {
+        if scratch.disturbed[i] {
+            continue;
+        }
+        let (lo, hi) = (job.release(), job.abs_deadline());
+        if scratch
+            .windows
+            .iter()
+            .any(|&(wlo, whi)| lo < whi && wlo < hi)
+        {
+            scratch.disturbed[i] = true;
+            grew = true;
+        }
+    }
+    grew
 }
 
 /// The repair ladder: [`repair_neighbourhood_in`], escalating to a full
@@ -395,6 +422,7 @@ pub fn repair_or_resynthesize_in(
             resynthesized: false,
         });
     }
+    scratch.timeline.work.resyntheses += 1;
     synthesize_in(jobs, policy, &mut scratch.timeline).map(|schedule| RepairOutcome {
         schedule,
         replaced: jobs.len(),
@@ -667,5 +695,148 @@ mod tests {
         let err = repair(&jobs, &base).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::NoFeasibleSlot);
         assert_eq!(err.tasks, vec![TaskId(0), TaskId(1)], "both pins named");
+    }
+
+    /// The neighbourhood tier with a final round that runs to the end,
+    /// as every round did before the final one stopped early. Returns
+    /// the tier's result and the rounds it ran.
+    fn reference_neighbourhood(
+        jobs: &JobSet,
+        base: &Schedule,
+        policy: SlotPolicy,
+        scratch: &mut RepairScratch,
+    ) -> (Result<(Schedule, usize), Infeasible>, usize) {
+        prepare(jobs, base, scratch);
+        let mut round = 0;
+        loop {
+            round += 1;
+            let result = try_repair(jobs, policy, scratch, false);
+            if result.is_ok() || round == 3 || !widen(jobs, scratch) {
+                return (result, round);
+            }
+        }
+    }
+
+    /// A task from the pools of `crates/sched/tests/repair_props.rs`:
+    /// ideal offset in `[T/4, T/2]`, margin `T/4`, WCET from 2% of `T`
+    /// up to `max_permille` thousandths of it.
+    fn random_task(rng: &mut rand::rngs::StdRng, id: u32, max_permille: u64) -> IoTask {
+        use rand::RngExt;
+        let period = Duration::from_millis([4u64, 8, 8, 16][rng.random_range(0..4usize)]);
+        let wcet = period.as_micros() * rng.random_range(20..=max_permille) / 1000;
+        let delta = period.as_micros() * rng.random_range(250..=500u64) / 1000;
+        IoTask::builder(TaskId(id), DeviceId(0))
+            .wcet(Duration::from_micros(wcet))
+            .period(period)
+            .ideal_offset(Duration::from_micros(delta))
+            .margin(period / 4)
+            .priority(tagio_core::task::Priority(rng.random_range(0..3u32)))
+            .build()
+            .expect("pool parameters are valid")
+    }
+
+    /// The early-stopping final round changes nothing but that round's
+    /// diagnostic. Against a neighbourhood tier whose final round runs to
+    /// the end, the tier gives the same Ok result, and the same
+    /// diagnostic unless its final round failed; then it names one of
+    /// the reference's jobs, with partial Ψ/Υ. The ladder gives the same
+    /// Ok/Err, schedule, `replaced` and `resynthesized`. Bases are
+    /// synthesised task sets; each step adds newcomers or grows tasks'
+    /// WCETs, on scratches reused throughout.
+    #[test]
+    fn ladder_matches_a_run_to_the_end_final_round() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const POLICIES: [SlotPolicy; 4] = [
+            SlotPolicy::LeastContentionCapacityDecreasing,
+            SlotPolicy::FirstFit,
+            SlotPolicy::BestFit,
+            SlotPolicy::WorstFit,
+        ];
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut scratch = RepairScratch::default();
+        let (mut ladder, mut reference) = (RepairScratch::default(), RepairScratch::default());
+        let (mut repaired, mut resynthesized, mut rejected) = (0, 0, 0);
+        let (mut stuck, mut final_failed) = (0, 0);
+        for case in 0..800 {
+            let policy = POLICIES[case % POLICIES.len()];
+            let mut tasks: Vec<IoTask> = (0..rng.random_range(3..7u32))
+                .map(|id| random_task(&mut rng, id, 200))
+                .collect();
+            let base = StaticScheduler::with_policy(policy)
+                .schedule(&JobSet::expand(&tasks.iter().cloned().collect()))
+                .unwrap_or_default();
+            for step in 0..rng.random_range(1..4u32) {
+                for change in 0..rng.random_range(1..=3u32) {
+                    if rng.random_range(0..2u32) == 0 {
+                        tasks.push(random_task(&mut rng, 10 + 3 * step + change, 120));
+                    } else {
+                        let k = rng.random_range(0..tasks.len());
+                        let id = tasks[k].id().0;
+                        tasks[k] = random_task(&mut rng, id, 240);
+                    }
+                }
+                let jobs = JobSet::expand(&tasks.iter().cloned().collect());
+                let label = format!("case {case}, step {step}, {policy:?}");
+
+                let (want_tier, rounds) =
+                    reference_neighbourhood(&jobs, &base, policy, &mut reference);
+                let tier = repair_neighbourhood_in(&jobs, &base, policy, &mut scratch);
+                match (&tier, &want_tier) {
+                    (Err(got), Err(want)) if rounds == 3 => {
+                        final_failed += 1;
+                        assert_eq!(got.cause, want.cause, "{label}");
+                        assert!(!got.jobs.is_empty(), "{label}");
+                        assert!(
+                            got.jobs.iter().all(|j| want.jobs.contains(j)),
+                            "{label}: {got:?} vs {want:?}"
+                        );
+                        assert!(got.best_psi.is_some() && got.best_upsilon.is_some());
+                    }
+                    _ => {
+                        stuck += usize::from(want_tier.is_err());
+                        assert_eq!(tier, want_tier, "{label}");
+                    }
+                }
+
+                let got = repair_or_resynthesize_in(&jobs, &base, policy, &mut ladder);
+                let want = match want_tier {
+                    Ok((schedule, replaced)) => Ok(RepairOutcome {
+                        schedule,
+                        replaced,
+                        resynthesized: false,
+                    }),
+                    Err(_) => {
+                        synthesize_in(&jobs, policy, &mut reference.timeline).map(|schedule| {
+                            RepairOutcome {
+                                schedule,
+                                replaced: jobs.len(),
+                                resynthesized: true,
+                            }
+                        })
+                    }
+                };
+                assert_eq!(got, want, "{label}");
+                match &want {
+                    Ok(outcome) if !outcome.resynthesized => repaired += 1,
+                    Ok(_) => resynthesized += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            repaired > 100 && resynthesized > 20 && rejected > 100,
+            "{repaired} repaired, {resynthesized} re-synthesised, {rejected} rejected"
+        );
+        assert!(
+            stuck > 100 && final_failed > 20,
+            "{stuck} tiers stuck early, {final_failed} failed final rounds"
+        );
+        let (work, full) = (ladder.work(), reference.work());
+        assert!(
+            work.allocate_calls < full.allocate_calls,
+            "{work:?} vs {full:?}"
+        );
+        assert_eq!(work.resyntheses, (resynthesized + rejected) as u64);
     }
 }
