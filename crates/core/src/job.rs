@@ -158,12 +158,6 @@ impl Job {
         self.priority
     }
 
-    /// The quality curve evaluated against this job's ideal start.
-    #[must_use]
-    pub fn quality_curve(&self) -> &QualityCurve {
-        &self.quality
-    }
-
     /// Latest start that still meets the deadline (`Ti·j + Di − Ci`;
     /// Constraint 1 upper bound).
     #[must_use]

@@ -109,16 +109,6 @@ impl Schedule {
         self.entries.iter().find(|e| e.job == job).map(|e| e.start)
     }
 
-    /// The completion time of the last entry ([`Time::ZERO`] when empty).
-    #[must_use]
-    pub fn makespan(&self) -> Time {
-        self.entries
-            .iter()
-            .map(ScheduleEntry::finish)
-            .max()
-            .unwrap_or(Time::ZERO)
-    }
-
     /// Validates this schedule against `jobs`.
     ///
     /// Checks that every job of the set is scheduled exactly once, within its
@@ -197,17 +187,6 @@ impl Schedule {
             gaps.push((cursor, horizon));
         }
         gaps
-    }
-
-    /// Fraction of `[0, horizon)` occupied by executions.
-    ///
-    /// # Panics
-    /// Panics if `horizon` is the epoch.
-    #[must_use]
-    pub fn busy_fraction(&self, horizon: Time) -> f64 {
-        assert!(horizon > Time::ZERO, "horizon must be positive");
-        let busy: Duration = self.entries.iter().map(|e| e.duration).sum();
-        busy.as_micros() as f64 / horizon.as_micros() as f64
     }
 
     /// Repeats this one-hyper-period schedule `count` times, shifting each
@@ -481,20 +460,6 @@ mod tests {
             s.gaps(Time::from_millis(5)),
             vec![(Time::ZERO, Time::from_millis(5))]
         );
-    }
-
-    #[test]
-    fn busy_fraction_and_makespan() {
-        let a = job(0, 0, 0, 10, 1000);
-        let b = job(1, 0, 0, 10, 1000);
-        let s: Schedule = vec![
-            entry_for(&a, Time::from_millis(0)),
-            entry_for(&b, Time::from_millis(5)),
-        ]
-        .into_iter()
-        .collect();
-        assert!((s.busy_fraction(Time::from_millis(10)) - 0.2).abs() < 1e-12);
-        assert_eq!(s.makespan(), Time::from_millis(6));
     }
 
     #[test]

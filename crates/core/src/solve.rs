@@ -94,11 +94,11 @@ pub struct Infeasible {
     /// Best partial Ψ achieved before giving up (exact jobs among the
     /// placements committed so far), when the method measured one.
     ///
-    /// Of the incremental repair entry points, `repair_in` and
-    /// `repair_neighbourhood_in` fill it on every failure, and
-    /// `retime_in` does when a job misses its window. The repair
-    /// ladder's error is the re-synthesis diagnostic, which the static
-    /// scheduler fills too.
+    /// Of the construction ladder's tiers, `repair_neighbourhood_in`
+    /// fills it on every failure, and `retime_in` does when a job misses
+    /// its window. The ladder's error is the diagnostic of its last
+    /// failed tier other than the FPS baseline, usually the re-synthesis
+    /// tier's, which the static scheduler fills too.
     pub best_psi: Option<f64>,
     /// Best partial Υ achieved before giving up, when measured. Filled by
     /// the same entry points as [`Infeasible::best_psi`].

@@ -86,12 +86,6 @@ impl Time {
         self.0
     }
 
-    /// Returns the instant as fractional milliseconds (for reporting only).
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Checked subtraction of another instant; `None` if `other` is later.
     #[must_use]
     pub const fn checked_sub(self, other: Time) -> Option<Duration> {
@@ -185,12 +179,6 @@ impl Duration {
     #[must_use]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Returns the span as fractional milliseconds (for reporting only).
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// `true` if this is the empty span.

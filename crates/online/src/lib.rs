@@ -13,8 +13,8 @@
 //!    analysis ([`tagio_sched::AnalysisCache`], invalidated
 //!    incrementally), plus a trivial utilisation gate, so hopeless
 //!    arrivals are rejected without touching the schedule.
-//! 2. **Incremental schedule repair**
-//!    ([`tagio_sched::heuristic::repair::repair_or_resynthesize_in`]) —
+//! 2. **Incremental schedule repair**, one run of the construction
+//!    ladder ([`tagio_sched::heuristic::repair::ladder_in`]) per event —
 //!    undisturbed jobs keep their validated placements; only the
 //!    disturbed neighbourhood goes back through LCC-D slot allocation,
 //!    falling back to a full Algorithm 1 re-synthesis (and, when the

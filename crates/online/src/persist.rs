@@ -460,8 +460,19 @@ impl FleetSnapshot {
             let Some(verb) = words.next() else {
                 continue; // trimmed text is non-empty, so a first token exists
             };
+            // Fleet-wide verbs appear once: a second line would silently
+            // replace the first (and a second `fstats` would drop every
+            // per-cause and per-tenant line parsed before it).
+            let once = |set: bool| {
+                if set {
+                    Err(err(format!("repeated `{verb}` line")))
+                } else {
+                    Ok(())
+                }
+            };
             match verb {
                 "epoch" => {
+                    once(epoch.is_some())?;
                     epoch = Some(
                         words
                             .next()
@@ -470,6 +481,7 @@ impl FleetSnapshot {
                     );
                 }
                 "config" => {
+                    once(config.is_some())?;
                     let policy: PlacementPolicy = kv(words.next(), "policy")
                         .map_err(err)?
                         .parse()
@@ -536,6 +548,7 @@ impl FleetSnapshot {
                     stats.tenants.insert(tenant, counters);
                 }
                 "rng" => {
+                    once(rng_state.is_some())?;
                     let mut word = |name: &str| {
                         words
                             .next()
@@ -550,6 +563,7 @@ impl FleetSnapshot {
                     ]);
                 }
                 "fstats" => {
+                    once(stats.is_some())?;
                     let mut f = FleetStats::default();
                     let mut take =
                         |key: &str| -> Result<usize, String> { num(kv(words.next(), key)?) };
@@ -1157,6 +1171,21 @@ mod tests {
         let err = FleetSnapshot::parse(&bad).unwrap_err();
         assert!(err.message.contains("bad spike"), "{err}");
         assert_eq!(err.line, line);
+
+        // A fleet-wide line given twice is an error on the second copy,
+        // not a silent overwrite of the first.
+        for verb in ["epoch", "config", "rng", "fstats"] {
+            let lines: Vec<&str> = good.lines().collect();
+            let at = lines
+                .iter()
+                .position(|l| l.starts_with(&format!("{verb} ")))
+                .unwrap();
+            let mut twice = lines.clone();
+            twice.insert(at + 1, lines[at]);
+            let err = FleetSnapshot::parse(&twice.join("\n")).unwrap_err();
+            assert!(err.message.contains(&format!("repeated `{verb}`")), "{err}");
+            assert_eq!(err.line, at + 2, "{verb}");
+        }
     }
 
     fn mkt(id: u32, device: u32, delta_ms: u64, tenant: u32) -> IoTask {

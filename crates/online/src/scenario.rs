@@ -163,6 +163,77 @@ fn tag_tenant(task: &IoTask, tenant: TenantId) -> IoTask {
         .expect("re-tagging a valid task preserves validity")
 }
 
+/// An event stream under construction: each event lands 10 ms after
+/// the one before it.
+#[derive(Default)]
+struct Stream {
+    at: Time,
+    events: Vec<TimedEvent>,
+}
+
+impl Stream {
+    fn push(&mut self, event: SystemEvent) {
+        self.at += Duration::from_millis(10);
+        self.events.push(TimedEvent { at: self.at, event });
+    }
+}
+
+/// One fresh paper-style arrival, drawn as both generators draw it: a
+/// pool period of at least [`MIN_ARRIVAL_PERIOD`], a 2–10% utilisation
+/// scaled by `demand`, the WCET capped at the margin and the blocking
+/// bound, then an ideal offset inside the margin-trimmed window; the
+/// task gets the global DM priority.
+fn draw_arrival(
+    rng: &mut StdRng,
+    pool: &PeriodPool,
+    id: TaskId,
+    device: DeviceId,
+    tenant: TenantId,
+    demand: f64,
+) -> IoTask {
+    let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, rng);
+    let margin = period / 4;
+    let u = (0.02 + 0.08 * rng.random::<f64>()) * demand;
+    let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
+    let wcet = Duration::from_micros(wcet_us)
+        .min(margin)
+        .min(blocking_cap());
+    let delta_us = rng.random_range(margin.as_micros()..=(period - margin).as_micros());
+    rebuild_with_dm_priority(
+        &IoTask::builder(id, device)
+            .wcet(wcet)
+            .period(period)
+            .ideal_offset(Duration::from_micros(delta_us))
+            .margin(margin)
+            .tenant(tenant)
+            .build()
+            .expect("generated arrival parameters are valid"),
+        id,
+        device,
+    )
+}
+
+/// A departure of a random known task with probability `permille`/1000;
+/// no draw at all when `permille` is zero.
+fn draw_departure(rng: &mut StdRng, permille: u32, known: &[TaskId]) -> Option<TaskId> {
+    (permille > 0 && rng.random_range(0..1000) < permille)
+        .then(|| known[rng.random_range(0..known.len())])
+}
+
+/// A spike level: overload or relief, in percent of nominal.
+fn draw_spike_percent(rng: &mut StdRng) -> u32 {
+    [80, 110, 125, 150, 100][rng.random_range(0..5usize)]
+}
+
+/// The mid-stream mode change, after arrival `k` of `arrivals` when
+/// `enabled`: keep every other known task.
+fn midpoint_mode(enabled: bool, k: usize, arrivals: usize, known: &[TaskId]) -> Option<Mode> {
+    (enabled && k + 1 == arrivals / 2).then(|| Mode {
+        id: ModeId(1),
+        active: known.iter().copied().step_by(2).collect(),
+    })
+}
+
 impl Scenario {
     /// Generates the scenario determined by `config`.
     #[must_use]
@@ -179,78 +250,37 @@ impl Scenario {
         let mut known: Vec<TaskId> = base.iter().map(IoTask::id).collect();
         let first_arrival_id = base.len() as u32;
         let pool = PeriodPool::paper_default();
-        let mut events = Vec::new();
-        let mut at = Time::ZERO;
-        let step = |at: &mut Time| {
-            *at += Duration::from_millis(10);
-            *at
-        };
+        let mut stream = Stream::default();
         for k in 0..config.arrivals {
-            // One arrival: a fresh paper-style task.
-            let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, &mut rng);
-            let margin = period / 4;
-            let u = 0.02 + 0.08 * rng.random::<f64>();
-            let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
-            let wcet = Duration::from_micros(wcet_us)
-                .min(margin)
-                .min(blocking_cap());
-            let delta_us = rng.random_range(margin.as_micros()..=(period - margin).as_micros());
             let id = TaskId(first_arrival_id + k as u32);
-            let task = rebuild_with_dm_priority(
-                &IoTask::builder(id, SCENARIO_DEVICE)
-                    .wcet(wcet)
-                    .period(period)
-                    .ideal_offset(Duration::from_micros(delta_us))
-                    .margin(margin)
-                    .build()
-                    .expect("generated arrival parameters are valid"),
+            let task = draw_arrival(
+                &mut rng,
+                &pool,
                 id,
                 SCENARIO_DEVICE,
+                TenantId::ANONYMOUS,
+                1.0,
             );
             known.push(id);
-            events.push(TimedEvent {
-                at: step(&mut at),
-                event: SystemEvent::Arrival(task),
-            });
-            // Maybe a departure of a random known task.
-            if config.departure_permille > 0
-                && rng.random_range(0..1000) < config.departure_permille
-            {
-                let victim = known[rng.random_range(0..known.len())];
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::Departure(victim),
-                });
+            stream.push(SystemEvent::Arrival(task));
+            if let Some(victim) = draw_departure(&mut rng, config.departure_permille, &known) {
+                stream.push(SystemEvent::Departure(victim));
             }
             // Periodic spike (overload or relief).
             if config.spike_every > 0 && (k + 1) % config.spike_every == 0 {
-                let percent = *[80u32, 110, 125, 150, 100]
-                    .get(rng.random_range(0..5usize))
-                    .expect("index in range");
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::UtilisationSpike {
-                        device: SCENARIO_DEVICE,
-                        percent,
-                    },
+                stream.push(SystemEvent::UtilisationSpike {
+                    device: SCENARIO_DEVICE,
+                    percent: draw_spike_percent(&mut rng),
                 });
             }
-            // One mode change at the midpoint: keep every other known task.
-            if config.mode_change && k + 1 == config.arrivals / 2 {
-                let active: Vec<TaskId> = known.iter().copied().step_by(2).collect();
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::ModeChange(Mode {
-                        id: ModeId(1),
-                        active,
-                    }),
-                });
+            if let Some(mode) = midpoint_mode(config.mode_change, k, config.arrivals, &known) {
+                stream.push(SystemEvent::ModeChange(mode));
             }
         }
         Scenario {
             device: SCENARIO_DEVICE,
             base,
-            events,
+            events: stream.events,
         }
     }
 
@@ -305,22 +335,6 @@ impl Scenario {
             psi_drop: psi0 - svc.psi(),
             upsilon_drop: ups0 - svc.upsilon(),
         }
-    }
-
-    /// Serialises the whole scenario — base tasks as `@0` arrivals, then
-    /// the event stream — in the text trace format.
-    #[must_use]
-    pub fn to_trace(&self) -> String {
-        let mut all: Vec<TimedEvent> = self
-            .base
-            .iter()
-            .map(|t| TimedEvent {
-                at: Time::ZERO,
-                event: SystemEvent::Arrival(t.clone()),
-            })
-            .collect();
-        all.extend(self.events.iter().cloned());
-        format_trace(&all)
     }
 }
 
@@ -814,12 +828,7 @@ impl FleetScenario {
         let zipf_total = zipf_cum.last().copied().unwrap_or(0.0);
         let mut burst: Option<(TenantId, DeviceId, usize)> = None;
         let pool = PeriodPool::paper_default();
-        let mut events = Vec::new();
-        let mut at = Time::ZERO;
-        let step = |at: &mut Time| {
-            *at += Duration::from_millis(10);
-            *at
-        };
+        let mut stream = Stream::default();
         for k in 0..config.arrivals {
             // A live burst storm pins tenant and origin (no draws);
             // otherwise draw the origin device (`skew` routes to the hot
@@ -852,87 +861,46 @@ impl FleetScenario {
                 }
                 (origin, tenant)
             };
-            let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, &mut rng);
-            let margin = period / 4;
-            let u = 0.02 + 0.08 * rng.random::<f64>();
             // Diurnal modulation: a triangle wave over `diurnal_period`
             // arrivals scales demand between 0.5x (trough) and 1.5x
             // (peak) — integer-derived, so it is exactly reproducible.
-            let u = if config.diurnal_period > 0 {
+            let demand = if config.diurnal_period > 0 {
                 let p = config.diurnal_period;
                 let phase = k % p;
-                let tri = (phase.min(p - phase) as f64) / (p as f64 / 2.0);
-                u * (0.5 + tri)
+                0.5 + (phase.min(p - phase) as f64) / (p as f64 / 2.0)
             } else {
-                u
+                1.0
             };
-            let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
-            let wcet = Duration::from_micros(wcet_us)
-                .min(margin)
-                .min(blocking_cap());
-            let delta_us = rng.random_range(margin.as_micros()..=(period - margin).as_micros());
             let id = TaskId(arrival_ids + k as u32);
-            let task = rebuild_with_dm_priority(
-                &IoTask::builder(id, origin)
-                    .wcet(wcet)
-                    .period(period)
-                    .ideal_offset(Duration::from_micros(delta_us))
-                    .margin(margin)
-                    .tenant(tenant)
-                    .build()
-                    .expect("generated arrival parameters are valid"),
-                id,
-                origin,
-            );
+            let task = draw_arrival(&mut rng, &pool, id, origin, tenant, demand);
             known.push(id);
-            events.push(TimedEvent {
-                at: step(&mut at),
-                event: SystemEvent::Arrival(task),
-            });
-            if config.departure_permille > 0
-                && rng.random_range(0..1000) < config.departure_permille
-            {
-                let victim = known[rng.random_range(0..known.len())];
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::Departure(victim),
-                });
+            stream.push(SystemEvent::Arrival(task));
+            if let Some(victim) = draw_departure(&mut rng, config.departure_permille, &known) {
+                stream.push(SystemEvent::Departure(victim));
             }
             if config.spike_every > 0 && (k + 1) % config.spike_every == 0 {
-                let percent = *[80u32, 110, 125, 150, 100]
-                    .get(rng.random_range(0..5usize))
-                    .expect("index in range");
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::UtilisationSpike {
-                        device: DeviceId(rng.random_range(0..partitions)),
-                        percent,
-                    },
+                let percent = draw_spike_percent(&mut rng);
+                stream.push(SystemEvent::UtilisationSpike {
+                    device: DeviceId(rng.random_range(0..partitions)),
+                    percent,
                 });
             }
             // Periodic partition death (disabled by default; drawing no
             // randomness when off keeps death-free streams byte-identical
             // to pre-failover generations).
             if config.death_every > 0 && (k + 1) % config.death_every == 0 {
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::PartitionDeath {
-                        device: DeviceId(rng.random_range(0..partitions)),
-                    },
+                stream.push(SystemEvent::PartitionDeath {
+                    device: DeviceId(rng.random_range(0..partitions)),
                 });
             }
-            if config.mode_change && k + 1 == config.arrivals / 2 {
-                let active: Vec<TaskId> = known.iter().copied().step_by(2).collect();
-                events.push(TimedEvent {
-                    at: step(&mut at),
-                    event: SystemEvent::ModeChange(Mode {
-                        id: ModeId(1),
-                        active,
-                    }),
-                });
+            if let Some(mode) = midpoint_mode(config.mode_change, k, config.arrivals, &known) {
+                stream.push(SystemEvent::ModeChange(mode));
             }
         }
-        FleetScenario { bases, events }
+        FleetScenario {
+            bases,
+            events: stream.events,
+        }
     }
 
     /// The same scenario collapsed onto a single partition: every base
@@ -1280,10 +1248,15 @@ fn parse_arrival<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<System
     let mut vmax = None;
     let mut vmin = None;
     let mut tenant = TenantId::ANONYMOUS;
+    let mut seen: Vec<&str> = Vec::new();
     for word in words {
         let (key, value) = word
             .split_once('=')
             .ok_or_else(|| format!("expected key=value, got `{word}`"))?;
+        if seen.contains(&key) {
+            return Err(format!("repeated key `{key}`"));
+        }
+        seen.push(key);
         let us = || -> Result<Duration, String> {
             value
                 .parse::<u64>()
@@ -1422,10 +1395,11 @@ mod tests {
         let text = format_trace(&s.events);
         let parsed = parse_trace(&text).expect("own output parses");
         assert_eq!(parsed, s.events);
-        // The full-scenario dump (base included) parses too.
-        let full = parse_trace(&s.to_trace()).unwrap();
-        assert_eq!(full.len(), s.base.len() + s.events.len());
     }
+
+    /// A well-formed arrival line.
+    const ARRIVAL: &str =
+        "@12 arrive t0 d0 c=500 t=10000 dl=10000 o=0 delta=5000 theta=2500 p=1 vmax=2 vmin=1";
 
     #[test]
     fn parse_rejects_malformed_lines() {
@@ -1439,9 +1413,16 @@ mod tests {
             ("@12 depart t0 extra", "trailing tokens"),
             ("@12 death x0", "bad device tag"),
             ("@12 death d0 150", "trailing tokens"),
+            (&format!("{ARRIVAL} c=2000"), "repeated key"),
+            (&format!("{ARRIVAL} tn=2 tn=3"), "repeated tenant"),
         ] {
             assert!(parse_trace(bad).is_err(), "accepted {what}: {bad}");
         }
+        // The repeated key is named, on its line.
+        assert!(parse_trace(ARRIVAL).is_ok());
+        let err = parse_trace(&format!("{ARRIVAL}\n{ARRIVAL} c=2000")).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("repeated key `c`"), "{err}");
         // Comments and blanks are fine.
         assert_eq!(parse_trace("# nothing\n\n").unwrap(), Vec::new());
     }

@@ -18,9 +18,16 @@
 //!    the FPS simulation realises a schedule; the FPS fallback tier
 //!    still admits only on the *actual* simulated schedule, never on
 //!    the pre-check alone (defence in depth);
-//! 3. **integration** — incremental repair around the live schedule,
-//!    falling back to full LCC-D re-synthesis, falling back (only under a
-//!    pre-check guarantee) to the FPS schedule.
+//! 3. **integration** — one run of the construction ladder
+//!    ([`ladder_in`]): incremental repair around the live schedule, then
+//!    a full LCC-D re-synthesis, then (only under a pre-check guarantee)
+//!    the FPS schedule.
+//!
+//! Every schedule the service builds comes from that one loop, each
+//! construction with its own [`Tier`] list per strategy. The
+//! full-re-synthesis baseline and bootstrap run on a fresh
+//! [`RepairScratch`], as the offline method does, so the partition's
+//! [`LadderWork`] counts only the incremental strategy's ladders.
 //!
 //! Departures filter the live schedule: the survivors keep every
 //! placement, and the departed task's rows leave the hyper-period table
@@ -33,6 +40,7 @@
 //! pre-tenant quality-only one.
 
 use crate::tenant::{shed_rank, TenantCounters, TenantRegistry};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use tagio_core::event::{Mode, SystemEvent};
 use tagio_core::job::JobSet;
@@ -40,9 +48,7 @@ use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::{DeviceId, IoTask, IoTaskBuilder, TaskId, TaskSet, TenantId};
 use tagio_core::{metrics, MetricSet, Metrics, ModeId};
-use tagio_sched::heuristic::repair::{repair_or_resynthesize_in, retime_in};
-use tagio_sched::heuristic::{SlotPolicy, StaticScheduler};
-use tagio_sched::{AnalysisCache, FpsOffline, LadderWork, RepairScratch, Scheduler};
+use tagio_sched::{ladder_in, AnalysisCache, LadderWork, RepairOutcome, RepairScratch, Tier};
 
 /// How the service integrates schedule changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,6 +62,43 @@ pub enum RepairStrategy {
     /// against.
     FullResynthesis,
 }
+
+/// A schedule construction the service runs through the ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Construction {
+    /// An arrival; `guaranteed` when the NP-FPS pre-check passed.
+    Arrival { guaranteed: bool },
+    /// A utilisation spike's rescaled (and possibly shed) set.
+    Spike,
+    /// A departure's or mode change's survivors.
+    Shrink,
+}
+
+impl RepairStrategy {
+    /// The ladder tiers of `construction` under this strategy. An
+    /// arrival ends with the FPS baseline only under the pre-check's
+    /// guarantee; an incremental shrink runs no tier and filters.
+    fn tiers(self, construction: Construction) -> &'static [Tier] {
+        use Tier::{Fps, Neighbourhood, Resynthesis, Retime};
+        match (self, construction) {
+            (RepairStrategy::Incremental, Construction::Arrival { guaranteed }) => {
+                &[Neighbourhood, Resynthesis, Fps][..2 + usize::from(guaranteed)]
+            }
+            (RepairStrategy::FullResynthesis, Construction::Arrival { guaranteed }) => {
+                &[Resynthesis, Fps][..1 + usize::from(guaranteed)]
+            }
+            (RepairStrategy::Incremental, Construction::Spike) => {
+                &[Retime, Neighbourhood, Resynthesis, Fps]
+            }
+            (RepairStrategy::FullResynthesis, Construction::Spike) => BOOTSTRAP,
+            (RepairStrategy::Incremental, Construction::Shrink) => &[],
+            (RepairStrategy::FullResynthesis, Construction::Shrink) => &[Resynthesis],
+        }
+    }
+}
+
+/// Bootstrap's tiers: the offline method, then the FPS baseline.
+const BOOTSTRAP: &[Tier] = &[Tier::Resynthesis, Tier::Fps];
 
 /// Why an arrival (or re-admission) was turned away.
 #[derive(Debug, Clone, PartialEq)]
@@ -402,16 +445,14 @@ impl OnlineScheduler {
             return Err(tasks);
         }
         let jobs = JobSet::expand(&tasks);
-        let Ok(schedule) = StaticScheduler::new()
-            .schedule(&jobs)
-            .or_else(|_| FpsOffline::new().schedule(&jobs))
-        else {
+        let scratch = &mut RepairScratch::default();
+        let Ok(outcome) = ladder_in(&jobs, &Schedule::new(), BOOTSTRAP, scratch) else {
             return Err(tasks);
         };
         for t in &tasks {
             svc.pool.insert(t.id(), t.clone());
         }
-        svc.install(tasks, jobs, schedule);
+        svc.install(tasks, jobs, outcome.schedule);
         Ok(svc)
     }
 
@@ -675,10 +716,11 @@ impl OnlineScheduler {
         self.cache.invalidate_for_arrival(&effective);
         let guaranteed = self.cache.schedulable(&candidate);
         // 3. Integration tiers.
-        match self.integrate(&candidate, guaranteed) {
-            Ok((jobs, outcome)) => {
+        let jobs = JobSet::expand(&candidate);
+        match self.integrate(&jobs, guaranteed) {
+            Ok(outcome) => {
                 let replaced = outcome.replaced;
-                let resynthesized = outcome.resynthesized;
+                let resynthesized = outcome.tier != Tier::Neighbourhood;
                 self.install(candidate, jobs, outcome.schedule);
                 self.pool.insert(id, nominal.retarget(self.device));
                 self.stats.admitted += 1;
@@ -735,15 +777,14 @@ impl OnlineScheduler {
     /// release, window and WCET under either expansion, so every
     /// surviving job already has a placement that satisfies Constraint 1.
     /// Dropping rows only frees device time, so Constraint 2 still holds.
-    /// It is the schedule `repair_in` returns here, since that pins every
-    /// placement that still fits and has nothing left to place.
+    /// It is the schedule the neighbourhood tier's first round returns
+    /// here, since that pins every placement that still fits and has
+    /// nothing left to place.
     fn shrink_to(&mut self, remaining: TaskSet) {
         let jobs = JobSet::expand(&remaining);
-        let (schedule, timed) = time(|| match self.strategy {
-            RepairStrategy::Incremental => restrict(&self.schedule, &remaining),
-            RepairStrategy::FullResynthesis => StaticScheduler::new()
-                .schedule(&jobs)
-                .unwrap_or_else(|_| restrict(&self.schedule, &remaining)),
+        let (schedule, timed) = time(|| {
+            self.construct(&jobs, Construction::Shrink)
+                .map_or_else(|_| restrict(&self.schedule, &remaining), |o| o.schedule)
         });
         self.record_construction(timed);
         self.install(remaining, jobs, schedule);
@@ -837,33 +878,13 @@ impl OnlineScheduler {
         let (candidate, jobs, schedule) = loop {
             let candidate: TaskSet = survivors.iter().cloned().collect();
             let jobs = JobSet::expand(&candidate);
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let (result, timed) = time(|| {
-                match self.strategy {
-                    RepairStrategy::Incremental => {
-                        // The order-preserving O(n) re-timing absorbs both
-                        // relief (placements unchanged) and uniform growth
-                        // (minimal right-shifts) before any re-placement;
-                        // repair_or_resynthesize_in embeds the plain-repair,
-                        // neighbourhood and Algorithm 1 tiers.
-                        retime_in(&jobs, &self.schedule, &mut scratch).or_else(|_| {
-                            repair_or_resynthesize_in(
-                                &jobs,
-                                &self.schedule,
-                                SlotPolicy::default(),
-                                &mut scratch,
-                            )
-                            .map(|o| o.schedule)
-                        })
-                    }
-                    RepairStrategy::FullResynthesis => StaticScheduler::new().schedule(&jobs),
-                }
-                .or_else(|_| FpsOffline::new().schedule(&jobs))
-            });
-            self.scratch = scratch;
+            // Incrementally, the order-preserving O(n) re-timing absorbs
+            // both relief (placements unchanged) and uniform growth
+            // (minimal right-shifts) before any re-placement.
+            let (result, timed) = time(|| self.construct(&jobs, Construction::Spike));
             self.record_construction(timed);
-            if let Ok(schedule) = result {
-                break (candidate, jobs, schedule);
+            if let Ok(outcome) = result {
+                break (candidate, jobs, outcome.schedule);
             }
             // Drop the lowest shed rank (best-effort, then over-quota
             // guaranteed) and, within a rank, the smallest peak quality
@@ -887,75 +908,50 @@ impl OnlineScheduler {
         EventOutcome::SpikeApplied { percent, shed }
     }
 
-    /// Builds the schedule for `candidate` (arrival path). Returns the
-    /// expanded jobs and the repair outcome, or the most informative
-    /// diagnostic when every tier failed (the re-synthesis tier's — the
+    /// Builds the schedule for `jobs` (arrival path), timed as one
+    /// construction and counted by the tier that won. On failure, the
+    /// most informative diagnostic: the re-synthesis tier's, since the
     /// FPS fallback is quality-blind and only consulted under a
-    /// pre-check guarantee).
-    fn integrate(
-        &mut self,
-        candidate: &TaskSet,
-        guaranteed: bool,
-    ) -> Result<(JobSet, tagio_sched::RepairOutcome), Infeasible> {
-        let jobs = JobSet::expand(candidate);
-        let new_h = candidate.hyperperiod();
-        let old_h = self.tasks.hyperperiod();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (result, latency) = time(|| {
-            // Align the live schedule to the candidate's hyper-period so
-            // undisturbed placements stay pinnable (§III.C repetition).
-            let base = if self.schedule.is_empty() || old_h.is_zero() {
-                Schedule::new()
-            } else if new_h > old_h {
-                self.schedule.repeat((new_h / old_h) as u32, old_h)
-            } else {
-                self.schedule.clone()
-            };
-            let outcome = match self.strategy {
-                RepairStrategy::Incremental => {
-                    repair_or_resynthesize_in(&jobs, &base, SlotPolicy::default(), &mut scratch)
-                }
-                RepairStrategy::FullResynthesis => {
-                    StaticScheduler::new().schedule(&jobs).map(|schedule| {
-                        tagio_sched::RepairOutcome {
-                            schedule,
-                            replaced: jobs.len(),
-                            resynthesized: true,
-                        }
-                    })
-                }
-            };
-            outcome.or_else(|diagnostic| {
-                // The response-time signal: try the actual FPS
-                // simulation and admit only on its real (quality-blind)
-                // schedule — never on the analysis alone. On failure,
-                // keep the richer diagnostic of the repair/re-synthesis
-                // tier.
-                if !guaranteed {
-                    return Err(diagnostic);
-                }
-                FpsOffline::new()
-                    .schedule(&jobs)
-                    .map_err(|_| diagnostic)
-                    .map(|schedule| tagio_sched::RepairOutcome {
-                        schedule,
-                        replaced: jobs.len(),
-                        resynthesized: true,
-                    })
-                    .inspect(|_| self.stats.fps_fallbacks += 1)
-            })
-        });
-        self.scratch = scratch;
+    /// pre-check guarantee.
+    fn integrate(&mut self, jobs: &JobSet, guaranteed: bool) -> Result<RepairOutcome, Infeasible> {
+        let (result, latency) = time(|| self.construct(jobs, Construction::Arrival { guaranteed }));
         self.record_construction(latency);
         self.stats.admission_time += latency;
         self.stats.admission_events += 1;
         let outcome = result?;
-        if outcome.resynthesized {
-            self.stats.resyntheses += 1;
-        } else {
-            self.stats.repairs += 1;
+        match outcome.tier {
+            Tier::Neighbourhood => self.stats.repairs += 1,
+            Tier::Retime | Tier::Resynthesis => self.stats.resyntheses += 1,
+            Tier::Fps => {
+                self.stats.resyntheses += 1;
+                self.stats.fps_fallbacks += 1;
+            }
         }
-        Ok((jobs, outcome))
+        Ok(outcome)
+    }
+
+    /// Runs the ladder on `construction`'s tiers for `jobs`, around the
+    /// live schedule aligned to `jobs`' hyper-period so undisturbed
+    /// placements stay pinnable (§III.C repetition). The incremental
+    /// strategy reuses the partition's scratch; the full-re-synthesis
+    /// baseline runs on a fresh one, as the offline method does.
+    fn construct(
+        &mut self,
+        jobs: &JobSet,
+        construction: Construction,
+    ) -> Result<RepairOutcome, Infeasible> {
+        let (old_h, new_h) = (self.tasks.hyperperiod(), jobs.hyperperiod());
+        let base = if new_h > old_h && !old_h.is_zero() {
+            Cow::Owned(self.schedule.repeat((new_h / old_h) as u32, old_h))
+        } else {
+            Cow::Borrowed(&self.schedule)
+        };
+        let mut fresh = RepairScratch::default();
+        let scratch = match self.strategy {
+            RepairStrategy::Incremental => &mut self.scratch,
+            RepairStrategy::FullResynthesis => &mut fresh,
+        };
+        ladder_in(jobs, &base, self.strategy.tiers(construction), scratch)
     }
 
     fn record_construction(&mut self, latency: std::time::Duration) {

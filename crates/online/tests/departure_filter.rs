@@ -3,8 +3,9 @@
 //! `OnlineScheduler` serves a departure, or a mode change's
 //! deactivations, by filtering its live schedule down to the surviving
 //! tasks' jobs. Asked to repair the old schedule into the survivors' job
-//! set, the ladder's `repair_in` pins every placement that still fits and
-//! has nothing left to place, so it must return the very same table.
+//! set, the ladder's neighbourhood tier pins every placement that still
+//! fits and has nothing left to place, so its first round must return the
+//! very same table with no job re-placed.
 //! This suite bootstraps random paper task sets (§V), optionally spikes
 //! them, removes a random subset of tasks and compares the two schedules
 //! entry for entry.
@@ -15,7 +16,7 @@ use tagio_core::event::{Mode, ModeId, SystemEvent};
 use tagio_core::job::JobSet;
 use tagio_core::task::{DeviceId, TaskId};
 use tagio_online::service::OnlineScheduler;
-use tagio_sched::{repair_in, RepairScratch, SlotPolicy};
+use tagio_sched::{repair_neighbourhood_in, RepairScratch, SlotPolicy};
 use tagio_workload::generator::SystemConfig;
 
 /// The removal a case draws: `kind` picks the shape, `pick` and `mask`
@@ -86,8 +87,9 @@ proptest! {
         let old_hyperperiod = svc.jobs().hyperperiod();
         svc.apply(&event);
         let jobs = JobSet::expand(svc.tasks());
+        let scratch = &mut RepairScratch::default();
         let (expected, replaced) =
-            repair_in(&jobs, &before, SlotPolicy::default(), &mut RepairScratch::default())
+            repair_neighbourhood_in(&jobs, &before, SlotPolicy::default(), scratch)
                 .expect("a subset of a feasible table repairs by pinning alone");
         prop_assert_eq!(replaced, 0);
         prop_assert_eq!(svc.schedule(), &expected);

@@ -26,8 +26,7 @@ pub mod repair;
 pub use graph::ConflictGraph;
 pub use lccd::{LadderWork, SlotPolicy, Timeline, TimelineScratch};
 pub use repair::{
-    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairOutcome,
-    RepairScratch,
+    ladder_in, repair_neighbourhood_in, retime_in, RepairOutcome, RepairScratch, Tier,
 };
 
 use crate::scheduler::Scheduler;

@@ -1,4 +1,4 @@
-//! Incremental schedule repair: re-place only a disturbed neighbourhood.
+//! Incremental schedule repair, and the construction ladder.
 //!
 //! Algorithm 1 synthesises from scratch — conflict graph, decomposition,
 //! LCC-D allocation over *every* job. When a running system gains or loses
@@ -8,30 +8,28 @@
 //! placement a WCET change made infeasible) go back through slot
 //! allocation.
 //!
-//! [`repair_in`] is that fast path: it pins the base schedule's
-//! placements for every job that still fits them, tries each other job
-//! first at its *ideal* instant (preserving Ψ where possible) and then
-//! through the LCC-D allocator. Rather than degrading into a recursive
-//! displacement search, it reports an [`Infeasible`] diagnostic naming the
-//! congested jobs when the neighbourhood does not fit. The ladder,
-//! [`repair_or_resynthesize_in`], is neighbourhood repair
-//! ([`repair_neighbourhood_in`], which escalates from exactly those
-//! diagnostics), then a full Algorithm 1 run — the paper's offline
-//! method. Only a round whose diagnostic seeds the next round needs
-//! every failure, so the neighbourhood tier's final round stops at its
-//! first failed allocation: on the rejection storm most ladders fail
-//! both tiers, and the rest of that round is work whose only product
-//! the ladder would throw away. The online service layers admission
-//! control and shedding on top (`tagio-online`). [`retime_in`], the
-//! spike ladder's first tier, replays the base order through the
-//! baselines' shared dispatcher.
+//! [`repair_neighbourhood_in`] is that fast path: it pins every base
+//! placement that still fits, re-places the rest, and rather than
+//! degrading into a recursive displacement search widens the re-placed
+//! set to the congested pockets a failed round names. Its final round
+//! stops at its first failed allocation: on the rejection storm most
+//! ladders fail every tier, and the rest of that round is work whose
+//! only product the ladder would throw away.
 //!
-//! Every failure of [`repair_in`] and [`repair_neighbourhood_in`] carries
-//! the partial Ψ/Υ of the placements it kept, as does a [`retime_in`]
-//! failure that names a job missing its window. A failed round reads
-//! them off its placements by job position
-//! ([`tagio_core::metrics::quality_by`]) instead of building and sorting
-//! a partial [`Schedule`], so a failure costs one `O(n)` pass.
+//! [`ladder_in`] is the one loop behind every schedule the online service
+//! (`tagio-online`) builds. It runs a list of [`Tier`]s — [`retime_in`]
+//! (the base order replayed through the baselines' shared dispatcher),
+//! the neighbourhood repair, a full Algorithm 1 run (the paper's offline
+//! method) and the FPS-offline baseline — and the first tier that yields
+//! a schedule wins. The service picks the list per construction and
+//! strategy, and layers admission control and shedding on top.
+//!
+//! Every failure of [`repair_neighbourhood_in`] carries the partial Ψ/Υ
+//! of the placements it kept, as does a [`retime_in`] failure that names
+//! a job missing its window. A failed round reads them off its
+//! placements by job position ([`tagio_core::metrics::quality_by`])
+//! instead of building and sorting a partial [`Schedule`], so a failure
+//! costs one `O(n)` pass.
 //!
 //! No demand-bound certificate runs ahead of the ladder: on implicit-
 //! deadline (`D = T`), zero-offset sets that passed the online service's
@@ -43,6 +41,8 @@
 
 use super::lccd::{placement_quality, LadderWork, SlotPolicy, Timeline, TimelineScratch};
 use super::synthesize_in;
+use crate::fps::FpsOffline;
+use crate::scheduler::Scheduler;
 use crate::solve::{dispatch, priority_rank};
 use std::collections::{HashMap, HashSet};
 use tagio_core::job::{Job, JobId, JobSet};
@@ -51,26 +51,27 @@ use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::TaskId;
 use tagio_core::time::{Duration, Time};
 
-/// Reusable working memory for the repair ladder.
+/// Reusable working memory for the construction ladder.
 ///
 /// A single incremental repair allocates a dozen transient collections —
 /// lookup tables, the pinned set, the timeline's slot buffers.
 /// The online service runs the ladder on every arrival and spike, so
-/// [`repair_in`] / [`retime_in`] / [`repair_neighbourhood_in`] /
-/// [`repair_or_resynthesize_in`] accept a long-lived scratch and recycle
+/// [`ladder_in`] and its tier functions [`retime_in`] and
+/// [`repair_neighbourhood_in`] accept a long-lived scratch and recycle
 /// those collections' capacity across calls. Every buffer is cleared
 /// before use: a reused scratch produces bit-identical results to a
 /// fresh (`Default`) one, so one-off callers pass
 /// `&mut RepairScratch::default()`. The scratch also accumulates the
-/// allocator's [`LadderWork`] counters over every ladder tier it ran,
-/// the re-synthesis tier included.
+/// allocator's [`LadderWork`] counters over every tier it ran, the
+/// re-synthesis tier included.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
     /// Per job position, its base start when that placement is still
-    /// feasible. Built once per ladder call; every round reads it.
+    /// feasible. Built once per neighbourhood repair; every round reads
+    /// it.
     base_at: Vec<Option<Time>>,
     /// The feasible base placements as `(start, finish, position)`,
-    /// sorted. Built once per ladder call.
+    /// sorted. Built once per neighbourhood repair.
     base_order: Vec<(Time, Time, usize)>,
     /// Per job position, `true` when the job is re-placed rather than
     /// pinned. Escalation rounds grow it in place.
@@ -95,43 +96,84 @@ impl RepairScratch {
     }
 }
 
-/// How a repaired schedule was obtained.
+/// One tier of the construction ladder, [`ladder_in`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// [`retime_in`]: the base schedule's execution order, each start
+    /// pushed right only as far as the current WCETs force.
+    Retime,
+    /// [`repair_neighbourhood_in`] under LCC-D: the base placements that
+    /// still fit stay pinned, and the disturbed neighbourhood is placed
+    /// anew.
+    Neighbourhood,
+    /// A full Algorithm 1 run under LCC-D on the scratch's warm buffers,
+    /// counted in [`LadderWork::resyntheses`].
+    Resynthesis,
+    /// The FPS-offline baseline ([`FpsOffline`]): a quality-blind
+    /// schedule that ignores ideal instants.
+    Fps,
+}
+
+/// A schedule the ladder built, and the tier that built it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
     /// The feasible schedule for the whole job set.
     pub schedule: Schedule,
-    /// Jobs that were (re-)placed, as opposed to pinned from the base.
+    /// Jobs that were (re-)placed, as opposed to pinned from the base:
+    /// the disturbed neighbourhood for [`Tier::Neighbourhood`], every job
+    /// for the other tiers.
     pub replaced: usize,
-    /// `true` when incremental repair failed and the schedule came from a
-    /// full Algorithm 1 re-synthesis instead.
-    pub resynthesized: bool,
+    /// The tier whose schedule won.
+    pub tier: Tier,
 }
 
-/// Repairs `base` into a feasible schedule for `jobs`.
+/// The construction ladder: runs `tiers` in order on `jobs` around the
+/// live schedule `base`, and the first tier that yields a schedule wins.
 ///
-/// Every job of `jobs` that appears in `base` and whose base placement is
-/// still feasible (its window or WCET may have changed since `base` was
-/// synthesised) keeps its start. All other jobs — the disturbed
-/// neighbourhood — are placed anew:
-/// first at their ideal instant when free, otherwise through the LCC-D
-/// allocator under `policy`, highest priority first (Algorithm 1 line 11).
-///
-/// Returns `(schedule, replaced)` on success.
+/// The tiers share `scratch`, which also counts their [`LadderWork`].
+/// [`Tier::Retime`] and [`Tier::Neighbourhood`] read `base`; the other
+/// tiers ignore it.
 ///
 /// # Errors
-/// An [`InfeasibleCause::NoFeasibleSlot`] diagnostic naming the jobs
-/// that could not be packed — or the pinned placements that no longer
-/// fit together (e.g. a WCET spike overlapped two pinned jobs) — with
-/// the partial Ψ/Υ committed so far. Callers escalate to
-/// [`repair_neighbourhood_in`] or [`repair_or_resynthesize_in`].
-pub fn repair_in(
+/// When every tier failed, the diagnostic of the last tier that failed
+/// other than [`Tier::Fps`]: the FPS baseline is quality-blind, so the
+/// tiers before it say more about why and where. A list whose only tier
+/// is [`Tier::Fps`] fails with its diagnostic, and an empty list with a
+/// bare [`InfeasibleCause::NoFeasibleSlot`].
+pub fn ladder_in(
     jobs: &JobSet,
     base: &Schedule,
-    policy: SlotPolicy,
+    tiers: &[Tier],
     scratch: &mut RepairScratch,
-) -> Result<(Schedule, usize), Infeasible> {
-    prepare(jobs, base, scratch);
-    try_repair(jobs, policy, scratch, false)
+) -> Result<RepairOutcome, Infeasible> {
+    let policy = SlotPolicy::default();
+    let every_job = |schedule| (schedule, jobs.len());
+    let mut diagnostic = None;
+    for &tier in tiers {
+        let built = match tier {
+            Tier::Retime => retime_in(jobs, base, scratch).map(every_job),
+            Tier::Neighbourhood => repair_neighbourhood_in(jobs, base, policy, scratch),
+            Tier::Resynthesis => {
+                scratch.timeline.work.resyntheses += 1;
+                synthesize_in(jobs, policy, &mut scratch.timeline).map(every_job)
+            }
+            Tier::Fps => FpsOffline.schedule(jobs).map(every_job),
+        };
+        match built {
+            Ok((schedule, replaced)) => {
+                return Ok(RepairOutcome {
+                    schedule,
+                    replaced,
+                    tier,
+                })
+            }
+            Err(failure) if tier != Tier::Fps || diagnostic.is_none() => {
+                diagnostic = Some(failure);
+            }
+            Err(_) => {}
+        }
+    }
+    Err(diagnostic.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
 }
 
 /// `(job, start)` pairs of a schedule, sorted by job id for binary
@@ -295,9 +337,8 @@ fn try_repair(
 ///
 /// # Errors
 /// An [`InfeasibleCause::NoFeasibleSlot`] diagnostic naming the job that
-/// would miss its window (callers escalate to
-/// [`repair_neighbourhood_in`] or a full re-synthesis), or the jobs
-/// `base` does not cover at all.
+/// would miss its window (the ladder escalates to the next [`Tier`]), or
+/// the jobs `base` does not cover at all.
 pub fn retime_in(
     jobs: &JobSet,
     base: &Schedule,
@@ -324,13 +365,22 @@ pub fn retime_in(
     )
 }
 
-/// Escalated repair: run the plain repair once to learn exactly *where*
-/// it fails — the jobs its [`Infeasible`] diagnostic names (no slot
-/// found, or pinned placements a WCET change made overlap) — then widen
-/// the disturbed set to those congested pockets (every job whose window
-/// overlaps a failed job's window) and re-place just that neighbourhood.
-/// Bounded rounds only; beyond them a full re-synthesis is cheaper than
-/// chasing transitive closures.
+/// Neighbourhood repair of `base` into a feasible schedule for `jobs`,
+/// the ladder's [`Tier::Neighbourhood`].
+///
+/// The first round is the plain repair. Every job of `jobs` that appears
+/// in `base` and whose base placement is still feasible (its window or
+/// WCET may have changed since `base` was synthesised) keeps its start.
+/// All other jobs are placed anew: first at their ideal instant when
+/// free, otherwise through the LCC-D allocator under `policy`, highest
+/// priority first (Algorithm 1 line 11). A failed round names exactly
+/// *where* it fails — the jobs that found no slot, or pinned placements a
+/// WCET change made overlap — and the next round widens the disturbed set
+/// to those congested pockets (every job whose window overlaps a failed
+/// job's window) and re-places just that neighbourhood. Bounded rounds
+/// only; beyond them a full re-synthesis is cheaper than chasing
+/// transitive closures. Returns `(schedule, replaced)`, where `replaced`
+/// counts the jobs placed anew.
 ///
 /// The final round seeds no widening, so it stops at its first failed
 /// allocation: a failing round fails whether or not it runs to the end.
@@ -402,39 +452,10 @@ fn widen(jobs: &JobSet, scratch: &mut RepairScratch) -> bool {
     grew
 }
 
-/// The repair ladder: [`repair_neighbourhood_in`], escalating to a full
-/// Algorithm 1 re-synthesis (the static scheduler with `policy`) when
-/// the incremental tier fails.
-///
-/// # Errors
-/// The re-synthesis tier's diagnostic when it, too, finds the set
-/// infeasible.
-pub fn repair_or_resynthesize_in(
-    jobs: &JobSet,
-    base: &Schedule,
-    policy: SlotPolicy,
-    scratch: &mut RepairScratch,
-) -> Result<RepairOutcome, Infeasible> {
-    if let Ok((schedule, replaced)) = repair_neighbourhood_in(jobs, base, policy, scratch) {
-        return Ok(RepairOutcome {
-            schedule,
-            replaced,
-            resynthesized: false,
-        });
-    }
-    scratch.timeline.work.resyntheses += 1;
-    synthesize_in(jobs, policy, &mut scratch.timeline).map(|schedule| RepairOutcome {
-        schedule,
-        replaced: jobs.len(),
-        resynthesized: true,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heuristic::StaticScheduler;
-    use crate::scheduler::Scheduler;
     use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
     use tagio_core::time::Duration;
 
@@ -448,14 +469,19 @@ mod tests {
             .unwrap()
     }
 
-    /// A one-off plain repair under the default policy.
+    /// A one-off plain repair under the default policy: the
+    /// neighbourhood tier's first round.
     fn repair(jobs: &JobSet, base: &Schedule) -> Result<(Schedule, usize), Infeasible> {
-        repair_in(
-            jobs,
-            base,
-            SlotPolicy::default(),
-            &mut RepairScratch::default(),
-        )
+        let scratch = &mut RepairScratch::default();
+        prepare(jobs, base, scratch);
+        try_repair(jobs, SlotPolicy::default(), scratch, false)
+    }
+
+    /// The incremental arrival ladder, neighbourhood repair then
+    /// Algorithm 1, on a fresh scratch.
+    fn repair_or_resynthesize(jobs: &JobSet, base: &Schedule) -> RepairOutcome {
+        let tiers = [Tier::Neighbourhood, Tier::Resynthesis];
+        ladder_in(jobs, base, &tiers, &mut RepairScratch::default()).expect("feasible overall")
     }
 
     fn base_for(tasks: &TaskSet) -> (JobSet, Schedule) {
@@ -605,13 +631,7 @@ mod tests {
         if let Ok((s, _)) = &plain {
             s.validate(&jobs).unwrap();
         }
-        let escalated = repair_or_resynthesize_in(
-            &jobs,
-            &base,
-            SlotPolicy::default(),
-            &mut RepairScratch::default(),
-        )
-        .expect("feasible overall");
+        let escalated = repair_or_resynthesize(&jobs, &base);
         escalated.schedule.validate(&jobs).unwrap();
     }
 
@@ -647,17 +667,11 @@ mod tests {
         let mut grown = old.clone();
         grown.push(task(1, 8, 2_000, 4)).unwrap();
         let jobs = JobSet::expand(&grown);
-        let outcome = repair_or_resynthesize_in(
-            &jobs,
-            &base,
-            SlotPolicy::default(),
-            &mut RepairScratch::default(),
-        )
-        .unwrap();
+        let outcome = repair_or_resynthesize(&jobs, &base);
         outcome.schedule.validate(&jobs).unwrap();
         // Repair alone may or may not manage this; the point is the
         // fallback produces a valid full schedule when it does not.
-        if outcome.resynthesized {
+        if outcome.tier == Tier::Resynthesis {
             assert_eq!(outcome.replaced, jobs.len());
         }
     }
@@ -737,12 +751,14 @@ mod tests {
 
     /// The early-stopping final round changes nothing but that round's
     /// diagnostic. Against a neighbourhood tier whose final round runs to
-    /// the end, the tier gives the same Ok result, and the same
-    /// diagnostic unless its final round failed; then it names one of
-    /// the reference's jobs, with partial Ψ/Υ. The ladder gives the same
-    /// Ok/Err, schedule, `replaced` and `resynthesized`. Bases are
-    /// synthesised task sets; each step adds newcomers or grows tasks'
-    /// WCETs, on scratches reused throughout.
+    /// the end, the tier gives the same Ok result under every slot
+    /// policy, and the same diagnostic unless its final round failed;
+    /// then it names one of the reference's jobs, with partial Ψ/Υ. The
+    /// arrival ladder, `[Neighbourhood, Resynthesis]`, gives the same
+    /// Ok/Err, schedule, `replaced` and tier as that reference tier
+    /// followed by Algorithm 1. Bases are synthesised task sets; each
+    /// step adds newcomers or grows tasks' WCETs, on scratches reused
+    /// throughout.
     #[test]
     fn ladder_matches_a_run_to_the_end_final_round() {
         use rand::rngs::StdRng;
@@ -754,8 +770,8 @@ mod tests {
             SlotPolicy::WorstFit,
         ];
         let mut rng = StdRng::seed_from_u64(37);
-        let mut scratch = RepairScratch::default();
-        let (mut ladder, mut reference) = (RepairScratch::default(), RepairScratch::default());
+        let (mut scratch, mut reference) = (RepairScratch::default(), RepairScratch::default());
+        let (mut ladder, mut run_to_end) = (RepairScratch::default(), RepairScratch::default());
         let (mut repaired, mut resynthesized, mut rejected) = (0, 0, 0);
         let (mut stuck, mut final_failed) = (0, 0);
         for case in 0..800 {
@@ -799,26 +815,28 @@ mod tests {
                     }
                 }
 
-                let got = repair_or_resynthesize_in(&jobs, &base, policy, &mut ladder);
-                let want = match want_tier {
+                let tiers = [Tier::Neighbourhood, Tier::Resynthesis];
+                let got = ladder_in(&jobs, &base, &tiers, &mut ladder);
+                let policy = SlotPolicy::default();
+                let want = match reference_neighbourhood(&jobs, &base, policy, &mut run_to_end).0 {
                     Ok((schedule, replaced)) => Ok(RepairOutcome {
                         schedule,
                         replaced,
-                        resynthesized: false,
+                        tier: Tier::Neighbourhood,
                     }),
                     Err(_) => {
-                        synthesize_in(&jobs, policy, &mut reference.timeline).map(|schedule| {
+                        synthesize_in(&jobs, policy, &mut run_to_end.timeline).map(|schedule| {
                             RepairOutcome {
                                 schedule,
                                 replaced: jobs.len(),
-                                resynthesized: true,
+                                tier: Tier::Resynthesis,
                             }
                         })
                     }
                 };
                 assert_eq!(got, want, "{label}");
                 match &want {
-                    Ok(outcome) if !outcome.resynthesized => repaired += 1,
+                    Ok(outcome) if outcome.tier == Tier::Neighbourhood => repaired += 1,
                     Ok(_) => resynthesized += 1,
                     Err(_) => rejected += 1,
                 }
@@ -832,11 +850,222 @@ mod tests {
             stuck > 100 && final_failed > 20,
             "{stuck} tiers stuck early, {final_failed} failed final rounds"
         );
-        let (work, full) = (ladder.work(), reference.work());
+        let (work, full) = (ladder.work(), run_to_end.work());
         assert!(
             work.allocate_calls < full.allocate_calls,
             "{work:?} vs {full:?}"
         );
         assert_eq!(work.resyntheses, (resynthesized + rejected) as u64);
+    }
+
+    type Outcome = Result<RepairOutcome, Infeasible>;
+
+    /// The neighbourhood tier escalating to Algorithm 1 on the same
+    /// scratch: the ladder the service's incremental chains called.
+    fn repair_or_resynthesize_in(
+        jobs: &JobSet,
+        base: &Schedule,
+        policy: SlotPolicy,
+        scratch: &mut RepairScratch,
+    ) -> Outcome {
+        if let Ok((schedule, replaced)) = repair_neighbourhood_in(jobs, base, policy, scratch) {
+            return Ok(RepairOutcome {
+                schedule,
+                replaced,
+                tier: Tier::Neighbourhood,
+            });
+        }
+        scratch.timeline.work.resyntheses += 1;
+        synthesize_in(jobs, policy, &mut scratch.timeline).map(|schedule| RepairOutcome {
+            schedule,
+            replaced: jobs.len(),
+            tier: Tier::Resynthesis,
+        })
+    }
+
+    /// A whole-set schedule some `tier` built outside the ladder.
+    fn whole(jobs: &JobSet, tier: Tier, built: Result<Schedule, Infeasible>) -> Outcome {
+        built.map(|schedule| RepairOutcome {
+            schedule,
+            replaced: jobs.len(),
+            tier,
+        })
+    }
+
+    /// The FPS fallback after a failed chain, keeping the chain's
+    /// diagnostic when the FPS simulation fails too.
+    fn or_fps(jobs: &JobSet, chain: Outcome) -> Outcome {
+        chain.or_else(|diagnostic| {
+            whole(jobs, Tier::Fps, FpsOffline::new().schedule(jobs)).map_err(|_| diagnostic)
+        })
+    }
+
+    /// The service's incremental arrival chain: the ladder above, then
+    /// the FPS schedule when the pre-check passed.
+    fn arrival_chain(
+        jobs: &JobSet,
+        base: &Schedule,
+        guaranteed: bool,
+        scratch: &mut RepairScratch,
+    ) -> Outcome {
+        let outcome = repair_or_resynthesize_in(jobs, base, SlotPolicy::default(), scratch);
+        if guaranteed {
+            or_fps(jobs, outcome)
+        } else {
+            outcome
+        }
+    }
+
+    /// The full-re-synthesis arrival chain: the static scheduler, then the
+    /// FPS schedule when the pre-check passed. With the pre-check it is
+    /// also the full-re-synthesis spike chain and bootstrap.
+    fn resynthesis_chain(jobs: &JobSet, guaranteed: bool) -> Outcome {
+        let outcome = whole(
+            jobs,
+            Tier::Resynthesis,
+            StaticScheduler::new().schedule(jobs),
+        );
+        if guaranteed {
+            or_fps(jobs, outcome)
+        } else {
+            outcome
+        }
+    }
+
+    /// The incremental spike chain: re-timing, the ladder above, then the
+    /// FPS schedule. The service discarded this chain's diagnostic; the
+    /// reference keeps the re-synthesis tier's, as the arrival chain did.
+    fn spike_chain(jobs: &JobSet, base: &Schedule, scratch: &mut RepairScratch) -> Outcome {
+        let outcome = whole(jobs, Tier::Retime, retime_in(jobs, base, scratch))
+            .or_else(|_| repair_or_resynthesize_in(jobs, base, SlotPolicy::default(), scratch));
+        or_fps(jobs, outcome)
+    }
+
+    /// `task` with its WCET scaled to `percent`% (at least 1 µs), as the
+    /// service rescales under a spike; `None` when that breaks the task.
+    fn scaled(task: &IoTask, percent: u64) -> Option<IoTask> {
+        let wcet = Duration::from_micros((task.wcet().as_micros() * percent / 100).max(1));
+        IoTask::builder(task.id(), task.device())
+            .wcet(wcet)
+            .period(task.period())
+            .deadline(task.deadline())
+            .ideal_offset(task.ideal_offset())
+            .margin(task.margin())
+            .priority(task.priority())
+            .quality(task.vmax(), task.vmin())
+            .release_offset(task.release_offset())
+            .build()
+            .ok()
+    }
+
+    /// Same schedule, `replaced` and winning tier, or the same cause,
+    /// jobs and bit-identical partial Ψ/Υ.
+    fn assert_same(got: &Outcome, want: &Outcome, label: &str) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert!(got.schedule == want.schedule, "{label}: schedules differ");
+                assert_eq!(got.replaced, want.replaced, "{label}");
+                assert_eq!(got.tier, want.tier, "{label}");
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got.cause, want.cause, "{label}");
+                assert_eq!(got.jobs, want.jobs, "{label}");
+                let bits = |q: Option<f64>| q.map(f64::to_bits);
+                assert_eq!(bits(got.best_psi), bits(want.best_psi), "{label}");
+                assert_eq!(bits(got.best_upsilon), bits(want.best_upsilon), "{label}");
+            }
+            _ => panic!("{label}: {got:?} vs {want:?}"),
+        }
+    }
+
+    /// The ladder reproduces every chain the online service composed by
+    /// hand, for every tier list the service passes it, on every input.
+    /// Inputs are random paper systems (§V.A): arrival-shaped (the live
+    /// schedule of all but the last task, aligned to the grown
+    /// hyper-period, plus that task) and spike-shaped (the live schedule
+    /// of the whole set, every WCET scaled to 80–400%). Incremental lists
+    /// share one long-lived scratch per side and end with equal
+    /// [`LadderWork`]; the full-re-synthesis lists run on fresh scratches,
+    /// as the service runs them.
+    #[test]
+    fn ladder_reproduces_the_service_chains() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use tagio_core::task::TaskSet;
+        use tagio_workload::SystemConfig;
+        use Tier::{Fps, Neighbourhood, Resynthesis, Retime};
+        const TIERS: [Tier; 4] = [Retime, Neighbourhood, Resynthesis, Fps];
+        let mut rng = StdRng::seed_from_u64(23);
+        let set = |tasks: &[IoTask]| -> TaskSet { tasks.iter().cloned().collect() };
+        let mut inputs = Vec::new();
+        for case in 0..80 {
+            let u = 0.05 * f64::from(rng.random_range(6..=18u32));
+            let tasks: Vec<IoTask> = SystemConfig::paper(u)
+                .generate(&mut rng)
+                .iter()
+                .cloned()
+                .collect();
+            // Arrival: the last task joins the schedule of the others.
+            let (old, new) = (set(&tasks[..tasks.len() - 1]), set(&tasks));
+            if let Ok(live) = StaticScheduler::new().schedule(&JobSet::expand(&old)) {
+                let (old_h, new_h) = (old.hyperperiod(), new.hyperperiod());
+                let base = if new_h > old_h {
+                    live.repeat((new_h / old_h) as u32, old_h)
+                } else {
+                    live
+                };
+                inputs.push((
+                    format!("case {case}, u {u:.2}, arrival"),
+                    JobSet::expand(&new),
+                    base,
+                ));
+            }
+            // Spike: every WCET scales; tasks the scale breaks are shed.
+            if let Ok(live) = StaticScheduler::new().schedule(&JobSet::expand(&new)) {
+                let percent = rng.random_range(80..=400u64);
+                let spiked: Vec<IoTask> = tasks.iter().filter_map(|t| scaled(t, percent)).collect();
+                let label = format!("case {case}, u {u:.2}, spike {percent}%");
+                inputs.push((label, JobSet::expand(&set(&spiked)), live));
+            }
+        }
+
+        let (mut ladder, mut reference) = (RepairScratch::default(), RepairScratch::default());
+        let (mut wins, mut failures) = ([0usize; 4], 0);
+        let mut check = |label: String, got: Outcome, want: Outcome| {
+            assert_same(&got, &want, &label);
+            match got {
+                Ok(outcome) => wins[TIERS.iter().position(|&t| t == outcome.tier).unwrap()] += 1,
+                Err(_) => failures += 1,
+            }
+        };
+        for (label, jobs, base) in &inputs {
+            for guaranteed in [false, true] {
+                let tiers = &[Neighbourhood, Resynthesis, Fps][..2 + usize::from(guaranteed)];
+                let got = ladder_in(jobs, base, tiers, &mut ladder);
+                let want = arrival_chain(jobs, base, guaranteed, &mut reference);
+                check(format!("{label}, {tiers:?}"), got, want);
+                let tiers = &[Resynthesis, Fps][..1 + usize::from(guaranteed)];
+                let got = ladder_in(jobs, base, tiers, &mut RepairScratch::default());
+                let want = resynthesis_chain(jobs, guaranteed);
+                check(format!("{label}, {tiers:?}"), got, want);
+            }
+            let tiers = [Retime, Neighbourhood, Resynthesis, Fps];
+            let got = ladder_in(jobs, base, &tiers, &mut ladder);
+            let want = spike_chain(jobs, base, &mut reference);
+            check(format!("{label}, {tiers:?}"), got, want);
+            // An empty list (the incremental shrink's) runs nothing and
+            // fails without a panic.
+            let empty = ladder_in(jobs, base, &[], &mut ladder).unwrap_err();
+            assert_eq!(
+                empty,
+                Infeasible::new(InfeasibleCause::NoFeasibleSlot),
+                "{label}"
+            );
+        }
+        assert!(
+            wins.iter().all(|&n| n > 0) && failures > 0,
+            "wins per tier {wins:?}, {failures} failures"
+        );
+        assert_eq!(ladder.work(), reference.work());
     }
 }

@@ -69,9 +69,8 @@ pub use fps::{fps_online_schedulable, FpsOffline};
 pub use ga_sched::{reconfigure, GaScheduleResult, GaScheduler};
 pub use gpiocp::Gpiocp;
 pub use heuristic::{
-    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, ConflictGraph,
-    LadderWork, RepairOutcome, RepairScratch, SlotPolicy, StaticScheduler, Timeline,
-    TimelineScratch,
+    ladder_in, repair_neighbourhood_in, retime_in, ConflictGraph, LadderWork, RepairOutcome,
+    RepairScratch, SlotPolicy, StaticScheduler, Tier, Timeline, TimelineScratch,
 };
 pub use optimal::OptimalPsi;
 pub use registry::{make_scheduler, method_names, BoxedSolver, MethodError, MethodSet};

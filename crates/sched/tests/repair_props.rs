@@ -6,10 +6,12 @@
 //! That is only sound if a *dirty* scratch — carrying arbitrary leftover
 //! buffer contents and capacities from unrelated earlier calls — never
 //! changes any result. This suite drives random task-set perturbations
-//! (arrivals, departures, WCET changes via re-admission) through all four
-//! ladder entry points, comparing every reused-scratch outcome against
-//! the same call on a fresh `RepairScratch::default()` bit by bit
-//! (`Schedule`, replaced counts, and full `Infeasible` diagnostics alike).
+//! (arrivals, departures, WCET changes via re-admission) through the
+//! re-timing and neighbourhood tiers and through the ladder under every
+//! tier list the online service uses, comparing every reused-scratch
+//! outcome against the same call on a fresh `RepairScratch::default()`
+//! bit by bit (`Schedule`, replaced counts, winning tiers and full
+//! `Infeasible` diagnostics alike).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,8 +19,8 @@ use tagio_core::job::JobSet;
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
 use tagio_core::time::Duration;
 use tagio_sched::{
-    repair_in, repair_neighbourhood_in, repair_or_resynthesize_in, retime_in, RepairScratch,
-    Scheduler, SlotPolicy, StaticScheduler,
+    ladder_in, repair_neighbourhood_in, retime_in, RepairScratch, Scheduler, SlotPolicy,
+    StaticScheduler, Tier,
 };
 
 /// Builds a valid task from drawn parameters. The ideal offset sits in
@@ -46,6 +48,21 @@ fn pool_task(
         .expect("pool parameters are valid")
 }
 
+/// Every tier list the online service passes to the ladder.
+const LADDERS: [&[Tier]; 6] = [
+    &[Tier::Neighbourhood, Tier::Resynthesis],
+    &[Tier::Neighbourhood, Tier::Resynthesis, Tier::Fps],
+    &[
+        Tier::Retime,
+        Tier::Neighbourhood,
+        Tier::Resynthesis,
+        Tier::Fps,
+    ],
+    &[Tier::Resynthesis, Tier::Fps],
+    &[Tier::Resynthesis],
+    &[],
+];
+
 const POLICIES: [SlotPolicy; 4] = [
     SlotPolicy::LeastContentionCapacityDecreasing,
     SlotPolicy::FirstFit,
@@ -56,7 +73,7 @@ const POLICIES: [SlotPolicy; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A single scratch reused (dirty) across every ladder entry point
+    /// A single scratch reused (dirty) across every tier, every tier list
     /// and every perturbation step must reproduce the fresh-allocation
     /// results exactly — successes and failure diagnostics alike.
     #[test]
@@ -100,10 +117,6 @@ proptest! {
             let tasks: TaskSet = active.iter().cloned().collect();
             let jobs = JobSet::expand(&tasks);
 
-            let fresh = repair_in(&jobs, &base, policy, &mut RepairScratch::default());
-            let reused = repair_in(&jobs, &base, policy, &mut scratch);
-            prop_assert_eq!(fresh, reused, "repair diverged at step {}", i);
-
             let fresh = retime_in(&jobs, &base, &mut RepairScratch::default());
             let reused = retime_in(&jobs, &base, &mut scratch);
             prop_assert_eq!(fresh, reused, "retime diverged at step {}", i);
@@ -112,15 +125,15 @@ proptest! {
             let reused = repair_neighbourhood_in(&jobs, &base, policy, &mut scratch);
             prop_assert_eq!(fresh, reused, "neighbourhood diverged at step {}", i);
 
-            let fresh =
-                repair_or_resynthesize_in(&jobs, &base, policy, &mut RepairScratch::default());
-            let reused = repair_or_resynthesize_in(&jobs, &base, policy, &mut scratch);
-            prop_assert_eq!(fresh, reused, "ladder diverged at step {}", i);
+            for tiers in LADDERS {
+                let fresh = ladder_in(&jobs, &base, tiers, &mut RepairScratch::default());
+                let reused = ladder_in(&jobs, &base, tiers, &mut scratch);
+                prop_assert_eq!(fresh, reused, "ladder {:?} diverged at step {}", tiers, i);
+            }
         }
     }
 
-    /// Every public incremental entry point reports the partial Ψ/Υ of a
-    /// failure.
+    /// The neighbourhood tier reports the partial Ψ/Υ of every failure.
     #[test]
     fn failures_carry_partial_quality(
         base_params in vec((0usize..4, 20u64..160, 0u64..251), 2..5),
@@ -145,9 +158,6 @@ proptest! {
             let tasks: TaskSet = active.iter().cloned().collect();
             let jobs = JobSet::expand(&tasks);
 
-            if let Err(e) = repair_in(&jobs, &base, policy, &mut scratch) {
-                prop_assert!(e.best_psi.is_some() && e.best_upsilon.is_some(), "repair at step {}", i);
-            }
             if let Err(e) = repair_neighbourhood_in(&jobs, &base, policy, &mut scratch) {
                 prop_assert!(e.best_psi.is_some() && e.best_upsilon.is_some(), "neighbourhood at step {}", i);
             }

@@ -136,12 +136,6 @@ impl SystemConfig {
         set.set_global_vmin(self.vmin);
         set
     }
-
-    /// Generates `count` independent systems.
-    #[must_use]
-    pub fn generate_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<TaskSet> {
-        (0..count).map(|_| self.generate(rng)).collect()
-    }
 }
 
 /// The utilisation sweep used across Figs. 5–7: `0.2, 0.25, …, 0.9`.
@@ -222,14 +216,6 @@ mod tests {
         let a = SystemConfig::paper(0.5).generate(&mut StdRng::seed_from_u64(77));
         let b = SystemConfig::paper(0.5).generate(&mut StdRng::seed_from_u64(77));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn generate_many_yields_distinct_systems() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let systems = SystemConfig::paper(0.3).generate_many(5, &mut rng);
-        assert_eq!(systems.len(), 5);
-        assert!(systems.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
