@@ -173,4 +173,54 @@ mod tests {
         stats.repair_time = std::time::Duration::from_micros(1234);
         assert_eq!(rederive_stats_digest(&stats), stats_digest(&stats));
     }
+
+    #[test]
+    fn stats_digest_covers_each_decision_counter_and_no_clock() {
+        let mut base = OnlineStats::default();
+        base.tenants.insert(TenantId(2), TenantCounters::default());
+        type Bump = fn(&mut OnlineStats);
+        let bumps: [(&str, Bump); 20] = [
+            ("arrivals", |s| s.arrivals += 1),
+            ("admitted", |s| s.admitted += 1),
+            ("rejected", |s| s.rejected += 1),
+            ("fast_rejects", |s| s.fast_rejects += 1),
+            ("shed_overload", |s| s.shed_overload += 1),
+            ("shed_infeasible", |s| s.shed_infeasible += 1),
+            ("departures", |s| s.departures += 1),
+            ("repairs", |s| s.repairs += 1),
+            ("resyntheses", |s| s.resyntheses += 1),
+            ("fps_fallbacks", |s| s.fps_fallbacks += 1),
+            ("shed", |s| s.shed += 1),
+            ("spikes", |s| s.spikes += 1),
+            ("mode_changes", |s| s.mode_changes += 1),
+            ("ignored", |s| s.ignored += 1),
+            ("repair_events", |s| s.repair_events += 1),
+            ("admission_events", |s| s.admission_events += 1),
+            ("tenant arrivals", |s| {
+                s.tenants.entry(TenantId(2)).or_default().arrivals += 1;
+            }),
+            ("tenant admitted", |s| {
+                s.tenants.entry(TenantId(2)).or_default().admitted += 1;
+            }),
+            ("tenant rejected", |s| {
+                s.tenants.entry(TenantId(2)).or_default().rejected += 1;
+            }),
+            ("tenant shed", |s| {
+                s.tenants.entry(TenantId(2)).or_default().shed += 1;
+            }),
+        ];
+        let before = stats_digest(&base);
+        for (name, bump) in bumps {
+            let mut stats = base.clone();
+            bump(&mut stats);
+            let after = stats_digest(&stats);
+            assert_ne!(after, before, "{name} must count");
+            assert_eq!(after, rederive_stats_digest(&stats), "{name}");
+        }
+        // Wall clocks must not count.
+        let mut clocked = base.clone();
+        clocked.repair_time += std::time::Duration::from_micros(5);
+        clocked.admission_time += std::time::Duration::from_micros(7);
+        assert_eq!(stats_digest(&clocked), before);
+    }
 }

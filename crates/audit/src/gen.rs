@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use tagio_core::event::{SystemEvent, TimedEvent};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio_core::time::{Duration, Time};
-use tagio_online::scenario::format_trace;
+use tagio_online::codec::format_trace;
 use tagio_online::wal::{format_record, parse_wal};
 use tagio_online::{
     FleetConfig, FleetScheduler, FleetSnapshot, TenantId, TenantRegistry, TenantSpec, WalContents,

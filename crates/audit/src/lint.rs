@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 /// down live scheduling, so every panicking idiom must be either
 /// removed or explicitly allowlisted as an audited invariant.
 const HOT_PATH: &[&str] = &[
+    "crates/online/src/codec.rs",
     "crates/online/src/service.rs",
     "crates/online/src/fleet.rs",
     "crates/online/src/wal.rs",
@@ -44,6 +45,7 @@ const HOT_PATH: &[&str] = &[
 /// clocks and unordered iteration here break bit-determinism across
 /// pool widths and restore/replay.
 const DETERMINISM: &[&str] = &[
+    "crates/online/src/codec.rs",
     "crates/online/src/service.rs",
     "crates/online/src/fleet.rs",
     "crates/online/src/wal.rs",

@@ -9,7 +9,7 @@
 use crate::report::{AuditReport, ViolationClass};
 use tagio_core::event::{SystemEvent, TimedEvent};
 use tagio_core::task::TaskId;
-use tagio_online::scenario::parse_trace;
+use tagio_online::codec::parse_trace;
 
 /// Verifies trace text. Returns the parsed events when parsing
 /// succeeded.

@@ -48,6 +48,7 @@
 //! all randomness and all cross-partition coupling live in the
 //! sequential staging, commit and wave-formation steps.
 
+use crate::codec::{add_counters, counters, Counter};
 use crate::service::{EventOutcome, OnlineScheduler, OnlineStats, RejectReason};
 use crate::tenant::{utilisation_ppm, QosClass, TenantCounters, TenantLedger, TenantRegistry, PPM};
 use rand::rngs::StdRng;
@@ -230,27 +231,33 @@ impl FleetStats {
     /// Folds another fleet's counters into this one (cause counts merge
     /// per cause). Used when aggregating across independent fleet runs.
     pub fn merge(&mut self, other: &FleetStats) {
-        self.epochs += other.epochs;
-        self.events += other.events;
-        self.arrivals += other.arrivals;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.duplicate_rejects += other.duplicate_rejects;
-        self.retries += other.retries;
-        self.retry_admissions += other.retry_admissions;
-        self.migrations += other.migrations;
-        self.unrouted += other.unrouted;
+        add_counters(&Self::COUNTERS, self, other);
         for (&cause, &count) in &other.reject_causes {
             *self.reject_causes.entry(cause).or_insert(0) += count;
         }
-        self.deaths += other.deaths;
-        self.orphaned += other.orphaned;
-        self.rehomed += other.rehomed;
-        self.lost += other.lost;
         for (&tenant, counters) in &other.tenants {
             self.tenants.entry(tenant).or_default().merge(counters);
         }
     }
+
+    /// The counters in `fstats` order, the one list `merge` and `fstats`
+    /// iterate.
+    pub(crate) const COUNTERS: [Counter<FleetStats>; 14] = counters![
+        epochs,
+        events,
+        arrivals,
+        admitted,
+        rejected,
+        duplicate_rejects,
+        retries,
+        retry_admissions,
+        migrations,
+        unrouted,
+        deaths,
+        orphaned,
+        rehomed,
+        lost,
+    ];
 
     /// The mutable counter slot for `tenant` — `None` for the anonymous
     /// tenant, which stays unaccounted by design.

@@ -34,13 +34,18 @@
 //! [`Infeasible`](tagio_core::solve::Infeasible) diagnostics carried
 //! forward — bit-deterministic for any thread count.
 //!
-//! [`scenario`] generates seeded, reproducible event traces (and a
-//! line-based text format for them) so the service can be regression
-//! tested and benchmarked — the `online_scenarios` experiment binary in
-//! `tagio-bench` sweeps arrival rates and compares incremental repair
-//! against always-resynthesising from scratch, and `fleet_scenarios`
-//! sweeps partition count × arrival rate × placement policy against a
-//! single partition at equal aggregate load.
+//! [`scenario`] generates seeded, reproducible event traces so the
+//! service can be regression tested and benchmarked — the
+//! `online_scenarios` experiment binary in `tagio-bench` sweeps arrival
+//! rates and compares incremental repair against always-resynthesising
+//! from scratch, and `fleet_scenarios` sweeps partition count × arrival
+//! rate × placement policy against a single partition at equal
+//! aggregate load.
+//!
+//! [`codec`] is the line dialect those traces, the WAL and the snapshot
+//! share: event bodies, one line reader, one [`LineError`], and the
+//! counter tables of [`OnlineStats`], [`FleetStats`] and
+//! [`TenantCounters`].
 //!
 //! [`persist`] and [`wal`] make the fleet **crash-consistent**: a
 //! versioned [`FleetSnapshot`] checkpoints every partition at an epoch
@@ -100,6 +105,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod codec;
 #[cfg(feature = "debug-audit")]
 pub mod commit_audit;
 pub mod fleet;
@@ -109,12 +115,13 @@ pub mod service;
 pub mod tenant;
 pub mod wal;
 
+pub use codec::LineError;
 pub use fleet::{FleetConfig, FleetOutcome, FleetScheduler, FleetStats, PlacementPolicy};
-pub use persist::{FleetSnapshot, PartitionSnapshot, RecoveryReport, SnapshotError};
+pub use persist::{FleetSnapshot, PartitionSnapshot, RecoveryReport};
 pub use scenario::{
     ConfigError, FleetReplayOutcome, FleetScenario, FleetScenarioConfig,
-    FleetScenarioConfigBuilder, ReplayOutcome, Scenario, ScenarioConfig, TenantReplay, TraceError,
+    FleetScenarioConfigBuilder, ReplayOutcome, Scenario, ScenarioConfig, TenantReplay,
 };
 pub use service::{EventOutcome, OnlineScheduler, OnlineStats, RejectReason, RepairStrategy};
 pub use tenant::{QosClass, TenantCounters, TenantId, TenantLedger, TenantRegistry, TenantSpec};
-pub use wal::{EpochRecord, FileWal, MemoryWal, WalContents, WalError, WalSink, WalSource};
+pub use wal::{EpochRecord, FileWal, MemoryWal, WalContents, WalSink, WalSource};

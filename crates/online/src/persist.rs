@@ -21,8 +21,12 @@
 //! excluded by construction.
 //!
 //! The snapshot text format is versioned (`tagio-fleet-snapshot v1`
-//! header line) and line-based, sharing its task encoding with the
-//! scenario trace dialect; `EXPERIMENTS.md` documents both formats.
+//! header line) and line-based, read and written through
+//! [`crate::codec`], whose counter tables of [`FleetStats`],
+//! [`OnlineStats`] and [`TenantCounters`] are the one list of persisted
+//! counters (the digests below iterate them too). `EXPERIMENTS.md`
+//! documents the format and its reader rules: a repeated once-per-scope
+//! line, a repeated key and a trailing token are line-numbered errors.
 //!
 //! **Format v2** extends v1 with the tenant tier: `tenant` lines carry
 //! the registry's contracts, `deficit` lines the router's banked fair-
@@ -43,11 +47,16 @@
 //!   value with an `unsupported repair strategy` error: restoring such a
 //!   snapshot as incremental would replay different decisions.
 
+use crate::codec::{
+    finish, kv, num, parse_arrival, read_counters, records, tagged, write_arrival, write_counters,
+    Dialect, LineError,
+};
 use crate::fleet::{FleetConfig, FleetScheduler, FleetStats, PlacementPolicy};
-use crate::scenario::{format_event_body, kv, parse_event_body, tagged};
 use crate::service::{OnlineScheduler, OnlineStats};
 use crate::tenant::{QosClass, TenantCounters, TenantId, TenantLedger, TenantRegistry, TenantSpec};
 use crate::wal::{EpochRecord, WalContents};
+use core::fmt::Write as _;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use tagio_core::event::SystemEvent;
 use tagio_core::job::JobId;
@@ -107,32 +116,15 @@ pub fn schedule_digest(schedule: &Schedule) -> u64 {
     h.0
 }
 
-/// Digest of a partition's *deterministic* decision counters. The
-/// wall-clock fields ([`OnlineStats::repair_time`] /
-/// [`OnlineStats::admission_time`]) vary run to run and are excluded;
-/// their event counts (which are decisions, not clocks) are covered.
+/// Digest of a partition's *deterministic* decision counters: its
+/// counter table, reject causes and tenant counter tables. The wall
+/// clocks ([`OnlineStats::repair_time`] / [`OnlineStats::admission_time`])
+/// vary run to run and are excluded; their event counts are covered.
 #[must_use]
 pub fn stats_digest(stats: &OnlineStats) -> u64 {
     let mut h = Fnv::new();
-    for v in [
-        stats.arrivals,
-        stats.admitted,
-        stats.rejected,
-        stats.fast_rejects,
-        stats.shed_overload,
-        stats.shed_infeasible,
-        stats.departures,
-        stats.repairs,
-        stats.resyntheses,
-        stats.fps_fallbacks,
-        stats.shed,
-        stats.spikes,
-        stats.mode_changes,
-        stats.ignored,
-        stats.repair_events,
-        stats.admission_events,
-    ] {
-        h.write_u64(v as u64);
+    for c in &OnlineStats::COUNTERS {
+        h.write_u64((c.get)(stats) as u64);
     }
     for (&cause, &count) in &stats.reject_causes {
         h.write_bytes(cause.as_str().as_bytes());
@@ -142,8 +134,8 @@ pub fn stats_digest(stats: &OnlineStats) -> u64 {
     // keep their pre-tenant digests (and old WALs keep verifying).
     for (&tenant, c) in &stats.tenants {
         h.write_u64(u64::from(tenant.0));
-        for v in [c.arrivals, c.admitted, c.rejected, c.shed] {
-            h.write_u64(v as u64);
+        for row in &TenantCounters::COUNTERS {
+            h.write_u64((row.get)(c) as u64);
         }
     }
     h.0
@@ -196,27 +188,6 @@ pub struct FleetSnapshot {
     /// The partitions, in device-id order.
     pub partitions: Vec<PartitionSnapshot>,
 }
-
-/// A malformed snapshot text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError {
-    /// 1-based line of the defect (`0` = structural, e.g. truncation).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if self.line == 0 {
-            write!(f, "snapshot error: {}", self.message)
-        } else {
-            write!(f, "snapshot line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 impl FleetSnapshot {
     /// Rebuilds a live fleet. Derived state (jobs, Ψ/Υ, caches) is
@@ -284,122 +255,77 @@ impl FleetSnapshot {
     /// Renders the snapshot in the versioned text format.
     #[must_use]
     pub fn write(&self) -> String {
-        let v2 = self.has_tenant_state();
+        // Writing into a `String` cannot fail.
         let mut out = String::new();
-        out.push_str(if v2 {
+        out.push_str(if self.has_tenant_state() {
             SNAPSHOT_HEADER_V2
         } else {
             SNAPSHOT_HEADER
         });
-        out.push('\n');
-        out.push_str(&format!("epoch {}\n", self.epoch));
-        out.push_str(&format!(
-            "config policy={} retries={} threads={} seed={} strategy=incremental lean=true\n",
+        let _ = writeln!(out, "\nepoch {}", self.epoch);
+        let _ = writeln!(
+            out,
+            "config policy={} retries={} threads={} seed={} strategy=incremental lean=true",
             self.config.policy.as_str(),
             self.config.retries,
             self.config.threads,
             self.config.seed,
-        ));
+        );
         for (tenant, spec) in self.config.tenants.iter() {
-            out.push_str(&format!(
-                "tenant {tenant} qos={} quota={} weight={}\n",
+            let _ = writeln!(
+                out,
+                "tenant {tenant} qos={} quota={} weight={}",
                 spec.qos.as_str(),
                 spec.quota_ppm,
                 spec.weight,
-            ));
+            );
         }
         for (tenant, deficit) in self.ledger.iter() {
-            out.push_str(&format!("deficit {tenant} {deficit}\n"));
+            let _ = writeln!(out, "deficit {tenant} {deficit}");
         }
         let [a, b, c, d] = self.rng_state;
-        out.push_str(&format!("rng {a} {b} {c} {d}\n"));
+        let _ = writeln!(out, "rng {a} {b} {c} {d}");
         let s = &self.stats;
-        out.push_str(&format!(
-            "fstats epochs={} events={} arrivals={} admitted={} rejected={} \
-             duplicate_rejects={} retries={} retry_admissions={} migrations={} \
-             unrouted={} deaths={} orphaned={} rehomed={} lost={}\n",
-            s.epochs,
-            s.events,
-            s.arrivals,
-            s.admitted,
-            s.rejected,
-            s.duplicate_rejects,
-            s.retries,
-            s.retry_admissions,
-            s.migrations,
-            s.unrouted,
-            s.deaths,
-            s.orphaned,
-            s.rehomed,
-            s.lost,
-        ));
+        out.push_str("fstats");
+        write_counters(&mut out, &FleetStats::COUNTERS, s);
+        out.push('\n');
         for (&cause, &count) in &s.reject_causes {
-            out.push_str(&format!("fcause {} {count}\n", cause.as_str()));
+            let _ = writeln!(out, "fcause {} {count}", cause.as_str());
         }
         for (&tenant, c) in &s.tenants {
-            out.push_str(&tenant_counter_line("ftenant", tenant, c));
+            write_tenant_line(&mut out, "ftenant", tenant, c);
         }
         for (&id, &device) in &self.owner {
-            out.push_str(&format!("owner t{} d{}\n", id.0, device.0));
+            let _ = writeln!(out, "owner t{} d{}", id.0, device.0);
         }
         for (&device, &count) in &self.overload {
-            out.push_str(&format!("overload d{} {count}\n", device.0));
+            let _ = writeln!(out, "overload d{} {count}", device.0);
         }
         for p in &self.partitions {
-            out.push_str(&format!(
-                "partition d{} spike={}\n",
-                p.device.0, p.spike_percent
-            ));
-            for t in &p.active {
-                out.push_str("active ");
-                out.push_str(&format_event_body(&SystemEvent::Arrival(t.clone())));
-                out.push('\n');
-            }
-            for t in &p.pool {
-                out.push_str("pool ");
-                out.push_str(&format_event_body(&SystemEvent::Arrival(t.clone())));
-                out.push('\n');
+            let _ = writeln!(out, "partition d{} spike={}", p.device.0, p.spike_percent);
+            for (verb, tasks) in [("active ", &p.active), ("pool ", &p.pool)] {
+                for t in tasks {
+                    out.push_str(verb);
+                    write_arrival(&mut out, t);
+                    out.push('\n');
+                }
             }
             for e in &p.entries {
-                out.push_str(&format!(
-                    "entry t{} j{} at={} c={}\n",
+                let _ = writeln!(
+                    out,
+                    "entry t{} j{} at={} c={}",
                     e.job.task.0,
                     e.job.index,
                     e.start.as_micros(),
                     e.duration.as_micros(),
-                ));
+                );
             }
-            let ps = &p.stats;
-            out.push_str(&format!(
-                "pstats arrivals={} admitted={} rejected={} fast_rejects={} \
-                 shed_overload={} shed_infeasible={} departures={} repairs={} \
-                 resyntheses={} fps_fallbacks={} shed={} spikes={} mode_changes={} \
-                 ignored={} repair_time_us={} repair_events={} admission_time_us={} \
-                 admission_events={}\n",
-                ps.arrivals,
-                ps.admitted,
-                ps.rejected,
-                ps.fast_rejects,
-                ps.shed_overload,
-                ps.shed_infeasible,
-                ps.departures,
-                ps.repairs,
-                ps.resyntheses,
-                ps.fps_fallbacks,
-                ps.shed,
-                ps.spikes,
-                ps.mode_changes,
-                ps.ignored,
-                ps.repair_time.as_micros(),
-                ps.repair_events,
-                ps.admission_time.as_micros(),
-                ps.admission_events,
-            ));
-            for (&cause, &count) in &ps.reject_causes {
-                out.push_str(&format!("pcause {} {count}\n", cause.as_str()));
+            write_pstats(&mut out, &p.stats);
+            for (&cause, &count) in &p.stats.reject_causes {
+                let _ = writeln!(out, "pcause {} {count}", cause.as_str());
             }
-            for (&tenant, c) in &ps.tenants {
-                out.push_str(&tenant_counter_line("ptenant", tenant, c));
+            for (&tenant, c) in &p.stats.tenants {
+                write_tenant_line(&mut out, "ptenant", tenant, c);
             }
             out.push_str("end\n");
         }
@@ -407,384 +333,341 @@ impl FleetSnapshot {
     }
 
     /// Parses the text format [`FleetSnapshot::write`] emits. Blank
-    /// lines and `#` comments are skipped.
+    /// lines and `#` comments are skipped. Fleet-wide lines (`epoch`,
+    /// `config`, `rng`, `fstats`) and each section's `pstats` appear at
+    /// most once, a keyed line's key at most once in its scope, and no
+    /// line carries words after its last field.
     ///
     /// # Errors
-    /// Returns a [`SnapshotError`] naming the first malformed line.
-    pub fn parse(s: &str) -> Result<FleetSnapshot, SnapshotError> {
-        let mut lines = s.lines().enumerate();
-        let header = loop {
-            match lines.next() {
-                Some((i, raw)) => {
-                    let text = raw.trim();
-                    if text.is_empty() || text.starts_with('#') {
-                        continue;
-                    }
-                    break (i + 1, text);
-                }
-                None => {
-                    return Err(SnapshotError {
-                        line: 0,
-                        message: "empty snapshot".into(),
-                    })
-                }
-            }
-        };
-        if header.1 != SNAPSHOT_HEADER && header.1 != SNAPSHOT_HEADER_V2 {
-            return Err(SnapshotError {
-                line: header.0,
-                message: format!(
-                    "unsupported header `{}` (want `{SNAPSHOT_HEADER}` or `{SNAPSHOT_HEADER_V2}`)",
-                    header.1
+    /// Returns a [`LineError`] naming the first malformed line.
+    pub fn parse(s: &str) -> Result<FleetSnapshot, LineError> {
+        let mut lines = records(s);
+        let (line, header) = lines
+            .next()
+            .ok_or_else(|| Dialect::Snapshot.error(0, "empty snapshot"))?;
+        if header != SNAPSHOT_HEADER && header != SNAPSHOT_HEADER_V2 {
+            return Err(Dialect::Snapshot.error(
+                line,
+                format!(
+                    "unsupported header `{header}` (want `{SNAPSHOT_HEADER}` or `{SNAPSHOT_HEADER_V2}`)"
                 ),
-            });
+            ));
         }
-        let mut epoch = None;
-        let mut config: Option<FleetConfig> = None;
-        let mut rng_state = None;
-        let mut stats: Option<FleetStats> = None;
-        let mut owner = BTreeMap::new();
-        let mut overload = BTreeMap::new();
-        let mut registry = TenantRegistry::new();
-        let mut ledger = TenantLedger::new();
-        let mut partitions: Vec<PartitionSnapshot> = Vec::new();
-        let mut open: Option<PartitionSnapshot> = None;
-        for (i, raw) in lines {
-            let line = i + 1;
-            let err = |message: String| SnapshotError { line, message };
-            let text = raw.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let mut words = text.split_whitespace();
-            let Some(verb) = words.next() else {
-                continue; // trimmed text is non-empty, so a first token exists
-            };
-            // Fleet-wide verbs appear once: a second line would silently
-            // replace the first (and a second `fstats` would drop every
-            // per-cause and per-tenant line parsed before it).
-            let once = |set: bool| {
-                if set {
-                    Err(err(format!("repeated `{verb}` line")))
-                } else {
-                    Ok(())
-                }
-            };
-            match verb {
-                "epoch" => {
-                    once(epoch.is_some())?;
-                    epoch = Some(
-                        words
-                            .next()
-                            .and_then(|w| w.parse::<usize>().ok())
-                            .ok_or_else(|| err("expected `epoch <n>`".into()))?,
-                    );
-                }
-                "config" => {
-                    once(config.is_some())?;
-                    let policy: PlacementPolicy = kv(words.next(), "policy")
-                        .map_err(err)?
-                        .parse()
-                        .map_err(err)?;
-                    let retries = num(kv(words.next(), "retries").map_err(err)?).map_err(err)?;
-                    let threads = num(kv(words.next(), "threads").map_err(err)?).map_err(err)?;
-                    let seed: u64 = kv(words.next(), "seed")
-                        .map_err(err)?
-                        .parse()
-                        .map_err(|_| err("bad seed".into()))?;
-                    // Retired tokens (see the module docs): the strategy
-                    // must be the one partitions run; either lean value
-                    // loads, only a non-bool is malformed.
-                    let strategy = kv(words.next(), "strategy").map_err(err)?;
-                    if strategy != "incremental" {
-                        return Err(err(format!("unsupported repair strategy `{strategy}`")));
-                    }
-                    kv(words.next(), "lean")
-                        .map_err(err)?
-                        .parse::<bool>()
-                        .map_err(|_| err("bad lean flag".into()))?;
-                    config = Some(FleetConfig {
-                        policy,
-                        retries,
-                        threads,
-                        seed,
-                        tenants: TenantRegistry::new(),
-                    });
-                }
-                "tenant" => {
-                    let tenant = tenant_tagged(words.next()).map_err(err)?;
-                    let qos: QosClass =
-                        kv(words.next(), "qos").map_err(err)?.parse().map_err(err)?;
-                    let quota_ppm: u64 = kv(words.next(), "quota")
-                        .map_err(err)?
-                        .parse()
-                        .map_err(|_| err("bad quota".into()))?;
-                    let weight: u32 = kv(words.next(), "weight")
-                        .map_err(err)?
-                        .parse()
-                        .map_err(|_| err("bad weight".into()))?;
-                    registry.register(
-                        tenant,
-                        TenantSpec {
-                            qos,
-                            quota_ppm,
-                            weight,
-                        },
-                    );
-                }
-                "deficit" => {
-                    let tenant = tenant_tagged(words.next()).map_err(err)?;
-                    let deficit: u64 = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| err("expected deficit ppm".into()))?;
-                    ledger.set_deficit(tenant, deficit);
-                }
-                "ftenant" => {
-                    let stats = stats
-                        .as_mut()
-                        .ok_or_else(|| err("`ftenant` before `fstats`".into()))?;
-                    let (tenant, counters) = tenant_counter_body(&mut words).map_err(err)?;
-                    stats.tenants.insert(tenant, counters);
-                }
-                "rng" => {
-                    once(rng_state.is_some())?;
-                    let mut word = |name: &str| {
-                        words
-                            .next()
-                            .and_then(|w| w.parse::<u64>().ok())
-                            .ok_or_else(|| format!("bad rng word `{name}`"))
-                    };
-                    rng_state = Some([
-                        word("s0").map_err(err)?,
-                        word("s1").map_err(err)?,
-                        word("s2").map_err(err)?,
-                        word("s3").map_err(err)?,
-                    ]);
-                }
-                "fstats" => {
-                    once(stats.is_some())?;
-                    let mut f = FleetStats::default();
-                    let mut take =
-                        |key: &str| -> Result<usize, String> { num(kv(words.next(), key)?) };
-                    f.epochs = take("epochs").map_err(err)?;
-                    f.events = take("events").map_err(err)?;
-                    f.arrivals = take("arrivals").map_err(err)?;
-                    f.admitted = take("admitted").map_err(err)?;
-                    f.rejected = take("rejected").map_err(err)?;
-                    f.duplicate_rejects = take("duplicate_rejects").map_err(err)?;
-                    f.retries = take("retries").map_err(err)?;
-                    f.retry_admissions = take("retry_admissions").map_err(err)?;
-                    f.migrations = take("migrations").map_err(err)?;
-                    f.unrouted = take("unrouted").map_err(err)?;
-                    f.deaths = take("deaths").map_err(err)?;
-                    f.orphaned = take("orphaned").map_err(err)?;
-                    f.rehomed = take("rehomed").map_err(err)?;
-                    f.lost = take("lost").map_err(err)?;
-                    stats = Some(f);
-                }
-                "fcause" => {
-                    let stats = stats
-                        .as_mut()
-                        .ok_or_else(|| err("`fcause` before `fstats`".into()))?;
-                    let (cause, count) = cause_line(&mut words).map_err(err)?;
-                    stats.reject_causes.insert(cause, count);
-                }
-                "owner" => {
-                    let id = tagged(words.next(), 't').map_err(err)?;
-                    let device = tagged(words.next(), 'd').map_err(err)?;
-                    owner.insert(TaskId(id), DeviceId(device));
-                }
-                "overload" => {
-                    let device = tagged(words.next(), 'd').map_err(err)?;
-                    let count = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| err("expected overload count".into()))?;
-                    overload.insert(DeviceId(device), count);
-                }
-                "partition" => {
-                    if open.is_some() {
-                        return Err(err("`partition` before previous `end`".into()));
-                    }
-                    let device = tagged(words.next(), 'd').map_err(err)?;
-                    let spike_percent: u32 = kv(words.next(), "spike")
-                        .map_err(err)?
-                        .parse()
-                        .map_err(|_| err("bad spike".into()))?;
-                    open = Some(PartitionSnapshot {
-                        device: DeviceId(device),
-                        spike_percent,
-                        active: Vec::new(),
-                        pool: Vec::new(),
-                        entries: Vec::new(),
-                        stats: OnlineStats::default(),
-                    });
-                }
-                "active" | "pool" => {
-                    let p = open
-                        .as_mut()
-                        .ok_or_else(|| err(format!("`{verb}` outside a partition section")))?;
-                    let inner = words
-                        .next()
-                        .ok_or_else(|| err("missing task body".into()))?;
-                    if inner != "arrive" {
-                        return Err(err(format!("expected `arrive` task body, got `{inner}`")));
-                    }
-                    let SystemEvent::Arrival(task) =
-                        parse_event_body(inner, &mut words).map_err(err)?
-                    else {
-                        // `arrive` bodies parse to arrivals; anything else is
-                        // a malformed line, not a crash.
-                        return Err(err("`arrive` body did not parse to an arrival".into()));
-                    };
-                    if verb == "active" {
-                        p.active.push(task);
-                    } else {
-                        p.pool.push(task);
-                    }
-                }
-                "entry" => {
-                    let p = open
-                        .as_mut()
-                        .ok_or_else(|| err("`entry` outside a partition section".into()))?;
-                    let task = tagged(words.next(), 't').map_err(err)?;
-                    let index = tagged(words.next(), 'j').map_err(err)?;
-                    let at = num(kv(words.next(), "at").map_err(err)?).map_err(err)?;
-                    let c = num(kv(words.next(), "c").map_err(err)?).map_err(err)?;
-                    p.entries.push(ScheduleEntry {
-                        job: JobId::new(TaskId(task), index),
-                        start: Time::from_micros(at as u64),
-                        duration: Duration::from_micros(c as u64),
-                    });
-                }
-                "pstats" => {
-                    let p = open
-                        .as_mut()
-                        .ok_or_else(|| err("`pstats` outside a partition section".into()))?;
-                    let mut take =
-                        |key: &str| -> Result<usize, String> { num(kv(words.next(), key)?) };
-                    let ps = &mut p.stats;
-                    ps.arrivals = take("arrivals").map_err(err)?;
-                    ps.admitted = take("admitted").map_err(err)?;
-                    ps.rejected = take("rejected").map_err(err)?;
-                    ps.fast_rejects = take("fast_rejects").map_err(err)?;
-                    ps.shed_overload = take("shed_overload").map_err(err)?;
-                    ps.shed_infeasible = take("shed_infeasible").map_err(err)?;
-                    ps.departures = take("departures").map_err(err)?;
-                    ps.repairs = take("repairs").map_err(err)?;
-                    ps.resyntheses = take("resyntheses").map_err(err)?;
-                    ps.fps_fallbacks = take("fps_fallbacks").map_err(err)?;
-                    ps.shed = take("shed").map_err(err)?;
-                    ps.spikes = take("spikes").map_err(err)?;
-                    ps.mode_changes = take("mode_changes").map_err(err)?;
-                    ps.ignored = take("ignored").map_err(err)?;
-                    ps.repair_time = std::time::Duration::from_micros(
-                        take("repair_time_us").map_err(err)? as u64,
-                    );
-                    ps.repair_events = take("repair_events").map_err(err)?;
-                    ps.admission_time = std::time::Duration::from_micros(
-                        take("admission_time_us").map_err(err)? as u64,
-                    );
-                    ps.admission_events = take("admission_events").map_err(err)?;
-                }
-                "pcause" => {
-                    let p = open
-                        .as_mut()
-                        .ok_or_else(|| err("`pcause` outside a partition section".into()))?;
-                    let (cause, count) = cause_line(&mut words).map_err(err)?;
-                    p.stats.reject_causes.insert(cause, count);
-                }
-                "ptenant" => {
-                    let p = open
-                        .as_mut()
-                        .ok_or_else(|| err("`ptenant` outside a partition section".into()))?;
-                    let (tenant, counters) = tenant_counter_body(&mut words).map_err(err)?;
-                    p.stats.tenants.insert(tenant, counters);
-                }
-                "end" => {
-                    let p = open
-                        .take()
-                        .ok_or_else(|| err("`end` without a partition section".into()))?;
-                    partitions.push(p);
-                }
-                other => return Err(err(format!("unknown snapshot verb `{other}`"))),
-            }
+        let mut reader = SnapshotReader::default();
+        for (line, text) in lines {
+            reader
+                .line(text)
+                .map_err(|m| Dialect::Snapshot.error(line, m))?;
         }
-        if open.is_some() {
-            return Err(SnapshotError {
-                line: 0,
-                message: "truncated snapshot: partition section without `end`".into(),
-            });
-        }
-        let missing = |name: &str| SnapshotError {
-            line: 0,
-            message: format!("snapshot missing `{name}`"),
+        reader.finish().map_err(|m| Dialect::Snapshot.error(0, m))
+    }
+}
+
+/// One `ftenant`/`ptenant` line: the tenant, then its counter table.
+fn write_tenant_line(out: &mut String, verb: &str, tenant: TenantId, c: &TenantCounters) {
+    let _ = write!(out, "{verb} {tenant}");
+    write_counters(out, &TenantCounters::COUNTERS, c);
+    out.push('\n');
+}
+
+/// The `pstats` line: the counter table, with each wall clock written
+/// just before the count of the constructions it timed.
+fn write_pstats(out: &mut String, s: &OnlineStats) {
+    let [decisions @ .., repair_events, admission_events] = &OnlineStats::COUNTERS;
+    out.push_str("pstats");
+    write_counters(out, decisions, s);
+    let _ = write!(out, " repair_time_us={}", s.repair_time.as_micros());
+    write_counters(out, std::slice::from_ref(repair_events), s);
+    let _ = write!(out, " admission_time_us={}", s.admission_time.as_micros());
+    write_counters(out, std::slice::from_ref(admission_events), s);
+    out.push('\n');
+}
+
+/// The inverse of [`write_pstats`].
+fn read_pstats<'a>(
+    words: &mut impl Iterator<Item = &'a str>,
+    s: &mut OnlineStats,
+) -> Result<(), String> {
+    let [decisions @ .., repair_events, admission_events] = &OnlineStats::COUNTERS;
+    let micros = |word, key| -> Result<std::time::Duration, String> {
+        Ok(std::time::Duration::from_micros(num(kv(word, key)?)? as u64))
+    };
+    read_counters(words, decisions, s)?;
+    s.repair_time = micros(words.next(), "repair_time_us")?;
+    read_counters(words, std::slice::from_ref(repair_events), s)?;
+    s.admission_time = micros(words.next(), "admission_time_us")?;
+    read_counters(words, std::slice::from_ref(admission_events), s)
+}
+
+/// What [`FleetSnapshot::parse`] has read so far (the header aside).
+#[derive(Default)]
+struct SnapshotReader {
+    epoch: Option<usize>,
+    config: Option<FleetConfig>,
+    rng_state: Option<[u64; 4]>,
+    stats: Option<FleetStats>,
+    owner: BTreeMap<TaskId, DeviceId>,
+    overload: BTreeMap<DeviceId, usize>,
+    specs: BTreeMap<TenantId, TenantSpec>,
+    deficits: BTreeMap<TenantId, u64>,
+    partitions: Vec<PartitionSnapshot>,
+    /// The open `partition` section, and whether it had its `pstats`.
+    open: Option<(PartitionSnapshot, bool)>,
+}
+
+impl SnapshotReader {
+    /// Folds one line into the snapshot.
+    fn line(&mut self, text: &str) -> Result<(), String> {
+        let mut words = text.split_whitespace();
+        let verb = words.next().unwrap_or_default();
+        // Fleet-wide verbs appear once: a second line would silently
+        // replace the first (and a second `fstats` would drop every
+        // per-cause and per-tenant line parsed before it).
+        let once = |set: bool| match set {
+            true => Err(format!("repeated `{verb}` line")),
+            false => Ok(()),
         };
-        let mut config = config.ok_or_else(|| missing("config"))?;
-        config.tenants = registry;
+        match verb {
+            "epoch" => {
+                once(self.epoch.is_some())?;
+                self.epoch = Some(
+                    words
+                        .next()
+                        .and_then(|w| w.parse::<usize>().ok())
+                        .ok_or_else(|| "expected `epoch <n>`".to_owned())?,
+                );
+            }
+            "config" => {
+                once(self.config.is_some())?;
+                self.config = Some(config_body(&mut words)?);
+            }
+            "tenant" => {
+                let tenant = TenantId(tagged(words.next(), "tn")?);
+                let qos: QosClass = kv(words.next(), "qos")?.parse()?;
+                let quota_ppm: u64 = kv(words.next(), "quota")?
+                    .parse()
+                    .map_err(|_| "bad quota".to_owned())?;
+                let weight: u32 = kv(words.next(), "weight")?
+                    .parse()
+                    .map_err(|_| "bad weight".to_owned())?;
+                let spec = TenantSpec {
+                    qos,
+                    quota_ppm,
+                    weight,
+                };
+                insert_once(&mut self.specs, verb, tenant, spec)?;
+            }
+            "deficit" => {
+                let tenant = TenantId(tagged(words.next(), "tn")?);
+                let deficit: u64 = words
+                    .next()
+                    .and_then(|w| w.parse().ok())
+                    .ok_or_else(|| "expected deficit ppm".to_owned())?;
+                insert_once(&mut self.deficits, verb, tenant, deficit)?;
+            }
+            "rng" => {
+                once(self.rng_state.is_some())?;
+                let mut word = |name: &str| {
+                    words
+                        .next()
+                        .and_then(|w| w.parse::<u64>().ok())
+                        .ok_or_else(|| format!("bad rng word `{name}`"))
+                };
+                self.rng_state = Some([word("s0")?, word("s1")?, word("s2")?, word("s3")?]);
+            }
+            "fstats" => {
+                once(self.stats.is_some())?;
+                let mut f = FleetStats::default();
+                read_counters(&mut words, &FleetStats::COUNTERS, &mut f)?;
+                self.stats = Some(f);
+            }
+            "fcause" | "ftenant" => {
+                let stats = self
+                    .stats
+                    .as_mut()
+                    .ok_or_else(|| format!("`{verb}` before `fstats`"))?;
+                keyed_line(
+                    verb,
+                    &mut words,
+                    &mut stats.reject_causes,
+                    &mut stats.tenants,
+                )?;
+            }
+            "owner" => {
+                let id = tagged(words.next(), "t")?;
+                let device = tagged(words.next(), "d")?;
+                insert_once(&mut self.owner, verb, TaskId(id), DeviceId(device))?;
+            }
+            "overload" => {
+                let device = tagged(words.next(), "d")?;
+                let count = words
+                    .next()
+                    .and_then(|w| w.parse().ok())
+                    .ok_or_else(|| "expected overload count".to_owned())?;
+                insert_once(&mut self.overload, verb, DeviceId(device), count)?;
+            }
+            "partition" => {
+                if self.open.is_some() {
+                    return Err("`partition` before previous `end`".into());
+                }
+                let device = tagged(words.next(), "d")?;
+                let spike_percent: u32 = kv(words.next(), "spike")?
+                    .parse()
+                    .map_err(|_| "bad spike".to_owned())?;
+                let section = PartitionSnapshot {
+                    device: DeviceId(device),
+                    spike_percent,
+                    active: Vec::new(),
+                    pool: Vec::new(),
+                    entries: Vec::new(),
+                    stats: OnlineStats::default(),
+                };
+                self.open = Some((section, false));
+            }
+            "end" => {
+                let (p, _) = self
+                    .open
+                    .take()
+                    .ok_or_else(|| "`end` without a partition section".to_owned())?;
+                self.partitions.push(p);
+            }
+            "active" | "pool" | "entry" | "pstats" | "pcause" | "ptenant" => {
+                let (p, has_pstats) = self
+                    .open
+                    .as_mut()
+                    .ok_or_else(|| format!("`{verb}` outside a partition section"))?;
+                match verb {
+                    "active" | "pool" => {
+                        let inner = words.next().ok_or_else(|| "missing task body".to_owned())?;
+                        if inner != "arrive" {
+                            return Err(format!("expected `arrive` task body, got `{inner}`"));
+                        }
+                        let task = parse_arrival(&mut words)?;
+                        let tasks = if verb == "active" {
+                            &mut p.active
+                        } else {
+                            &mut p.pool
+                        };
+                        tasks.push(task);
+                    }
+                    "entry" => {
+                        let task = tagged(words.next(), "t")?;
+                        let index = tagged(words.next(), "j")?;
+                        let at = num(kv(words.next(), "at")?)?;
+                        let c = num(kv(words.next(), "c")?)?;
+                        p.entries.push(ScheduleEntry {
+                            job: JobId::new(TaskId(task), index),
+                            start: Time::from_micros(at as u64),
+                            duration: Duration::from_micros(c as u64),
+                        });
+                    }
+                    "pstats" if std::mem::replace(has_pstats, true) => {
+                        return Err("repeated `pstats` line".into());
+                    }
+                    "pstats" => read_pstats(&mut words, &mut p.stats)?,
+                    _ => {
+                        let s = &mut p.stats;
+                        keyed_line(verb, &mut words, &mut s.reject_causes, &mut s.tenants)?;
+                    }
+                }
+            }
+            other => return Err(format!("unknown snapshot verb `{other}`")),
+        }
+        finish(&mut words)
+    }
+
+    /// The snapshot, once every line is read.
+    fn finish(self) -> Result<FleetSnapshot, String> {
+        if self.open.is_some() {
+            return Err("truncated snapshot: partition section without `end`".into());
+        }
+        let missing = |name: &str| format!("snapshot missing `{name}`");
+        let mut config = self.config.ok_or_else(|| missing("config"))?;
+        for (tenant, spec) in self.specs {
+            config.tenants.register(tenant, spec);
+        }
+        let mut ledger = TenantLedger::new();
+        for (tenant, deficit) in self.deficits {
+            ledger.set_deficit(tenant, deficit);
+        }
         Ok(FleetSnapshot {
-            epoch: epoch.ok_or_else(|| missing("epoch"))?,
+            epoch: self.epoch.ok_or_else(|| missing("epoch"))?,
             config,
-            rng_state: rng_state.ok_or_else(|| missing("rng"))?,
-            stats: stats.ok_or_else(|| missing("fstats"))?,
-            owner,
-            overload,
+            rng_state: self.rng_state.ok_or_else(|| missing("rng"))?,
+            stats: self.stats.ok_or_else(|| missing("fstats"))?,
+            owner: self.owner,
+            overload: self.overload,
             ledger,
-            partitions,
+            partitions: self.partitions,
         })
     }
 }
 
-/// One `ftenant`/`ptenant` line: every [`TenantCounters`] field, keyed.
-fn tenant_counter_line(verb: &str, tenant: TenantId, c: &TenantCounters) -> String {
-    format!(
-        "{verb} {tenant} arrivals={} admitted={} rejected={} shed={}\n",
-        c.arrivals, c.admitted, c.rejected, c.shed,
-    )
+/// The `config` line after its verb.
+fn config_body<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<FleetConfig, String> {
+    let policy: PlacementPolicy = kv(words.next(), "policy")?.parse()?;
+    let retries = num(kv(words.next(), "retries")?)?;
+    let threads = num(kv(words.next(), "threads")?)?;
+    let seed: u64 = kv(words.next(), "seed")?
+        .parse()
+        .map_err(|_| "bad seed".to_owned())?;
+    // Retired tokens (see the module docs): the strategy must be the one
+    // partitions run; either lean value loads, only a non-bool is
+    // malformed.
+    let strategy = kv(words.next(), "strategy")?;
+    if strategy != "incremental" {
+        return Err(format!("unsupported repair strategy `{strategy}`"));
+    }
+    kv(words.next(), "lean")?
+        .parse::<bool>()
+        .map_err(|_| "bad lean flag".to_owned())?;
+    Ok(FleetConfig {
+        policy,
+        retries,
+        threads,
+        seed,
+        tenants: TenantRegistry::new(),
+    })
 }
 
-/// Parses a `tn<k>` tenant tag.
-fn tenant_tagged(word: Option<&str>) -> Result<TenantId, String> {
-    word.and_then(|w| w.strip_prefix("tn"))
-        .and_then(|w| w.parse().ok())
-        .map(TenantId)
-        .ok_or_else(|| "expected tn<number>".to_owned())
+/// Inserts a keyed line's value; a key already seen in its scope (the
+/// fleet, or one partition section) is an error, not a silent overwrite.
+fn insert_once<K: Ord + core::fmt::Display, V>(
+    map: &mut BTreeMap<K, V>,
+    verb: &str,
+    key: K,
+    value: V,
+) -> Result<(), String> {
+    match map.entry(key) {
+        Entry::Occupied(seen) => Err(format!("repeated `{verb}` key `{}`", seen.key())),
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+            Ok(())
+        }
+    }
 }
 
-/// Parses the counter body of an `ftenant`/`ptenant` line.
-fn tenant_counter_body<'a>(
+/// An `fcause`/`pcause` or `ftenant`/`ptenant` line, into the reject
+/// causes or tenant counters of its scope.
+fn keyed_line<'a>(
+    verb: &str,
     words: &mut impl Iterator<Item = &'a str>,
-) -> Result<(TenantId, TenantCounters), String> {
-    let tenant = tenant_tagged(words.next())?;
-    let arrivals = num(kv(words.next(), "arrivals")?)?;
-    let admitted = num(kv(words.next(), "admitted")?)?;
-    let rejected = num(kv(words.next(), "rejected")?)?;
-    let shed = num(kv(words.next(), "shed")?)?;
-    Ok((
-        tenant,
-        TenantCounters {
-            arrivals,
-            admitted,
-            rejected,
-            shed,
-        },
-    ))
-}
-
-fn num(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("bad number `{s}`"))
-}
-
-fn cause_line<'a>(
-    words: &mut impl Iterator<Item = &'a str>,
-) -> Result<(InfeasibleCause, usize), String> {
-    let cause: InfeasibleCause = words
-        .next()
-        .ok_or_else(|| "missing cause".to_owned())?
-        .parse()?;
-    let count = num(words.next().ok_or_else(|| "missing count".to_owned())?)?;
-    Ok((cause, count))
+    causes: &mut BTreeMap<InfeasibleCause, usize>,
+    tenants: &mut BTreeMap<TenantId, TenantCounters>,
+) -> Result<(), String> {
+    if verb.ends_with("cause") {
+        let cause: InfeasibleCause = words
+            .next()
+            .ok_or_else(|| "missing cause".to_owned())?
+            .parse()?;
+        let count = num(words.next().ok_or_else(|| "missing count".to_owned())?)?;
+        insert_once(causes, verb, cause, count)
+    } else {
+        let tenant = TenantId(tagged(words.next(), "tn")?);
+        let mut counters = TenantCounters::default();
+        read_counters(words, &TenantCounters::COUNTERS, &mut counters)?;
+        insert_once(tenants, verb, tenant, counters)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1186,6 +1069,192 @@ mod tests {
             assert!(err.message.contains(&format!("repeated `{verb}`")), "{err}");
             assert_eq!(err.line, at + 2, "{verb}");
         }
+
+        // A tenanted snapshot with every keyed verb present at least once.
+        let full = with_every_keyed_verb();
+        let lines: Vec<&str> = full.lines().collect();
+        let first = |verb: &str| {
+            lines
+                .iter()
+                .position(|l| *l == verb || l.starts_with(&format!("{verb} ")))
+                .unwrap_or_else(|| panic!("no `{verb}` line in {full}"))
+        };
+
+        // A keyed line repeating its key in its scope (the fleet, or one
+        // partition section), or a second `pstats` in one section, is an
+        // error on the second copy.
+        for verb in [
+            "tenant", "deficit", "fcause", "ftenant", "owner", "overload", "pstats", "pcause",
+            "ptenant",
+        ] {
+            let at = first(verb);
+            let mut twice = lines.clone();
+            twice.insert(at + 1, lines[at]);
+            let err = FleetSnapshot::parse(&twice.join("\n")).unwrap_err();
+            assert!(err.message.contains(&format!("repeated `{verb}`")), "{err}");
+            assert_eq!(err.line, at + 2, "{verb}");
+        }
+        // The same partition-level key in another section is no repeat.
+        for verb in ["pcause", "ptenant"] {
+            let at = first(verb);
+            let next_end = at + lines[at..].iter().position(|l| *l == "end").unwrap();
+            let mut moved = lines.clone();
+            moved.insert(next_end + 1 + 2, lines[at]);
+            let text = moved.join("\n");
+            assert!(FleetSnapshot::parse(&text).is_ok(), "{verb}: {text}");
+        }
+
+        // A word after a line's last field is an error on that line.
+        for verb in [
+            "epoch",
+            "config",
+            "tenant",
+            "deficit",
+            "rng",
+            "fstats",
+            "fcause",
+            "ftenant",
+            "owner",
+            "overload",
+            "partition",
+            "entry",
+            "pstats",
+            "pcause",
+            "ptenant",
+            "end",
+        ] {
+            let at = first(verb);
+            let mut extra = lines.clone();
+            let long = format!("{} 7", lines[at]);
+            extra[at] = &long;
+            let err = FleetSnapshot::parse(&extra.join("\n")).unwrap_err();
+            assert!(err.message.contains("trailing tokens"), "{verb}: {err}");
+            assert_eq!(err.line, at + 1, "{verb}");
+        }
+    }
+
+    /// A parseable v2 snapshot holding every keyed verb: a tenanted
+    /// fleet's text plus a `deficit`, an `fcause` and a `pcause` line.
+    fn with_every_keyed_verb() -> String {
+        let text = tenanted_snapshot_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        for (anchor, line) in [
+            ("fstats ", "fcause no-feasible-slot 2"),
+            ("pstats ", "pcause blocking-bound 1"),
+            ("rng ", "deficit tn2 5"),
+        ] {
+            let at = lines.iter().position(|l| l.starts_with(anchor)).unwrap();
+            lines.insert(at + 1, line);
+        }
+        let full = lines.join("\n");
+        assert!(FleetSnapshot::parse(&full).is_ok(), "{full}");
+        full
+    }
+
+    /// Every [`OnlineStats`] field at its own value: the `k`-th field in
+    /// declaration order holds `base + k * step`.
+    fn online_stats(base: usize, step: usize) -> OnlineStats {
+        let v = |k: usize| base + k * step;
+        OnlineStats {
+            arrivals: v(1),
+            admitted: v(2),
+            rejected: v(3),
+            fast_rejects: v(4),
+            reject_causes: BTreeMap::from([(InfeasibleCause::BlockingBound, v(5))]),
+            shed_overload: v(6),
+            shed_infeasible: v(7),
+            departures: v(8),
+            repairs: v(9),
+            resyntheses: v(10),
+            fps_fallbacks: v(11),
+            shed: v(12),
+            spikes: v(13),
+            mode_changes: v(14),
+            ignored: v(15),
+            repair_time: std::time::Duration::from_micros(v(16) as u64),
+            repair_events: v(17),
+            admission_time: std::time::Duration::from_micros(v(18) as u64),
+            admission_events: v(19),
+            tenants: BTreeMap::from([(TenantId(3), tenant_counters(v(20), step))]),
+        }
+    }
+
+    /// Every [`FleetStats`] field at its own value, as [`online_stats`].
+    fn fleet_stats(base: usize, step: usize) -> FleetStats {
+        let v = |k: usize| base + k * step;
+        FleetStats {
+            epochs: v(1),
+            events: v(2),
+            arrivals: v(3),
+            admitted: v(4),
+            rejected: v(5),
+            duplicate_rejects: v(6),
+            retries: v(7),
+            retry_admissions: v(8),
+            migrations: v(9),
+            unrouted: v(10),
+            reject_causes: BTreeMap::from([(InfeasibleCause::NoFeasibleSlot, v(11))]),
+            deaths: v(12),
+            orphaned: v(13),
+            rehomed: v(14),
+            lost: v(15),
+            tenants: BTreeMap::from([(TenantId(3), tenant_counters(v(16), step))]),
+        }
+    }
+
+    /// Every [`TenantCounters`] field at its own value, as
+    /// [`online_stats`].
+    fn tenant_counters(base: usize, step: usize) -> TenantCounters {
+        TenantCounters {
+            arrivals: base + step,
+            admitted: base + 2 * step,
+            rejected: base + 3 * step,
+            shed: base + 4 * step,
+        }
+    }
+
+    #[test]
+    fn every_counter_is_written_read_and_merged() {
+        let mut snap = fleet().snapshot();
+        snap.stats = fleet_stats(0, 1);
+        snap.partitions[0].stats = online_stats(0, 1);
+        let text = snap.write();
+        // Each counter under its own key, in the pinned line order.
+        for line in [
+            "fstats epochs=1 events=2 arrivals=3 admitted=4 rejected=5 duplicate_rejects=6 \
+             retries=7 retry_admissions=8 migrations=9 unrouted=10 deaths=12 orphaned=13 \
+             rehomed=14 lost=15",
+            "fcause no-feasible-slot 11",
+            "ftenant tn3 arrivals=17 admitted=18 rejected=19 shed=20",
+            "pstats arrivals=1 admitted=2 rejected=3 fast_rejects=4 shed_overload=6 \
+             shed_infeasible=7 departures=8 repairs=9 resyntheses=10 fps_fallbacks=11 shed=12 \
+             spikes=13 mode_changes=14 ignored=15 repair_time_us=16 repair_events=17 \
+             admission_time_us=18 admission_events=19",
+            "pcause blocking-bound 5",
+            "ptenant tn3 arrivals=21 admitted=22 rejected=23 shed=24",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing `{line}` in {text}"
+            );
+        }
+        // Each field comes back.
+        let parsed = FleetSnapshot::parse(&text).unwrap();
+        assert_eq!(parsed.stats, snap.stats);
+        assert_eq!(
+            format!("{:?}", parsed.partitions[0].stats),
+            format!("{:?}", snap.partitions[0].stats)
+        );
+        // `merge` sums every counter (and both clocks).
+        let mut f = fleet_stats(0, 1);
+        f.merge(&fleet_stats(100, 1));
+        assert_eq!(f, fleet_stats(100, 2));
+        let mut o = online_stats(0, 1);
+        o.merge(&online_stats(100, 1));
+        assert_eq!(format!("{o:?}"), format!("{:?}", online_stats(100, 2)));
+        let mut t = tenant_counters(0, 1);
+        t.merge(&tenant_counters(100, 1));
+        assert_eq!(t, tenant_counters(100, 2));
     }
 
     fn mkt(id: u32, device: u32, delta_ms: u64, tenant: u32) -> IoTask {

@@ -11,8 +11,10 @@
 //! and machines.
 //!
 //! Scenarios also round-trip through a line-based text format
-//! ([`format_trace`] / [`parse_trace`], documented in `EXPERIMENTS.md`)
-//! so traces can be stored, diffed and replayed outside the generator.
+//! ([`format_trace`](crate::codec::format_trace) /
+//! [`parse_trace`](crate::codec::parse_trace) in [`crate::codec`],
+//! documented in `EXPERIMENTS.md`) so traces can be stored, diffed and
+//! replayed outside the generator.
 
 use crate::fleet::{FleetConfig, FleetScheduler};
 use crate::service::{builder_from, OnlineScheduler, RepairStrategy};
@@ -123,36 +125,48 @@ pub struct ReplayOutcome {
     pub upsilon_drop: f64,
 }
 
-/// The global deadline-monotonic priority of a task with `period` (shorter
-/// period ⇒ larger value), stable across arrivals — unlike re-running
-/// DMPO over the whole set, it never re-ranks already-admitted tasks (so
-/// cached analysis results stay valid).
-fn dm_priority(period: Duration) -> u32 {
-    (PeriodPool::paper_default().hyperperiod().as_micros() / period.as_micros().max(1)) as u32
-}
-
-/// The blocking-safe WCET bound: half the shortest pool period. A longer
+/// The paper's period pool, built once per generation, with its
+/// blocking-safe WCET cap: half the shortest pool period. A longer
 /// non-preemptive operation could fully cover some release window of a
 /// shortest-period task, making *any* admission of one unschedulable
 /// (the same rule `SystemConfig::blocking_safe` applies offline).
-fn blocking_cap() -> Duration {
-    let pool = PeriodPool::paper_default();
-    *pool
-        .candidates()
-        .iter()
-        .min()
-        .expect("the paper pool is non-empty")
-        / 2
+struct PaperPool {
+    pool: PeriodPool,
+    blocking_cap: Duration,
 }
 
-fn rebuild_with_dm_priority(task: &IoTask, id: TaskId, device: DeviceId) -> IoTask {
-    let prio = dm_priority(task.period());
-    builder_from(task, id, device)
-        .wcet(task.wcet().min(blocking_cap()))
-        .priority(tagio_core::task::Priority(prio))
-        .quality(f64::from(prio) + 1.0, task.vmin())
-        .build()
-        .expect("rebuilding a valid task preserves validity")
+impl PaperPool {
+    fn new() -> Self {
+        let pool = PeriodPool::paper_default();
+        let shortest = *pool
+            .candidates()
+            .first()
+            .expect("the paper pool is non-empty");
+        PaperPool {
+            blocking_cap: shortest / 2,
+            pool,
+        }
+    }
+
+    /// The global deadline-monotonic priority of a task with `period`
+    /// (shorter period ⇒ larger value), stable across arrivals — unlike
+    /// re-running DMPO over the whole set, it never re-ranks
+    /// already-admitted tasks (so cached analysis results stay valid).
+    fn dm_priority(&self, period: Duration) -> u32 {
+        (self.pool.hyperperiod().as_micros() / period.as_micros().max(1)) as u32
+    }
+
+    /// `task` as `id` on `device`, its WCET capped at the blocking bound
+    /// and re-prioritised with the global DM rule.
+    fn rebuild_with_dm_priority(&self, task: &IoTask, id: TaskId, device: DeviceId) -> IoTask {
+        let prio = self.dm_priority(task.period());
+        builder_from(task, id, device)
+            .wcet(task.wcet().min(self.blocking_cap))
+            .priority(tagio_core::task::Priority(prio))
+            .quality(f64::from(prio) + 1.0, task.vmin())
+            .build()
+            .expect("rebuilding a valid task preserves validity")
+    }
 }
 
 /// The same task re-tagged with `tenant` (everything else unchanged).
@@ -185,21 +199,21 @@ impl Stream {
 /// task gets the global DM priority.
 fn draw_arrival(
     rng: &mut StdRng,
-    pool: &PeriodPool,
+    pool: &PaperPool,
     id: TaskId,
     device: DeviceId,
     tenant: TenantId,
     demand: f64,
 ) -> IoTask {
-    let period = pool.sample_at_least(MIN_ARRIVAL_PERIOD, rng);
+    let period = pool.pool.sample_at_least(MIN_ARRIVAL_PERIOD, rng);
     let margin = period / 4;
     let u = (0.02 + 0.08 * rng.random::<f64>()) * demand;
     let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
     let wcet = Duration::from_micros(wcet_us)
         .min(margin)
-        .min(blocking_cap());
+        .min(pool.blocking_cap);
     let delta_us = rng.random_range(margin.as_micros()..=(period - margin).as_micros());
-    rebuild_with_dm_priority(
+    pool.rebuild_with_dm_priority(
         &IoTask::builder(id, device)
             .wcet(wcet)
             .period(period)
@@ -241,15 +255,15 @@ impl Scenario {
         let mut rng = StdRng::seed_from_u64(config.seed);
         // Base system from the paper generator, re-prioritised with the
         // stable global DM rule.
+        let pool = PaperPool::new();
         let raw = SystemConfig::paper(config.base_utilisation).generate(&mut rng);
         let base: TaskSet = raw
             .iter()
             .enumerate()
-            .map(|(i, t)| rebuild_with_dm_priority(t, TaskId(i as u32), SCENARIO_DEVICE))
+            .map(|(i, t)| pool.rebuild_with_dm_priority(t, TaskId(i as u32), SCENARIO_DEVICE))
             .collect();
         let mut known: Vec<TaskId> = base.iter().map(IoTask::id).collect();
         let first_arrival_id = base.len() as u32;
-        let pool = PeriodPool::paper_default();
         let mut stream = Stream::default();
         for k in 0..config.arrivals {
             let id = TaskId(first_arrival_id + k as u32);
@@ -788,6 +802,7 @@ impl FleetScenario {
         // tasks), so ids never collide and nothing is silently
         // duplicate-rejected at the router.
         let arrival_ids = partitions * 100_000;
+        let pool = PaperPool::new();
         let mut bases = BTreeMap::new();
         let mut known: Vec<TaskId> = Vec::new();
         for d in 0..partitions {
@@ -798,7 +813,7 @@ impl FleetScenario {
                 .enumerate()
                 .map(|(i, t)| {
                     let rebuilt =
-                        rebuild_with_dm_priority(t, TaskId(d * 100_000 + i as u32), device);
+                        pool.rebuild_with_dm_priority(t, TaskId(d * 100_000 + i as u32), device);
                     if config.tenants == 0 {
                         rebuilt
                     } else {
@@ -827,7 +842,6 @@ impl FleetScenario {
         };
         let zipf_total = zipf_cum.last().copied().unwrap_or(0.0);
         let mut burst: Option<(TenantId, DeviceId, usize)> = None;
-        let pool = PeriodPool::paper_default();
         let mut stream = Stream::default();
         for k in 0..config.arrivals {
             // A live burst storm pins tenant and origin (no draws);
@@ -1050,278 +1064,10 @@ fn per_tenant_replay(fleet: &FleetScheduler) -> BTreeMap<TenantId, TenantReplay>
         .collect()
 }
 
-/// A malformed trace line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Renders events in the line-based trace format (see `EXPERIMENTS.md`):
-///
-/// ```text
-/// @1000 arrive t3 d0 c=500 t=10000 dl=10000 o=0 delta=4000 theta=2500 p=144 vmax=145 vmin=1
-/// @2000 depart t3
-/// @3000 mode m1 t0,t2,t4
-/// @4000 spike d0 150
-/// ```
-///
-/// Instants are microseconds since the epoch; `c`/`t`/`dl`/`o`/`delta`/
-/// `theta` are the task's WCET, period, deadline, release offset, ideal
-/// offset and margin in microseconds.
-#[must_use]
-pub fn format_trace(events: &[TimedEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&format!("@{} ", ev.at.as_micros()));
-        out.push_str(&format_event_body(&ev.event));
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders one event in the trace dialect, without the `@<micros>`
-/// timestamp — the shared body both [`format_trace`] and the WAL
-/// (`crate::wal`) emit.
-pub(crate) fn format_event_body(event: &SystemEvent) -> String {
-    match event {
-        SystemEvent::Arrival(t) => {
-            let mut line = format!(
-                "arrive t{} d{} c={} t={} dl={} o={} delta={} theta={} p={} vmax={} vmin={}",
-                t.id().0,
-                t.device().0,
-                t.wcet().as_micros(),
-                t.period().as_micros(),
-                t.deadline().as_micros(),
-                t.release_offset().as_micros(),
-                t.ideal_offset().as_micros(),
-                t.margin().as_micros(),
-                t.priority().0,
-                t.vmax(),
-                t.vmin(),
-            );
-            // Trace-format v2: the tenant tag rides as a trailing
-            // optional key. Anonymous arrivals omit it, so untenanted
-            // traces (and their WAL digests) stay byte-identical to v1.
-            if !t.tenant().is_anonymous() {
-                line.push_str(&format!(" tn={}", t.tenant().0));
-            }
-            line
-        }
-        SystemEvent::Departure(id) => format!("depart t{}", id.0),
-        SystemEvent::ModeChange(mode) => {
-            let list = if mode.active.is_empty() {
-                "-".to_owned()
-            } else {
-                mode.active
-                    .iter()
-                    .map(|t| format!("t{}", t.0))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!("mode m{} {list}", mode.id.0)
-        }
-        SystemEvent::UtilisationSpike { device, percent } => {
-            format!("spike d{} {percent}", device.0)
-        }
-        SystemEvent::PartitionDeath { device } => format!("death d{}", device.0),
-    }
-}
-
-/// Parses the trace format emitted by [`format_trace`]. Blank lines and
-/// `#` comments are skipped.
-///
-/// # Errors
-/// Returns a [`TraceError`] naming the first malformed line.
-pub fn parse_trace(s: &str) -> Result<Vec<TimedEvent>, TraceError> {
-    let mut events = Vec::new();
-    for (i, raw) in s.lines().enumerate() {
-        let line = i + 1;
-        let text = raw.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let err = |message: String| TraceError { line, message };
-        let mut words = text.split_whitespace();
-        let at = words
-            .next()
-            .and_then(|w| w.strip_prefix('@'))
-            .and_then(|w| w.parse::<u64>().ok())
-            .map(Time::from_micros)
-            .ok_or_else(|| err("expected @<micros> timestamp".into()))?;
-        let verb = words.next().ok_or_else(|| err("missing verb".into()))?;
-        let event = parse_event_body(verb, &mut words).map_err(err)?;
-        if words.next().is_some() {
-            return Err(err("trailing tokens".into()));
-        }
-        events.push(TimedEvent { at, event });
-    }
-    Ok(events)
-}
-
-/// Parses one event body (verb already split off) in the trace dialect —
-/// the shared inverse of [`format_event_body`], also used by the WAL
-/// reader (`crate::wal`). Leaves any trailing tokens in `words` for the
-/// caller to reject.
-pub(crate) fn parse_event_body<'a>(
-    verb: &str,
-    words: &mut impl Iterator<Item = &'a str>,
-) -> Result<SystemEvent, String> {
-    match verb {
-        "arrive" => parse_arrival(words),
-        "depart" => {
-            let id = tagged(words.next(), 't')?;
-            Ok(SystemEvent::Departure(TaskId(id)))
-        }
-        "mode" => {
-            let id = tagged(words.next(), 'm')?;
-            let list = words.next().ok_or_else(|| "missing task list".to_owned())?;
-            let active = if list == "-" {
-                Vec::new()
-            } else {
-                list.split(',')
-                    .map(|w| tagged(Some(w), 't').map(TaskId))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            Ok(SystemEvent::ModeChange(Mode {
-                id: ModeId(id),
-                active,
-            }))
-        }
-        "spike" => {
-            let device = tagged(words.next(), 'd')?;
-            let percent: u32 = words
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(|| "expected <percent>".to_owned())?;
-            Ok(SystemEvent::UtilisationSpike {
-                device: DeviceId(device),
-                percent,
-            })
-        }
-        "death" => {
-            let device = tagged(words.next(), 'd')?;
-            Ok(SystemEvent::PartitionDeath {
-                device: DeviceId(device),
-            })
-        }
-        other => Err(format!("unknown verb `{other}`")),
-    }
-}
-
-/// Parses a `<tag><number>` word (`t3`, `d0`, ...) — the id grammar of
-/// the trace dialect, shared with the snapshot and WAL readers.
-pub(crate) fn tagged(word: Option<&str>, tag: char) -> Result<u32, String> {
-    word.and_then(|w| w.strip_prefix(tag))
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(|| format!("expected {tag}<number>"))
-}
-
-/// The value of a `<key>=<value>` word, shared with the snapshot and WAL
-/// readers.
-pub(crate) fn kv<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    word.and_then(|w| w.strip_prefix(key))
-        .and_then(|w| w.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=<value>"))
-}
-
-fn parse_arrival<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<SystemEvent, String> {
-    let id = tagged(words.next(), 't')?;
-    let device = tagged(words.next(), 'd')?;
-    let mut wcet = None;
-    let mut period = None;
-    let mut deadline = None;
-    let mut offset = None;
-    let mut delta = None;
-    let mut theta = None;
-    let mut prio = None;
-    let mut vmax = None;
-    let mut vmin = None;
-    let mut tenant = TenantId::ANONYMOUS;
-    let mut seen: Vec<&str> = Vec::new();
-    for word in words {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got `{word}`"))?;
-        if seen.contains(&key) {
-            return Err(format!("repeated key `{key}`"));
-        }
-        seen.push(key);
-        let us = || -> Result<Duration, String> {
-            value
-                .parse::<u64>()
-                .map(Duration::from_micros)
-                .map_err(|_| format!("bad integer in `{word}`"))
-        };
-        match key {
-            "c" => wcet = Some(us()?),
-            "t" => period = Some(us()?),
-            "dl" => deadline = Some(us()?),
-            "o" => offset = Some(us()?),
-            "delta" => delta = Some(us()?),
-            "theta" => theta = Some(us()?),
-            "p" => {
-                prio = Some(
-                    value
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad priority in `{word}`"))?,
-                );
-            }
-            "vmax" | "vmin" => {
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad quality in `{word}`"))?;
-                if key == "vmax" {
-                    vmax = Some(v);
-                } else {
-                    vmin = Some(v);
-                }
-            }
-            // Trace-format v2 (optional): the arrival's tenant tag.
-            "tn" => {
-                tenant = TenantId(
-                    value
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad tenant in `{word}`"))?,
-                );
-            }
-            other => return Err(format!("unknown key `{other}`")),
-        }
-    }
-    let missing = |name: &str| format!("arrival missing `{name}`");
-    let task = IoTask::builder(TaskId(id), DeviceId(device))
-        .wcet(wcet.ok_or_else(|| missing("c"))?)
-        .period(period.ok_or_else(|| missing("t"))?)
-        .deadline(deadline.ok_or_else(|| missing("dl"))?)
-        .release_offset(offset.ok_or_else(|| missing("o"))?)
-        .ideal_offset(delta.ok_or_else(|| missing("delta"))?)
-        .margin(theta.ok_or_else(|| missing("theta"))?)
-        .priority(tagio_core::task::Priority(
-            prio.ok_or_else(|| missing("p"))?,
-        ))
-        .quality(
-            vmax.ok_or_else(|| missing("vmax"))?,
-            vmin.ok_or_else(|| missing("vmin"))?,
-        )
-        .tenant(tenant)
-        .build()
-        .map_err(|e| format!("invalid arrival task: {e}"))?;
-    Ok(SystemEvent::Arrival(task))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{format_trace, parse_trace};
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
@@ -1395,36 +1141,6 @@ mod tests {
         let text = format_trace(&s.events);
         let parsed = parse_trace(&text).expect("own output parses");
         assert_eq!(parsed, s.events);
-    }
-
-    /// A well-formed arrival line.
-    const ARRIVAL: &str =
-        "@12 arrive t0 d0 c=500 t=10000 dl=10000 o=0 delta=5000 theta=2500 p=1 vmax=2 vmin=1";
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        for (bad, what) in [
-            ("arrive t0 d0", "missing timestamp"),
-            ("@12 warp t0", "unknown verb"),
-            ("@12 depart x0", "bad tag"),
-            ("@12 spike d0", "missing percent"),
-            ("@12 mode m0", "missing list"),
-            ("@12 arrive t0 d0 c=1", "missing fields"),
-            ("@12 depart t0 extra", "trailing tokens"),
-            ("@12 death x0", "bad device tag"),
-            ("@12 death d0 150", "trailing tokens"),
-            (&format!("{ARRIVAL} c=2000"), "repeated key"),
-            (&format!("{ARRIVAL} tn=2 tn=3"), "repeated tenant"),
-        ] {
-            assert!(parse_trace(bad).is_err(), "accepted {what}: {bad}");
-        }
-        // The repeated key is named, on its line.
-        assert!(parse_trace(ARRIVAL).is_ok());
-        let err = parse_trace(&format!("{ARRIVAL}\n{ARRIVAL} c=2000")).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("repeated key `c`"), "{err}");
-        // Comments and blanks are fine.
-        assert_eq!(parse_trace("# nothing\n\n").unwrap(), Vec::new());
     }
 
     #[test]
@@ -1633,19 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn death_lines_round_trip() {
-        let events = vec![TimedEvent {
-            at: Time::from_millis(4),
-            event: SystemEvent::PartitionDeath {
-                device: DeviceId(2),
-            },
-        }];
-        let text = format_trace(&events);
-        assert_eq!(text, "@4000 death d2\n");
-        assert_eq!(parse_trace(&text).unwrap(), events);
-    }
-
-    #[test]
     fn death_cadence_emits_deaths_only_when_enabled() {
         let quiet = FleetScenario::generate(&FleetScenarioConfig {
             partitions: 3,
@@ -1673,8 +1376,12 @@ mod tests {
 
     #[test]
     fn dm_priority_orders_by_period() {
-        assert!(dm_priority(Duration::from_millis(10)) > dm_priority(Duration::from_millis(20)));
-        assert_eq!(dm_priority(Duration::from_millis(1440)), 1);
+        let pool = PaperPool::new();
+        let dm = |ms| pool.dm_priority(Duration::from_millis(ms));
+        assert!(dm(10) > dm(20));
+        assert_eq!(dm(1440), 1);
+        let shortest = *pool.pool.candidates().iter().min().unwrap();
+        assert_eq!(pool.blocking_cap, shortest / 2);
     }
 
     #[test]

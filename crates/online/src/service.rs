@@ -39,6 +39,7 @@
 //! (smallest `Vmax` first). With no registry installed the order is the
 //! pre-tenant quality-only one.
 
+use crate::codec::{add_counters, counters, Counter};
 use crate::tenant::{shed_rank, TenantCounters, TenantRegistry};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -316,31 +317,38 @@ impl OnlineStats {
     /// offered a task counts it); [`FleetStats`](crate::fleet::FleetStats)
     /// tracks unique arrivals separately.
     pub fn merge(&mut self, other: &OnlineStats) {
-        self.arrivals += other.arrivals;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.fast_rejects += other.fast_rejects;
+        add_counters(&Self::COUNTERS, self, other);
+        self.repair_time += other.repair_time;
+        self.admission_time += other.admission_time;
         for (cause, n) in &other.reject_causes {
             *self.reject_causes.entry(*cause).or_insert(0) += n;
         }
-        self.shed_overload += other.shed_overload;
-        self.shed_infeasible += other.shed_infeasible;
-        self.departures += other.departures;
-        self.repairs += other.repairs;
-        self.resyntheses += other.resyntheses;
-        self.fps_fallbacks += other.fps_fallbacks;
-        self.shed += other.shed;
-        self.spikes += other.spikes;
-        self.mode_changes += other.mode_changes;
-        self.ignored += other.ignored;
-        self.repair_time += other.repair_time;
-        self.repair_events += other.repair_events;
-        self.admission_time += other.admission_time;
-        self.admission_events += other.admission_events;
         for (tenant, counters) in &other.tenants {
             self.tenants.entry(*tenant).or_default().merge(counters);
         }
     }
+
+    /// The decision counters in `pstats` and stats-digest order, the one
+    /// list `merge`, `pstats` and the digest iterate. The wall clocks stay
+    /// outside; `pstats` writes each just before the count it timed.
+    pub(crate) const COUNTERS: [Counter<OnlineStats>; 16] = counters![
+        arrivals,
+        admitted,
+        rejected,
+        fast_rejects,
+        shed_overload,
+        shed_infeasible,
+        departures,
+        repairs,
+        resyntheses,
+        fps_fallbacks,
+        shed,
+        spikes,
+        mode_changes,
+        ignored,
+        repair_events,
+        admission_events,
+    ];
 }
 
 impl Metrics for OnlineStats {
@@ -1446,7 +1454,7 @@ mod tests {
 @11 depart t0
 @12 mode m0 t0,t1,t2
 ";
-        let events = crate::scenario::parse_trace(trace).expect("trace parses");
+        let events = crate::codec::parse_trace(trace).expect("trace parses");
         let mut svc = OnlineScheduler::new(DeviceId(0));
         for ev in &events {
             let _ = svc.apply(&ev.event);

@@ -34,6 +34,7 @@
 //! and bit-reproducible; `1_000_000` is one partition's worth of
 //! utilisation.
 
+use crate::codec::{add_counters, counters, Counter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tagio_core::task::IoTask;
@@ -260,11 +261,13 @@ pub struct TenantCounters {
 impl TenantCounters {
     /// Folds `other` into `self` (plain sums).
     pub fn merge(&mut self, other: &TenantCounters) {
-        self.arrivals += other.arrivals;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.shed += other.shed;
+        add_counters(&Self::COUNTERS, self, other);
     }
+
+    /// The counters in `ftenant`/`ptenant` and stats-digest order, the
+    /// one list `merge`, those lines and the digest iterate.
+    pub(crate) const COUNTERS: [Counter<TenantCounters>; 4] =
+        counters![arrivals, admitted, rejected, shed];
 }
 
 /// The router's deficit-round-robin state: banked admission credit per

@@ -10,8 +10,9 @@
 //! commit digest, so divergence is detected at the epoch that caused it
 //! rather than at the end of recovery.
 //!
-//! The on-disk dialect is line-based and shares its event bodies with
-//! the scenario trace format (`EXPERIMENTS.md` documents both):
+//! The on-disk dialect is line-based, read and written through
+//! [`crate::codec`] like the scenario trace whose event bodies it
+//! shares (`EXPERIMENTS.md` documents both formats):
 //!
 //! ```text
 //! epoch 3
@@ -24,8 +25,13 @@
 //! written: a crash mid-append leaves a torn tail that
 //! [`parse_wal`]/[`WalSource::load`] truncate (and flag) instead of
 //! failing, which is exactly the prefix a recovering fleet may trust.
+//! Inside the committed prefix every line is checked: an unknown verb, a
+//! malformed field or a word after a line's last field is an error.
 
-use crate::scenario::{format_event_body, kv, parse_event_body, tagged};
+use crate::codec::{
+    finish, kv, parse_event_body, records, tagged, write_event_body, Dialect, LineError,
+};
+use core::fmt::Write as _;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -62,27 +68,6 @@ pub struct WalContents {
     pub torn_tail: bool,
 }
 
-/// A malformed log (or a failed append).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalError {
-    /// 1-based line of the defect; `0` for I/O-level failures.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for WalError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if self.line == 0 {
-            write!(f, "WAL error: {}", self.message)
-        } else {
-            write!(f, "WAL line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
 /// Where epoch records are appended (memory for tests, a file for
 /// durability).
 pub trait WalSink {
@@ -91,8 +76,8 @@ pub trait WalSink {
     /// *latest* record.
     ///
     /// # Errors
-    /// Returns a [`WalError`] when the record cannot be written.
-    fn append(&mut self, record: &EpochRecord) -> Result<(), WalError>;
+    /// Returns a [`LineError`] when the record cannot be written.
+    fn append(&mut self, record: &EpochRecord) -> Result<(), LineError>;
 }
 
 /// Where epoch records are loaded from at recovery.
@@ -101,30 +86,32 @@ pub trait WalSource {
     /// tail.
     ///
     /// # Errors
-    /// Returns a [`WalError`] when the log is unreadable or a
+    /// Returns a [`LineError`] when the log is unreadable or a
     /// *committed* record is malformed.
-    fn load(&self) -> Result<WalContents, WalError>;
+    fn load(&self) -> Result<WalContents, LineError>;
 }
 
 /// Renders one record in the WAL dialect (always ends with the commit
 /// line and a trailing newline).
 #[must_use]
 pub fn format_record(record: &EpochRecord) -> String {
+    // Writing into a `String` cannot fail.
     let mut out = String::new();
-    out.push_str(&format!("epoch {}\n", record.epoch));
+    let _ = writeln!(out, "epoch {}", record.epoch);
     for event in &record.events {
         out.push_str("ev ");
-        out.push_str(&format_event_body(event));
+        write_event_body(&mut out, event);
         out.push('\n');
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "commit {} seed={} events={}",
         record.epoch,
         record.seed,
         record.events.len()
-    ));
+    );
     for (device, (schedule, stats)) in &record.digests {
-        out.push_str(&format!(" d{}={schedule:016x}:{stats:016x}", device.0));
+        let _ = write!(out, " d{}={schedule:016x}:{stats:016x}", device.0);
     }
     out.push('\n');
     out
@@ -135,8 +122,8 @@ pub fn format_record(record: &EpochRecord) -> String {
 /// crash mid-append) is silently truncated and flagged as a torn tail.
 ///
 /// # Errors
-/// Returns a [`WalError`] naming the first malformed committed line.
-pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
+/// Returns a [`LineError`] naming the first malformed committed line.
+pub fn parse_wal(s: &str) -> Result<WalContents, LineError> {
     // Every line the writer emits ends in a newline, so text after the
     // last `\n` is a line the crash cut mid-write: part of the torn
     // tail, not a committed line to be validated.
@@ -147,98 +134,92 @@ pub fn parse_wal(s: &str) -> Result<WalContents, WalError> {
     let mut epochs = Vec::new();
     // The record being assembled: (epoch id, events).
     let mut open: Option<(usize, Vec<SystemEvent>)> = None;
-    for (i, raw) in body.lines().enumerate() {
-        let line = i + 1;
-        let err = |message: String| WalError { line, message };
-        let text = raw.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let mut words = text.split_whitespace();
-        let Some(verb) = words.next() else {
-            continue; // trimmed text is non-empty, so a first token exists
-        };
-        match verb {
-            "epoch" => {
-                // A fresh header while a record is open is a torn tail
-                // *inside* the log — only the final record may be torn.
-                if open.is_some() {
-                    return Err(err("epoch header inside an uncommitted record".into()));
-                }
-                let id: usize = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| err("expected `epoch <id>`".into()))?;
-                open = Some((id, Vec::new()));
-            }
-            "ev" => {
-                let (_, events) = open
-                    .as_mut()
-                    .ok_or_else(|| err("`ev` outside an epoch record".into()))?;
-                let verb = words
-                    .next()
-                    .ok_or_else(|| err("missing event verb".into()))?;
-                let event = parse_event_body(verb, &mut words).map_err(err)?;
-                if words.next().is_some() {
-                    return Err(err("trailing tokens".into()));
-                }
-                events.push(event);
-            }
-            "commit" => {
-                let (epoch, events) = open
-                    .take()
-                    .ok_or_else(|| err("`commit` outside an epoch record".into()))?;
-                let id: usize = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| err("expected `commit <id>`".into()))?;
-                if id != epoch {
-                    return Err(err(format!(
-                        "commit id {id} does not match epoch header {epoch}"
-                    )));
-                }
-                let seed: u64 = kv(words.next(), "seed")
-                    .map_err(err)?
-                    .parse()
-                    .map_err(|_| err("bad seed".into()))?;
-                let count: usize = kv(words.next(), "events")
-                    .map_err(err)?
-                    .parse()
-                    .map_err(|_| err("bad event count".into()))?;
-                if count != events.len() {
-                    return Err(err(format!(
-                        "commit says {count} events, record holds {}",
-                        events.len()
-                    )));
-                }
-                let mut digests = BTreeMap::new();
-                for word in words {
-                    let (dev, rest) = word
-                        .split_once('=')
-                        .ok_or_else(|| err(format!("expected d<dev>=<hex>:<hex>, got `{word}`")))?;
-                    let device = DeviceId(tagged(Some(dev), 'd').map_err(err)?);
-                    let (sched, stats) = rest
-                        .split_once(':')
-                        .ok_or_else(|| err("digest missing `:`".into()))?;
-                    let parse_hex = |w: &str| {
-                        u64::from_str_radix(w, 16).map_err(|_| err(format!("bad digest `{w}`")))
-                    };
-                    digests.insert(device, (parse_hex(sched)?, parse_hex(stats)?));
-                }
-                epochs.push(EpochRecord {
-                    epoch,
-                    seed,
-                    events,
-                    digests,
-                });
-            }
-            other => return Err(err(format!("unknown WAL verb `{other}`"))),
-        }
+    for (line, text) in records(body) {
+        wal_line(text, &mut open, &mut epochs).map_err(|m| Dialect::Wal.error(line, m))?;
     }
     Ok(WalContents {
         epochs,
         torn_tail: open.is_some() || partial,
     })
+}
+
+/// Folds one WAL line into the open record, or commits it to `epochs`.
+fn wal_line(
+    text: &str,
+    open: &mut Option<(usize, Vec<SystemEvent>)>,
+    epochs: &mut Vec<EpochRecord>,
+) -> Result<(), String> {
+    let mut words = text.split_whitespace();
+    match words.next().unwrap_or_default() {
+        "epoch" => {
+            // A fresh header while a record is open is a torn tail
+            // *inside* the log — only the final record may be torn.
+            if open.is_some() {
+                return Err("epoch header inside an uncommitted record".into());
+            }
+            let id: usize = words
+                .next()
+                .and_then(|w| w.parse().ok())
+                .ok_or_else(|| "expected `epoch <id>`".to_owned())?;
+            *open = Some((id, Vec::new()));
+        }
+        "ev" => {
+            let (_, events) = open
+                .as_mut()
+                .ok_or_else(|| "`ev` outside an epoch record".to_owned())?;
+            let verb = words
+                .next()
+                .ok_or_else(|| "missing event verb".to_owned())?;
+            events.push(parse_event_body(verb, &mut words)?);
+        }
+        "commit" => {
+            let (epoch, events) = open
+                .take()
+                .ok_or_else(|| "`commit` outside an epoch record".to_owned())?;
+            let id: usize = words
+                .next()
+                .and_then(|w| w.parse().ok())
+                .ok_or_else(|| "expected `commit <id>`".to_owned())?;
+            if id != epoch {
+                return Err(format!(
+                    "commit id {id} does not match epoch header {epoch}"
+                ));
+            }
+            let seed: u64 = kv(words.next(), "seed")?
+                .parse()
+                .map_err(|_| "bad seed".to_owned())?;
+            let count: usize = kv(words.next(), "events")?
+                .parse()
+                .map_err(|_| "bad event count".to_owned())?;
+            if count != events.len() {
+                return Err(format!(
+                    "commit says {count} events, record holds {}",
+                    events.len()
+                ));
+            }
+            let mut digests = BTreeMap::new();
+            for word in words.by_ref() {
+                let (dev, rest) = word
+                    .split_once('=')
+                    .ok_or_else(|| format!("expected d<dev>=<hex>:<hex>, got `{word}`"))?;
+                let device = DeviceId(tagged(Some(dev), "d")?);
+                let (sched, stats) = rest
+                    .split_once(':')
+                    .ok_or_else(|| "digest missing `:`".to_owned())?;
+                let parse_hex =
+                    |w: &str| u64::from_str_radix(w, 16).map_err(|_| format!("bad digest `{w}`"));
+                digests.insert(device, (parse_hex(sched)?, parse_hex(stats)?));
+            }
+            epochs.push(EpochRecord {
+                epoch,
+                seed,
+                events,
+                digests,
+            });
+        }
+        other => return Err(format!("unknown WAL verb `{other}`")),
+    }
+    finish(&mut words)
 }
 
 /// An in-memory log: the reference [`WalSink`]/[`WalSource`] pair (and
@@ -269,14 +250,14 @@ impl MemoryWal {
 }
 
 impl WalSink for MemoryWal {
-    fn append(&mut self, record: &EpochRecord) -> Result<(), WalError> {
+    fn append(&mut self, record: &EpochRecord) -> Result<(), LineError> {
         self.text.push_str(&format_record(record));
         Ok(())
     }
 }
 
 impl WalSource for MemoryWal {
-    fn load(&self) -> Result<WalContents, WalError> {
+    fn load(&self) -> Result<WalContents, LineError> {
         parse_wal(&self.text)
     }
 }
@@ -304,11 +285,8 @@ impl FileWal {
 }
 
 impl WalSink for FileWal {
-    fn append(&mut self, record: &EpochRecord) -> Result<(), WalError> {
-        let io = |e: std::io::Error| WalError {
-            line: 0,
-            message: format!("{}: {e}", self.path.display()),
-        };
+    fn append(&mut self, record: &EpochRecord) -> Result<(), LineError> {
+        let io = |e: std::io::Error| Dialect::Wal.error(0, format!("{}: {e}", self.path.display()));
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -321,11 +299,9 @@ impl WalSink for FileWal {
 }
 
 impl WalSource for FileWal {
-    fn load(&self) -> Result<WalContents, WalError> {
-        let text = std::fs::read_to_string(&self.path).map_err(|e| WalError {
-            line: 0,
-            message: format!("{}: {e}", self.path.display()),
-        })?;
+    fn load(&self) -> Result<WalContents, LineError> {
+        let text = std::fs::read_to_string(&self.path)
+            .map_err(|e| Dialect::Wal.error(0, format!("{}: {e}", self.path.display())))?;
         parse_wal(&text)
     }
 }
@@ -434,6 +410,12 @@ mod tests {
         );
         let err = MemoryWal::from_text(bad).load().unwrap_err();
         assert!(err.message.contains("unknown WAL verb `routed`"), "{err}");
+
+        // A word after the epoch header's id is an error on its line.
+        let bad = wal.text().replacen("epoch 1\n", "epoch 1 7\n", 1);
+        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("trailing tokens"), "{err}");
     }
 
     #[test]

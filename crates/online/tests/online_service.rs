@@ -111,7 +111,7 @@ fn trace_dump_replays_identically_through_parse() {
     let reparsed = Scenario {
         device: scenario.device,
         base: scenario.base.clone(),
-        events: tagio_online::scenario::parse_trace(&tagio_online::scenario::format_trace(
+        events: tagio_online::codec::parse_trace(&tagio_online::codec::format_trace(
             &scenario.events,
         ))
         .expect("own trace parses"),
