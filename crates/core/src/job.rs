@@ -25,7 +25,7 @@
 //! ```
 
 use crate::quality::QualityCurve;
-use crate::task::{Priority, TaskId, TaskSet};
+use crate::task::{IoTask, Priority, TaskId, TaskSet};
 use crate::time::{Duration, Time};
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -228,48 +228,46 @@ impl JobSet {
     #[must_use]
     pub fn expand(tasks: &TaskSet) -> Self {
         let hyperperiod = tasks.hyperperiod();
-        let mut jobs = Vec::new();
-        for task in tasks {
-            let period = task.period();
-            assert!(
-                !period.is_zero() && (hyperperiod % period).is_zero(),
-                "period must divide the hyper-period"
-            );
-            let releases = hyperperiod / period;
-            for j in 0..releases {
-                let release = Time::from(period * j + task.release_offset());
-                let ideal = release + task.ideal_offset();
-                let deadline = release + task.deadline();
-                jobs.push(Job::new(
-                    JobId::new(task.id(), j as u32),
-                    release,
-                    ideal,
-                    deadline,
-                    task.wcet(),
-                    task.margin(),
-                    task.priority(),
-                    QualityCurve::linear(task.vmax(), task.vmin()),
-                ));
-            }
-        }
-        jobs.sort_by(|a, b| {
-            a.release()
-                .cmp(&b.release())
-                .then(a.id().task.cmp(&b.id().task))
-                .then(a.id().index.cmp(&b.id().index))
-        });
+        let mut jobs: Vec<Job> = tasks
+            .iter()
+            .flat_map(|task| task_jobs(task, hyperperiod))
+            .collect();
+        jobs.sort_by_key(order_key);
         JobSet { jobs, hyperperiod }
+    }
+
+    /// The job set of this set's tasks plus `task`, without expanding
+    /// the others again: `task`'s jobs merged in at their
+    /// (release, task id) places. That is [`JobSet::expand`] of the grown
+    /// task set when this set is the expansion of a non-empty task set
+    /// without `task` and `task`'s period divides its hyper-period: the
+    /// hyper-period then stays, so every job here keeps its instants.
+    ///
+    /// Returns `None`, leaving the caller to expand, when the set is
+    /// empty or the period does not divide the hyper-period (it would
+    /// grow).
+    #[must_use]
+    pub fn with_task(&self, task: &IoTask) -> Option<JobSet> {
+        let (hyperperiod, period) = (self.hyperperiod, task.period());
+        if self.jobs.is_empty() || period.is_zero() || !(hyperperiod % period).is_zero() {
+            return None;
+        }
+        let mut added = task_jobs(task, hyperperiod).peekable();
+        let mut jobs = Vec::with_capacity(self.jobs.len() + (hyperperiod / period) as usize);
+        for job in &self.jobs {
+            while let Some(next) = added.next_if(|next| order_key(next) < order_key(job)) {
+                jobs.push(next);
+            }
+            jobs.push(job.clone());
+        }
+        jobs.extend(added);
+        Some(JobSet { jobs, hyperperiod })
     }
 
     /// Builds a job set from pre-constructed jobs (tests, custom scenarios).
     #[must_use]
     pub fn from_jobs(mut jobs: Vec<Job>, hyperperiod: Duration) -> Self {
-        jobs.sort_by(|a, b| {
-            a.release()
-                .cmp(&b.release())
-                .then(a.id().task.cmp(&b.id().task))
-                .then(a.id().index.cmp(&b.id().index))
-        });
+        jobs.sort_by_key(order_key);
         JobSet { jobs, hyperperiod }
     }
 
@@ -336,6 +334,36 @@ impl JobSet {
             .map(|j| j.quality_at(j.ideal_start()))
             .sum()
     }
+}
+
+/// The order of a [`JobSet`]: by release, ties by task id, then index.
+fn order_key(job: &Job) -> (Time, TaskId, u32) {
+    (job.release(), job.id().task, job.id().index)
+}
+
+/// The jobs `task` releases over `hyperperiod`, in release order.
+///
+/// # Panics
+/// Panics if the period does not divide the hyper-period.
+fn task_jobs(task: &IoTask, hyperperiod: Duration) -> impl Iterator<Item = Job> + '_ {
+    let period = task.period();
+    assert!(
+        !period.is_zero() && (hyperperiod % period).is_zero(),
+        "period must divide the hyper-period"
+    );
+    (0..hyperperiod / period).map(move |j| {
+        let release = Time::from(period * j + task.release_offset());
+        Job::new(
+            JobId::new(task.id(), j as u32),
+            release,
+            release + task.ideal_offset(),
+            release + task.deadline(),
+            task.wcet(),
+            task.margin(),
+            task.priority(),
+            QualityCurve::linear(task.vmax(), task.vmin()),
+        )
+    })
 }
 
 impl<'a> IntoIterator for &'a JobSet {
@@ -514,6 +542,73 @@ mod tests {
     fn horizon_without_offsets_is_hyperperiod() {
         let jobs = JobSet::expand(&simple_set());
         assert_eq!(jobs.horizon(), Time::from_millis(8));
+    }
+
+    /// Merging a newcomer equals expanding the grown set, field for
+    /// field and in order, over random task sets: periods among the
+    /// divisors of 20 ms, release offsets, constrained deadlines, equal
+    /// releases across tasks, and newcomer ids below, between and above
+    /// the others. A period that does not divide the hyper-period, and an
+    /// empty set, leave the expansion to the caller. (Tasks cannot have
+    /// zero WCET, so no expanded set holds a zero-WCET job.)
+    #[test]
+    fn with_task_equals_expanding_the_grown_set() {
+        // xorshift64*: the crate has no rand dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        fn random_task(id: u32, draw: &mut dyn FnMut(u64) -> u64) -> IoTask {
+            const PERIODS_MS: [u64; 6] = [1, 2, 4, 5, 10, 20];
+            let period = 1000 * PERIODS_MS[draw(PERIODS_MS.len() as u64) as usize];
+            let deadline = period - period / 4 * draw(2);
+            let wcet = 1 + draw(deadline / 4);
+            let ideal = draw(deadline - wcet + 1);
+            let margin = draw(ideal.min(deadline - ideal) + 1);
+            IoTask::builder(TaskId(id), DeviceId(0))
+                .wcet(Duration::from_micros(wcet))
+                .period(Duration::from_micros(period))
+                .deadline(Duration::from_micros(deadline))
+                .ideal_offset(Duration::from_micros(ideal))
+                .margin(Duration::from_micros(margin))
+                .release_offset(Duration::from_micros(period / 4 * draw(4)))
+                .priority(Priority(draw(3) as u32))
+                .build()
+                .expect("valid random task")
+        }
+        let (mut merged, mut offsets, mut ties) = (0, 0, 0);
+        for round in 0..2000 {
+            let mut tasks = TaskSet::new();
+            for k in 0..=draw(6) as u32 {
+                tasks.push(random_task(10 * k + 5, &mut draw)).unwrap();
+            }
+            let newcomer = random_task(10 * draw(8) as u32, &mut draw);
+            let mut grown = tasks.clone();
+            grown.push(newcomer.clone()).unwrap();
+            let jobs = JobSet::expand(&tasks);
+            let want = JobSet::expand(&grown);
+            match jobs.with_task(&newcomer) {
+                Some(got) => {
+                    assert_eq!(got, want, "round {round}");
+                    merged += 1;
+                    offsets += usize::from(!newcomer.release_offset().is_zero());
+                    ties += usize::from(got.as_slice().windows(2).any(|w| {
+                        w[0].release() == w[1].release()
+                            && (w[0].id().task == newcomer.id() || w[1].id().task == newcomer.id())
+                    }));
+                }
+                None => assert_ne!(want.hyperperiod(), jobs.hyperperiod(), "round {round}"),
+            }
+        }
+        assert!(
+            merged > 500 && offsets > 300 && ties > 300,
+            "{merged} merged, {offsets} with offsets, {ties} with ties"
+        );
+        let lone = simple_set().iter().next().unwrap().clone();
+        assert_eq!(JobSet::expand(&TaskSet::new()).with_task(&lone), None);
     }
 
     #[test]

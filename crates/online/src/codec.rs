@@ -11,6 +11,8 @@
 //! [`stats_digest`](crate::persist::stats_digest) all iterate.
 
 use core::fmt::Write as _;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use tagio_core::event::{Mode, ModeId, SystemEvent, TimedEvent};
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TenantId};
 use tagio_core::time::{Duration, Time};
@@ -93,6 +95,24 @@ pub(crate) fn kv<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String
     word.and_then(|w| w.strip_prefix(key))
         .and_then(|w| w.strip_prefix('='))
         .ok_or_else(|| format!("expected {key}=<value>"))
+}
+
+/// Inserts a keyed value; a key already seen in its scope (a snapshot's
+/// fleet or partition section, a WAL `commit` line) is an error, not a
+/// silent overwrite.
+pub(crate) fn insert_once<K: Ord + core::fmt::Display, V>(
+    map: &mut BTreeMap<K, V>,
+    verb: &str,
+    key: K,
+    value: V,
+) -> Result<(), String> {
+    match map.entry(key) {
+        Entry::Occupied(seen) => Err(format!("repeated `{verb}` key `{}`", seen.key())),
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+            Ok(())
+        }
+    }
 }
 
 /// Parses a count.

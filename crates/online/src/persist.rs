@@ -48,15 +48,14 @@
 //!   snapshot as incremental would replay different decisions.
 
 use crate::codec::{
-    finish, kv, num, parse_arrival, read_counters, records, tagged, write_arrival, write_counters,
-    Dialect, LineError,
+    finish, insert_once, kv, num, parse_arrival, read_counters, records, tagged, write_arrival,
+    write_counters, Dialect, LineError,
 };
 use crate::fleet::{FleetConfig, FleetScheduler, FleetStats, PlacementPolicy};
 use crate::service::{OnlineScheduler, OnlineStats};
 use crate::tenant::{QosClass, TenantCounters, TenantId, TenantLedger, TenantRegistry, TenantSpec};
 use crate::wal::{EpochRecord, WalContents};
 use core::fmt::Write as _;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use tagio_core::event::SystemEvent;
 use tagio_core::job::JobId;
@@ -628,23 +627,6 @@ fn config_body<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<FleetCon
         seed,
         tenants: TenantRegistry::new(),
     })
-}
-
-/// Inserts a keyed line's value; a key already seen in its scope (the
-/// fleet, or one partition section) is an error, not a silent overwrite.
-fn insert_once<K: Ord + core::fmt::Display, V>(
-    map: &mut BTreeMap<K, V>,
-    verb: &str,
-    key: K,
-    value: V,
-) -> Result<(), String> {
-    match map.entry(key) {
-        Entry::Occupied(seen) => Err(format!("repeated `{verb}` key `{}`", seen.key())),
-        Entry::Vacant(slot) => {
-            slot.insert(value);
-            Ok(())
-        }
-    }
 }
 
 /// An `fcause`/`pcause` or `ftenant`/`ptenant` line, into the reject

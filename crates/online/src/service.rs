@@ -723,8 +723,13 @@ impl OnlineScheduler {
         // tie count is bumped instead).
         self.cache.invalidate_for_arrival(&effective);
         let guaranteed = self.cache.schedulable(&candidate);
-        // 3. Integration tiers.
-        let jobs = JobSet::expand(&candidate);
+        // 3. Integration tiers, on the live jobs with the newcomer's
+        //    merged in while the hyper-period stays (the live jobs are
+        //    always the expansion of the active set).
+        let jobs = self
+            .jobs
+            .with_task(&effective)
+            .unwrap_or_else(|| JobSet::expand(&candidate));
         match self.integrate(&jobs, guaranteed) {
             Ok(outcome) => {
                 let replaced = outcome.replaced;
@@ -940,7 +945,8 @@ impl OnlineScheduler {
 
     /// Runs the ladder on `construction`'s tiers for `jobs`, around the
     /// live schedule aligned to `jobs`' hyper-period so undisturbed
-    /// placements stay pinnable (§III.C repetition). The incremental
+    /// placements stay pinnable (§III.C repetition). The schedule is
+    /// repeated only for a tier list that reads it. The incremental
     /// strategy reuses the partition's scratch; the full-re-synthesis
     /// baseline runs on a fresh one, as the offline method does.
     fn construct(
@@ -948,8 +954,9 @@ impl OnlineScheduler {
         jobs: &JobSet,
         construction: Construction,
     ) -> Result<RepairOutcome, Infeasible> {
-        let (old_h, new_h) = (self.tasks.hyperperiod(), jobs.hyperperiod());
-        let base = if new_h > old_h && !old_h.is_zero() {
+        let tiers = self.strategy.tiers(construction);
+        let (old_h, new_h) = (self.jobs.hyperperiod(), jobs.hyperperiod());
+        let base = if new_h > old_h && !old_h.is_zero() && tiers.iter().any(|t| t.reads_base()) {
             Cow::Owned(self.schedule.repeat((new_h / old_h) as u32, old_h))
         } else {
             Cow::Borrowed(&self.schedule)
@@ -959,7 +966,7 @@ impl OnlineScheduler {
             RepairStrategy::Incremental => &mut self.scratch,
             RepairStrategy::FullResynthesis => &mut fresh,
         };
-        ladder_in(jobs, &base, self.strategy.tiers(construction), scratch)
+        ladder_in(jobs, &base, tiers, scratch)
     }
 
     fn record_construction(&mut self, latency: std::time::Duration) {

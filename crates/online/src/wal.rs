@@ -26,10 +26,12 @@
 //! [`parse_wal`]/[`WalSource::load`] truncate (and flag) instead of
 //! failing, which is exactly the prefix a recovering fleet may trust.
 //! Inside the committed prefix every line is checked: an unknown verb, a
-//! malformed field or a word after a line's last field is an error.
+//! malformed field, a word after a line's last field or a `commit` line
+//! naming one device twice is an error.
 
 use crate::codec::{
-    finish, kv, parse_event_body, records, tagged, write_event_body, Dialect, LineError,
+    finish, insert_once, kv, parse_event_body, records, tagged, write_event_body, Dialect,
+    LineError,
 };
 use core::fmt::Write as _;
 use std::collections::BTreeMap;
@@ -208,7 +210,8 @@ fn wal_line(
                     .ok_or_else(|| "digest missing `:`".to_owned())?;
                 let parse_hex =
                     |w: &str| u64::from_str_radix(w, 16).map_err(|_| format!("bad digest `{w}`"));
-                digests.insert(device, (parse_hex(sched)?, parse_hex(stats)?));
+                let digest = (parse_hex(sched)?, parse_hex(stats)?);
+                insert_once(&mut digests, "commit", device, digest)?;
             }
             epochs.push(EpochRecord {
                 epoch,
@@ -416,6 +419,16 @@ mod tests {
         let err = MemoryWal::from_text(bad).load().unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("trailing tokens"), "{err}");
+
+        // A device named twice on one commit line is an error, not a
+        // silent overwrite by the second digest pair.
+        let commit = wal.text().lines().last().unwrap().to_owned();
+        let pair = commit.split_whitespace().last().unwrap();
+        assert!(pair.starts_with("d3="), "{commit}");
+        let bad = wal.text().replace(&commit, &format!("{commit} d3=0:1"));
+        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        assert_eq!(err.line, wal.text().lines().count());
+        assert_eq!(err.message, "repeated `commit` key `d3`", "{err}");
     }
 
     #[test]

@@ -18,17 +18,43 @@
 //!    coalesced gap.
 //! 3. Otherwise the allocation — and Algorithm 1 — fails (line 19).
 //!
-//! The contention count of step 1 only visits the pending jobs that
-//! could fit somewhere in the *hull* of the fitting slots, the span from
-//! the first slot's start to the last slot's end. This prefilter is
-//! exact. Every fitting slot lies inside the hull. A job that fits
+//! # The contention prefilter
+//!
+//! The contention count of step 1 only counts the pending jobs that
+//! could fit somewhere in the *hull* `[h0, h1)` of the fitting slots, the
+//! span from the first slot's start to the last slot's end. This filter
+//! is exact. Every fitting slot lies inside the hull. A job that fits
 //! `[a, b]` therefore also fits the hull, because clipping a job's window
 //! to a wider span never leaves less room. So a job that fails the hull
 //! test fails every slot and adds nothing to any slot's count. The
-//! survivors are counted in their original order, so the per-slot
-//! early-exit cap stops at the same count and the same slot wins.
-//! Zero-WCET jobs fit every span and survive the filter, exactly as the
-//! full scan counts them for every slot.
+//! survivors (the *rivals*) are counted in their original order, so the
+//! per-slot early-exit cap stops at the same count and the same slot
+//! wins. Zero-WCET jobs fit every span and survive the filter, exactly
+//! as the full scan counts them for every slot.
+//!
+//! The filter need not read every pending job either. Once per
+//! allocation order (each synthesis, each repair round) the timeline
+//! splits the order into maximal *runs* of non-decreasing release; the
+//! orders sorted by `solve::priority_rank` hold one run per priority
+//! class, and [`Timeline::allocate`] splits its own `pending` list.
+//! Each run records its longest window `W = max(abs_deadline − release)`
+//! and whether it holds a zero-WCET job. Inside a run without one, the
+//! hull test fails:
+//!
+//! - for every job with `release + W ≤ h0`: its deadline is at most
+//!   `release + W ≤ h0`, so its window meets the hull in no time at all,
+//!   less than its positive WCET;
+//! - for every job with `release ≥ h1`: its window starts at or after the
+//!   hull ends.
+//!
+//! Releases do not decrease along a run, so both sets are a prefix and a
+//! suffix of the run's pending jobs: a binary search on
+//! `release + W > h0` finds the first job worth testing, and the scan
+//! stops at the first job released at or after `h1`. A run with a
+//! zero-WCET job is scanned whole. Runs are taken in order and each is
+//! scanned in order, so the rivals are exactly the full scan's, in the
+//! full scan's order. [`LadderWork::prefilter_visits`] counts the jobs the
+//! scans tested against the hull, not every pending job.
 
 use super::graph::Phases;
 use tagio_core::job::{Job, JobSet};
@@ -78,7 +104,9 @@ pub struct LadderWork {
     pub allocate_calls: u64,
     /// LCC-D rankings over more than one fitting slot.
     pub lccd_rankings: u64,
-    /// Pending jobs tested against a ranking's hull (the prefilter).
+    /// Pending jobs the prefilter tested against a ranking's hull: those
+    /// its per-run binary search and early stop left to read (see the
+    /// module docs).
     pub prefilter_visits: u64,
     /// `(slot, pending job)` pairs the contention count examined.
     pub contention_pairs: u64,
@@ -130,13 +158,27 @@ impl Metrics for LadderWork {
     }
 }
 
+/// A maximal run of non-decreasing release in an allocation order, the
+/// unit the contention prefilter bounds (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    /// The run's positions in the order: `start..end`.
+    start: usize,
+    end: usize,
+    /// The longest window `abs_deadline − release` of the run's jobs.
+    longest: Duration,
+    /// Whether a job of the run has zero WCET; such a job fits every
+    /// span, so the run is scanned whole.
+    zero_wcet: bool,
+}
+
 /// Reusable buffers for Algorithm 1 — phases one and two, [`Timeline`]
 /// construction and allocation — plus the ladder's [`LadderWork`]
 /// counters.
 ///
 /// Every `allocate` call needs slot lists, fitting filters, the LCC-D
-/// prefilter's survivors and (on the shifting path) candidate runs; a
-/// repair-driven admission loop runs thousands of such calls per
+/// prefilter's runs and survivors and (on the shifting path) candidate
+/// runs; a repair-driven admission loop runs thousands of such calls per
 /// second, so the online hot path keeps one scratch alive and threads
 /// it through [`Timeline::with_placements_in`] /
 /// [`Timeline::into_schedule_in`] instead of re-allocating the buffers
@@ -151,6 +193,7 @@ pub struct TimelineScratch {
     placed: Vec<Placed>,
     slots: Vec<(Time, Time)>,
     fitting: Vec<(Time, Time)>,
+    runs: Vec<Run>,
     rivals: Vec<usize>,
     candidates: Vec<(usize, usize, usize)>,
     pub(super) work: LadderWork,
@@ -171,6 +214,9 @@ pub struct Timeline<'a> {
     horizon: Time,
     slots: Vec<(Time, Time)>,
     fitting: Vec<(Time, Time)>,
+    /// The runs [`Timeline::plan`] split the current allocation order
+    /// into.
+    runs: Vec<Run>,
     /// The pending jobs that pass an LCC-D ranking's hull prefilter.
     rivals: Vec<usize>,
     candidates: Vec<(usize, usize, usize)>,
@@ -266,6 +312,7 @@ impl<'a> Timeline<'a> {
             horizon: jobs.horizon(),
             slots: std::mem::take(&mut scratch.slots),
             fitting: std::mem::take(&mut scratch.fitting),
+            runs: std::mem::take(&mut scratch.runs),
             rivals: std::mem::take(&mut scratch.rivals),
             candidates: std::mem::take(&mut scratch.candidates),
             work: scratch.work,
@@ -357,13 +404,72 @@ impl<'a> Timeline<'a> {
 
     /// Attempts to allocate `job_idx` (Algorithm 1 lines 12–20) and
     /// returns the start it chose, or `None` when neither a direct fit
-    /// nor a shifted fit exists.
+    /// nor a shifted fit exists. `pending` lists the jobs still to be
+    /// allocated after this one, in allocation order.
     pub fn allocate(
         &mut self,
         job_idx: usize,
         pending: &[usize],
         policy: SlotPolicy,
     ) -> Option<Time> {
+        self.plan(pending);
+        self.allocate_from(job_idx, pending, 0, policy)
+    }
+
+    /// Splits the allocation order `order` into its maximal runs of
+    /// non-decreasing release, for the contention prefilter of every
+    /// [`Timeline::allocate_in`] call on this order. Call it once per
+    /// order, after the order is final.
+    pub(crate) fn plan(&mut self, order: &[usize]) {
+        let all = self.jobs.as_slice();
+        self.runs.clear();
+        let mut last_release = Time::ZERO;
+        for (pos, &i) in order.iter().enumerate() {
+            let job = &all[i];
+            let window = job.abs_deadline() - job.release();
+            let zero_wcet = job.wcet().is_zero();
+            match self.runs.last_mut() {
+                Some(run) if last_release <= job.release() => {
+                    run.end = pos + 1;
+                    run.longest = run.longest.max(window);
+                    run.zero_wcet |= zero_wcet;
+                }
+                _ => self.runs.push(Run {
+                    start: pos,
+                    end: pos + 1,
+                    longest: window,
+                    zero_wcet,
+                }),
+            }
+            last_release = job.release();
+        }
+    }
+
+    /// Allocates `order[pos]`, with `order[pos + 1..]` pending, as
+    /// [`Timeline::allocate`] does. `order` is the order the last
+    /// [`Timeline::plan`] call split.
+    pub(crate) fn allocate_in(
+        &mut self,
+        order: &[usize],
+        pos: usize,
+        policy: SlotPolicy,
+    ) -> Option<Time> {
+        self.allocate_from(order[pos], order, pos + 1, policy)
+    }
+
+    /// The allocator, with `order[from..]` pending.
+    fn allocate_from(
+        &mut self,
+        job_idx: usize,
+        order: &[usize],
+        from: usize,
+        policy: SlotPolicy,
+    ) -> Option<Time> {
+        debug_assert_eq!(
+            self.runs.last().map_or(0, |run| run.end),
+            order.len(),
+            "the runs belong to another order"
+        );
         self.work.allocate_calls += 1;
         let job = &self.jobs.as_slice()[job_idx];
         let (lo, hi) = (job.release(), job.abs_deadline());
@@ -382,7 +488,7 @@ impl<'a> Timeline<'a> {
         );
 
         let placed = if !fitting.is_empty() {
-            let slot = self.pick_slot(&fitting, pending, policy);
+            let slot = self.pick_slot(&fitting, order, from, policy);
             self.place(job_idx, slot.0, false);
             Some(slot.0)
         } else {
@@ -399,10 +505,13 @@ impl<'a> Timeline<'a> {
         placed
     }
 
+    /// The slot `policy` picks among `fitting`, with `order[from..]`
+    /// pending.
     fn pick_slot(
         &mut self,
         fitting: &[(Time, Time)],
-        pending: &[usize],
+        order: &[usize],
+        from: usize,
         policy: SlotPolicy,
     ) -> (Time, Time) {
         // Every policy reduces to the sole candidate when only one slot
@@ -435,7 +544,9 @@ impl<'a> Timeline<'a> {
                     s
                 }
             }),
-            SlotPolicy::LeastContentionCapacityDecreasing => self.least_contended(fitting, pending),
+            SlotPolicy::LeastContentionCapacityDecreasing => {
+                self.least_contended(fitting, order, from)
+            }
         }
     }
 
@@ -446,20 +557,39 @@ impl<'a> Timeline<'a> {
     /// starts are unique (slots are disjoint), so no two slots tie on the
     /// full key and a manual strict-minimum loop equals `min_by_key`.
     /// That lets the contention count stop early: once a slot exceeds the
-    /// best count seen, it has already lost. Only the pending jobs that
-    /// fit the slots' hull are counted at all (see the module docs for
-    /// why that prefilter is exact).
-    fn least_contended(&mut self, fitting: &[(Time, Time)], pending: &[usize]) -> (Time, Time) {
+    /// best count seen, it has already lost. Only the pending jobs
+    /// `order[from..]` that fit the slots' hull are counted at all, and
+    /// the prefilter reads only the part of each run that can (see the
+    /// module docs for why both cuts are exact).
+    fn least_contended(
+        &mut self,
+        fitting: &[(Time, Time)],
+        order: &[usize],
+        from: usize,
+    ) -> (Time, Time) {
         let all = self.jobs.as_slice();
         let hull = (fitting[0].0, fitting[fitting.len() - 1].1);
         let mut rivals = std::mem::take(&mut self.rivals);
         rivals.clear();
-        rivals.extend(
-            pending
-                .iter()
-                .copied()
-                .filter(|&p| fits_span(&all[p], hull)),
-        );
+        let mut visits = 0usize;
+        let first_run = self.runs.partition_point(|run| run.end <= from);
+        for run in &self.runs[first_run..] {
+            let pending = &order[run.start.max(from)..run.end];
+            let skip = if run.zero_wcet {
+                0
+            } else {
+                pending.partition_point(|&p| all[p].release() + run.longest <= hull.0)
+            };
+            for &p in &pending[skip..] {
+                if !run.zero_wcet && all[p].release() >= hull.1 {
+                    break;
+                }
+                visits += 1;
+                if fits_span(&all[p], hull) {
+                    rivals.push(p);
+                }
+            }
+        }
         let mut pairs = 0usize;
         let mut best = fitting[0];
         let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
@@ -485,7 +615,7 @@ impl<'a> Timeline<'a> {
         }
         self.rivals = rivals;
         self.work.lccd_rankings += 1;
-        self.work.prefilter_visits += pending.len() as u64;
+        self.work.prefilter_visits += visits as u64;
         self.work.contention_pairs += pairs as u64;
         best
     }
@@ -496,22 +626,10 @@ impl<'a> Timeline<'a> {
     /// in the coalesced gap. Returns the job's start.
     fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> Option<Time> {
         self.work.shift_calls += 1;
-        let job = &self.jobs.as_slice()[job_idx];
-        let n = slots.len();
+        let wcet = self.jobs.as_slice()[job_idx].wcet();
         // Candidate runs [a..=b], ranked by (exact jobs shifted, start).
         let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        for a in 0..n {
-            let mut total = Duration::ZERO;
-            for b in a..n {
-                total += Self::usable(slots[b]);
-                if total >= job.wcet() {
-                    let cost = self.exact_between(slots[a].0, slots[b].1);
-                    candidates.push((cost, a, b));
-                    break; // longer runs only shift more jobs
-                }
-            }
-        }
+        self.shift_candidates(wcet, slots, &mut candidates);
         candidates.sort_unstable();
         let mut placed = None;
         for &(_, a, b) in &candidates {
@@ -525,10 +643,59 @@ impl<'a> Timeline<'a> {
         placed
     }
 
-    /// Number of currently-exact placements inside `[lo, hi)`.
-    fn exact_between(&self, lo: Time, hi: Time) -> usize {
-        let (first, past) = self.window_range(lo, hi);
-        self.placed[first..past].iter().filter(|p| p.exact).count()
+    /// The candidate runs of a shifted fit, `(cost, a, b)` in order of
+    /// `a`, into `out`: for each first slot `a`, the shortest run
+    /// `slots[a..=b]` whose usable capacity holds `wcet` (longer runs only
+    /// shift more jobs), and its cost, the number of exact placements
+    /// inside `[slots[a].0, slots[b].1)`.
+    ///
+    /// One sweep builds them all. The end slot `b` never decreases as `a`
+    /// grows: `slots[a..=b(a) − 1]` held less than `wcet`, and so does
+    /// any part of it. Both window bounds therefore only move right, and
+    /// so do the two placement indices `window_range` would return; the
+    /// exact placements between them are counted as they enter and leave.
+    /// Runs stop at the first `a` whose suffix cannot hold the job.
+    fn shift_candidates(
+        &self,
+        wcet: Duration,
+        slots: &[(Time, Time)],
+        out: &mut Vec<(usize, usize, usize)>,
+    ) {
+        out.clear();
+        let Some(&(lo, _)) = slots.first() else {
+            return;
+        };
+        let placed = &self.placed;
+        // `total` is the usable capacity of `slots[a..end]`.
+        let (mut end, mut total) = (0, Duration::ZERO);
+        // `exact` counts the exact placements in `placed[first..past]`
+        // (none when `past <= first`).
+        let mut first = placed.partition_point(|p| p.finish() <= lo);
+        let (mut past, mut exact) = (first, 0);
+        for a in 0..slots.len() {
+            while end < slots.len() && (end == a || total < wcet) {
+                total += Self::usable(slots[end]);
+                end += 1;
+            }
+            if total < wcet {
+                break;
+            }
+            let (lo, hi) = (slots[a].0, slots[end - 1].1);
+            while first < placed.len() && placed[first].finish() <= lo {
+                if first < past {
+                    exact -= usize::from(placed[first].exact);
+                }
+                first += 1;
+            }
+            while past < placed.len() && placed[past].start < hi {
+                if past >= first {
+                    exact += usize::from(placed[past].exact);
+                }
+                past += 1;
+            }
+            out.push((exact, a, end - 1));
+            total = total - Self::usable(slots[a]);
+        }
     }
 
     /// Shifts every placement inside `[lo, hi)` as early as allowed
@@ -671,6 +838,7 @@ impl<'a> Timeline<'a> {
         scratch.placed = self.placed;
         scratch.slots = self.slots;
         scratch.fitting = self.fitting;
+        scratch.runs = self.runs;
         scratch.rivals = self.rivals;
         scratch.candidates = self.candidates;
         scratch.work = self.work;
@@ -1120,6 +1288,33 @@ mod tests {
         best
     }
 
+    /// The shifted fit's candidate runs as they were built before the
+    /// one-sweep build: per first slot `a`, a fresh capacity sum up to
+    /// the first `b` that holds `wcet`, costed by two binary searches for
+    /// the exact placements inside `[slots[a].0, slots[b].1)`.
+    fn reference_candidates(
+        tl: &Timeline<'_>,
+        wcet: Duration,
+        slots: &[(Time, Time)],
+    ) -> Vec<(usize, usize, usize)> {
+        let exact_between = |lo, hi| {
+            let (first, past) = tl.window_range(lo, hi);
+            tl.placed[first..past].iter().filter(|p| p.exact).count()
+        };
+        let mut candidates = Vec::new();
+        for a in 0..slots.len() {
+            let mut total = Duration::ZERO;
+            for b in a..slots.len() {
+                total += Timeline::usable(slots[b]);
+                if total >= wcet {
+                    candidates.push((exact_between(slots[a].0, slots[b].1), a, b));
+                    break;
+                }
+            }
+        }
+        candidates
+    }
+
     /// The allocator with a clone-and-rollback shift: every candidate run
     /// snapshots the timeline, compacts, re-sorts, and restores the
     /// snapshot when the coalesced gap does not take the job.
@@ -1144,17 +1339,7 @@ mod tests {
         if slots.iter().map(|&s| Timeline::usable(s)).sum::<Duration>() < job.wcet() {
             return None;
         }
-        let mut candidates = Vec::new();
-        for a in 0..slots.len() {
-            let mut total = Duration::ZERO;
-            for b in a..slots.len() {
-                total += Timeline::usable(slots[b]);
-                if total >= job.wcet() {
-                    candidates.push((tl.exact_between(slots[a].0, slots[b].1), a, b));
-                    break;
-                }
-            }
-        }
+        let mut candidates = reference_candidates(tl, job.wcet(), &slots);
         candidates.sort_unstable();
         for (_, a, b) in candidates {
             let (lo, hi) = (slots[a].0, slots[b].1);
@@ -1183,26 +1368,35 @@ mod tests {
         None
     }
 
-    /// The hull prefilter never changes the LCC-D choice: on random
-    /// timelines and random pending suffixes, `pick_slot` agrees with the
-    /// full-pending scan, zero-WCET jobs and horizon-clipped windows
+    /// The run-bounded prefilter reads a subset of the pending jobs but
+    /// keeps exactly the full scan's rivals, in the full scan's order,
+    /// so the LCC-D choice never changes. Orders are the unplaced jobs
+    /// shuffled (short runs) or sorted by `priority_rank` (one run per
+    /// priority class, as synthesis and repair allocate them); the
+    /// pending jobs are a random suffix of the planned order, as in an
+    /// allocation loop. Zero-WCET jobs and horizon-clipped windows
     /// included.
     #[test]
     fn pick_slot_matches_the_full_pending_scan() {
+        use crate::solve::priority_rank;
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         let (mut single, mut ranked, mut zero_wcet_rivals, mut at_horizon) = (0, 0, 0, 0);
+        let (mut visits, mut scanned, mut long_runs) = (0, 0, 0);
         for round in 0..3000 {
             let n = rng.random_range(2..24u32);
             let span = rng.random_range(12..80u64);
             let js = random_jobs(&mut rng, n, span, true);
             let mut tl = Timeline::with_exact_jobs(&js, &[]);
-            let left = seed_timeline(&mut rng, &mut tl, &js);
-            let Some((&target, rest)) = left.split_first() else {
+            let mut order = seed_timeline(&mut rng, &mut tl, &js);
+            if round % 2 == 0 {
+                order.sort_by_key(|&i| priority_rank(&js.as_slice()[i]));
+            }
+            let Some(pos) = (!order.is_empty()).then(|| rng.random_range(0..order.len())) else {
                 continue;
             };
-            let job = &js.as_slice()[target];
+            let job = &js.as_slice()[order[pos]];
             let fitting: Vec<_> = tl
                 .slots_within(job.release(), job.abs_deadline())
                 .into_iter()
@@ -1211,36 +1405,89 @@ mod tests {
             if fitting.is_empty() {
                 continue;
             }
-            let pending = &rest[rng.random_range(0..=rest.len())..];
+            tl.plan(&order);
+            long_runs += usize::from(tl.runs.iter().any(|run| run.end - run.start > 2));
+            let pending = &order[pos + 1..];
             let want = reference_lccd(&tl, &fitting, pending);
             let got = tl.pick_slot(
                 &fitting,
-                pending,
+                &order,
+                pos + 1,
                 SlotPolicy::LeastContentionCapacityDecreasing,
             );
-            assert_eq!(
-                got, want,
-                "round {round}: fitting {fitting:?}, pending {pending:?}"
-            );
+            let case = format!("round {round}: fitting {fitting:?}, pending {pending:?}");
+            assert_eq!(got, want, "{case}");
             if fitting.len() == 1 {
                 single += 1;
-            } else {
-                ranked += 1;
-                zero_wcet_rivals += usize::from(
-                    pending
-                        .iter()
-                        .any(|&p| js.as_slice()[p].wcet() == Duration::ZERO),
-                );
-                at_horizon += usize::from(fitting[fitting.len() - 1].1 == js.horizon());
+                continue;
             }
+            ranked += 1;
+            let hull = (fitting[0].0, fitting[fitting.len() - 1].1);
+            let rivals: Vec<usize> = pending
+                .iter()
+                .copied()
+                .filter(|&p| fits_span(&js.as_slice()[p], hull))
+                .collect();
+            assert_eq!(tl.rivals, rivals, "{case}");
+            zero_wcet_rivals += usize::from(
+                pending
+                    .iter()
+                    .any(|&p| js.as_slice()[p].wcet() == Duration::ZERO),
+            );
+            at_horizon += usize::from(hull.1 == js.horizon());
+            visits += tl.work.prefilter_visits;
+            scanned += pending.len() as u64;
         }
         assert!(
             single > 100 && ranked > 500,
             "{single} single, {ranked} ranked"
         );
         assert!(
-            zero_wcet_rivals > 100 && at_horizon > 100,
-            "{zero_wcet_rivals}, {at_horizon}"
+            zero_wcet_rivals > 100 && at_horizon > 100 && long_runs > 500,
+            "{zero_wcet_rivals}, {at_horizon}, {long_runs}"
+        );
+        // The cut reads fewer jobs than the full scan, never more.
+        assert!(0 < visits && visits < scanned, "{visits} of {scanned}");
+    }
+
+    /// The one-sweep candidate build gives the per-start build's
+    /// `(cost, a, b)` list, in the same order, for random windows over
+    /// random timelines (exact, shifted and compacted placements) and
+    /// random WCETs: zero, fitting a slot, needing several slots, and
+    /// beyond the window's whole capacity.
+    #[test]
+    fn shift_candidates_match_the_per_start_build() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut multi_slot, mut costed, mut cut_short) = (0, 0, 0);
+        let mut out = Vec::new();
+        for round in 0..3000 {
+            let n = rng.random_range(2..28u32);
+            let span = rng.random_range(16..80u64);
+            let js = random_jobs(&mut rng, n, span, round % 2 == 1);
+            let mut tl = Timeline::with_exact_jobs(&js, &[]);
+            let left = seed_timeline(&mut rng, &mut tl, &js);
+            for (k, &idx) in left.iter().enumerate() {
+                if rng.random_range(0..2u32) == 0 {
+                    let _ = tl.allocate(idx, &left[k + 1..], SlotPolicy::default());
+                }
+            }
+            let lo = rng.random_range(0..span);
+            let hi = rng.random_range(lo + 1..=span);
+            let slots = tl.slots_within(Time::from_millis(lo), Time::from_millis(hi));
+            let capacity: Duration = slots.iter().map(|&s| Timeline::usable(s)).sum();
+            let wcet = Duration::from_millis(rng.random_range(0..=capacity.as_micros() / 1000 + 1));
+            let want = reference_candidates(&tl, wcet, &slots);
+            tl.shift_candidates(wcet, &slots, &mut out);
+            assert_eq!(out, want, "round {round}: {slots:?}, wcet {wcet:?}");
+            multi_slot += usize::from(want.iter().any(|&(_, a, b)| b > a));
+            costed += usize::from(want.iter().any(|&(cost, ..)| cost > 0));
+            cut_short += usize::from(!want.is_empty() && want.len() < slots.len());
+        }
+        assert!(
+            multi_slot > 300 && costed > 300 && cut_short > 300,
+            "{multi_slot} multi-slot, {costed} costed, {cut_short} cut short"
         );
     }
 

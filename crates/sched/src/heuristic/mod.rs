@@ -133,10 +133,10 @@ fn synthesize_on(
     // Allocate sacrificed jobs, largest Pi first (Algorithm 1 line 11).
     let all = jobs.as_slice();
     order.sort_by_key(|&i| priority_rank(&all[i]));
+    timeline.plan(order);
     for pos in 0..order.len() {
         let idx = order[pos];
-        let pending = &order[pos + 1..];
-        if timeline.allocate(idx, pending, policy).is_none() {
+        if timeline.allocate_in(order, pos, policy).is_none() {
             // Algorithm 1 line 19: {infeasible, 0} — enriched with
             // where the allocation died and how far it got.
             let (psi, upsilon) = timeline.partial_quality(&mut Vec::new());

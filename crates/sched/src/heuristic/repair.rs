@@ -76,7 +76,7 @@ pub struct RepairScratch {
     /// Per job position, `true` when the job is re-placed rather than
     /// pinned. Escalation rounds grow it in place.
     disturbed: Vec<bool>,
-    base_starts: Vec<(JobId, Time)>,
+    positions: JobPositions,
     pinned: Vec<(usize, Time)>,
     to_place: Vec<usize>,
     /// Positions of the jobs the last failed round's diagnostic names.
@@ -114,6 +114,16 @@ pub enum Tier {
     Fps,
 }
 
+impl Tier {
+    /// Whether the tier reads the ladder's base schedule:
+    /// [`Tier::Retime`] and [`Tier::Neighbourhood`] do, the tiers that
+    /// build from scratch do not.
+    #[must_use]
+    pub fn reads_base(self) -> bool {
+        matches!(self, Tier::Retime | Tier::Neighbourhood)
+    }
+}
+
 /// A schedule the ladder built, and the tier that built it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
@@ -131,8 +141,8 @@ pub struct RepairOutcome {
 /// live schedule `base`, and the first tier that yields a schedule wins.
 ///
 /// The tiers share `scratch`, which also counts their [`LadderWork`].
-/// [`Tier::Retime`] and [`Tier::Neighbourhood`] read `base`; the other
-/// tiers ignore it.
+/// Only the tiers that [`Tier::reads_base`] read `base`; the other tiers
+/// ignore it.
 ///
 /// # Errors
 /// When every tier failed, the diagnostic of the last tier that failed
@@ -176,34 +186,100 @@ pub fn ladder_in(
     Err(diagnostic.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
 }
 
-/// `(job, start)` pairs of a schedule, sorted by job id for binary
-/// search, rebuilt into `out`.
-fn sorted_starts_into(base: &Schedule, out: &mut Vec<(JobId, Time)>) {
-    out.clear();
-    out.extend(base.iter().map(|e| (e.job, e.start)));
-    out.sort_unstable_by_key(|&(job, _)| job);
+/// Each job's position in a job set by its `(task, index)` id, built
+/// without sorting: a pass over the jobs counts each task's jobs, and a
+/// second lays them out task by task, job `index` of a task at its
+/// block's offset plus `index`. A job set holds each id once, and
+/// [`JobSet::expand`] numbers a task's jobs `0..count`, so every job of
+/// an expanded set lands in its slot. Ids that do not (hand-built sets)
+/// go to a sorted overflow list instead.
+#[derive(Debug, Default)]
+struct JobPositions {
+    /// Per task, sorted by id: the task, its block's offset in `rows`,
+    /// and its job count.
+    tasks: Vec<(TaskId, usize, usize)>,
+    /// Job positions by block offset plus index; `usize::MAX` where no
+    /// job landed.
+    rows: Vec<usize>,
+    /// The jobs whose index did not land in their block, sorted by id.
+    overflow: Vec<(JobId, usize)>,
 }
 
-fn lookup_start(starts: &[(JobId, Time)], job: JobId) -> Option<Time> {
-    starts
-        .binary_search_by_key(&job, |&(j, _)| j)
-        .ok()
-        .map(|i| starts[i].1)
+impl JobPositions {
+    fn build(&mut self, all: &[Job]) {
+        self.tasks.clear();
+        for job in all {
+            let task = job.id().task;
+            match self.tasks.binary_search_by_key(&task, |&(t, ..)| t) {
+                Ok(k) => self.tasks[k].2 += 1,
+                Err(k) => self.tasks.insert(k, (task, 0, 1)),
+            }
+        }
+        let mut offset = 0;
+        for (_, start, count) in &mut self.tasks {
+            *start = offset;
+            offset += *count;
+        }
+        self.rows.clear();
+        self.rows.resize(all.len(), usize::MAX);
+        self.overflow.clear();
+        for (pos, job) in all.iter().enumerate() {
+            let JobId { task, index } = job.id();
+            let (_, offset, count) = self.tasks[self.tasks.partition_point(|&(t, ..)| t < task)];
+            let index = index as usize;
+            if index < count && self.rows[offset + index] == usize::MAX {
+                self.rows[offset + index] = pos;
+            } else {
+                self.overflow.push((job.id(), pos));
+            }
+        }
+        self.overflow.sort_unstable();
+    }
+
+    /// The position of the job `id`, if the set holds it.
+    fn position(&self, id: JobId) -> Option<usize> {
+        let k = self
+            .tasks
+            .binary_search_by_key(&id.task, |&(t, ..)| t)
+            .ok()?;
+        let (_, offset, count) = self.tasks[k];
+        let index = id.index as usize;
+        match (index < count).then(|| self.rows[offset + index]) {
+            Some(pos) if pos != usize::MAX => Some(pos),
+            _ => self
+                .overflow
+                .binary_search_by_key(&id, |&(j, _)| j)
+                .ok()
+                .map(|i| self.overflow[i].1),
+        }
+    }
+}
+
+/// Each job's start in `base` by job position, into `scratch.base_at`
+/// (`None` for a job `base` does not place). Rows of `base` for jobs
+/// outside `jobs` are skipped.
+fn base_starts(jobs: &JobSet, base: &Schedule, scratch: &mut RepairScratch) {
+    scratch.positions.build(jobs.as_slice());
+    scratch.base_at.clear();
+    scratch.base_at.resize(jobs.len(), None);
+    for entry in base {
+        if let Some(pos) = scratch.positions.position(entry.job) {
+            scratch.base_at[pos] = Some(entry.start);
+        }
+    }
 }
 
 /// The round-invariant half of a repair against `base`: which job
 /// positions keep a feasible base placement, and those placements in
 /// start order. Clears the disturbed bitmap.
 fn prepare(jobs: &JobSet, base: &Schedule, scratch: &mut RepairScratch) {
-    // Sorted lookup table instead of a HashMap: repair sits on the hot
-    // path of every online event, and binary search over a sorted Vec is
-    // markedly cheaper than hashing per job.
-    sorted_starts_into(base, &mut scratch.base_starts);
+    base_starts(jobs, base, scratch);
     let all = jobs.as_slice();
-    scratch.base_at.clear();
-    scratch.base_at.extend(all.iter().map(|job| {
-        lookup_start(&scratch.base_starts, job.id()).filter(|&start| job.start_feasible(start))
-    }));
+    for (start, job) in scratch.base_at.iter_mut().zip(all) {
+        if start.is_some_and(|start| !job.start_feasible(start)) {
+            *start = None;
+        }
+    }
     scratch.base_order.clear();
     scratch.base_order.extend(
         scratch
@@ -274,6 +350,7 @@ fn try_repair(
 
     // Highest priority first, like the static scheduler's phase three.
     scratch.to_place.sort_by_key(|&i| priority_rank(&all[i]));
+    timeline.plan(&scratch.to_place);
     // Periodicity fast path: once one job of a task is placed, its later
     // jobs usually fit at the same relative offset (the schedule repeats,
     // §III.C) — an O(log n) probe instead of a full slot allocation.
@@ -304,8 +381,7 @@ fn try_repair(
         if scratch.failed_tasks.contains(&job.id().task) {
             continue;
         }
-        let pending = &scratch.to_place[pos + 1..];
-        match timeline.allocate(idx, pending, policy) {
+        match timeline.allocate_in(&scratch.to_place, pos, policy) {
             Some(start) => {
                 scratch.offsets.insert(job.id().task, start - job.release());
             }
@@ -344,19 +420,19 @@ pub fn retime_in(
     base: &Schedule,
     scratch: &mut RepairScratch,
 ) -> Result<Schedule, Infeasible> {
-    sorted_starts_into(base, &mut scratch.base_starts);
-    let starts = &scratch.base_starts;
+    base_starts(jobs, base, scratch);
+    let starts = &scratch.base_at;
     let uncovered: Vec<JobId> = jobs
         .iter()
-        .filter(|j| lookup_start(starts, j.id()).is_none())
-        .map(Job::id)
+        .zip(starts)
+        .filter(|(_, start)| start.is_none())
+        .map(|(job, _)| job.id())
         .collect();
     if !uncovered.is_empty() {
         return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs(uncovered));
     }
     // Coverage was checked above: the fallback only avoids an `expect`.
-    let all = jobs.as_slice();
-    let base_start = |i: usize| lookup_start(starts, all[i].id()).unwrap_or(Time::ZERO);
+    let base_start = |i: usize| starts[i].unwrap_or(Time::ZERO);
     dispatch(
         jobs,
         base_start,
@@ -858,6 +934,175 @@ mod tests {
         assert_eq!(work.resyntheses, (resynthesized + rejected) as u64);
     }
 
+    /// The sorted lookup behind `prepare` and `retime_in` before the
+    /// position table: the base's `(job, start)` pairs sorted by job id,
+    /// and one binary search per job.
+    fn reference_base_at(jobs: &JobSet, base: &Schedule) -> Vec<Option<Time>> {
+        let mut starts: Vec<(JobId, Time)> = base.iter().map(|e| (e.job, e.start)).collect();
+        starts.sort_unstable_by_key(|&(job, _)| job);
+        jobs.iter()
+            .map(|job| {
+                starts
+                    .binary_search_by_key(&job.id(), |&(j, _)| j)
+                    .ok()
+                    .map(|i| starts[i].1)
+            })
+            .collect()
+    }
+
+    /// `retime_in` on the sorted lookup.
+    fn reference_retime(jobs: &JobSet, base: &Schedule) -> Result<Schedule, Infeasible> {
+        let starts = reference_base_at(jobs, base);
+        let uncovered: Vec<JobId> = jobs
+            .iter()
+            .zip(&starts)
+            .filter(|(_, start)| start.is_none())
+            .map(|(job, _)| job.id())
+            .collect();
+        if !uncovered.is_empty() {
+            return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs(uncovered));
+        }
+        let base_start = |i: usize| starts[i].unwrap_or(Time::ZERO);
+        dispatch(
+            jobs,
+            base_start,
+            |i| (base_start(i), i),
+            InfeasibleCause::NoFeasibleSlot,
+        )
+    }
+
+    /// The position table finds every base start the sorted lookup
+    /// finds: `prepare` builds the same feasible starts and start order,
+    /// and `retime_in` the same schedule or diagnostic, on one reused
+    /// scratch. Job sets are random paper systems, some with release
+    /// offsets; bases are arrival-shaped (repeated to a grown
+    /// hyper-period), spike-shaped (WCETs scaled, some starts now
+    /// infeasible), departure-shaped (rows for jobs the set lacks), or
+    /// miss a task. Hand-built sets whose ids are not numbered `0..count`
+    /// per task go through the overflow list.
+    #[test]
+    fn prepare_matches_the_sorted_lookup() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use tagio_core::quality::QualityCurve;
+        use tagio_core::task::Priority;
+        use tagio_workload::SystemConfig;
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = RepairScratch::default();
+        let mut check = |jobs: &JobSet, base: &Schedule, label: &str| {
+            let want = reference_base_at(jobs, base);
+            let all = jobs.as_slice();
+            let feasible: Vec<Option<Time>> = want
+                .iter()
+                .zip(all)
+                .map(|(&start, job)| start.filter(|&s| job.start_feasible(s)))
+                .collect();
+            let mut order: Vec<(Time, Time, usize)> = feasible
+                .iter()
+                .enumerate()
+                .filter_map(|(i, start)| start.map(|s| (s, s + all[i].wcet(), i)))
+                .collect();
+            order.sort_unstable();
+            scratch.disturbed = vec![true; 3];
+            prepare(jobs, base, &mut scratch);
+            assert_eq!(scratch.base_at, feasible, "{label}");
+            assert_eq!(scratch.base_order, order, "{label}");
+            assert_eq!(scratch.disturbed, vec![false; jobs.len()], "{label}");
+            let got = retime_in(jobs, base, &mut scratch);
+            assert_eq!(got, reference_retime(jobs, base), "{label}");
+            (want.iter().any(Option::is_none), feasible != want)
+        };
+        let (mut missing, mut infeasible) = (0, 0);
+        for case in 0..150 {
+            let u = 0.05 * f64::from(rng.random_range(6..=18u32));
+            let mut tasks: Vec<IoTask> = SystemConfig::paper(u)
+                .generate(&mut rng)
+                .iter()
+                .cloned()
+                .collect();
+            if case % 3 == 0 {
+                for t in &mut tasks {
+                    let offset = t.period().as_micros() * rng.random_range(0..4u64) / 4;
+                    *t = builder_like(t)
+                        .release_offset(Duration::from_micros(offset))
+                        .build()
+                        .expect("an offset below the period keeps the task valid");
+                }
+            }
+            let set = |tasks: &[IoTask]| -> TaskSet { tasks.iter().cloned().collect() };
+            let (old, new) = (set(&tasks[..tasks.len() - 1]), set(&tasks));
+            let Ok(live) = StaticScheduler::new().schedule(&JobSet::expand(&new)) else {
+                continue;
+            };
+            let label = format!("case {case}, u {u:.2}");
+            let (a, b) = check(&JobSet::expand(&new), &live, &format!("{label}, live"));
+            let (c, _) = check(&JobSet::expand(&old), &live, &format!("{label}, departure"));
+            let percent = rng.random_range(80..=300u64);
+            let spiked: Vec<IoTask> = tasks.iter().filter_map(|t| scaled(t, percent)).collect();
+            let (_, d) = check(
+                &JobSet::expand(&set(&spiked)),
+                &live,
+                &format!("{label}, spike"),
+            );
+            if let Ok(part) = StaticScheduler::new().schedule(&JobSet::expand(&old)) {
+                let (old_h, new_h) = (old.hyperperiod(), new.hyperperiod());
+                let base = part.repeat((new_h / old_h) as u32, old_h);
+                let (e, _) = check(&JobSet::expand(&new), &base, &format!("{label}, arrival"));
+                missing += usize::from(e);
+            }
+            missing += usize::from(a || c);
+            infeasible += usize::from(b || d);
+        }
+        assert!(missing > 50 && infeasible > 20, "{missing}, {infeasible}");
+
+        // Hand-built ids: gaps, one index past the task's count, and
+        // tasks out of id order.
+        let hand = |task: u32, index: u32, release_ms: u64| {
+            Job::new(
+                JobId::new(TaskId(task), index),
+                Time::from_millis(release_ms),
+                Time::from_millis(release_ms),
+                Time::from_millis(release_ms + 4),
+                Duration::from_millis(1),
+                Duration::ZERO,
+                Priority(0),
+                QualityCurve::linear(1.0, 0.0),
+            )
+        };
+        let jobs = JobSet::from_jobs(
+            vec![hand(7, 5, 0), hand(7, 0, 4), hand(2, 1, 8), hand(9, 0, 12)],
+            Duration::from_millis(16),
+        );
+        let base: Schedule = jobs
+            .iter()
+            .map(|j| tagio_core::schedule::ScheduleEntry {
+                job: j.id(),
+                start: j.release(),
+                duration: j.wcet(),
+            })
+            .chain([tagio_core::schedule::ScheduleEntry {
+                job: JobId::new(TaskId(2), 0),
+                start: Time::ZERO,
+                duration: Duration::from_millis(1),
+            }])
+            .collect();
+        let (unplaced, _) = check(&jobs, &base, "hand-built ids");
+        assert!(!unplaced);
+    }
+
+    /// A builder holding every parameter of `task`.
+    fn builder_like(task: &IoTask) -> tagio_core::task::IoTaskBuilder {
+        IoTask::builder(task.id(), task.device())
+            .wcet(task.wcet())
+            .period(task.period())
+            .deadline(task.deadline())
+            .ideal_offset(task.ideal_offset())
+            .margin(task.margin())
+            .priority(task.priority())
+            .quality(task.vmax(), task.vmin())
+            .release_offset(task.release_offset())
+    }
+
     type Outcome = Result<RepairOutcome, Infeasible>;
 
     /// The neighbourhood tier escalating to Algorithm 1 on the same
@@ -945,17 +1190,7 @@ mod tests {
     /// service rescales under a spike; `None` when that breaks the task.
     fn scaled(task: &IoTask, percent: u64) -> Option<IoTask> {
         let wcet = Duration::from_micros((task.wcet().as_micros() * percent / 100).max(1));
-        IoTask::builder(task.id(), task.device())
-            .wcet(wcet)
-            .period(task.period())
-            .deadline(task.deadline())
-            .ideal_offset(task.ideal_offset())
-            .margin(task.margin())
-            .priority(task.priority())
-            .quality(task.vmax(), task.vmin())
-            .release_offset(task.release_offset())
-            .build()
-            .ok()
+        builder_like(task).wcet(wcet).build().ok()
     }
 
     /// Same schedule, `replaced` and winning tier, or the same cause,
