@@ -57,6 +57,9 @@ const DETERMINISM: &[&str] = &[
     "crates/sched/src/heuristic/repair.rs",
     "crates/core/src/metrics.rs",
     "crates/core/src/schedule.rs",
+    "crates/ga/src/engine.rs",
+    "crates/ga/src/nsga2.rs",
+    "crates/sched/src/ga_sched.rs",
 ];
 
 const PANIC_NEEDLES: &[&str] = &[
@@ -620,6 +623,22 @@ mod tests {
         );
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].excerpt.contains("{tenant}_shed"));
+    }
+
+    #[test]
+    fn ga_modules_are_determinism_critical() {
+        // They decide the GA's fronts, which the offline digests pin.
+        let src = "let t = Instant::now();\nlet m: HashMap<u32, u32> = HashMap::new();\n";
+        for rel in [
+            "crates/ga/src/engine.rs",
+            "crates/ga/src/nsga2.rs",
+            "crates/sched/src/ga_sched.rs",
+        ] {
+            let mut findings = Vec::new();
+            lint_file(rel, src, "", &mut findings);
+            let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+            assert_eq!(rules, ["no-wall-clock", "no-unordered-iter"], "{rel}");
+        }
     }
 
     #[test]

@@ -1,69 +1,30 @@
-//! Criterion bench: the cost of **one GA generation** — population
-//! evaluation (the reconfiguration function + Ψ/Υ metrics per genome)
-//! followed by NSGA-II survivor selection — at 1 vs. N evaluation threads.
+//! Criterion bench: the GA scheduler at a one-generation budget —
+//! `GaScheduler::search_with` scoring an initial population and one
+//! generation of offspring through the reconfiguration function, then
+//! NSGA-II survivor selection and the front's schedules — at 1, 4 and
+//! all-cores evaluation widths.
 //!
-//! This is the hot path the parallel engine refactor targets: at paper
-//! scale (`--pop 300 --gens 500`) the GA evaluates 150k genomes per
-//! system, so the `threads/4` row tracking ≥ 2× below `threads/1` on a
-//! 4-core box is the refactor's perf trajectory. (On a single-core runner
-//! the two rows coincide — the engine is bit-identical either way.)
+//! This is the shipped search path, so the rows move with every change
+//! to genome evaluation or survivor selection. At paper scale
+//! (`--pop 300 --gens 500`) the GA evaluates 150k genomes per system.
+//! On a multi-core box the `threads/4` row should sit ≥ 2× below
+//! `threads/1`; on a single-core runner the rows coincide (the search is
+//! bit-identical at every width).
 //!
 //! ```text
 //! cargo bench -p tagio-bench --bench ga_generation
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
 use std::hint::black_box;
 use tagio_bench::generate_systems;
-use tagio_core::job::JobSet;
-use tagio_core::metrics;
-use tagio_ga::nsga2::rank_and_crowd;
-use tagio_ga::{evaluate_population, Objectives, Problem};
-use tagio_sched::reconfigure;
-
-/// The I/O scheduling problem exactly as the GA scheduler poses it: one
-/// start-time gene per job, reconfiguration before evaluation, the paper's
-/// (Ψ, Υ) objectives, (−1, −1) for infeasible layouts.
-struct IoProblem<'a> {
-    jobs: &'a JobSet,
-}
-
-impl Problem for IoProblem<'_> {
-    type Gene = u64;
-
-    fn genome_len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    fn random_gene(&self, locus: usize, rng: &mut dyn Rng) -> u64 {
-        let job = &self.jobs.as_slice()[locus];
-        let lo = job.window_start().as_micros();
-        let hi = job.window_end().as_micros().max(lo);
-        rng.random_range(lo..=hi)
-    }
-
-    fn evaluate(&self, genome: &[u64]) -> Objectives {
-        let (psi, upsilon) = match reconfigure(self.jobs, genome) {
-            Ok(schedule) => metrics::quality(&schedule, self.jobs),
-            Err(_) => (-1.0, -1.0),
-        };
-        Objectives::from(vec![psi, upsilon])
-    }
-}
+use tagio_core::solve::SolverCtx;
+use tagio_ga::GaConfig;
+use tagio_sched::GaScheduler;
 
 fn bench_ga_generation(c: &mut Criterion) {
     let sys = generate_systems(0.6, 1, 42).pop().expect("one system");
-    let problem = IoProblem { jobs: &sys.jobs };
-    let mut rng = StdRng::seed_from_u64(1);
-    let population: Vec<Vec<u64>> = (0..256)
-        .map(|_| {
-            (0..problem.genome_len())
-                .map(|locus| problem.random_gene(locus, &mut rng))
-                .collect()
-        })
-        .collect();
+    let ctx = SolverCtx::seeded(1);
 
     let mut group = c.benchmark_group("ga_generation");
     group.sample_size(10);
@@ -72,16 +33,15 @@ fn bench_ga_generation(c: &mut Criterion) {
     counts.sort_unstable();
     counts.dedup(); // duplicate criterion ids are an error on 1- or 4-core boxes
     for threads in counts {
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let scores = evaluate_population(&problem, &population, threads);
-                    black_box(rank_and_crowd(&scores))
-                });
-            },
-        );
+        let ga = GaScheduler::new().with_config(GaConfig {
+            population: 256,
+            generations: 1,
+            threads,
+            ..GaConfig::default()
+        });
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| black_box(ga.search_with(&sys.jobs, &ctx)));
+        });
     }
     group.finish();
 }

@@ -172,14 +172,28 @@ pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
 /// start of the `i`-th job of `jobs` (in [`JobSet`] order), or `None`
 /// when that job is unplaced.
 ///
-/// This is the module's one Ψ/Υ summation loop: [`quality`], and through
-/// it [`psi`] and [`upsilon`], sum here too. Allocators that already hold
+/// This is the module's one Ψ/Υ summation loop (it runs in
+/// [`quality_with_peak`]): [`quality`], and through it [`psi`] and
+/// [`upsilon`], sum here too. Allocators that already hold
 /// their placements by job position (the repair ladder, the GA's genome
 /// scoring) call it directly instead of building a [`Schedule`] and
 /// sorting it into a lookup table, and get the bits [`quality`] gives
 /// for that schedule.
 #[must_use]
-pub fn quality_by(jobs: &JobSet, mut start_of: impl FnMut(usize) -> Option<Time>) -> (f64, f64) {
+pub fn quality_by(jobs: &JobSet, start_of: impl FnMut(usize) -> Option<Time>) -> (f64, f64) {
+    quality_with_peak(jobs, jobs.peak_quality(), start_of)
+}
+
+/// [`quality_by`] with Υ's denominator given: `peak` must be
+/// `jobs.peak_quality()`. A caller that scores many placements of one
+/// job set (the GA, once per genome) computes the peak once instead of
+/// once per placement, and gets [`quality_by`]'s bits.
+#[must_use]
+pub fn quality_with_peak(
+    jobs: &JobSet,
+    peak: f64,
+    mut start_of: impl FnMut(usize) -> Option<Time>,
+) -> (f64, f64) {
     if jobs.is_empty() {
         return (1.0, 1.0);
     }
@@ -196,7 +210,6 @@ pub fn quality_by(jobs: &JobSet, mut start_of: impl FnMut(usize) -> Option<Time>
         }
     }
     let psi = exact as f64 / jobs.len() as f64;
-    let peak = jobs.peak_quality();
     let upsilon = if peak <= 0.0 || peak.is_nan() {
         0.0
     } else {

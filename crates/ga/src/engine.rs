@@ -6,6 +6,7 @@ use crate::nsga2::rank_and_crowd;
 use crate::objectives::Objectives;
 use crate::weights::uniform_spread_2d;
 use rand::{Rng, RngExt};
+use std::mem;
 
 /// A problem solvable by the engine. Objectives are **maximised**.
 ///
@@ -15,6 +16,13 @@ use rand::{Rng, RngExt};
 pub trait Problem {
     /// One decision variable.
     type Gene: Clone;
+
+    /// Working memory [`Problem::evaluate`] may reuse from one genome to
+    /// the next (`()` when it needs none). Each evaluation worker owns
+    /// one, made with `Default`, so it may hold whatever the previous
+    /// genome left in it: an evaluation must not read what it did not
+    /// write first.
+    type Scratch: Default + Send;
 
     /// Number of loci in a genome.
     fn genome_len(&self) -> usize;
@@ -40,8 +48,9 @@ pub trait Problem {
         None
     }
 
-    /// Evaluates a genome into its objective vector.
-    fn evaluate(&self, genome: &[Self::Gene]) -> Objectives;
+    /// Evaluates a genome into its objective vector, using `scratch` as
+    /// working memory. The result must depend on `genome` alone.
+    fn evaluate(&self, genome: &[Self::Gene], scratch: &mut Self::Scratch) -> Objectives;
 }
 
 /// Engine parameters.
@@ -109,12 +118,13 @@ impl Default for GaConfig {
 /// available core, by the shared [`tagio_core::pool::resolve_width`]
 /// rule every other `--threads`-style knob uses).
 ///
-/// Results are written back by index, so the output is identical to the
-/// serial `genomes.iter().map(|g| problem.evaluate(g))` regardless of the
-/// thread count — [`Problem::evaluate`] is required to be pure. Small
-/// populations are kept on fewer chunks (at least [`MIN_EVAL_CHUNK`]
-/// genomes per worker) so scheduling overhead cannot dominate toy
-/// problems.
+/// Each chunk evaluates its genomes in order on one
+/// [`Problem::Scratch`] of its own. Results are written back by index,
+/// so the output is identical to evaluating every genome on a fresh
+/// scratch, regardless of the thread count — [`Problem::evaluate`] is
+/// required to be pure. Small populations are kept on fewer chunks (at
+/// least [`MIN_EVAL_CHUNK`] genomes per worker) so scheduling overhead
+/// cannot dominate toy problems.
 pub fn evaluate_population<P>(
     problem: &P,
     genomes: &[Vec<P::Gene>],
@@ -126,7 +136,25 @@ where
 {
     let requested = tagio_core::pool::resolve_width(threads);
     let workers = requested.min(genomes.len().div_ceil(MIN_EVAL_CHUNK)).max(1);
-    tagio_core::pool::WorkerPool::global().map(genomes, workers, |genome| problem.evaluate(genome))
+    let mut out = vec![Objectives::default(); genomes.len()];
+    let evaluate_chunk = |slots: &mut [Objectives], chunk: &[Vec<P::Gene>]| {
+        let mut scratch = P::Scratch::default();
+        for (slot, genome) in slots.iter_mut().zip(chunk) {
+            *slot = problem.evaluate(genome, &mut scratch);
+        }
+    };
+    if workers == 1 {
+        evaluate_chunk(&mut out, genomes);
+    } else {
+        let evaluate_chunk = &evaluate_chunk;
+        let chunk = genomes.len().div_ceil(workers);
+        tagio_core::pool::WorkerPool::global().map_chunks(
+            out.chunks_mut(chunk)
+                .zip(genomes.chunks(chunk))
+                .map(|(slots, chunk)| move || evaluate_chunk(slots, chunk)),
+        );
+    }
+    out
 }
 
 /// Minimum genomes per evaluation worker before another thread is engaged.
@@ -212,27 +240,6 @@ impl<G: Clone> ParetoFront<G> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.solutions.len()
-    }
-
-    /// The solution maximising objective `k`.
-    #[must_use]
-    pub fn best_by(&self, k: usize) -> Option<&Solution<G>> {
-        self.solutions.iter().max_by(|a, b| {
-            a.objectives.values()[k]
-                .partial_cmp(&b.objectives.values()[k])
-                .unwrap_or(core::cmp::Ordering::Equal)
-        })
-    }
-
-    /// The solution maximising the weighted sum of objectives.
-    #[must_use]
-    pub fn best_weighted(&self, weights: &[f64]) -> Option<&Solution<G>> {
-        self.solutions.iter().max_by(|a, b| {
-            a.objectives
-                .weighted_sum(weights)
-                .partial_cmp(&b.objectives.weighted_sum(weights))
-                .unwrap_or(core::cmp::Ordering::Equal)
-        })
     }
 }
 
@@ -336,8 +343,13 @@ where
             )
         });
         order.truncate(config.population);
-        population = order.iter().map(|&i| pool[i].clone()).collect();
-        scores = order.iter().map(|&i| pool_scores[i].clone()).collect();
+        // `order` holds distinct indices, so each survivor is moved out
+        // of the pool exactly once.
+        population = order.iter().map(|&i| mem::take(&mut pool[i])).collect();
+        scores = order
+            .iter()
+            .map(|&i| mem::take(&mut pool_scores[i]))
+            .collect();
     }
     front
 }
@@ -383,13 +395,14 @@ mod tests {
 
     impl Problem for Segment {
         type Gene = f64;
+        type Scratch = ();
         fn genome_len(&self) -> usize {
             1
         }
         fn random_gene(&self, _locus: usize, rng: &mut dyn Rng) -> f64 {
             rng.random::<f64>()
         }
-        fn evaluate(&self, genome: &[f64]) -> Objectives {
+        fn evaluate(&self, genome: &[f64], _: &mut ()) -> Objectives {
             let x = genome[0].clamp(0.0, 1.0);
             Objectives::from(vec![x, 1.0 - x])
         }
@@ -400,16 +413,26 @@ mod tests {
 
     impl Problem for Peak {
         type Gene = f64;
+        type Scratch = ();
         fn genome_len(&self) -> usize {
             1
         }
         fn random_gene(&self, _locus: usize, rng: &mut dyn Rng) -> f64 {
             rng.random::<f64>()
         }
-        fn evaluate(&self, genome: &[f64]) -> Objectives {
+        fn evaluate(&self, genome: &[f64], _: &mut ()) -> Objectives {
             let v = 1.0 - (genome[0] - 0.7).abs();
             Objectives::from(vec![v, v])
         }
+    }
+
+    /// The largest value of objective `k` on the front.
+    fn best_value(front: &ParetoFront<f64>, k: usize) -> f64 {
+        front
+            .solutions()
+            .iter()
+            .map(|s| s.objectives.values()[k])
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     #[test]
@@ -422,8 +445,8 @@ mod tests {
         };
         let front = run(&Segment, &cfg, &mut rng);
         assert!(front.len() >= 10, "front too small: {}", front.len());
-        let best_x = front.best_by(0).unwrap().objectives.values()[0];
-        let best_y = front.best_by(1).unwrap().objectives.values()[1];
+        let best_x = best_value(&front, 0);
+        let best_y = best_value(&front, 1);
         assert!(best_x > 0.95 && best_y > 0.95);
     }
 
@@ -470,13 +493,14 @@ mod tests {
         struct AlwaysInfeasible;
         impl Problem for AlwaysInfeasible {
             type Gene = f64;
+            type Scratch = ();
             fn genome_len(&self) -> usize {
                 1
             }
             fn random_gene(&self, _l: usize, rng: &mut dyn Rng) -> f64 {
                 rng.random::<f64>()
             }
-            fn evaluate(&self, _g: &[f64]) -> Objectives {
+            fn evaluate(&self, _g: &[f64], _: &mut ()) -> Objectives {
                 Objectives::from(vec![-1.0, -1.0])
             }
         }
@@ -489,8 +513,18 @@ mod tests {
     fn best_weighted_picks_extremes() {
         let mut rng = StdRng::seed_from_u64(6);
         let front = run(&Segment, &GaConfig::quick(), &mut rng);
-        let x_heavy = front.best_weighted(&[1.0, 0.0]).unwrap();
-        let y_heavy = front.best_weighted(&[0.0, 1.0]).unwrap();
+        let best_weighted = |weights: &[f64]| {
+            front
+                .solutions()
+                .iter()
+                .max_by(|a, b| {
+                    let wa = a.objectives.weighted_sum(weights);
+                    wa.total_cmp(&b.objectives.weighted_sum(weights))
+                })
+                .expect("non-empty front")
+        };
+        let x_heavy = best_weighted(&[1.0, 0.0]);
+        let y_heavy = best_weighted(&[0.0, 1.0]);
         assert!(x_heavy.objectives.values()[0] >= y_heavy.objectives.values()[0]);
     }
 
@@ -509,6 +543,7 @@ mod tests {
         struct Needle;
         impl Problem for Needle {
             type Gene = f64;
+            type Scratch = ();
             fn genome_len(&self) -> usize {
                 1
             }
@@ -518,7 +553,7 @@ mod tests {
             fn hint_gene(&self, _l: usize) -> Option<f64> {
                 Some(0.9)
             }
-            fn evaluate(&self, g: &[f64]) -> Objectives {
+            fn evaluate(&self, g: &[f64], _: &mut ()) -> Objectives {
                 let v = 1.0 - (g[0] - 0.9).abs();
                 Objectives::from(vec![v, v])
             }
@@ -530,7 +565,7 @@ mod tests {
             ..GaConfig::default()
         };
         let front = run(&Needle, &cfg, &mut StdRng::seed_from_u64(8));
-        let best = front.best_by(0).expect("non-empty").objectives.values()[0];
+        let best = best_value(&front, 0);
         assert!(best > 0.99, "hint not used: best {best}");
     }
 
@@ -566,7 +601,10 @@ mod tests {
         let genomes: Vec<Vec<f64>> = (0..100)
             .map(|_| vec![Segment.random_gene(0, &mut rng)])
             .collect();
-        let serial: Vec<Objectives> = genomes.iter().map(|g| Segment.evaluate(g)).collect();
+        let serial: Vec<Objectives> = genomes
+            .iter()
+            .map(|g| Segment.evaluate(g, &mut ()))
+            .collect();
         for threads in [0, 1, 2, 4, 16] {
             assert_eq!(evaluate_population(&Segment, &genomes, threads), serial);
         }
@@ -578,7 +616,7 @@ mod tests {
         let one = vec![vec![0.25]];
         assert_eq!(
             evaluate_population(&Segment, &one, 4),
-            vec![Segment.evaluate(&one[0])]
+            vec![Segment.evaluate(&one[0], &mut ())]
         );
     }
 
@@ -588,13 +626,14 @@ mod tests {
         struct Empty;
         impl Problem for Empty {
             type Gene = f64;
+            type Scratch = ();
             fn genome_len(&self) -> usize {
                 0
             }
             fn random_gene(&self, _l: usize, _r: &mut dyn Rng) -> f64 {
                 0.0
             }
-            fn evaluate(&self, _g: &[f64]) -> Objectives {
+            fn evaluate(&self, _g: &[f64], _: &mut ()) -> Objectives {
                 Objectives::from(vec![0.0, 0.0])
             }
         }

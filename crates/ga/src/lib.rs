@@ -22,11 +22,12 @@
 //!
 //! impl Problem for Segment {
 //!     type Gene = f64;
+//!     type Scratch = ();
 //!     fn genome_len(&self) -> usize { 1 }
 //!     fn random_gene(&self, _locus: usize, rng: &mut dyn Rng) -> f64 {
 //!         rng.random::<f64>()
 //!     }
-//!     fn evaluate(&self, genome: &[f64]) -> Objectives {
+//!     fn evaluate(&self, genome: &[f64], _: &mut ()) -> Objectives {
 //!         let x = genome[0].clamp(0.0, 1.0);
 //!         Objectives::from(vec![x, 1.0 - x])
 //!     }

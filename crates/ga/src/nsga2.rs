@@ -7,29 +7,49 @@ use crate::objectives::Objectives;
 
 /// Assigns each point a front rank (0 = non-dominated). Returns the fronts
 /// as index lists, best first.
+///
+/// Every pair is compared once, on a flat copy of the values. The first
+/// front lists its members by index; each later one in the order they
+/// lose their last dominator while the front before it is walked. The
+/// engine's survivor order, and so its tournament draws, depend on it.
+///
+/// # Panics
+/// Panics if the points have different numbers of objectives.
 #[must_use]
 pub fn fast_non_dominated_sort(points: &[Objectives]) -> Vec<Vec<usize>> {
     let n = points.len();
+    let m = points.first().map_or(0, Objectives::len);
+    assert!(
+        points.iter().all(|p| p.len() == m),
+        "objective arity mismatch"
+    );
+    let flat: Vec<f64> = points.iter().flat_map(|p| p.values()).copied().collect();
+    // `dominates[i]` lists the points `i` dominates in increasing index
+    // order: pairs `(k, i)` with `k < i` push during earlier rows, pairs
+    // `(i, j)` with `j > i` during row `i`.
     let mut dominates: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut dominated_by: Vec<usize> = vec![0; n];
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut first = Vec::new();
     for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
+        let a = &flat[i * m..(i + 1) * m];
+        for j in i + 1..n {
+            let b = &flat[j * m..(j + 1) * m];
+            // NaN compares neither way, exactly as in `Objectives::dominates`.
+            let (mut a_better, mut b_better) = (false, false);
+            for (x, y) in a.iter().zip(b) {
+                a_better |= x > y;
+                b_better |= x < y;
             }
-            if points[i].dominates(&points[j]) {
+            if a_better && !b_better {
                 dominates[i].push(j);
-            } else if points[j].dominates(&points[i]) {
+                dominated_by[j] += 1;
+            } else if b_better && !a_better {
+                dominates[j].push(i);
                 dominated_by[i] += 1;
             }
         }
-        if dominated_by[i] == 0 {
-            first.push(i);
-        }
     }
-    let mut current = first;
+    let mut fronts: Vec<Vec<usize>> = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&i| dominated_by[i] == 0).collect();
     while !current.is_empty() {
         let mut next = Vec::new();
         for &i in &current {
@@ -122,6 +142,78 @@ mod tests {
         let fronts = fast_non_dominated_sort(&pts);
         assert_eq!(fronts.len(), 1);
         assert_eq!(fronts[0].len(), 3);
+    }
+
+    /// The per-point scan the pair loop replaced: every ordered pair
+    /// tested through `Objectives::dominates`.
+    fn reference_sort(points: &[Objectives]) -> Vec<Vec<usize>> {
+        let n = points.len();
+        let mut dominates: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut dominated_by: Vec<usize> = vec![0; n];
+        let mut current = Vec::new();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                if points[i].dominates(&points[j]) {
+                    dominates[i].push(j);
+                } else if points[j].dominates(&points[i]) {
+                    dominated_by[i] += 1;
+                }
+            }
+            if dominated_by[i] == 0 {
+                current.push(i);
+            }
+        }
+        let mut fronts = Vec::new();
+        while !current.is_empty() {
+            let mut next = Vec::new();
+            for &i in &current {
+                for &j in &dominates[i] {
+                    dominated_by[j] -= 1;
+                    if dominated_by[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            fronts.push(current);
+            current = next;
+        }
+        fronts
+    }
+
+    #[test]
+    fn sort_matches_the_per_point_scan() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for case in 0..200 {
+            let n = rng.random_range(0..90usize);
+            let m = 1 + case % 3;
+            // Few distinct values, so ties, duplicates and equal
+            // coordinates are common; the GA's infeasible sentinel and
+            // NaN are in the mix.
+            let pts: Vec<Objectives> = (0..n)
+                .map(|_| {
+                    (0..m)
+                        .map(|_| match rng.random_range(0..12u32) {
+                            0 => -1.0,
+                            1 if case % 4 == 0 => f64::NAN,
+                            v => f64::from(v) / 4.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                fast_non_dominated_sort(&pts),
+                reference_sort(&pts),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn sort_rejects_mixed_arity() {
+        let _ = fast_non_dominated_sort(&[o(&[1.0, 2.0]), o(&[1.0])]);
     }
 
     #[test]

@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// assert!(a.dominates(&b));
 /// assert!(!b.dominates(&a));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default is the empty vector, a placeholder that allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Objectives(Vec<f64>);
 
 impl Objectives {

@@ -10,17 +10,37 @@
 //! finally snapped back to their ideal starts where the neighbouring
 //! executions leave room. Infeasible individuals score `(−1, −1)`.
 //!
-//! Objectives are the paper's `(Ψ, Υ)`, summed by [`metrics::quality_by`]
-//! straight from the reconfigured starts by job position: no [`Schedule`]
-//! is built or sorted per genome, and the bits equal [`metrics::quality`]
-//! of `reconfigure(genome)`. The engine returns every non-dominated
-//! schedule found, from which callers typically take the best-Ψ and
-//! best-Υ ends (as Figs. 6 and 7 do).
+//! Objectives are the paper's `(Ψ, Υ)`, summed by
+//! [`metrics::quality_with_peak`] straight from the reconfigured starts by
+//! job position: no [`Schedule`] is built or sorted per genome, and the
+//! bits equal [`metrics::quality`] of `reconfigure(genome)`. The engine
+//! returns every non-dominated schedule found, from which callers
+//! typically take the best-Ψ and best-Υ ends (as Figs. 6 and 7 do).
+//!
+//! ## Per-problem tables
+//!
+//! The GA scores tens of thousands of genomes of one job set, so the
+//! work that does not depend on the genome is done once per search:
+//! - each job's **rank** under (priority high → low, task, index), ties
+//!   by position. The rank is distinct per job, so the execution order
+//!   is the sort of packed `(κ, rank)` keys, with no comparator reading
+//!   two jobs per comparison. A key is one `u64` while every gene
+//!   leaves the rank its low bits (always, for genes inside the
+//!   hyper-period) and a `u128` otherwise, so any `u64` gene is safe;
+//! - one flat row per job of release, WCET, latest start, ideal start and
+//!   deadline in µs, which the three passes read instead of the jobs;
+//! - the peak quality `Σ V(δ)`, Υ's denominator.
+//!
+//! Each evaluation worker keeps its own sort keys, execution order and
+//! per-pass buffers from one genome to the next (the engine's
+//! `Problem::Scratch`). [`reconfigure`] builds the same tables for its
+//! one genome and runs the same passes.
 
 use crate::scheduler::Scheduler;
 use crate::solve::check_capacity;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
+use std::cmp::Reverse;
 use tagio_core::job::JobSet;
 use tagio_core::metrics;
 use tagio_core::schedule::{entry_for, Schedule};
@@ -106,15 +126,18 @@ impl GaScheduler {
             });
         }
         check_capacity(jobs)?;
-        let problem = IoSchedulingProblem { jobs };
+        let problem = IoSchedulingProblem::new(jobs);
         let mut rng = StdRng::seed_from_u64(ctx.seed_or(self.seed));
         let front = tagio_ga::run(&problem, &self.config, &mut rng);
         if front.is_empty() {
             return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot));
         }
         let mut triples: Vec<(f64, f64, Schedule)> = Vec::with_capacity(front.len());
+        let mut scratch = ReconfigScratch::default();
         for sol in front.solutions() {
-            let schedule = reconfigure(jobs, &sol.genome).expect("archived solutions are feasible");
+            let schedule = problem
+                .schedule(&sol.genome, &mut scratch)
+                .expect("archived solutions are feasible");
             triples.push((
                 sol.objectives.values()[0],
                 sol.objectives.values()[1],
@@ -176,12 +199,220 @@ impl Scheduler for GaScheduler {
     }
 }
 
+/// The GA's view of one job set. Everything a genome's evaluation reads
+/// that does not depend on the genome is built once, in
+/// [`IoSchedulingProblem::new`] (see the module docs).
 struct IoSchedulingProblem<'a> {
     jobs: &'a JobSet,
+    /// Per-job tables by job position.
+    table: Vec<JobTimes>,
+    /// Job positions by rank: the inverse of [`JobTimes::rank`].
+    by_rank: Vec<usize>,
+    /// Low bits a narrow sort key gives the rank: enough for `0..len`.
+    rank_bits: u32,
+    /// `jobs.peak_quality()`, Υ's denominator.
+    peak: f64,
+}
+
+/// One job's tie-break rank and times (µs), as the reconfiguration
+/// function reads them.
+#[derive(Debug, Clone, Copy)]
+struct JobTimes {
+    /// Place under (priority high → low, task, index, position): the
+    /// order equal `κ` run in. Distinct for distinct jobs.
+    rank: u32,
+    release: u64,
+    wcet: u64,
+    latest_start: u64,
+    ideal: u64,
+    deadline: u64,
+}
+
+/// Per-worker buffers of the reconfiguration function, reused from one
+/// genome to the next. Every pass writes an entry before reading it.
+#[derive(Debug, Default)]
+struct ReconfigScratch {
+    /// `κ << rank_bits | rank` sort keys, when every gene leaves room.
+    keys: Vec<u64>,
+    /// `κ << 32 | rank` sort keys, for genomes with wider genes.
+    wide_keys: Vec<u128>,
+    /// The execution order: job positions.
+    order: Vec<usize>,
+    /// Pass 1's latest feasible start, by place in `order`.
+    latest: Vec<u64>,
+    /// The reconfigured start of every job, by job position.
+    assigned: Vec<u64>,
+}
+
+impl<'a> IoSchedulingProblem<'a> {
+    fn new(jobs: &'a JobSet) -> Self {
+        let all = jobs.as_slice();
+        assert!(u32::try_from(all.len()).is_ok(), "job count exceeds u32");
+        // A stable sort, so jobs equal in (priority, task, index) keep
+        // their positions' order, as the comparator sort did.
+        let mut by_rank: Vec<usize> = (0..all.len()).collect();
+        by_rank.sort_by_key(|&i| {
+            (
+                Reverse(all[i].priority()),
+                all[i].id().task,
+                all[i].id().index,
+            )
+        });
+        let mut rank = vec![0u32; all.len()];
+        for (r, &i) in (0u32..).zip(&by_rank) {
+            rank[i] = r;
+        }
+        let table = all
+            .iter()
+            .zip(rank)
+            .map(|(job, rank)| JobTimes {
+                rank,
+                release: job.release().as_micros(),
+                wcet: job.wcet().as_micros(),
+                latest_start: job.latest_start().as_micros(),
+                ideal: job.ideal_start().as_micros(),
+                deadline: job.abs_deadline().as_micros(),
+            })
+            .collect();
+        IoSchedulingProblem {
+            jobs,
+            table,
+            by_rank,
+            rank_bits: (usize::BITS - all.len().saturating_sub(1).leading_zeros()).max(1),
+            peak: jobs.peak_quality(),
+        }
+    }
+
+    /// Writes the execution order of `genome` into `scratch.order`: by
+    /// `κ`, equal `κ` by rank (footnote 2: higher priority first). The
+    /// rank is distinct per job, so the keys are distinct and the
+    /// unstable sort returns the one order the comparator defines.
+    ///
+    /// The GA's genes lie inside the hyper-period, so `κ` and the rank
+    /// share one `u64` key; a genome with a gene too wide for that sorts
+    /// `u128` keys instead, in the same order.
+    fn order_into(&self, genome: &[u64], scratch: &mut ReconfigScratch) {
+        let bits = self.rank_bits;
+        let widest = genome.iter().fold(0, |acc, &kappa| acc | kappa);
+        scratch.order.clear();
+        if widest.leading_zeros() >= bits {
+            let keys = &mut scratch.keys;
+            keys.clear();
+            keys.extend(
+                genome
+                    .iter()
+                    .zip(&self.table)
+                    .map(|(&kappa, t)| kappa << bits | u64::from(t.rank)),
+            );
+            keys.sort_unstable();
+            let mask = (1u64 << bits) - 1;
+            let ranks = keys.iter().map(|&key| (key & mask) as usize);
+            scratch.order.extend(ranks.map(|r| self.by_rank[r]));
+        } else {
+            let keys = &mut scratch.wide_keys;
+            keys.clear();
+            keys.extend(
+                genome
+                    .iter()
+                    .zip(&self.table)
+                    .map(|(&kappa, t)| u128::from(kappa) << 32 | u128::from(t.rank)),
+            );
+            keys.sort_unstable();
+            let ranks = keys.iter().map(|&key| key as u32 as usize);
+            scratch.order.extend(ranks.map(|r| self.by_rank[r]));
+        }
+    }
+
+    /// The reconfiguration function's passes on `genome`: leaves the
+    /// execution order in `scratch.order` and every job's reconfigured
+    /// start in `scratch.assigned`, or returns the position of the job
+    /// that cannot meet its deadline under that order.
+    fn assign(&self, genome: &[u64], scratch: &mut ReconfigScratch) -> Result<(), usize> {
+        let n = self.table.len();
+        assert_eq!(n, genome.len(), "genome length mismatch");
+        self.order_into(genome, scratch);
+        let ReconfigScratch {
+            order,
+            latest,
+            assigned,
+            ..
+        } = scratch;
+        let table = &self.table;
+
+        // Pass 1 (backwards): the latest feasible start L of each job given
+        // that every later job in the order must still meet its deadline:
+        // L_k = min(Dk − Ck, L_{k+1} − Ck).
+        latest.resize(n, 0);
+        let mut succ_latest = u64::MAX;
+        for (slot, &idx) in latest.iter_mut().zip(order.iter()).rev() {
+            let t = &table[idx];
+            // `None`: the successor chain is already impossible, this
+            // job's WCET alone exceeds what the jobs after it leave.
+            let chained = succ_latest.checked_sub(t.wcet).ok_or(idx)?;
+            *slot = t.latest_start.min(chained);
+            succ_latest = *slot;
+        }
+
+        // Pass 2 (forwards): honour κ wherever feasible. Each start is clamped
+        // to [max(release, previous finish), L]; jobs whose κ collides with a
+        // running predecessor are pushed just late enough (footnote 2: equal
+        // starts execute in priority order), and jobs whose κ would starve a
+        // successor are pulled just early enough.
+        assigned.resize(n, 0);
+        let mut cursor = 0u64;
+        for (&idx, &l) in order.iter().zip(latest.iter()) {
+            let t = &table[idx];
+            let lo = cursor.max(t.release);
+            if lo > l {
+                // The κ-order is infeasible for this job.
+                return Err(idx);
+            }
+            let start = genome[idx].clamp(lo, l);
+            assigned[idx] = start;
+            cursor = start + t.wcet;
+        }
+
+        // Pass 3: snap each job to its ideal start when the gap between its
+        // neighbours allows it.
+        for pos in 0..n {
+            let idx = order[pos];
+            let t = &table[idx];
+            if assigned[idx] == t.ideal {
+                continue;
+            }
+            let lo = match pos.checked_sub(1) {
+                Some(prev) => assigned[order[prev]] + table[order[prev]].wcet,
+                None => 0,
+            };
+            let hi = order.get(pos + 1).map_or(u64::MAX, |&next| assigned[next]);
+            if t.ideal >= lo.max(t.release) && t.ideal + t.wcet <= hi.min(t.deadline) {
+                assigned[idx] = t.ideal;
+            }
+        }
+        Ok(())
+    }
+
+    /// The reconfigured schedule of `genome`, in execution order.
+    fn schedule(
+        &self,
+        genome: &[u64],
+        scratch: &mut ReconfigScratch,
+    ) -> Result<Schedule, Infeasible> {
+        let all = self.jobs.as_slice();
+        self.assign(genome, scratch).map_err(|idx| {
+            Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs([all[idx].id()])
+        })?;
+        Ok(scratch
+            .order
+            .iter()
+            .map(|&i| entry_for(&all[i], Time::from_micros(scratch.assigned[i])))
+            .collect())
+    }
 }
 
 impl Problem for IoSchedulingProblem<'_> {
     type Gene = u64; // κ in microseconds
+    type Scratch = ReconfigScratch;
 
     fn genome_len(&self) -> usize {
         self.jobs.len()
@@ -204,9 +435,11 @@ impl Problem for IoSchedulingProblem<'_> {
     }
 
     /// `(Ψ, Υ)` of the reconfigured starts; `(−1, −1)` when infeasible.
-    fn evaluate(&self, genome: &[u64]) -> Objectives {
-        let (psi, upsilon) = match assign_starts(self.jobs, genome) {
-            Ok((_, starts)) => metrics::quality_by(self.jobs, |i| Some(starts[i])),
+    fn evaluate(&self, genome: &[u64], scratch: &mut ReconfigScratch) -> Objectives {
+        let (psi, upsilon) = match self.assign(genome, scratch) {
+            Ok(()) => metrics::quality_with_peak(self.jobs, self.peak, |i| {
+                Some(Time::from_micros(scratch.assigned[i]))
+            }),
             Err(_) => (-1.0, -1.0),
         };
         Objectives::from(vec![psi, upsilon])
@@ -225,98 +458,7 @@ impl Problem for IoSchedulingProblem<'_> {
 /// Panics on a genome whose length differs from the job set (caller
 /// bug, not an input condition).
 pub fn reconfigure(jobs: &JobSet, starts: &[u64]) -> Result<Schedule, Infeasible> {
-    let all = jobs.as_slice();
-    let (order, assigned) = assign_starts(jobs, starts)?;
-    Ok(order
-        .iter()
-        .map(|&i| entry_for(&all[i], assigned[i]))
-        .collect())
-}
-
-/// [`reconfigure`]'s start assignment: the execution order (job
-/// positions) and the reconfigured start of every job, by job position
-/// in `jobs`. The GA scores genomes straight from the starts, without
-/// building a [`Schedule`].
-fn assign_starts(jobs: &JobSet, starts: &[u64]) -> Result<(Vec<usize>, Vec<Time>), Infeasible> {
-    let all = jobs.as_slice();
-    assert_eq!(all.len(), starts.len(), "genome length mismatch");
-
-    // Execution order: by κ; equal starts run the higher priority first
-    // (footnote 2).
-    let mut order: Vec<usize> = (0..all.len()).collect();
-    order.sort_by(|&a, &b| {
-        starts[a]
-            .cmp(&starts[b])
-            .then(all[b].priority().cmp(&all[a].priority()))
-            .then(all[a].id().task.cmp(&all[b].id().task))
-            .then(all[a].id().index.cmp(&all[b].id().index))
-    });
-
-    // Pass 1 (backwards): the latest feasible start L of each job given
-    // that every later job in the order must still meet its deadline:
-    // L_k = min(Dk − Ck, L_{k+1} − Ck).
-    let mut latest: Vec<Time> = vec![Time::ZERO; all.len()];
-    let mut succ_latest = Time::MAX;
-    for &idx in order.iter().rev() {
-        let job = &all[idx];
-        let chained = succ_latest.checked_sub_duration(job.wcet());
-        let l = match chained {
-            Some(t) => job.latest_start().min(t),
-            // The successor chain is already impossible: this job's WCET
-            // alone exceeds what the jobs after it leave available.
-            None => {
-                return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs([job.id()]))
-            }
-        };
-        latest[idx] = l;
-        succ_latest = l;
-    }
-
-    // Pass 2 (forwards): honour κ wherever feasible. Each start is clamped
-    // to [max(release, previous finish), L]; jobs whose κ collides with a
-    // running predecessor are pushed just late enough (footnote 2: equal
-    // starts execute in priority order), and jobs whose κ would starve a
-    // successor are pulled just early enough.
-    let mut assigned: Vec<Time> = vec![Time::ZERO; all.len()];
-    let mut cursor = Time::ZERO;
-    for &idx in &order {
-        let job = &all[idx];
-        let lo = cursor.max(job.release());
-        if lo > latest[idx] {
-            // The κ-order is infeasible for this job.
-            return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_jobs([job.id()]));
-        }
-        let start = Time::from_micros(starts[idx]).clamp(lo, latest[idx]);
-        assigned[idx] = start;
-        cursor = start + job.wcet();
-    }
-
-    // Pass 3: snap each job to its ideal start when the gap between its
-    // neighbours allows it.
-    for pos in 0..order.len() {
-        let idx = order[pos];
-        let job = &all[idx];
-        let ideal = job.ideal_start();
-        if assigned[idx] == ideal {
-            continue;
-        }
-        let lo = if pos > 0 {
-            let prev = order[pos - 1];
-            assigned[prev] + all[prev].wcet()
-        } else {
-            Time::ZERO
-        };
-        let hi = if pos + 1 < order.len() {
-            assigned[order[pos + 1]]
-        } else {
-            Time::MAX
-        };
-        if ideal >= lo.max(job.release()) && ideal + job.wcet() <= hi.min(job.abs_deadline()) {
-            assigned[idx] = ideal;
-        }
-    }
-
-    Ok((order, assigned))
+    IoSchedulingProblem::new(jobs).schedule(starts, &mut ReconfigScratch::default())
 }
 
 #[cfg(test)]
@@ -601,38 +743,40 @@ mod tests {
     #[test]
     fn parallel_ga_front_identical_to_serial_on_paper_system() {
         // Same seed => identical ParetoFront (genomes and objectives) for
-        // threads in {1, 4}, on a system drawn from the paper's generator.
+        // threads in {1, 2, 4}, on a system drawn from the paper's generator.
         let mut rng = StdRng::seed_from_u64(40);
         let sys = SystemConfig::paper(0.5).generate(&mut rng);
         let jobs = JobSet::expand(&sys);
-        let problem = IoSchedulingProblem { jobs: &jobs };
+        let problem = IoSchedulingProblem::new(&jobs);
         let serial_cfg = GaConfig {
             population: 32,
             generations: 20,
             threads: 1,
             ..GaConfig::default()
         };
-        let parallel_cfg = GaConfig {
-            threads: 4,
-            ..serial_cfg.clone()
-        };
         let serial = tagio_ga::run(&problem, &serial_cfg, &mut StdRng::seed_from_u64(7));
-        let parallel = tagio_ga::run(&problem, &parallel_cfg, &mut StdRng::seed_from_u64(7));
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.solutions().iter().zip(parallel.solutions()) {
-            assert_eq!(a.genome, b.genome);
-            assert_eq!(a.objectives, b.objectives);
-        }
-        // And end to end: the scheduler's derived outputs agree too.
-        let s = quick_ga().with_config(serial_cfg).search(&jobs);
-        let p = quick_ga().with_config(parallel_cfg).search(&jobs);
-        match (s, p) {
-            (Ok(s), Ok(p)) => {
-                assert_eq!(s.best_psi, p.best_psi);
-                assert_eq!(s.best_upsilon, p.best_upsilon);
+        let s = quick_ga().with_config(serial_cfg.clone()).search(&jobs);
+        for threads in [2, 4] {
+            let parallel_cfg = GaConfig {
+                threads,
+                ..serial_cfg.clone()
+            };
+            let parallel = tagio_ga::run(&problem, &parallel_cfg, &mut StdRng::seed_from_u64(7));
+            assert_eq!(serial.len(), parallel.len(), "width {threads}");
+            for (a, b) in serial.solutions().iter().zip(parallel.solutions()) {
+                assert_eq!(a.genome, b.genome, "width {threads}");
+                assert_eq!(a.objectives, b.objectives, "width {threads}");
             }
-            (Err(_), Err(_)) => {}
-            _ => panic!("feasibility differs across thread counts"),
+            // And end to end: the scheduler's derived outputs agree too.
+            let p = quick_ga().with_config(parallel_cfg).search(&jobs);
+            match (&s, p) {
+                (Ok(s), Ok(p)) => {
+                    assert_eq!(s.best_psi, p.best_psi);
+                    assert_eq!(s.best_upsilon, p.best_upsilon);
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("feasibility differs at width {threads}"),
+            }
         }
     }
 
@@ -675,8 +819,10 @@ mod tests {
         let mut feasible = 0;
         for u in [0.3, 0.5, 0.7, 0.9] {
             let jobs = JobSet::expand(&SystemConfig::paper(u).generate(&mut rng));
-            let problem = IoSchedulingProblem { jobs: &jobs };
+            let problem = IoSchedulingProblem::new(&jobs);
             let horizon = jobs.hyperperiod().as_micros();
+            // One scratch for every genome, as an evaluation worker holds.
+            let mut scratch = ReconfigScratch::default();
             for kind in 0..30 {
                 let genome: Vec<u64> = (0..jobs.len())
                     .map(|locus| match kind % 3 {
@@ -691,7 +837,11 @@ mod tests {
                     Err(_) => [-1.0, -1.0],
                 };
                 feasible += usize::from(want[0] >= 0.0);
-                let got: [f64; 2] = problem.evaluate(&genome).values().try_into().unwrap();
+                let got: [f64; 2] = problem
+                    .evaluate(&genome, &mut scratch)
+                    .values()
+                    .try_into()
+                    .unwrap();
                 assert_eq!(
                     got.map(f64::to_bits),
                     want.map(f64::to_bits),
@@ -700,5 +850,206 @@ mod tests {
             }
         }
         assert!(feasible > 0 && feasible < 120, "{feasible} of 120 feasible");
+    }
+
+    /// The comparator-sorted reconfiguration the ranked keys replaced,
+    /// kept as the oracle: the execution order, every job's reconfigured
+    /// start by job position, or the job that cannot meet its deadline.
+    fn reference_assign_starts(
+        jobs: &JobSet,
+        starts: &[u64],
+    ) -> Result<(Vec<usize>, Vec<Time>), JobId> {
+        let all = jobs.as_slice();
+        assert_eq!(all.len(), starts.len(), "genome length mismatch");
+        let mut order: Vec<usize> = (0..all.len()).collect();
+        order.sort_by(|&a, &b| {
+            starts[a]
+                .cmp(&starts[b])
+                .then(all[b].priority().cmp(&all[a].priority()))
+                .then(all[a].id().task.cmp(&all[b].id().task))
+                .then(all[a].id().index.cmp(&all[b].id().index))
+        });
+        let mut latest: Vec<Time> = vec![Time::ZERO; all.len()];
+        let mut succ_latest = Time::MAX;
+        for &idx in order.iter().rev() {
+            let job = &all[idx];
+            let l = match succ_latest.checked_sub_duration(job.wcet()) {
+                Some(t) => job.latest_start().min(t),
+                None => return Err(job.id()),
+            };
+            latest[idx] = l;
+            succ_latest = l;
+        }
+        let mut assigned: Vec<Time> = vec![Time::ZERO; all.len()];
+        let mut cursor = Time::ZERO;
+        for &idx in &order {
+            let job = &all[idx];
+            let lo = cursor.max(job.release());
+            if lo > latest[idx] {
+                return Err(job.id());
+            }
+            let start = Time::from_micros(starts[idx]).clamp(lo, latest[idx]);
+            assigned[idx] = start;
+            cursor = start + job.wcet();
+        }
+        for pos in 0..order.len() {
+            let idx = order[pos];
+            let job = &all[idx];
+            let ideal = job.ideal_start();
+            if assigned[idx] == ideal {
+                continue;
+            }
+            let lo = if pos > 0 {
+                let prev = order[pos - 1];
+                assigned[prev] + all[prev].wcet()
+            } else {
+                Time::ZERO
+            };
+            let hi = if pos + 1 < order.len() {
+                assigned[order[pos + 1]]
+            } else {
+                Time::MAX
+            };
+            if ideal >= lo.max(job.release()) && ideal + job.wcet() <= hi.min(job.abs_deadline()) {
+                assigned[idx] = ideal;
+            }
+        }
+        Ok((order, assigned))
+    }
+
+    /// Checks the ranked-key passes and `reconfigure` against the
+    /// reference on one genome; returns whether it was feasible.
+    fn check_against_reference(
+        jobs: &JobSet,
+        problem: &IoSchedulingProblem<'_>,
+        scratch: &mut ReconfigScratch,
+        genome: &[u64],
+        what: &str,
+    ) -> bool {
+        let want = reference_assign_starts(jobs, genome);
+        let got = problem.assign(genome, scratch);
+        let fresh = reconfigure(jobs, genome);
+        match want {
+            Ok((order, assigned)) => {
+                assert_eq!(got, Ok(()), "{what}");
+                assert_eq!(scratch.order, order, "{what}: execution order");
+                let got_starts: Vec<Time> = scratch
+                    .assigned
+                    .iter()
+                    .map(|&t| Time::from_micros(t))
+                    .collect();
+                assert_eq!(got_starts, assigned, "{what}: assigned starts");
+                let schedule: Schedule = order
+                    .iter()
+                    .map(|&i| entry_for(&jobs.as_slice()[i], assigned[i]))
+                    .collect();
+                assert_eq!(fresh.expect("feasible"), schedule, "{what}: reconfigure");
+                true
+            }
+            Err(job) => {
+                let idx = got.expect_err(what);
+                assert_eq!(jobs.as_slice()[idx].id(), job, "{what}: failing job");
+                assert_eq!(
+                    fresh.expect_err(what).jobs,
+                    vec![job],
+                    "{what}: reconfigure"
+                );
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_key_order_matches_the_comparator_reference() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut sets: Vec<JobSet> = Vec::new();
+        // Paper systems: many jobs, every priority distinct per task.
+        for u in [0.3, 0.6, 0.9] {
+            sets.push(JobSet::expand(&SystemConfig::paper(u).generate(&mut rng)));
+        }
+        // Priority ties across tasks: equal periods without DMPO leave
+        // every task at one priority, so equal κ fall back to task, then
+        // index.
+        let tied: TaskSet = vec![task(2, 8, 900, 4), task(0, 8, 700, 4), task(1, 4, 300, 2)]
+            .into_iter()
+            .collect();
+        sets.push(JobSet::expand(&tied));
+        // Release offsets shift the windows off the period grid.
+        let offset = IoTask::builder(TaskId(3), DeviceId(0))
+            .wcet(Duration::from_micros(600))
+            .period(Duration::from_millis(8))
+            .ideal_offset(Duration::from_millis(4))
+            .margin(Duration::from_millis(2))
+            .release_offset(Duration::from_millis(3))
+            .build()
+            .unwrap();
+        let mut with_offset: TaskSet = vec![offset, task(4, 8, 800, 4), task(5, 4, 500, 1)]
+            .into_iter()
+            .collect();
+        with_offset.assign_dmpo();
+        sets.push(JobSet::expand(&with_offset));
+        // Three jobs where most κ orders starve one (the set of
+        // `reconfigure_detects_infeasibility`).
+        let tight = IoTask::builder(TaskId(0), DeviceId(0))
+            .wcet(Duration::from_micros(600))
+            .period(Duration::from_millis(1))
+            .ideal_offset(Duration::from_micros(300))
+            .margin(Duration::from_micros(300))
+            .build()
+            .unwrap();
+        let long = IoTask::builder(TaskId(1), DeviceId(0))
+            .wcet(Duration::from_micros(800))
+            .period(Duration::from_millis(2))
+            .ideal_offset(Duration::from_micros(400))
+            .margin(Duration::from_micros(300))
+            .build()
+            .unwrap();
+        sets.push(JobSet::expand(&vec![tight, long].into_iter().collect()));
+
+        let (mut feasible, mut infeasible) = (0, 0);
+        for (n, jobs) in sets.iter().enumerate() {
+            let problem = IoSchedulingProblem::new(jobs);
+            let mut scratch = ReconfigScratch::default();
+            let horizon = jobs.hyperperiod().as_micros();
+            let ideal: Vec<u64> = jobs.iter().map(|j| j.ideal_start().as_micros()).collect();
+            let narrow_max = u64::MAX >> problem.rank_bits;
+            for kind in 0..40 {
+                let genome: Vec<u64> = (0..jobs.len())
+                    .map(|locus| match kind % 5 {
+                        // Inside the quality window.
+                        0 => problem.random_gene(locus, &mut rng),
+                        // Equal κ: everything at one of a few instants.
+                        1 => [0, horizon / 2, ideal[locus]][rng.random_range(0..3usize)],
+                        // Anywhere in the hyper-period: mostly infeasible
+                        // orders.
+                        2 => rng.random_range(0..horizon),
+                        // Outside the window, up to the widest gene a
+                        // narrow key holds, one past it, or the top of
+                        // u64.
+                        3 => {
+                            let top = [narrow_max, narrow_max + 1, u64::MAX][kind / 5 % 3];
+                            match rng.random_range(0..4u32) {
+                                0 => top,
+                                1 => top - rng.random_range(0..1_000u64),
+                                2 => horizon + rng.random_range(0..horizon),
+                                _ => ideal[locus],
+                            }
+                        }
+                        // The ideal starts, with some jobs pushed late.
+                        _ => ideal[locus] + rng.random_range(0..3u64) * 500,
+                    })
+                    .collect();
+                let what = format!("set {n}, genome {kind}");
+                if check_against_reference(jobs, &problem, &mut scratch, &genome, &what) {
+                    feasible += 1;
+                } else {
+                    infeasible += 1;
+                }
+            }
+        }
+        assert!(
+            feasible > 20 && infeasible > 20,
+            "{feasible} feasible, {infeasible} infeasible"
+        );
     }
 }
