@@ -9,14 +9,22 @@
 //! | `no-wall-clock` | determinism-critical modules | `Instant::now`, `SystemTime` |
 //! | `no-unordered-iter` | determinism-critical modules | `HashMap`, `HashSet` (ordered containers or an audited, allowlisted membership-only use required) |
 //! | `metrics-documented` | every crate | metric names `push`ed into a `MetricSet` that EXPERIMENTS.md does not document |
+//! | `test-only-api` | every crate | a `pub fn` whose name no live code uses: only tests, doc comments or `pub use` re-exports name it |
+//!
+//! `test-only-api` also reads `crates/*/benches`, `src/`, `examples/`
+//! and `perfbench/src`, but only as callers: a use there keeps a
+//! `pub fn` live, and no rule runs on them. It matches names, not
+//! types, so it can miss a dead item but never flags a live one.
 //!
 //! Doc comments, string literals and `#[cfg(test)]` modules never
-//! fire a rule. Findings are suppressed only by an explicit entry in
-//! `AUDIT_ALLOWLIST.txt` (`<rule> <path-suffix> <line-needle…>`), and
-//! an entry that suppresses nothing is itself an error — the
-//! allowlist can only shrink.
+//! fire a rule, and never count as a use. Findings are suppressed only
+//! by an explicit entry in `AUDIT_ALLOWLIST.txt`
+//! (`<rule> <path-suffix> <line-needle…>`), and an entry that
+//! suppresses nothing is itself an error — the allowlist can only
+//! shrink.
 
 use crate::report::{AuditReport, ViolationClass};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -61,6 +69,11 @@ const DETERMINISM: &[&str] = &[
     "crates/ga/src/nsga2.rs",
     "crates/sched/src/ga_sched.rs",
 ];
+
+/// Directories outside `crates/*` whose code keeps a `pub fn` live
+/// (`test-only-api`) but that no rule lints; each crate's `benches/`
+/// is read the same way.
+const CALLER_DIRS: &[&str] = &["src", "examples", "perfbench/src"];
 
 const PANIC_NEEDLES: &[&str] = &[
     ".unwrap()",
@@ -158,19 +171,23 @@ pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
         return Err(format!("{} has no crates/ directory", root.display()));
     }
     let mut files = Vec::new();
+    let mut callers = Vec::new();
     let entries = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("read {}: {e}", crates_dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("walk {}: {e}", crates_dir.display()))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
-        }
+        collect_rs(&entry.path().join("src"), &mut files)?;
+        collect_rs(&entry.path().join("benches"), &mut callers)?;
+    }
+    for dir in CALLER_DIRS {
+        collect_rs(&root.join(dir), &mut callers)?;
     }
     files.sort();
     let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap_or_default();
     let mut allow = load_allowlist(root)?;
     let mut findings = Vec::new();
+    let mut pub_fns = Vec::new();
+    let mut used = BTreeSet::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -179,8 +196,23 @@ pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
             .replace('\\', "/");
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        lint_file(&rel, &text, &experiments, &mut findings);
+        let code = lint_file(&rel, &text, &experiments, &mut findings);
+        for (name, line) in pub_fn_defs(&code) {
+            pub_fns.push((name, finding("test-only-api", &rel, &text, line)));
+        }
+        live_uses(&code, &mut used);
     }
+    for path in &callers {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        live_uses(&live_view(&text), &mut used);
+    }
+    findings.extend(
+        pub_fns
+            .into_iter()
+            .filter(|(name, _)| !used.contains(name))
+            .map(|(_, f)| f),
+    );
     // Allowlist application: a finding survives only when no entry
     // covers it; an entry is "used" when it covered at least one.
     findings.retain(|f| {
@@ -205,7 +237,11 @@ pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
     })
 }
 
+/// Appends every `.rs` file under `dir` (none when it does not exist).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("walk {}: {e}", dir.display()))?;
@@ -251,7 +287,8 @@ fn load_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
 }
 
 /// Lints one file. `rel` is the repo-relative path with `/` separators.
-fn lint_file(rel: &str, text: &str, experiments: &str, findings: &mut Vec<LintFinding>) {
+/// Returns the file's live view (see [`live_view`]).
+fn lint_file(rel: &str, text: &str, experiments: &str, findings: &mut Vec<LintFinding>) -> String {
     // Two scrubbed views with identical byte offsets: `code` blanks
     // comments AND string interiors (structure only); `with_strings`
     // blanks comments but keeps string contents (metric names).
@@ -264,15 +301,7 @@ fn lint_file(rel: &str, text: &str, experiments: &str, findings: &mut Vec<LintFi
     let is_hot = HOT_PATH.iter().any(|m| rel.ends_with(m));
     let is_det = DETERMINISM.iter().any(|m| rel.ends_with(m));
     for (li, scrubbed_line) in code.lines().enumerate() {
-        let mut fire = |rule: &'static str| {
-            let excerpt = text.lines().nth(li).unwrap_or_default().trim().to_string();
-            findings.push(LintFinding {
-                rule,
-                path: rel.to_string(),
-                line: li + 1,
-                excerpt,
-            });
-        };
+        let mut fire = |rule: &'static str| findings.push(finding(rule, rel, text, li + 1));
         if is_hot && PANIC_NEEDLES.iter().any(|n| scrubbed_line.contains(n)) {
             fire("no-panic");
         }
@@ -286,6 +315,107 @@ fn lint_file(rel: &str, text: &str, experiments: &str, findings: &mut Vec<LintFi
         }
     }
     lint_metric_names(rel, text, &code, &with_strings, experiments, findings);
+    code
+}
+
+/// A finding of `rule` at 1-based `line` of `text`.
+fn finding(rule: &'static str, rel: &str, text: &str, line: usize) -> LintFinding {
+    LintFinding {
+        rule,
+        path: rel.to_string(),
+        line,
+        excerpt: text
+            .lines()
+            .nth(line - 1)
+            .unwrap_or_default()
+            .trim()
+            .to_string(),
+    }
+}
+
+/// `text` with comments, string interiors and `#[cfg(test)]` items
+/// blanked: what is left is the code a build without tests runs.
+fn live_view(text: &str) -> String {
+    let mut code = scrub(text, false);
+    for (start, end) in test_regions(&code) {
+        blank_region(&mut code, start, end);
+    }
+    code
+}
+
+/// Byte ranges of the identifiers in a scrubbed view (numeric literals
+/// such as `1u32` are skipped whole).
+fn idents(code: &str) -> Vec<(usize, usize)> {
+    let bytes = code.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    while i < bytes.len() {
+        if !word(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && word(bytes[i]) {
+            i += 1;
+        }
+        if !bytes[start].is_ascii_digit() {
+            out.push((start, i));
+        }
+    }
+    out
+}
+
+/// The name and 1-based line of every `pub fn` (also `pub const fn`,
+/// `pub async fn`, `pub unsafe fn`) in a live view. `pub(crate)` and
+/// other restricted visibilities are not public API.
+fn pub_fn_defs(code: &str) -> Vec<(String, usize)> {
+    let toks = idents(code);
+    let word = |k: usize| &code[toks[k].0..toks[k].1];
+    let joined = |k: usize| code[toks[k].1..toks[k + 1].0].trim().is_empty();
+    let mut defs = Vec::new();
+    for k in 1..toks.len().saturating_sub(1) {
+        let name_at = toks[k + 1].0;
+        // `fn $name` inside a macro body defines no name of its own.
+        if word(k) != "fn" || !joined(k) || code[..name_at].ends_with('$') {
+            continue;
+        }
+        let mut q = k - 1;
+        while q > 0 && matches!(word(q), "const" | "async" | "unsafe") && joined(q) {
+            q -= 1;
+        }
+        if word(q) == "pub" && joined(q) {
+            let line = code[..name_at].matches('\n').count() + 1;
+            defs.push((word(k + 1).to_string(), line));
+        }
+    }
+    defs
+}
+
+/// Adds every identifier a live view uses to `used`. The name after
+/// `fn` is a definition, and a `pub use` re-export only names items,
+/// so neither counts.
+fn live_uses(code: &str, used: &mut BTreeSet<String>) {
+    let toks = idents(code);
+    let word = |k: usize| &code[toks[k].0..toks[k].1];
+    let joined = |k: usize| code[toks[k].1..toks[k + 1].0].trim().is_empty();
+    let mut k = 0usize;
+    while k < toks.len() {
+        if word(k) == "pub" && k + 1 < toks.len() && joined(k) && word(k + 1) == "use" {
+            let end = code[toks[k].1..]
+                .find(';')
+                .map_or(code.len(), |n| toks[k].1 + n);
+            while k < toks.len() && toks[k].0 < end {
+                k += 1;
+            }
+            continue;
+        }
+        let defined = k > 0 && word(k - 1) == "fn" && joined(k - 1);
+        if !defined {
+            used.insert(word(k).to_string());
+        }
+        k += 1;
+    }
 }
 
 /// Finds two-argument `.push("name", …)` / `.push(format!("…"), …)`
@@ -647,5 +777,128 @@ mod tests {
         let code = scrub(src, false);
         assert!(code.contains("fn f<'a>"));
         assert!(!code.contains("// ok"));
+    }
+
+    /// Lints a throwaway workspace holding `files` (repo-relative path,
+    /// text) under `allowlist`, then removes it.
+    fn lint_tree(name: &str, files: &[(&str, &str)], allowlist: &str) -> LintOutcome {
+        let root = std::env::temp_dir().join(format!("tagio-lint-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (rel, text) in files {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("nested path")).expect("mkdir");
+            std::fs::write(path, text).expect("write source");
+        }
+        std::fs::write(root.join("AUDIT_ALLOWLIST.txt"), allowlist).expect("write allowlist");
+        let outcome = run_lint(&root).expect("lint runs");
+        std::fs::remove_dir_all(&root).expect("clean up");
+        outcome
+    }
+
+    /// The `test-only-api` findings, as their excerpts.
+    fn test_only(outcome: &LintOutcome) -> Vec<&str> {
+        outcome
+            .findings
+            .iter()
+            .filter(|f| f.rule == "test-only-api")
+            .map(|f| f.excerpt.as_str())
+            .collect()
+    }
+
+    const HELPER_LIB: &str = "\
+/// Doubles `x`; `helper(2)` in a doc comment is no use.
+pub fn helper(x: u32) -> u32 { x * 2 }
+pub fn live() -> u32 { 1 }
+fn private_caller() -> u32 { live() }
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { assert_eq!(super::helper(1), 2); }
+}
+";
+
+    #[test]
+    fn test_only_api_fires_on_a_pub_fn_only_tests_call() {
+        let outcome = lint_tree(
+            "tests-only",
+            &[
+                ("crates/a/src/lib.rs", HELPER_LIB),
+                ("crates/a/tests/it.rs", "fn t() { a::helper(3); }"),
+                ("tests/facade.rs", "fn t() { a::helper(4); }"),
+                ("perfbench/tests/w.rs", "fn t() { a::helper(5); }"),
+            ],
+            "",
+        );
+        assert_eq!(
+            test_only(&outcome),
+            ["pub fn helper(x: u32) -> u32 { x * 2 }"]
+        );
+        assert_eq!(outcome.findings[0].line, 2);
+    }
+
+    #[test]
+    fn callers_outside_the_linted_sources_keep_a_pub_fn_live() {
+        let lib = "pub fn by_example() {}\npub fn by_perfbench() {}\n\
+                   pub fn by_bench() {}\npub fn by_bin() {}\npub fn dead() {}\n";
+        let outcome = lint_tree(
+            "callers",
+            &[
+                ("crates/a/src/lib.rs", lib),
+                ("examples/e.rs", "fn main() { a::by_example(); }"),
+                ("perfbench/src/main.rs", "fn main() { a::by_perfbench(); }"),
+                ("crates/a/benches/b.rs", "fn main() { a::by_bench(); }"),
+                ("crates/a/src/bin/tool.rs", "fn main() { a::by_bin(); }"),
+            ],
+            "",
+        );
+        assert_eq!(test_only(&outcome), ["pub fn dead() {}"]);
+    }
+
+    #[test]
+    fn a_pub_use_re_export_is_not_a_use() {
+        let lib = "pub use inner::single;\npub use inner::{\n    first,\n    second,\n};\n\
+                   mod inner {\n    pub fn single() {}\n    pub fn first() {}\n    \
+                   pub fn second() {}\n    pub const fn constant() {}\n}\n";
+        let outcome = lint_tree("reexport", &[("crates/a/src/lib.rs", lib)], "");
+        assert_eq!(
+            test_only(&outcome),
+            [
+                "pub fn single() {}",
+                "pub fn first() {}",
+                "pub fn second() {}",
+                "pub const fn constant() {}"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_pub_fn_inside_cfg_test_never_fires() {
+        let lib = "pub fn used() {}\nfn main() { used(); }\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n\
+                   #[cfg(test)]\npub fn gated() {}\npub(crate) fn restricted() {}\n";
+        let outcome = lint_tree("cfg-test", &[("crates/a/src/lib.rs", lib)], "");
+        assert!(test_only(&outcome).is_empty(), "{:?}", outcome.findings);
+    }
+
+    #[test]
+    fn one_allowlist_entry_covers_a_finding_and_a_stale_one_fails() {
+        let files = [("crates/a/src/lib.rs", HELPER_LIB)];
+        let covered = lint_tree(
+            "allow",
+            &files,
+            "# why: a checker\ntest-only-api a/src/lib.rs pub fn helper(\n",
+        );
+        assert!(covered.is_clean(), "{:?}", covered.findings);
+        let stale = lint_tree(
+            "stale",
+            &files,
+            "test-only-api a/src/lib.rs pub fn helper(\ntest-only-api a/src/lib.rs pub fn gone(\n",
+        );
+        assert!(stale.findings.is_empty());
+        assert_eq!(
+            stale.unused_allowlist,
+            ["test-only-api a/src/lib.rs pub fn gone("]
+        );
+        assert!(!stale.is_clean());
     }
 }

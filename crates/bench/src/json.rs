@@ -67,38 +67,11 @@ impl Value {
         }
     }
 
-    /// The number, if this is one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The string, if this is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    #[must_use]
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(members) => Some(members),
             _ => None,
         }
     }
@@ -468,9 +441,11 @@ mod tests {
         let v = parse(r#"{"a":[1,2.5,{"b":"x\n"}],"c":true,"d":null}"#).unwrap();
         assert_eq!(v.get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("d"), Some(&Value::Null));
-        let a = v.get("a").and_then(Value::as_array).unwrap();
-        assert_eq!(a[0].as_f64(), Some(1.0));
-        assert_eq!(a[1].as_f64(), Some(2.5));
+        let Some(Value::Array(a)) = v.get("a") else {
+            panic!("`a` is an array: {v:?}");
+        };
+        assert_eq!(a[0], Value::Number(1.0));
+        assert_eq!(a[1], Value::Number(2.5));
         assert_eq!(a[2].get("b").and_then(Value::as_str), Some("x\n"));
         assert!(v.get("missing").is_none());
         // Round-trip through the emitters.

@@ -50,7 +50,7 @@ use tagio_workload::SystemConfig;
 ///
 /// GA population/generation defaults come from [`GaConfig::quick`]; the
 /// paper's published 300×500 lives in [`GaConfig::paper`] (the single
-/// source of those parameters — see [`Options::paper_scale`]).
+/// source of those parameters).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Synthetic systems per utilisation point (paper: 1000).
@@ -91,19 +91,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The paper's full evaluation scale: 1000 systems per point and
-    /// [`GaConfig::paper`]'s population × generations.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        let paper = GaConfig::paper();
-        Options {
-            systems: 1000,
-            population: paper.population,
-            generations: paper.generations,
-            ..Options::default()
-        }
-    }
-
     /// Parses `--systems`, `--pop`, `--gens`, `--seed`, `--threads`,
     /// `--json` and `--methods` from the process arguments, falling back
     /// to the defaults.
@@ -320,11 +307,6 @@ mod tests {
         let (o, quick) = (Options::default(), GaConfig::quick());
         assert_eq!(o.population, quick.population);
         assert_eq!(o.generations, quick.generations);
-        let p = Options::paper_scale();
-        let paper = GaConfig::paper();
-        assert_eq!(p.systems, 1000);
-        assert_eq!(p.population, paper.population);
-        assert_eq!(p.generations, paper.generations);
     }
 
     #[test]

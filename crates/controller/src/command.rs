@@ -63,12 +63,6 @@ impl GpioCommand {
     pub fn encoded_bytes(&self) -> usize {
         4
     }
-
-    /// `true` if executing this command produces a response for the CPU.
-    #[must_use]
-    pub fn produces_response(&self) -> bool {
-        matches!(self, GpioCommand::ReadWord)
-    }
 }
 
 /// A timed I/O task's command group.
@@ -181,13 +175,6 @@ mod tests {
     fn encoded_bytes_are_word_aligned() {
         let b = CommandBlock::pulse(0, 10);
         assert_eq!(b.encoded_bytes(), 12);
-    }
-
-    #[test]
-    fn only_reads_produce_responses() {
-        assert!(GpioCommand::ReadWord.produces_response());
-        assert!(!GpioCommand::SetHigh { pin: 1 }.produces_response());
-        assert!(!GpioCommand::Delay { micros: 5 }.produces_response());
     }
 
     #[test]

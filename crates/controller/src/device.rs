@@ -86,11 +86,6 @@ impl GpioPort {
     pub fn events(&self) -> &[PinEvent] {
         &self.events
     }
-
-    /// Clears the trace (state is kept).
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-    }
 }
 
 impl IoDevice for GpioPort {
@@ -201,14 +196,5 @@ mod tests {
     fn out_of_range_pin_panics() {
         let mut p = GpioPort::new();
         p.apply(Time::ZERO, &GpioCommand::SetHigh { pin: 32 });
-    }
-
-    #[test]
-    fn clear_events_keeps_state() {
-        let mut p = GpioPort::new();
-        p.apply(Time::ZERO, &GpioCommand::SetHigh { pin: 7 });
-        p.clear_events();
-        assert!(p.events().is_empty());
-        assert!(p.pin(7));
     }
 }

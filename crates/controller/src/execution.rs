@@ -82,12 +82,6 @@ impl ExecutionTrace {
     pub fn start_of(&self, job: JobId) -> Option<Time> {
         self.executed.iter().find(|e| e.job == job).map(|e| e.start)
     }
-
-    /// `true` if no faults occurred.
-    #[must_use]
-    pub fn fault_free(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// A controller processor: scheduling table + execution module bound to one
@@ -128,11 +122,6 @@ impl<D: IoDevice> ControllerProcessor<D> {
     #[must_use]
     pub fn device(&self) -> &D {
         &self.device
-    }
-
-    /// Consumes the processor, returning the device (and its trace).
-    pub fn into_device(self) -> D {
-        self.device
     }
 
     /// Runs Phase 3 over one hyper-period: the global timer walks the
@@ -226,7 +215,7 @@ mod tests {
         cp.load_table(table(&[(0, 0, 100, 50), (0, 1, 500, 50)]));
         cp.table_mut().enable_all();
         let trace = cp.run(&mem);
-        assert!(trace.fault_free());
+        assert!(trace.faults.is_empty());
         assert_eq!(trace.executed.len(), 2);
         assert_eq!(
             trace.start_of(JobId::new(TaskId(0), 0)),

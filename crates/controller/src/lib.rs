@@ -55,7 +55,6 @@ pub mod execution;
 pub mod memory;
 pub mod sim;
 pub mod table;
-pub mod uart;
 pub mod waveform;
 
 pub use command::{CommandBlock, GpioCommand};
@@ -66,5 +65,4 @@ pub use sim::{
     execute_partitioned, max_deviation_micros, partition_jobs, trace_matches_schedule, IoController,
 };
 pub use table::{SchedulingTable, TableEntry};
-pub use uart::{LineEdge, UartTx};
 pub use waveform::Waveform;

@@ -135,11 +135,6 @@ impl ControllerMemory {
     pub fn fetch(&self, task: TaskId) -> Option<&CommandBlock> {
         self.blocks.get(&task)
     }
-
-    /// Removes the block of `task`, returning it if present.
-    pub fn unload(&mut self, task: TaskId) -> Option<CommandBlock> {
-        self.blocks.remove(&task)
-    }
 }
 
 #[cfg(test)]
@@ -181,15 +176,6 @@ mod tests {
         mem.preload(TaskId(1), CommandBlock::sample()).unwrap(); // 4
         assert_eq!(mem.used_bytes(), 16);
         assert_eq!(mem.len(), 2);
-    }
-
-    #[test]
-    fn unload_frees_space() {
-        let mut mem = ControllerMemory::with_capacity(12);
-        mem.preload(TaskId(0), CommandBlock::pulse(0, 1)).unwrap();
-        assert!(mem.preload(TaskId(1), CommandBlock::sample()).is_err());
-        mem.unload(TaskId(0)).unwrap();
-        assert!(mem.preload(TaskId(1), CommandBlock::sample()).is_ok());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use tagio_core::task::{DeviceId, TaskId, TaskSet};
 /// ctrl.load_schedule(DeviceId(0), &schedule);
 /// ctrl.enable_all();
 /// let traces = ctrl.run();
-/// assert!(traces[&DeviceId(0)].fault_free());
+/// assert!(traces[&DeviceId(0)].faults.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -109,22 +109,6 @@ impl IoController {
             .or_insert_with(|| ControllerProcessor::new(GpioPort::new()))
             .table_mut()
             .hot_swap(schedule)
-    }
-
-    /// Fleet-wide hot swap: installs every partition's new table between
-    /// hyper-periods in one call, in device-id order, preserving each
-    /// task's enable bits (see [`SchedulingTable::hot_swap`]). This is
-    /// how a multi-partition online scheduler pushes a whole epoch's
-    /// repaired schedules down to the hardware: the map is exactly what
-    /// `FleetScheduler::schedules` (in `tagio-online`) hands over.
-    /// Missing processors are created; processors for devices not named
-    /// in `schedules` keep their current tables. Returns the total
-    /// number of rows that came up enabled across all partitions.
-    pub fn hot_swap_all(&mut self, schedules: &BTreeMap<DeviceId, Schedule>) -> usize {
-        schedules
-            .iter()
-            .map(|(device, schedule)| self.hot_swap_schedule(*device, schedule))
-            .sum()
     }
 
     /// Sets the enable bit of every table row (all requests received).
@@ -262,7 +246,7 @@ mod tests {
         let schedules = ideal_schedules(&tasks);
         let traces = execute_partitioned(&tasks, &schedules).unwrap();
         for (dev, trace) in &traces {
-            assert!(trace.fault_free(), "faults on {dev}");
+            assert!(trace.faults.is_empty(), "faults on {dev}");
             assert!(trace_matches_schedule(trace, &schedules[dev]));
             assert_eq!(max_deviation_micros(trace, &schedules[dev]), Some(0));
         }
@@ -296,9 +280,9 @@ mod tests {
         ctrl.enable_task(DeviceId(1), TaskId(1));
         let traces = ctrl.run();
         let d0 = &traces[&DeviceId(0)];
-        assert!(!d0.fault_free());
+        assert!(!d0.faults.is_empty());
         assert!(d0.executed.iter().all(|e| e.job.task == TaskId(0)));
-        assert!(traces[&DeviceId(1)].fault_free());
+        assert!(traces[&DeviceId(1)].faults.is_empty());
     }
 
     #[test]
@@ -336,7 +320,7 @@ mod tests {
         }
         ctrl.enable_all();
         let first = ctrl.run();
-        assert!(first.values().all(ExecutionTrace::fault_free));
+        assert!(first.values().all(|t| t.faults.is_empty()));
         // Shift every partition's schedule (an epoch of online repairs)
         // and install the whole map in one fleet-wide swap.
         let shift = Duration::from_micros(150);
@@ -354,7 +338,10 @@ mod tests {
                 (*dev, shifted)
             })
             .collect();
-        let enabled = ctrl.hot_swap_all(&moved);
+        let enabled: usize = moved
+            .iter()
+            .map(|(dev, s)| ctrl.hot_swap_schedule(*dev, s))
+            .sum();
         let rows: usize = moved.values().map(Schedule::len).sum();
         assert_eq!(enabled, rows, "every request survives the fleet swap");
         let second = ctrl.run();

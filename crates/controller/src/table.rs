@@ -95,15 +95,6 @@ impl SchedulingTable {
         }
     }
 
-    /// Clears the enable bit of every row of `task`.
-    pub fn disable_task(&mut self, task: TaskId) {
-        for e in &mut self.entries {
-            if e.job.task == task {
-                e.enabled = false;
-            }
-        }
-    }
-
     /// Replaces the table's rows with `next` **between hyper-periods**,
     /// carrying each task's enable bit over (the paper's request channel
     /// sets bits per task, so a task that was requested stays requested
@@ -131,16 +122,6 @@ impl SchedulingTable {
             })
             .collect();
         self.entries.iter().filter(|e| e.enabled).count()
-    }
-
-    /// Rows due in `[from, to)`, in trigger order.
-    #[must_use]
-    pub fn due_between(&self, from: Time, to: Time) -> Vec<TableEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.start >= from && e.start < to)
-            .copied()
-            .collect()
     }
 }
 
@@ -187,25 +168,6 @@ mod tests {
         assert_eq!(t.enable_task(TaskId(0)), 0); // already enabled
         let enabled: Vec<bool> = t.entries().iter().map(|e| e.enabled).collect();
         assert_eq!(enabled, vec![true, false, true]);
-    }
-
-    #[test]
-    fn disable_task_clears_bits() {
-        let mut t = SchedulingTable::from_schedule(&schedule());
-        t.enable_all();
-        t.disable_task(TaskId(1));
-        let enabled: Vec<bool> = t.entries().iter().map(|e| e.enabled).collect();
-        assert_eq!(enabled, vec![true, false, true]);
-    }
-
-    #[test]
-    fn due_between_is_half_open() {
-        let t = SchedulingTable::from_schedule(&schedule());
-        let due = t.due_between(Time::from_millis(2), Time::from_millis(5));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].job, JobId::new(TaskId(0), 0));
-        let none = t.due_between(Time::from_millis(9), Time::from_millis(20));
-        assert!(none.is_empty());
     }
 
     #[test]

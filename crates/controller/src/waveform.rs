@@ -96,23 +96,6 @@ impl Waveform {
         }
         out
     }
-
-    /// Rising edges of `pin` (times at which it goes low→high).
-    #[must_use]
-    pub fn rising_edges(&self, pin: u8) -> Vec<Time> {
-        let Some(events) = self.transitions.get(&pin) else {
-            return Vec::new();
-        };
-        let mut level = false;
-        let mut edges = Vec::new();
-        for &(t, high) in events {
-            if high && !level {
-                edges.push(t);
-            }
-            level = high;
-        }
-        edges
-    }
 }
 
 #[cfg(test)]
@@ -150,14 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn rising_edges_detected() {
-        let w = Waveform::from_port_events(pulse_port().events(), Duration::from_micros(1));
-        assert_eq!(w.rising_edges(0), vec![Time::from_micros(2)]);
-        assert_eq!(w.rising_edges(3), vec![Time::from_micros(4)]);
-        assert!(w.rising_edges(9).is_empty());
-    }
-
-    #[test]
     fn unknown_pin_is_low() {
         let w = Waveform::from_port_events(&[], Duration::from_micros(1));
         assert!(!w.level_at(5, Time::from_micros(100)));
@@ -175,14 +150,5 @@ mod tests {
     #[should_panic(expected = "quantum")]
     fn zero_quantum_panics() {
         let _ = Waveform::from_port_events(&[], Duration::ZERO);
-    }
-
-    #[test]
-    fn repeated_same_level_events_are_not_edges() {
-        let mut p = GpioPort::new();
-        p.apply(Time::from_micros(1), &GpioCommand::SetHigh { pin: 0 });
-        p.apply(Time::from_micros(2), &GpioCommand::SetHigh { pin: 0 });
-        let w = Waveform::from_port_events(p.events(), Duration::from_micros(1));
-        assert_eq!(w.rising_edges(0).len(), 1);
     }
 }

@@ -59,7 +59,7 @@ proptest! {
         controller.enable_all();
         let traces = controller.run();
         let trace = &traces[&DeviceId(0)];
-        prop_assert!(trace.fault_free(), "faults: {:?}", trace.faults);
+        prop_assert!(trace.faults.is_empty(), "faults: {:?}", trace.faults);
         prop_assert!(trace_matches_schedule(trace, &schedule));
         prop_assert_eq!(max_deviation_micros(trace, &schedule), Some(0));
     }

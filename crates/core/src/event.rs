@@ -108,18 +108,6 @@ impl SystemEvent {
         }
     }
 
-    /// The task the event concerns, when it concerns exactly one.
-    #[must_use]
-    pub fn task_id(&self) -> Option<TaskId> {
-        match self {
-            SystemEvent::Arrival(task) => Some(task.id()),
-            SystemEvent::Departure(id) => Some(*id),
-            SystemEvent::ModeChange(_)
-            | SystemEvent::UtilisationSpike { .. }
-            | SystemEvent::PartitionDeath { .. } => None,
-        }
-    }
-
     /// The tenant the event acts for, when it carries one: an arrival's
     /// task tenant. Every other kind is tenant-free — departures and mode
     /// changes are resolved by task ownership, spikes and deaths are
@@ -227,28 +215,23 @@ mod tests {
     }
 
     #[test]
-    fn events_expose_their_device_and_task() {
+    fn events_expose_their_device() {
         assert_eq!(SystemEvent::Arrival(task(0)).device(), Some(DeviceId(0)));
-        assert_eq!(SystemEvent::Arrival(task(3)).task_id(), Some(TaskId(3)));
         assert_eq!(SystemEvent::Departure(TaskId(1)).device(), None);
-        assert_eq!(SystemEvent::Departure(TaskId(1)).task_id(), Some(TaskId(1)));
         let spike = SystemEvent::UtilisationSpike {
             device: DeviceId(4),
             percent: 120,
         };
         assert_eq!(spike.device(), Some(DeviceId(4)));
-        assert_eq!(spike.task_id(), None);
         let mode = SystemEvent::ModeChange(Mode {
             id: ModeId(0),
             active: vec![],
         });
         assert_eq!(mode.device(), None);
-        assert_eq!(mode.task_id(), None);
         let death = SystemEvent::PartitionDeath {
             device: DeviceId(6),
         };
         assert_eq!(death.device(), Some(DeviceId(6)));
-        assert_eq!(death.task_id(), None);
     }
 
     #[test]

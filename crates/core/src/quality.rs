@@ -117,16 +117,6 @@ impl QualityCurve {
             }
         }
     }
-
-    /// Normalised value in `[0, 1]` (1 at the ideal instant). Returns 1.0
-    /// for a degenerate curve with `vmax == vmin`.
-    #[must_use]
-    pub fn normalised(&self, ideal: Time, theta: Duration, start: Time) -> f64 {
-        if self.vmax == self.vmin {
-            return 1.0;
-        }
-        (self.value(ideal, theta, start) - self.vmin) / (self.vmax - self.vmin)
-    }
 }
 
 impl Default for QualityCurve {
@@ -191,21 +181,6 @@ mod tests {
             c.value(IDEAL, Duration::ZERO, IDEAL + Duration::from_micros(1)),
             2.0
         );
-    }
-
-    #[test]
-    fn normalised_spans_unit_interval() {
-        let c = QualityCurve::linear(5.0, 1.0);
-        assert_eq!(c.normalised(IDEAL, THETA, IDEAL), 1.0);
-        assert_eq!(c.normalised(IDEAL, THETA, IDEAL + THETA), 0.0);
-        let mid = c.normalised(IDEAL, THETA, IDEAL + Duration::from_millis(1));
-        assert!((mid - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_curve_normalises_to_one() {
-        let c = QualityCurve::linear(3.0, 3.0);
-        assert_eq!(c.normalised(IDEAL, THETA, IDEAL + THETA * 5), 1.0);
     }
 
     #[test]

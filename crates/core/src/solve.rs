@@ -29,21 +29,25 @@ pub enum InfeasibleCause {
     /// feasible slot for some job without displacing committed work.
     NoFeasibleSlot,
     /// The exhaustive oracle (`OptimalPsi`) ran out of its branch-node
-    /// budget (`OptimalPsi::with_node_budget`) before reaching any complete
-    /// schedule; the diagnostic carries the partial assignment it was
-    /// exploring.
+    /// budget (one million nodes) before reaching any complete schedule;
+    /// the diagnostic carries the partial assignment it was exploring.
     BudgetExhausted,
+    /// Expanding the set over its hyper-period would build more jobs than
+    /// an online partition holds (or the hyper-period overflows `u64`),
+    /// so the set was turned away before any job was built.
+    JobBudgetExceeded,
 }
 
 impl InfeasibleCause {
     /// Every cause, in declaration order. New causes are appended, so
     /// the discriminants (and the orders of maps keyed by cause) never
     /// move.
-    pub const ALL: [InfeasibleCause; 4] = [
+    pub const ALL: [InfeasibleCause; 5] = [
         InfeasibleCause::UtilisationOverload,
         InfeasibleCause::BlockingBound,
         InfeasibleCause::NoFeasibleSlot,
         InfeasibleCause::BudgetExhausted,
+        InfeasibleCause::JobBudgetExceeded,
     ];
 
     /// Stable kebab-case identifier (used in reports and JSON output).
@@ -54,6 +58,7 @@ impl InfeasibleCause {
             InfeasibleCause::BlockingBound => "blocking-bound",
             InfeasibleCause::NoFeasibleSlot => "no-feasible-slot",
             InfeasibleCause::BudgetExhausted => "budget-exhausted",
+            InfeasibleCause::JobBudgetExceeded => "job-budget-exceeded",
         }
     }
 }
@@ -166,17 +171,6 @@ impl Infeasible {
         self.origin = Some(origin);
         self
     }
-
-    /// `true` when the diagnostic carries any detail beyond the cause
-    /// (offending ids, a partial result, or a failover origin).
-    #[must_use]
-    pub fn is_populated(&self) -> bool {
-        !self.tasks.is_empty()
-            || !self.jobs.is_empty()
-            || self.best_psi.is_some()
-            || self.best_upsilon.is_some()
-            || self.origin.is_some()
-    }
 }
 
 impl fmt::Display for Infeasible {
@@ -280,6 +274,7 @@ mod tests {
             (InfeasibleCause::BlockingBound, 1, "blocking-bound"),
             (InfeasibleCause::NoFeasibleSlot, 2, "no-feasible-slot"),
             (InfeasibleCause::BudgetExhausted, 3, "budget-exhausted"),
+            (InfeasibleCause::JobBudgetExceeded, 4, "job-budget-exceeded"),
         ];
         for (i, (cause, code, name)) in causes.into_iter().enumerate() {
             assert_eq!(cause as u8, code, "{cause}");
@@ -320,8 +315,18 @@ mod tests {
                 JobId::new(TaskId(3), 1)
             ]
         );
-        assert!(d.is_populated());
-        assert!(!Infeasible::new(InfeasibleCause::BudgetExhausted).is_populated());
+        assert_ne!(d, Infeasible::new(d.cause));
+        assert_eq!(
+            Infeasible::new(InfeasibleCause::BudgetExhausted),
+            Infeasible {
+                cause: InfeasibleCause::BudgetExhausted,
+                tasks: vec![],
+                jobs: vec![],
+                best_psi: None,
+                best_upsilon: None,
+                origin: None,
+            }
+        );
     }
 
     #[test]
@@ -351,7 +356,7 @@ mod tests {
     #[test]
     fn origin_marks_failover_diagnostics() {
         let d = Infeasible::new(InfeasibleCause::NoFeasibleSlot).with_origin(DeviceId(3));
-        assert!(d.is_populated());
+        assert_ne!(d, Infeasible::new(d.cause));
         assert_eq!(d.origin, Some(DeviceId(3)));
         let s = d.to_string();
         assert!(s.contains("orphaned by death of d3"), "{s}");

@@ -25,7 +25,7 @@
 //! ```
 
 use crate::error::ValidateTaskError;
-use crate::time::{lcm, Duration};
+use crate::time::{checked_lcm, lcm, Duration};
 use core::fmt;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -528,6 +528,21 @@ impl TaskSet {
             .unwrap_or(Duration::ZERO)
     }
 
+    /// Jobs per hyper-period, `Σ H/Tᵢ`, counted without building them:
+    /// the length of [`JobSet::expand`](crate::job::JobSet::expand)'s
+    /// set. `None` when the hyper-period or the count overflows `u64`.
+    #[must_use]
+    pub fn job_count(&self) -> Option<u64> {
+        let mut periods = self.tasks.iter().map(IoTask::period);
+        let Some(first) = periods.next() else {
+            return Some(0);
+        };
+        let hyperperiod = periods.try_fold(first, checked_lcm)?.as_micros();
+        self.tasks.iter().try_fold(0u64, |count, t| {
+            count.checked_add(hyperperiod.checked_div(t.period().as_micros())?)
+        })
+    }
+
     /// Assigns deadline-monotonic priorities: the shortest relative deadline
     /// receives the highest priority (largest numeric value), ties broken by
     /// task id (smaller id wins). Also sets `Vmax = Pi + 1` as in the paper's
@@ -805,6 +820,23 @@ mod tests {
     #[test]
     fn hyperperiod_of_empty_set_is_zero() {
         assert_eq!(TaskSet::new().hyperperiod(), Duration::ZERO);
+    }
+
+    #[test]
+    fn job_count_is_the_expansion_length_or_none_on_overflow() {
+        let set: TaskSet = vec![task(0, 10, 100), task(1, 12, 100), task(2, 15, 100)]
+            .into_iter()
+            .collect();
+        assert_eq!(set.job_count(), Some(6 + 5 + 4));
+        let expanded = crate::job::JobSet::expand(&set).len();
+        assert_eq!(set.job_count(), Some(expanded as u64));
+        assert_eq!(TaskSet::new().job_count(), Some(0));
+        // Consecutive periods are co-prime: 2³² ms and 2³² + 1 ms have a
+        // hyper-period past `u64::MAX` µs, which `hyperperiod` panics on.
+        let overflowing: TaskSet = vec![task(0, 1 << 32, 100), task(1, (1 << 32) + 1, 100)]
+            .into_iter()
+            .collect();
+        assert_eq!(overflowing.job_count(), None);
     }
 
     #[test]

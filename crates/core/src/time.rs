@@ -380,8 +380,18 @@ pub fn gcd(a: Duration, b: Duration) -> Duration {
 #[must_use]
 pub fn lcm(a: Duration, b: Duration) -> Duration {
     assert!(!a.is_zero() && !b.is_zero(), "lcm of zero-length span");
+    checked_lcm(a, b).expect("hyper-period overflow")
+}
+
+/// [`lcm`], or `None` when either span is zero or the result overflows
+/// `u64`.
+#[must_use]
+pub fn checked_lcm(a: Duration, b: Duration) -> Option<Duration> {
+    if a.is_zero() || b.is_zero() {
+        return None;
+    }
     let g = gcd(a, b);
-    Duration((a.0 / g.0).checked_mul(b.0).expect("hyper-period overflow"))
+    (a.0 / g.0).checked_mul(b.0).map(Duration)
 }
 
 #[cfg(test)]

@@ -49,4 +49,4 @@ pub mod weights;
 
 pub use engine::{evaluate_population, run, GaConfig, ParetoFront, Problem, Solution};
 pub use hypervolume::hypervolume_2d;
-pub use objectives::{non_dominated_indices, Objectives};
+pub use objectives::Objectives;

@@ -79,20 +79,6 @@ impl FromIterator<f64> for Objectives {
     }
 }
 
-/// Extracts the non-dominated subset (indices) of a set of objective
-/// vectors. `O(n²·m)`; fine for archive maintenance.
-#[must_use]
-pub fn non_dominated_indices(points: &[Objectives]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, p)| j != i && p.dominates(&points[i]))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,22 +119,5 @@ mod tests {
     fn weighted_sum_computes() {
         assert_eq!(o(&[1.0, 3.0]).weighted_sum(&[0.5, 0.5]), 2.0);
         assert_eq!(o(&[1.0, 3.0]).weighted_sum(&[1.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn non_dominated_filters_dominated_points() {
-        let pts = vec![
-            o(&[1.0, 1.0]),
-            o(&[2.0, 0.5]),
-            o(&[0.5, 2.0]),
-            o(&[0.4, 0.4]),
-        ];
-        let front = non_dominated_indices(&pts);
-        assert_eq!(front, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn non_dominated_of_empty_is_empty() {
-        assert!(non_dominated_indices(&[]).is_empty());
     }
 }

@@ -18,14 +18,6 @@ pub fn zero_load_latency(mesh: &Mesh, src: NodeId, dst: NodeId, flits: u32) -> u
     hops + 1 + u64::from(flits.saturating_sub(1))
 }
 
-/// The worst zero-load latency over all source/destination pairs (network
-/// diameter path with the given packet length).
-#[must_use]
-pub fn worst_case_zero_load(mesh: &Mesh, flits: u32) -> u64 {
-    let diameter = u64::from(mesh.width() - 1) + u64::from(mesh.height() - 1);
-    diameter + 1 + u64::from(flits.saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,15 +67,6 @@ mod tests {
             .latency();
         let bound = zero_load_latency(&mesh, NodeId::new(0, 0), NodeId::new(3, 3), 4);
         assert!(measured >= bound);
-    }
-
-    #[test]
-    fn worst_case_is_corner_to_corner() {
-        let mesh = Mesh::new(4, 4);
-        assert_eq!(
-            worst_case_zero_load(&mesh, 4),
-            zero_load_latency(&mesh, NodeId::new(0, 0), NodeId::new(3, 3), 4)
-        );
     }
 
     #[test]

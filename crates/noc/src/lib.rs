@@ -32,7 +32,7 @@ pub mod stats;
 pub mod topology;
 pub mod traffic;
 
-pub use analysis::{worst_case_zero_load, zero_load_latency};
+pub use analysis::zero_load_latency;
 pub use packet::{Delivered, Flit, Packet, PacketId};
 pub use sim::{NocConfig, NocSim};
 pub use stats::LatencyStats;

@@ -40,13 +40,6 @@ impl LatencyStats {
             max: lats[count - 1],
         })
     }
-
-    /// The jitter (max − min): the paper's timing-accuracy enemy number
-    /// one on the request path.
-    #[must_use]
-    pub fn jitter(&self) -> u64 {
-        self.max - self.min
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +74,6 @@ mod tests {
         assert_eq!(s.max, 50);
         assert_eq!(s.p50, 30);
         assert!((s.mean - 30.0).abs() < 1e-12);
-        assert_eq!(s.jitter(), 40);
     }
 
     #[test]
@@ -95,7 +87,6 @@ mod tests {
         assert_eq!(s.min, 7);
         assert_eq!(s.max, 7);
         assert_eq!(s.p95, 7);
-        assert_eq!(s.jitter(), 0);
     }
 
     #[test]

@@ -617,8 +617,8 @@ impl FleetScheduler {
     }
 
     /// Every partition's live schedule, keyed by device — the payload a
-    /// fleet-wide controller hot-swap
-    /// (`IoController::hot_swap_all`) installs between hyper-periods.
+    /// fleet-wide controller hot-swap installs between hyper-periods, one
+    /// `IoController::hot_swap_schedule` per partition.
     #[must_use]
     pub fn schedules(&self) -> BTreeMap<DeviceId, Schedule> {
         self.partitions

@@ -101,6 +101,20 @@ impl RepairStrategy {
 /// Bootstrap's tiers: the offline method, then the FPS baseline.
 const BOOTSTRAP: &[Tier] = &[Tier::Resynthesis, Tier::Fps];
 
+/// The most jobs a partition's active set may expand to. An arrival past
+/// it is rejected with [`InfeasibleCause::JobBudgetExceeded`], and a base
+/// or snapshot past it fails to bootstrap or restore, before a single job
+/// is built: one period co-prime to the rest can otherwise multiply the
+/// hyper-period, and the jobs with it, past what memory holds. The
+/// largest expansion any test, golden or benchmark workload builds is far
+/// below it (EXPERIMENTS.md, "Job budget").
+const JOB_BUDGET: u64 = 1 << 20;
+
+/// `true` when `tasks` expands to at most [`JOB_BUDGET`] jobs.
+fn within_job_budget(tasks: &TaskSet) -> bool {
+    tasks.job_count().is_some_and(|jobs| jobs <= JOB_BUDGET)
+}
+
 /// Why an arrival (or re-admission) was turned away.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
@@ -446,10 +460,11 @@ impl OnlineScheduler {
     /// set must belong to `device`).
     ///
     /// # Errors
-    /// Returns the task set back when no feasible schedule exists for it.
+    /// Returns the task set back when it expands past the job budget or
+    /// no feasible schedule exists for it.
     pub fn bootstrap(device: DeviceId, tasks: TaskSet) -> Result<Self, TaskSet> {
         let mut svc = OnlineScheduler::new(device);
-        if tasks.iter().any(|t| t.device() != device) {
+        if tasks.iter().any(|t| t.device() != device) || !within_job_budget(&tasks) {
             return Err(tasks);
         }
         let jobs = JobSet::expand(&tasks);
@@ -473,8 +488,9 @@ impl OnlineScheduler {
     /// admissions after a restore pay the analysis again.
     ///
     /// # Errors
-    /// Returns a message when the schedule does not validate against the
-    /// active set's expanded jobs (a corrupt or mismatched snapshot).
+    /// Returns a message when the active set expands past the job budget,
+    /// or when the schedule does not validate against its expanded jobs
+    /// (a corrupt or mismatched snapshot).
     pub(crate) fn restore(
         device: DeviceId,
         active: TaskSet,
@@ -483,6 +499,11 @@ impl OnlineScheduler {
         schedule: Schedule,
         stats: OnlineStats,
     ) -> Result<Self, String> {
+        if !within_job_budget(&active) {
+            return Err(format!(
+                "snapshot active set for {device} expands past the {JOB_BUDGET}-job budget"
+            ));
+        }
         let jobs = JobSet::expand(&active);
         schedule
             .validate(&jobs)
@@ -704,7 +725,7 @@ impl OnlineScheduler {
     /// mode-change pool.
     fn admit_effective(&mut self, nominal: &IoTask, effective: IoTask) -> EventOutcome {
         let id = effective.id();
-        // 2. Cached pre-check: recomputes only the entries the newcomer
+        // 3. Cached pre-check: recomputes only the entries the newcomer
         //    can affect. A pass signals that the FPS simulation realises
         //    a schedule (ties resolved by the analysis's id tie-break).
         let mut candidate = self.tasks.clone();
@@ -718,12 +739,29 @@ impl OnlineScheduler {
                 reason: RejectReason::DuplicateTask,
             };
         }
+        // 2. Job budget: the candidate's jobs are counted before any is
+        //    built and before the cache is touched, so one co-prime period
+        //    cannot blow the hyper-period up, and a reject leaves the
+        //    partition exactly as it was.
+        if !within_job_budget(&candidate) {
+            self.reject_for_tenant(effective.tenant());
+            self.stats
+                .record_reject_cause(InfeasibleCause::JobBudgetExceeded);
+            return EventOutcome::Rejected {
+                task: id,
+                reason: RejectReason::Infeasible(
+                    Infeasible::new(InfeasibleCause::JobBudgetExceeded)
+                        .with_tasks([id])
+                        .with_partial(self.psi(), self.upsilon()),
+                ),
+            };
+        }
         // Direction-aware: an arrival can only *raise* blocking bounds, so
         // entries whose bound the newcomer merely ties stay valid (their
         // tie count is bumped instead).
         self.cache.invalidate_for_arrival(&effective);
         let guaranteed = self.cache.schedulable(&candidate);
-        // 3. Integration tiers, on the live jobs with the newcomer's
+        // 4. Integration tiers, on the live jobs with the newcomer's
         //    merged in while the hyper-period stays (the live jobs are
         //    always the expansion of the active set).
         let jobs = self

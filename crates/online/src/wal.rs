@@ -239,12 +239,6 @@ impl MemoryWal {
         MemoryWal::default()
     }
 
-    /// A log over existing text (e.g. a torn prefix of another log).
-    #[must_use]
-    pub fn from_text(text: impl Into<String>) -> Self {
-        MemoryWal { text: text.into() }
-    }
-
     /// The raw log text appended so far.
     #[must_use]
     pub fn text(&self) -> &str {
@@ -380,9 +374,7 @@ mod tests {
         // other offset must be flagged as a torn tail.
         let boundaries = [0, format_record(&every_kind_record(1)).len(), text.len()];
         for cut in 0..=text.len() {
-            let torn = MemoryWal::from_text(&text[..cut]);
-            let loaded = torn
-                .load()
+            let loaded = parse_wal(&text[..cut])
                 .unwrap_or_else(|e| panic!("cut at byte {cut} must stay parseable, got {e}"));
             // Whatever survives is a prefix of the committed records…
             assert!(loaded.epochs.len() <= 2, "cut {cut}");
@@ -399,11 +391,11 @@ mod tests {
         let mut wal = MemoryWal::new();
         wal.append(&every_kind_record(1)).unwrap();
         let bad = wal.text().replace("commit 1", "commit 9");
-        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        let err = parse_wal(&bad).unwrap_err();
         assert!(err.message.contains("does not match"), "{err}");
 
         let bad = wal.text().replace("events=6", "events=5");
-        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        let err = parse_wal(&bad).unwrap_err();
         assert!(err.message.contains("record holds"), "{err}");
 
         // Records carry no routing notes: `routed` is an unknown verb.
@@ -411,12 +403,12 @@ mod tests {
             "commit 1",
             "routed from=- to=d0 attempt=0 depart t2\ncommit 1",
         );
-        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        let err = parse_wal(&bad).unwrap_err();
         assert!(err.message.contains("unknown WAL verb `routed`"), "{err}");
 
         // A word after the epoch header's id is an error on its line.
         let bad = wal.text().replacen("epoch 1\n", "epoch 1 7\n", 1);
-        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        let err = parse_wal(&bad).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("trailing tokens"), "{err}");
 
@@ -426,7 +418,7 @@ mod tests {
         let pair = commit.split_whitespace().last().unwrap();
         assert!(pair.starts_with("d3="), "{commit}");
         let bad = wal.text().replace(&commit, &format!("{commit} d3=0:1"));
-        let err = MemoryWal::from_text(bad).load().unwrap_err();
+        let err = parse_wal(&bad).unwrap_err();
         assert_eq!(err.line, wal.text().lines().count());
         assert_eq!(err.message, "repeated `commit` key `d3`", "{err}");
     }
@@ -457,9 +449,9 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_skipped() {
-        let mut wal = MemoryWal::from_text("# journal\n\n");
+        let mut wal = MemoryWal::new();
         wal.append(&every_kind_record(1)).unwrap();
-        let loaded = wal.load().unwrap();
+        let loaded = parse_wal(&format!("# journal\n\n{}", wal.text())).unwrap();
         assert_eq!(loaded.epochs.len(), 1);
         assert!(!loaded.torn_tail);
     }

@@ -29,7 +29,7 @@ use tagio_online::fleet::{FleetConfig, FleetScheduler};
 use tagio_online::persist::{schedule_digest, stats_digest, FleetSnapshot};
 use tagio_online::scenario::{FleetScenario, FleetScenarioConfig};
 use tagio_online::service::{EventOutcome, RejectReason};
-use tagio_online::wal::{format_record, EpochRecord, MemoryWal, WalSink, WalSource};
+use tagio_online::wal::{format_record, parse_wal, EpochRecord, MemoryWal, WalSink, WalSource};
 
 /// Devices in the fleets under test (4 partitions).
 const DEVICES: u32 = 4;
@@ -221,7 +221,7 @@ proptest! {
                 let next = format_record(&records[kill]);
                 survives.push_str(&next[..tear_bytes % next.len()]);
             }
-            let damaged = MemoryWal::from_text(survives).load().unwrap();
+            let damaged = parse_wal(&survives).unwrap();
             prop_assert_eq!(damaged.epochs.len(), kill, "torn tail must truncate");
 
             // Recover from the latest snapshot at or before the kill

@@ -36,7 +36,7 @@
 //! allocation order (each synthesis, each repair round) the timeline
 //! splits the order into maximal *runs* of non-decreasing release; the
 //! orders sorted by `solve::priority_rank` hold one run per priority
-//! class, and [`Timeline::allocate`] splits its own `pending` list.
+//! class.
 //! Each run records its longest window `W = max(abs_deadline − release)`
 //! and whether it holds a zero-WCET job. Inside a run without one, the
 //! hull test fails:
@@ -100,7 +100,8 @@ impl Placed {
 /// the same numbers on any machine and at any pool width.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LadderWork {
-    /// [`Timeline::allocate`] calls.
+    /// LCC-D allocation calls (one per job the allocator places or
+    /// fails to place).
     pub allocate_calls: u64,
     /// LCC-D rankings over more than one fitting slot.
     pub lccd_rankings: u64,
@@ -176,7 +177,7 @@ struct Run {
 /// construction and allocation — plus the ladder's [`LadderWork`]
 /// counters.
 ///
-/// Every `allocate` call needs slot lists, fitting filters, the LCC-D
+/// Every allocation call needs slot lists, fitting filters, the LCC-D
 /// prefilter's runs and survivors and (on the shifting path) candidate
 /// runs; a repair-driven admission loop runs thousands of such calls per
 /// second, so the online hot path keeps one scratch alive and threads
@@ -224,17 +225,12 @@ pub struct Timeline<'a> {
 }
 
 impl<'a> Timeline<'a> {
-    /// Starts a timeline holding `exact` jobs at their ideal instants.
+    /// Starts a timeline holding `exact` jobs at their ideal instants, on
+    /// the buffers of `scratch`.
     ///
     /// # Panics
     /// Panics if the exact jobs mutually overlap (the decomposition phase
     /// guarantees they do not).
-    #[must_use]
-    pub fn with_exact_jobs(jobs: &'a JobSet, exact: &[usize]) -> Self {
-        Self::with_exact_jobs_in(jobs, exact, &mut TimelineScratch::default())
-    }
-
-    /// [`Timeline::with_exact_jobs`] on the buffers of `scratch`.
     pub(crate) fn with_exact_jobs_in(
         jobs: &'a JobSet,
         exact: &[usize],
@@ -320,8 +316,8 @@ impl<'a> Timeline<'a> {
     }
 
     /// Places `job_idx` exactly at its ideal instant if that interval is
-    /// free (and feasible), maximising Ψ before falling back to
-    /// [`Timeline::allocate`]. Returns `false` without touching the
+    /// free (and feasible), maximising Ψ before falling back to the
+    /// LCC-D allocator. Returns `false` without touching the
     /// timeline otherwise.
     pub fn try_place_ideal(&mut self, job_idx: usize) -> bool {
         let job = &self.jobs.as_slice()[job_idx];
@@ -402,20 +398,6 @@ impl<'a> Timeline<'a> {
         slot.1.saturating_sub(slot.0)
     }
 
-    /// Attempts to allocate `job_idx` (Algorithm 1 lines 12–20) and
-    /// returns the start it chose, or `None` when neither a direct fit
-    /// nor a shifted fit exists. `pending` lists the jobs still to be
-    /// allocated after this one, in allocation order.
-    pub fn allocate(
-        &mut self,
-        job_idx: usize,
-        pending: &[usize],
-        policy: SlotPolicy,
-    ) -> Option<Time> {
-        self.plan(pending);
-        self.allocate_from(job_idx, pending, 0, policy)
-    }
-
     /// Splits the allocation order `order` into its maximal runs of
     /// non-decreasing release, for the contention prefilter of every
     /// [`Timeline::allocate_in`] call on this order. Call it once per
@@ -445,9 +427,10 @@ impl<'a> Timeline<'a> {
         }
     }
 
-    /// Allocates `order[pos]`, with `order[pos + 1..]` pending, as
-    /// [`Timeline::allocate`] does. `order` is the order the last
-    /// [`Timeline::plan`] call split.
+    /// Attempts to allocate `order[pos]` (Algorithm 1 lines 12–20), with
+    /// `order[pos + 1..]` pending, and returns the start it chose, or
+    /// `None` when neither a direct fit nor a shifted fit exists. `order`
+    /// is the order the last [`Timeline::plan`] call split.
     pub(crate) fn allocate_in(
         &mut self,
         order: &[usize],
@@ -797,7 +780,7 @@ impl<'a> Timeline<'a> {
 
     /// Ψ and Υ of the placements made so far, over the whole job set:
     /// the bits [`metrics::psi`] and [`metrics::upsilon`] give for
-    /// [`Timeline::into_schedule`], without building that schedule.
+    /// [`Timeline::into_schedule_in`]'s schedule, without building it.
     /// `by_job` is a reusable lookup buffer.
     pub(crate) fn partial_quality(&self, by_job: &mut Vec<Option<Time>>) -> (f64, f64) {
         placement_quality(
@@ -807,13 +790,7 @@ impl<'a> Timeline<'a> {
         )
     }
 
-    /// Finalises the timeline into a [`Schedule`].
-    #[must_use]
-    pub fn into_schedule(self) -> Schedule {
-        self.into_schedule_in(&mut TimelineScratch::default())
-    }
-
-    /// [`Timeline::into_schedule`], returning the timeline's buffers to
+    /// Finalises the timeline into a [`Schedule`], returning its buffers to
     /// `scratch` so the next [`Timeline::with_placements_in`] reuses
     /// their capacity, and its work counters so they keep accumulating.
     #[must_use]
@@ -842,12 +819,6 @@ impl<'a> Timeline<'a> {
         scratch.rivals = self.rivals;
         scratch.candidates = self.candidates;
         scratch.work = self.work;
-    }
-
-    /// Number of placements currently at their ideal instants.
-    #[must_use]
-    pub fn exact_count(&self) -> usize {
-        self.placed.iter().filter(|p| p.exact).count()
     }
 }
 
@@ -900,6 +871,35 @@ mod tests {
     use tagio_core::job::{Job, JobId};
     use tagio_core::quality::QualityCurve;
     use tagio_core::task::{Priority, TaskId};
+
+    /// One-shot forms of the scratch-threaded entry points, for the tests
+    /// here and the reference oracle in `graph.rs`.
+    impl<'a> Timeline<'a> {
+        pub(crate) fn with_exact_jobs(jobs: &'a JobSet, exact: &[usize]) -> Self {
+            Self::with_exact_jobs_in(jobs, exact, &mut TimelineScratch::default())
+        }
+
+        /// Allocates `job_idx` with `pending` still to be allocated after
+        /// it, in allocation order.
+        pub(crate) fn allocate(
+            &mut self,
+            job_idx: usize,
+            pending: &[usize],
+            policy: SlotPolicy,
+        ) -> Option<Time> {
+            self.plan(pending);
+            self.allocate_from(job_idx, pending, 0, policy)
+        }
+
+        pub(crate) fn into_schedule(self) -> Schedule {
+            self.into_schedule_in(&mut TimelineScratch::default())
+        }
+
+        /// Number of placements currently at their ideal instants.
+        fn exact_count(&self) -> usize {
+            self.placed.iter().filter(|p| p.exact).count()
+        }
+    }
 
     /// A job with explicit release/ideal/deadline in ms and wcet in ms.
     fn job(

@@ -9,7 +9,7 @@
 //!    until no conflicts remain, one dependency graph at a time;
 //!    survivors (`λ*`) execute exactly at their ideal instants,
 //!    maximising Ψ.
-//! 3. **LCC-D allocation** ([`lccd::Timeline::allocate`]) — pack the
+//! 3. **LCC-D allocation** ([`lccd::Timeline`]) — pack the
 //!    sacrificed jobs (`λ¬`, highest priority first) into the free slots of
 //!    their release windows, shifting exact jobs only as a last resort.
 //!

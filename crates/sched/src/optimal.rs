@@ -40,13 +40,6 @@ impl OptimalPsi {
         }
     }
 
-    /// Overrides the node budget; the search returns the best schedule
-    /// found within it (still exact if the space is exhausted first).
-    #[must_use]
-    pub fn with_node_budget(node_budget: u64) -> Self {
-        OptimalPsi { node_budget }
-    }
-
     /// The best achievable Ψ numerator (number of exact jobs), along with
     /// the schedule attaining it.
     ///
@@ -212,6 +205,11 @@ mod tests {
     use tagio_core::time::Duration;
     use tagio_workload::{PeriodPool, SystemConfig};
 
+    /// An oracle whose search stops after `node_budget` branch nodes.
+    fn with_node_budget(node_budget: u64) -> OptimalPsi {
+        OptimalPsi { node_budget }
+    }
+
     fn task(id: u32, period_ms: u64, wcet_us: u64, delta_ms: u64) -> IoTask {
         IoTask::builder(TaskId(id), DeviceId(0))
             .wcet(Duration::from_micros(wcet_us))
@@ -371,12 +369,11 @@ mod tests {
             .map(|i| task(i, 32, 1000, 8 + u64::from(i) * 2))
             .collect();
         let jobs = JobSet::expand(&set);
-        let err = OptimalPsi::with_node_budget(1)
-            .solve_exact(&jobs)
-            .unwrap_err();
+        let err = with_node_budget(1).solve_exact(&jobs).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
         assert!(!err.jobs.is_empty(), "unplaced jobs are named");
         assert!(err.best_psi.is_some(), "partial psi attached");
+        assert!(err.best_upsilon.is_some(), "partial upsilon attached");
     }
 
     #[test]
@@ -385,13 +382,11 @@ mod tests {
             .map(|i| task(i, 32, 1000, 8 + u64::from(i) * 2))
             .collect();
         let jobs = JobSet::expand(&set);
-        let err = OptimalPsi::with_node_budget(2)
-            .solve_exact(&jobs)
-            .unwrap_err();
+        let err = with_node_budget(2).solve_exact(&jobs).unwrap_err();
         assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
         // A budget large enough to find *some* complete schedule but not
         // finish the search still returns a best-so-far (anytime).
-        let (exact, mid) = OptimalPsi::with_node_budget(50)
+        let (exact, mid) = with_node_budget(50)
             .solve_exact(&jobs)
             .expect("anytime: a complete schedule was reachable in 50 nodes");
         mid.validate(&jobs).unwrap();

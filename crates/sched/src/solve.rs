@@ -159,7 +159,7 @@ mod tests {
         assert_eq!(err.cause, InfeasibleCause::UtilisationOverload);
         assert_eq!(err.tasks, vec![TaskId(0), TaskId(1)]);
         assert_eq!(err.best_psi, Some(0.0));
-        assert!(err.is_populated());
+        assert_ne!(err, Infeasible::new(err.cause));
     }
 
     #[test]

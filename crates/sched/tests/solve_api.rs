@@ -4,16 +4,14 @@
 //!   diagnostic on an infeasible job set;
 //! * a GA solve with the same [`SolverCtx`] seed is bit-identical
 //!   across runs;
-//! * a node-budgeted oracle terminates early with a partial-result
-//!   diagnostic;
 //! * [`Scheduler`] is object-safe (trait objects and boxed collections).
 
 use tagio_core::job::JobSet;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio_core::time::Duration;
 use tagio_sched::{
-    make_scheduler, method_names, GaScheduler, InfeasibleCause, OptimalPsi, Scheduler, SolverCtx,
-    StaticScheduler,
+    make_scheduler, method_names, GaScheduler, Infeasible, InfeasibleCause, OptimalPsi, Scheduler,
+    SolverCtx, StaticScheduler,
 };
 
 /// Two tasks each demanding 60% of the same 1ms period: infeasible for
@@ -59,9 +57,10 @@ fn every_registry_method_returns_a_populated_diagnostic() {
         let err = solver
             .schedule_with(&jobs, &SolverCtx::new())
             .expect_err("overload is infeasible for every method");
-        assert!(
-            err.is_populated(),
-            "{name}: diagnostic carries no detail: {err:?}"
+        assert_ne!(
+            err,
+            Infeasible::new(err.cause),
+            "{name}: diagnostic carries no detail"
         );
         assert_eq!(
             err.cause,
@@ -95,23 +94,6 @@ fn ga_solves_are_bit_identical_for_a_fixed_ctx_seed() {
     assert_eq!(a, baked, "ctx seed and constructor seed are the same knob");
 }
 
-#[test]
-fn budgeted_solve_terminates_early_with_partial_result_diagnostic() {
-    // The exhaustive oracle on a 6-job contended set: a 3-node budget
-    // cannot reach any complete schedule, so the solve must stop early
-    // and report how far it got.
-    let jobs = contended_jobs();
-    let err = OptimalPsi::with_node_budget(3)
-        .schedule(&jobs)
-        .expect_err("3 nodes cannot complete a 6-job search");
-    assert_eq!(err.cause, InfeasibleCause::BudgetExhausted);
-    assert!(
-        err.best_psi.is_some() && err.best_upsilon.is_some(),
-        "partial result attached: {err:?}"
-    );
-    assert!(!err.jobs.is_empty(), "unplaced jobs named: {err:?}");
-}
-
 /// Object safety: `dyn Scheduler` must work as a reference and in a box
 /// — `BoxedSolver` and `MethodSet` depend on it — and dispatch
 /// `schedule_with` to the implementor's override.
@@ -126,7 +108,7 @@ fn scheduler_is_object_safe() {
     let solvers: Vec<Box<dyn Scheduler + Send + Sync>> = vec![
         Box::new(StaticScheduler::new()),
         Box::new(GaScheduler::new()),
-        Box::new(OptimalPsi::with_node_budget(10)),
+        Box::new(OptimalPsi::new()),
     ];
     let names: Vec<String> = solvers.iter().map(|s| by_ref(s.as_ref(), &jobs)).collect();
     assert_eq!(names, vec!["static", "ga", "optimal-psi"]);

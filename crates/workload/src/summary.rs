@@ -43,14 +43,6 @@ impl TaskSetSummary {
             max_wcet: tasks.iter().map(|t| t.wcet()).max()?,
         })
     }
-
-    /// `true` when no job can block the shortest-period task past its
-    /// deadline (`max_wcet ≤ min_period / 2`) — the generator's
-    /// blocking-safe property.
-    #[must_use]
-    pub fn is_blocking_safe(&self) -> bool {
-        self.max_wcet <= self.min_period / 2
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +74,8 @@ mod tests {
         for u in [0.3, 0.6, 0.9] {
             let sys = SystemConfig::paper(u).generate(&mut rng);
             let s = TaskSetSummary::compute(&sys).unwrap();
-            assert!(s.is_blocking_safe(), "U={u}: {s:?}");
+            // No job can block the shortest-period task past its deadline.
+            assert!(s.max_wcet <= s.min_period / 2, "U={u}: {s:?}");
         }
     }
 
@@ -93,7 +86,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let violated = (0..30).any(|_| {
             let sys = cfg.generate(&mut rng);
-            !TaskSetSummary::compute(&sys).unwrap().is_blocking_safe()
+            let s = TaskSetSummary::compute(&sys).unwrap();
+            s.max_wcet > s.min_period / 2
         });
         assert!(violated, "expected some unsafe draw at U=0.9");
     }

@@ -30,7 +30,7 @@ fn replay_and_check(tasks: &TaskSet, jobs: &JobSet, schedule: &Schedule, method:
     ctrl.enable_all();
     let traces = ctrl.run();
     let trace = &traces[&DeviceId(0)];
-    assert!(trace.fault_free(), "{method}: faults during replay");
+    assert!(trace.faults.is_empty(), "{method}: faults during replay");
     assert!(
         trace_matches_schedule(trace, schedule),
         "{method}: trace diverged from the schedule"
@@ -134,7 +134,7 @@ fn online_repaired_schedule_hot_swaps_and_round_trips() {
     ctrl.enable_task(DeviceId(0), newcomer.id());
     let second = ctrl.run();
     let trace = &second[&DeviceId(0)];
-    assert!(trace.fault_free());
+    assert!(trace.faults.is_empty());
     assert!(trace_matches_schedule(trace, svc.schedule()));
     assert_eq!(
         max_deviation_micros(trace, svc.schedule()),
@@ -197,13 +197,16 @@ fn fleet_epoch_hot_swaps_every_partition_and_round_trips() {
         .collect();
     let mut ctrl = IoController::for_taskset(&all_tasks).expect("memory fits");
     let schedules = fleet.schedules();
-    let enabled = ctrl.hot_swap_all(&schedules);
+    let enabled: usize = schedules
+        .iter()
+        .map(|(device, schedule)| ctrl.hot_swap_schedule(*device, schedule))
+        .sum();
     assert_eq!(enabled, 0, "no requests have arrived yet");
     ctrl.enable_all();
     let traces = ctrl.run();
     for (device, schedule) in &schedules {
         let trace = &traces[device];
-        assert!(trace.fault_free(), "partition {device:?} faulted");
+        assert!(trace.faults.is_empty(), "partition {device:?} faulted");
         assert!(
             trace_matches_schedule(trace, schedule),
             "partition {device:?} diverged from its swapped schedule"

@@ -69,7 +69,7 @@ fn full_preload_schedule_execute_flow() {
     controller.enable_all();
     let traces = controller.run();
     let trace = &traces[&DeviceId(0)];
-    assert!(trace.fault_free());
+    assert!(trace.faults.is_empty());
     assert_eq!(max_deviation_micros(trace, &schedule), Some(0));
 }
 
