@@ -14,7 +14,8 @@
 //! `test-only-api` also reads `crates/*/benches`, `src/`, `examples/`
 //! and `perfbench/src`, but only as callers: a use there keeps a
 //! `pub fn` live, and no rule runs on them. It matches names, not
-//! types, so it can miss a dead item but never flags a live one.
+//! types, so it can miss a dead item but never flags a live one; the
+//! compiler-checked "Dead-API sweep" in EXPERIMENTS.md finds those.
 //!
 //! Doc comments, string literals and `#[cfg(test)]` modules never
 //! fire a rule, and never count as a use. Findings are suppressed only
@@ -122,12 +123,6 @@ pub struct LintOutcome {
 }
 
 impl LintOutcome {
-    /// `true` when no rule fired and no allowlist entry is stale.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_allowlist.is_empty()
-    }
-
     /// Renders the outcome as an [`AuditReport`].
     #[must_use]
     pub fn to_report(&self) -> AuditReport {
@@ -888,7 +883,11 @@ mod tests {
             &files,
             "# why: a checker\ntest-only-api a/src/lib.rs pub fn helper(\n",
         );
-        assert!(covered.is_clean(), "{:?}", covered.findings);
+        assert!(
+            covered.findings.is_empty() && covered.unused_allowlist.is_empty(),
+            "{:?}",
+            covered.findings
+        );
         let stale = lint_tree(
             "stale",
             &files,
@@ -899,6 +898,5 @@ mod tests {
             stale.unused_allowlist,
             ["test-only-api a/src/lib.rs pub fn gone("]
         );
-        assert!(!stale.is_clean());
     }
 }

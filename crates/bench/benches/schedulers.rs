@@ -48,7 +48,7 @@ fn bench_schedulers(c: &mut Criterion) {
 fn bench_fps_online_test(c: &mut Criterion) {
     let sys = generate_systems(0.6, 1, 7).pop().expect("one system");
     c.bench_function("fps-online-test", |b| {
-        b.iter(|| black_box(tagio_sched::fps_online_schedulable(&sys.tasks)));
+        b.iter(|| black_box(tagio_sched::taskset_schedulable_np_fps(&sys.tasks)));
     });
 }
 

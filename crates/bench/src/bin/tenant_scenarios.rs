@@ -59,7 +59,6 @@ fn scenario_config(partitions: u32, arrivals: usize, seed: u64) -> FleetScenario
         tenant_zipf: 1.1,
         diurnal_period: 32,
         burst_every: 16,
-        burst_len: 4,
         ..FleetScenarioConfig::default()
     }
 }

@@ -12,8 +12,8 @@ use crate::{EvalSystem, Options};
 use tagio_core::pool::WorkerPool;
 use tagio_ga::{hypervolume_2d, GaConfig, Objectives};
 use tagio_sched::{
-    fps_online_schedulable, make_scheduler, GaScheduler, MethodError, MethodSet, SchedulingReport,
-    SolverCtx,
+    make_scheduler, taskset_schedulable_np_fps, GaScheduler, MethodError, MethodSet,
+    SchedulingReport, SolverCtx,
 };
 
 /// One point of a sweep: a display label plus the numeric parameter value.
@@ -203,7 +203,7 @@ impl Method<EvalSystem> {
     #[must_use]
     pub fn fps_online() -> Self {
         Method::new("fps-online", |sys: &EvalSystem, _: &SweepPoint| {
-            Outcome::flag(fps_online_schedulable(&sys.tasks))
+            Outcome::flag(taskset_schedulable_np_fps(&sys.tasks))
         })
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The workspace's vendored `serde` stub carries the trait contract but no
 //! serialisation backend (see `vendor/README.md`), so sweep reports emit
-//! JSON through these small helpers instead. [`validate`] is a strict
-//! recursive-descent parser used by the test-suite (and CI smoke checks)
-//! so the emitted schema cannot silently rot.
+//! JSON through these small helpers instead. [`parse`] is a strict
+//! recursive-descent parser used by the test-suite so the emitted schema
+//! cannot silently rot.
 
 /// Escapes `s` into a double-quoted JSON string literal.
 #[must_use]
@@ -40,7 +40,7 @@ pub fn number(v: f64) -> String {
 /// A parsed JSON value (the golden-master suite's document model).
 ///
 /// Objects keep key order as a `Vec` — the reports emit keys in a stable
-/// order, and [`diff`] reports key-set differences regardless of order.
+/// order, and the golden-master comparison ignores it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null` (also what non-finite numbers serialise to).
@@ -57,63 +57,6 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-impl Value {
-    /// Member lookup on objects (`None` on other kinds or missing keys).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// A one-word name of the value's kind (used in diff messages).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-}
-
-/// Renders a [`Value`] back to compact JSON text (the inverse of
-/// [`parse`], used by the golden-master suite to write *normalised*
-/// snapshots so regeneration is byte-stable for unchanged schemas).
-#[must_use]
-pub fn render(value: &Value) -> String {
-    match value {
-        Value::Null => "null".to_owned(),
-        Value::Bool(b) => b.to_string(),
-        Value::Number(n) => number(*n),
-        Value::String(s) => string(s),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Value::Object(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{}:{}", string(k), render(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
-}
-
 /// Parses one complete JSON document into a [`Value`].
 ///
 /// # Errors
@@ -128,80 +71,6 @@ pub fn parse(s: &str) -> Result<Value, String> {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
-}
-
-/// Validates that `s` is one complete, well-formed JSON value.
-///
-/// # Errors
-/// Returns a message naming the byte offset of the first violation.
-pub fn validate(s: &str) -> Result<(), String> {
-    parse(s).map(|_| ())
-}
-
-/// Structurally compares two documents, returning one human-readable
-/// line per difference (empty when equivalent). Numbers are compared
-/// with absolute-or-relative tolerance `tol`; object member *order* is
-/// ignored, key sets and everything else must match. This is the
-/// golden-master comparison: byte-level churn (whitespace, key order,
-/// number formatting) does not trip it, schema or value changes do.
-#[must_use]
-pub fn diff(expected: &Value, actual: &Value, tol: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    diff_at("$", expected, actual, tol, &mut out);
-    out
-}
-
-fn diff_at(path: &str, expected: &Value, actual: &Value, tol: f64, out: &mut Vec<String>) {
-    match (expected, actual) {
-        (Value::Null, Value::Null) => {}
-        (Value::Bool(a), Value::Bool(b)) => {
-            if a != b {
-                out.push(format!("{path}: expected {a}, got {b}"));
-            }
-        }
-        (Value::Number(a), Value::Number(b)) => {
-            let scale = 1.0f64.max(a.abs()).max(b.abs());
-            if (a - b).abs() > tol * scale {
-                out.push(format!("{path}: expected {a}, got {b}"));
-            }
-        }
-        (Value::String(a), Value::String(b)) => {
-            if a != b {
-                out.push(format!("{path}: expected {a:?}, got {b:?}"));
-            }
-        }
-        (Value::Array(a), Value::Array(b)) => {
-            if a.len() != b.len() {
-                out.push(format!(
-                    "{path}: expected {} elements, got {}",
-                    a.len(),
-                    b.len()
-                ));
-                return;
-            }
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                diff_at(&format!("{path}[{i}]"), x, y, tol, out);
-            }
-        }
-        (Value::Object(a), Value::Object(b)) => {
-            for (key, x) in a {
-                match actual.get(key) {
-                    Some(y) => diff_at(&format!("{path}.{key}"), x, y, tol, out),
-                    None => out.push(format!("{path}: missing key {key:?}")),
-                }
-            }
-            for (key, _) in b {
-                if expected.get(key).is_none() {
-                    out.push(format!("{path}: unexpected key {key:?}"));
-                }
-            }
-        }
-        _ => out.push(format!(
-            "{path}: expected {}, got {}",
-            expected.kind(),
-            actual.kind()
-        )),
-    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -408,7 +277,7 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(string("Ψ/Υ"), "\"Ψ/Υ\"");
-        validate(&string("quote \" backslash \\ tab \t ctrl \u{1}")).unwrap();
+        parse(&string("quote \" backslash \\ tab \t ctrl \u{1}")).unwrap();
     }
 
     #[test]
@@ -418,7 +287,7 @@ mod tests {
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
         for v in [0.0, 1e-9, 1e12, -0.125] {
-            validate(&number(v)).unwrap();
+            parse(&number(v)).unwrap();
         }
     }
 
@@ -432,51 +301,32 @@ mod tests {
             r#"{"a":[1,2,{"b":"x"}],"c":true,"d":null}"#,
             "  [ 1 , \"two\" , [ ] ]  ",
         ] {
-            validate(ok).unwrap_or_else(|e| panic!("rejected {ok}: {e}"));
+            parse(ok).unwrap_or_else(|e| panic!("rejected {ok}: {e}"));
         }
     }
 
     #[test]
     fn parse_builds_the_value_tree() {
         let v = parse(r#"{"a":[1,2.5,{"b":"x\n"}],"c":true,"d":null}"#).unwrap();
-        assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Value::Null));
-        let Some(Value::Array(a)) = v.get("a") else {
-            panic!("`a` is an array: {v:?}");
-        };
-        assert_eq!(a[0], Value::Number(1.0));
-        assert_eq!(a[1], Value::Number(2.5));
-        assert_eq!(a[2].get("b").and_then(Value::as_str), Some("x\n"));
-        assert!(v.get("missing").is_none());
+        let member = |k: &str, v: Value| (k.to_owned(), v);
+        assert_eq!(
+            v,
+            Value::Object(vec![
+                member(
+                    "a",
+                    Value::Array(vec![
+                        Value::Number(1.0),
+                        Value::Number(2.5),
+                        Value::Object(vec![member("b", Value::String("x\n".to_owned()))]),
+                    ])
+                ),
+                member("c", Value::Bool(true)),
+                member("d", Value::Null),
+            ])
+        );
         // Round-trip through the emitters.
         let emitted = parse(&string("Ψ \"quoted\" \\ tab\t")).unwrap();
-        assert_eq!(emitted.as_str(), Some("Ψ \"quoted\" \\ tab\t"));
-    }
-
-    #[test]
-    fn render_round_trips_through_parse() {
-        let doc = r#"{"a":[1,2.5,{"b":"x\n"},null,true],"c":"Ψ"}"#;
-        let v = parse(doc).unwrap();
-        let rendered = render(&v);
-        assert_eq!(parse(&rendered).unwrap(), v);
-    }
-
-    #[test]
-    fn diff_ignores_order_and_formatting_but_not_structure() {
-        let a = parse(r#"{"x":1.0,"y":[1,2],"s":"v"}"#).unwrap();
-        let same = parse(r#"{ "y":[1, 2.0], "s":"v", "x":1 }"#).unwrap();
-        assert!(diff(&a, &same, 1e-9).is_empty());
-        let tweaked = parse(r#"{"x":1.0001,"y":[1,2],"s":"v"}"#).unwrap();
-        assert_eq!(diff(&a, &tweaked, 1e-9).len(), 1);
-        assert!(diff(&a, &tweaked, 1e-2).is_empty(), "within tolerance");
-        let missing = parse(r#"{"x":1,"y":[1,2]}"#).unwrap();
-        assert!(diff(&a, &missing, 1e-9)[0].contains("missing key"));
-        let extra = parse(r#"{"x":1,"y":[1,2],"s":"v","z":0}"#).unwrap();
-        assert!(diff(&a, &extra, 1e-9)[0].contains("unexpected key"));
-        let wrong_len = parse(r#"{"x":1,"y":[1],"s":"v"}"#).unwrap();
-        assert!(diff(&a, &wrong_len, 1e-9)[0].contains("elements"));
-        let wrong_kind = parse(r#"{"x":"1","y":[1,2],"s":"v"}"#).unwrap();
-        assert!(diff(&a, &wrong_kind, 1e-9)[0].contains("expected number"));
+        assert_eq!(emitted, Value::String("Ψ \"quoted\" \\ tab\t".to_owned()));
     }
 
     #[test]
@@ -496,7 +346,7 @@ mod tests {
             "-012.5",
             "NaN",
         ] {
-            assert!(validate(bad).is_err(), "accepted {bad}");
+            assert!(parse(bad).is_err(), "accepted {bad}");
         }
     }
 }

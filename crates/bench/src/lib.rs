@@ -49,8 +49,8 @@ use tagio_workload::SystemConfig;
 /// Common command-line options of the experiment binaries.
 ///
 /// GA population/generation defaults come from [`GaConfig::quick`]; the
-/// paper's published 300×500 lives in [`GaConfig::paper`] (the single
-/// source of those parameters).
+/// paper's published 300×500 is `--pop 300 --gens 500` (see
+/// EXPERIMENTS.md, "Defaults vs. paper scale").
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Synthetic systems per utilisation point (paper: 1000).

@@ -159,7 +159,7 @@ impl Report {
     }
 
     /// Serialises the whole report as one JSON document (schema in
-    /// `EXPERIMENTS.md`; guaranteed parseable — see `json::validate`).
+    /// `EXPERIMENTS.md`; guaranteed parseable — see `json::parse`).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -289,7 +289,7 @@ mod tests {
     fn json_output_is_well_formed_and_complete() {
         let report = sample_report();
         let doc = report.to_json();
-        json::validate(&doc).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{doc}"));
+        json::parse(&doc).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{doc}"));
         for needle in [
             "\"title\":\"unit \\\"test\\\" sweep\"",
             "\"parameter\":\"U\"",
@@ -349,7 +349,7 @@ mod tests {
             options: Options::default(),
             points: Vec::new(),
         };
-        json::validate(&report.to_json()).unwrap();
+        json::parse(&report.to_json()).unwrap();
         assert_eq!(report.render_series(None).lines().count(), 2);
     }
 }

@@ -1,9 +1,9 @@
 //! Golden-master regression suite for every experiment binary.
 //!
 //! Each binary runs a tiny fixed-seed sweep with `--json --threads 2`
-//! and the parsed document is compared **structurally** (via
-//! `tagio_bench::json::diff`: key sets, array shapes, strings, numbers
-//! within tolerance — but not byte formatting or member order) against
+//! and the parsed document is compared **structurally** (via [`diff`]:
+//! key sets, array shapes, strings, numbers within tolerance — but not
+//! byte formatting or member order) against
 //! the snapshot under `tests/golden/` at the repository root. Report-
 //! format churn therefore fails this suite until the snapshots are
 //! regenerated deliberately:
@@ -85,6 +85,114 @@ fn cases() -> Vec<(&'static str, &'static str, Vec<&'static str>)> {
     ]
 }
 
+/// Structurally compares two documents, returning one human-readable
+/// line per difference (empty when equivalent). Numbers are compared
+/// with absolute-or-relative tolerance `tol`; object member *order* is
+/// ignored, key sets and everything else must match. This is the
+/// golden-master comparison: byte-level churn (whitespace, key order,
+/// number formatting) does not trip it, schema or value changes do.
+fn diff(expected: &Value, actual: &Value, tol: f64) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at("$", expected, actual, tol, &mut out);
+    out
+}
+
+fn diff_at(path: &str, expected: &Value, actual: &Value, tol: f64, out: &mut Vec<String>) {
+    match (expected, actual) {
+        (Value::Null, Value::Null) => {}
+        (Value::Bool(a), Value::Bool(b)) => {
+            if a != b {
+                out.push(format!("{path}: expected {a}, got {b}"));
+            }
+        }
+        (Value::Number(a), Value::Number(b)) => {
+            let scale = 1.0f64.max(a.abs()).max(b.abs());
+            if (a - b).abs() > tol * scale {
+                out.push(format!("{path}: expected {a}, got {b}"));
+            }
+        }
+        (Value::String(a), Value::String(b)) => {
+            if a != b {
+                out.push(format!("{path}: expected {a:?}, got {b:?}"));
+            }
+        }
+        (Value::Array(a), Value::Array(b)) => {
+            if a.len() != b.len() {
+                out.push(format!(
+                    "{path}: expected {} elements, got {}",
+                    a.len(),
+                    b.len()
+                ));
+                return;
+            }
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                diff_at(&format!("{path}[{i}]"), x, y, tol, out);
+            }
+        }
+        (Value::Object(a), Value::Object(b)) => {
+            for (key, x) in a {
+                match member(actual, key) {
+                    Some(y) => diff_at(&format!("{path}.{key}"), x, y, tol, out),
+                    None => out.push(format!("{path}: missing key {key:?}")),
+                }
+            }
+            for (key, _) in b {
+                if member(expected, key).is_none() {
+                    out.push(format!("{path}: unexpected key {key:?}"));
+                }
+            }
+        }
+        _ => out.push(format!(
+            "{path}: expected {}, got {}",
+            kind(expected),
+            kind(actual)
+        )),
+    }
+}
+
+/// Member lookup on objects (`None` on other kinds or missing keys).
+fn member<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+    match value {
+        Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// A one-word name of the value's kind (used in diff messages).
+fn kind(value: &Value) -> &'static str {
+    match value {
+        Value::Null => "null",
+        Value::Bool(_) => "bool",
+        Value::Number(_) => "number",
+        Value::String(_) => "string",
+        Value::Array(_) => "array",
+        Value::Object(_) => "object",
+    }
+}
+
+/// Renders a [`Value`] back to compact JSON text (the inverse of
+/// [`json::parse`]), so regenerated snapshots are *normalised* and
+/// byte-stable for unchanged schemas.
+fn render(value: &Value) -> String {
+    match value {
+        Value::Null => "null".to_owned(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(n) => json::number(*n),
+        Value::String(s) => json::string(s),
+        Value::Array(items) => {
+            let inner: Vec<String> = items.iter().map(render).collect();
+            format!("[{}]", inner.join(","))
+        }
+        Value::Object(members) => {
+            let inner: Vec<String> = members
+                .iter()
+                .map(|(k, v)| format!("{}:{}", json::string(k), render(v)))
+                .collect();
+            format!("{{{}}}", inner.join(","))
+        }
+    }
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
@@ -143,7 +251,7 @@ fn experiment_binaries_match_their_golden_documents() {
             // Write the *normalised* document: wall-clock summaries are
             // already zeroed, so regeneration is byte-stable whenever the
             // schema and deterministic values are unchanged.
-            std::fs::write(&golden_path, json::render(&actual) + "\n")
+            std::fs::write(&golden_path, render(&actual) + "\n")
                 .unwrap_or_else(|e| panic!("write {}: {e}", golden_path.display()));
             eprintln!("updated {}", golden_path.display());
             continue;
@@ -157,7 +265,7 @@ fn experiment_binaries_match_their_golden_documents() {
         let mut golden = json::parse(golden_text.trim())
             .unwrap_or_else(|e| panic!("corrupt golden {}: {e}", golden_path.display()));
         normalise(&mut golden);
-        let differences = json::diff(&golden, &actual, 1e-9);
+        let differences = diff(&golden, &actual, 1e-9);
         if !differences.is_empty() {
             failures.push(format!(
                 "{name}: {} difference(s) vs {}:\n  {}",
@@ -193,4 +301,29 @@ fn golden_documents_cover_every_binary() {
             dir.display()
         );
     }
+}
+
+#[test]
+fn render_round_trips_through_parse() {
+    let doc = r#"{"a":[1,2.5,{"b":"x\n"},null,true],"c":"Ψ"}"#;
+    let v = json::parse(doc).unwrap();
+    assert_eq!(json::parse(&render(&v)).unwrap(), v);
+}
+
+#[test]
+fn diff_ignores_order_and_formatting_but_not_structure() {
+    let a = json::parse(r#"{"x":1.0,"y":[1,2],"s":"v"}"#).unwrap();
+    let same = json::parse(r#"{ "y":[1, 2.0], "s":"v", "x":1 }"#).unwrap();
+    assert!(diff(&a, &same, 1e-9).is_empty());
+    let tweaked = json::parse(r#"{"x":1.0001,"y":[1,2],"s":"v"}"#).unwrap();
+    assert_eq!(diff(&a, &tweaked, 1e-9).len(), 1);
+    assert!(diff(&a, &tweaked, 1e-2).is_empty(), "within tolerance");
+    let missing = json::parse(r#"{"x":1,"y":[1,2]}"#).unwrap();
+    assert!(diff(&a, &missing, 1e-9)[0].contains("missing key"));
+    let extra = json::parse(r#"{"x":1,"y":[1,2],"s":"v","z":0}"#).unwrap();
+    assert!(diff(&a, &extra, 1e-9)[0].contains("unexpected key"));
+    let wrong_len = json::parse(r#"{"x":1,"y":[1],"s":"v"}"#).unwrap();
+    assert!(diff(&a, &wrong_len, 1e-9)[0].contains("elements"));
+    let wrong_kind = json::parse(r#"{"x":"1","y":[1,2],"s":"v"}"#).unwrap();
+    assert!(diff(&a, &wrong_kind, 1e-9)[0].contains("expected number"));
 }

@@ -87,27 +87,10 @@ impl CommandBlock {
         self
     }
 
-    /// Appends a command.
-    pub fn push(&mut self, cmd: GpioCommand) {
-        self.commands.push(cmd);
-    }
-
     /// The commands in execution order.
     #[must_use]
     pub fn commands(&self) -> &[GpioCommand] {
         &self.commands
-    }
-
-    /// Number of commands.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// `true` if the block holds no commands.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
     }
 
     /// Total device time of the block (must not exceed the task's WCET).
@@ -167,7 +150,7 @@ mod tests {
     #[test]
     fn block_duration_sums_commands() {
         let b = CommandBlock::pulse(3, 48);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.commands().len(), 3);
         assert_eq!(b.duration(), Duration::from_micros(50));
     }
 
@@ -186,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_block_has_zero_duration() {
-        assert!(CommandBlock::new().is_empty());
+        assert!(CommandBlock::new().commands().is_empty());
         assert_eq!(CommandBlock::new().duration(), Duration::ZERO);
     }
 
@@ -198,7 +181,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.commands().len(), 2);
         assert_eq!(b.duration(), Duration::from_micros(2));
     }
 }

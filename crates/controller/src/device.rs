@@ -65,12 +65,6 @@ impl GpioPort {
         GpioPort::default()
     }
 
-    /// Current port word.
-    #[must_use]
-    pub fn state(&self) -> u32 {
-        self.state
-    }
-
     /// Level of one pin.
     ///
     /// # Panics
@@ -172,7 +166,7 @@ mod tests {
     fn write_word_replaces_state() {
         let mut p = GpioPort::new();
         p.apply(Time::ZERO, &GpioCommand::WriteWord { value: 0xDEAD });
-        assert_eq!(p.state(), 0xDEAD);
+        assert_eq!(p.state, 0xDEAD);
     }
 
     #[test]

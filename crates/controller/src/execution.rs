@@ -112,12 +112,6 @@ impl<D: IoDevice> ControllerProcessor<D> {
         &mut self.table
     }
 
-    /// The scheduling table.
-    #[must_use]
-    pub fn table(&self) -> &SchedulingTable {
-        &self.table
-    }
-
     /// The attached device.
     #[must_use]
     pub fn device(&self) -> &D {

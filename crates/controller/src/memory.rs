@@ -92,24 +92,6 @@ impl ControllerMemory {
         self.blocks.values().map(CommandBlock::encoded_bytes).sum()
     }
 
-    /// Total capacity in bytes.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of pre-loaded tasks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// `true` when nothing is loaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Pre-loads `block` for `task` (Phase 1, via Port A).
     ///
     /// # Errors
@@ -158,7 +140,7 @@ mod tests {
             .preload(TaskId(0), CommandBlock::pulse(0, 1))
             .unwrap_err();
         assert!(matches!(err, PreloadError::CapacityExceeded { .. }));
-        assert!(mem.is_empty());
+        assert!(mem.blocks.is_empty());
     }
 
     #[test]
@@ -175,11 +157,11 @@ mod tests {
         mem.preload(TaskId(0), CommandBlock::pulse(0, 1)).unwrap(); // 12
         mem.preload(TaskId(1), CommandBlock::sample()).unwrap(); // 4
         assert_eq!(mem.used_bytes(), 16);
-        assert_eq!(mem.len(), 2);
+        assert_eq!(mem.blocks.len(), 2);
     }
 
     #[test]
     fn paper_capacity_matches_table1() {
-        assert_eq!(ControllerMemory::new().capacity(), 32 * 1024);
+        assert_eq!(ControllerMemory::new().capacity, 32 * 1024);
     }
 }

@@ -118,20 +118,6 @@ impl IoController {
         }
     }
 
-    /// Enables one task's rows on its device's processor; returns the
-    /// number of rows enabled.
-    pub fn enable_task(&mut self, device: DeviceId, task: TaskId) -> usize {
-        self.processors
-            .get_mut(&device)
-            .map_or(0, |cp| cp.table_mut().enable_task(task))
-    }
-
-    /// The shared controller memory.
-    #[must_use]
-    pub fn memory(&self) -> &ControllerMemory {
-        &self.memory
-    }
-
     /// The processor bound to `device`.
     #[must_use]
     pub fn processor(&self, device: DeviceId) -> Option<&ControllerProcessor<GpioPort>> {
@@ -240,6 +226,31 @@ mod tests {
             .collect()
     }
 
+    /// Loads `schedules` with only the `requested` tasks' rows enabled:
+    /// each table is loaded without the other tasks' rows and enabled,
+    /// then the full schedule is hot-swapped in, which carries each
+    /// task's enable bit over and brings the new rows up disabled.
+    fn load_requested(
+        ctrl: &mut IoController,
+        schedules: &BTreeMap<DeviceId, Schedule>,
+        requested: &[TaskId],
+    ) {
+        let only_requested = |s: &Schedule| -> Schedule {
+            s.iter()
+                .filter(|e| requested.contains(&e.job.task))
+                .cloned()
+                .collect()
+        };
+        for (dev, s) in schedules {
+            ctrl.load_schedule(*dev, &only_requested(s));
+        }
+        ctrl.enable_all();
+        for (dev, s) in schedules {
+            let enabled = ctrl.hot_swap_schedule(*dev, s);
+            assert_eq!(enabled, only_requested(s).len());
+        }
+    }
+
     #[test]
     fn controller_replays_schedule_exactly() {
         let tasks = tasks_two_devices();
@@ -272,12 +283,8 @@ mod tests {
         let tasks = tasks_two_devices();
         let schedules = ideal_schedules(&tasks);
         let mut ctrl = IoController::for_taskset(&tasks).unwrap();
-        for (dev, s) in &schedules {
-            ctrl.load_schedule(*dev, s);
-        }
         // Enable only task 0 on device 0 (task 2 rows stay disabled).
-        ctrl.enable_task(DeviceId(0), TaskId(0));
-        ctrl.enable_task(DeviceId(1), TaskId(1));
+        load_requested(&mut ctrl, &schedules, &[TaskId(0), TaskId(1)]);
         let traces = ctrl.run();
         let d0 = &traces[&DeviceId(0)];
         assert!(!d0.faults.is_empty());
@@ -305,7 +312,7 @@ mod tests {
         let tasks = tasks_two_devices();
         let ctrl = IoController::for_taskset(&tasks).unwrap();
         for task in &tasks {
-            let block = ctrl.memory().fetch(task.id()).unwrap();
+            let block = ctrl.memory.fetch(task.id()).unwrap();
             assert!(block.duration() <= task.wcet());
         }
     }
@@ -371,11 +378,8 @@ mod tests {
         let tasks = tasks_two_devices();
         let schedules = ideal_schedules(&tasks);
         let mut ctrl = IoController::for_taskset(&tasks).unwrap();
-        for (dev, s) in &schedules {
-            ctrl.load_schedule(*dev, s);
-        }
         // Only task 0's request arrived before the first hyper-period.
-        ctrl.enable_task(DeviceId(0), TaskId(0));
+        load_requested(&mut ctrl, &schedules, &[TaskId(0)]);
         let first = ctrl.run();
         assert!(first[&DeviceId(0)]
             .executed

@@ -56,35 +56,10 @@ impl SchedulingTable {
         }
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the table has no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Rows in start-time order.
     #[must_use]
     pub fn entries(&self) -> &[TableEntry] {
         &self.entries
-    }
-
-    /// Sets the enable bit of every row of `task` (request channel write).
-    /// Returns the number of rows enabled.
-    pub fn enable_task(&mut self, task: TaskId) -> usize {
-        let mut n = 0;
-        for e in &mut self.entries {
-            if e.job.task == task && !e.enabled {
-                e.enabled = true;
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Enables every row (convenience for fully-periodic systems where all
@@ -155,30 +130,24 @@ mod tests {
     #[test]
     fn from_schedule_preserves_order_and_budget() {
         let t = SchedulingTable::from_schedule(&schedule());
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.entries().len(), 3);
         assert_eq!(t.entries()[0].start, Time::from_millis(2));
         assert_eq!(t.entries()[1].budget, Duration::from_micros(200));
         assert!(t.entries().iter().all(|e| !e.enabled));
     }
 
     #[test]
-    fn enable_task_sets_all_rows_of_task() {
-        let mut t = SchedulingTable::from_schedule(&schedule());
-        assert_eq!(t.enable_task(TaskId(0)), 2);
-        assert_eq!(t.enable_task(TaskId(0)), 0); // already enabled
-        let enabled: Vec<bool> = t.entries().iter().map(|e| e.enabled).collect();
-        assert_eq!(enabled, vec![true, false, true]);
-    }
-
-    #[test]
     fn empty_table_is_empty() {
-        assert!(SchedulingTable::new().is_empty());
+        assert!(SchedulingTable::new().entries().is_empty());
     }
 
     #[test]
     fn hot_swap_carries_enable_bits_per_task() {
         let mut t = SchedulingTable::from_schedule(&schedule());
-        t.enable_task(TaskId(0)); // task 1 stays disabled
+        // Task 0's request arrived; task 1 stays disabled.
+        for e in &mut t.entries {
+            e.enabled = e.job.task == TaskId(0);
+        }
         let next: Schedule = vec![
             ScheduleEntry {
                 job: JobId::new(TaskId(0), 0),
@@ -200,7 +169,7 @@ mod tests {
         .collect();
         let enabled = t.hot_swap(&next);
         assert_eq!(enabled, 1);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.entries().len(), 3);
         let bits: Vec<(u32, bool)> = t
             .entries()
             .iter()
@@ -215,6 +184,6 @@ mod tests {
         let mut t = SchedulingTable::from_schedule(&schedule());
         t.enable_all();
         assert_eq!(t.hot_swap(&Schedule::new()), 0);
-        assert!(t.is_empty());
+        assert!(t.entries().is_empty());
     }
 }

@@ -19,18 +19,6 @@ impl ValidateTaskError {
     pub(crate) fn new(task: TaskId, reason: &'static str) -> Self {
         ValidateTaskError { task, reason }
     }
-
-    /// The offending task.
-    #[must_use]
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
-    /// Human-readable reason.
-    #[must_use]
-    pub fn reason(&self) -> &'static str {
-        self.reason
-    }
 }
 
 impl fmt::Display for ValidateTaskError {
@@ -143,7 +131,7 @@ mod tests {
     #[test]
     fn task_error_displays_reason() {
         let e = ValidateTaskError::new(TaskId(3), "wcet must be positive");
-        assert_eq!(e.task(), TaskId(3));
+        assert_eq!(e.task, TaskId(3));
         assert!(e.to_string().contains("t3"));
         assert!(e.to_string().contains("wcet"));
     }

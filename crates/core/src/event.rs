@@ -13,7 +13,7 @@
 //! so any layer — scenario generators, trace files, the controller
 //! simulator — can produce or consume them without knowing the service.
 
-use crate::task::{DeviceId, IoTask, TaskId, TenantId};
+use crate::task::{DeviceId, IoTask, TaskId};
 use crate::time::Time;
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -80,50 +80,6 @@ pub enum SystemEvent {
 }
 
 impl SystemEvent {
-    /// A short lowercase tag naming the event kind (used by trace formats
-    /// and per-kind statistics).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SystemEvent::Arrival(_) => "arrival",
-            SystemEvent::Departure(_) => "departure",
-            SystemEvent::ModeChange(_) => "mode-change",
-            SystemEvent::UtilisationSpike { .. } => "spike",
-            SystemEvent::PartitionDeath { .. } => "death",
-        }
-    }
-
-    /// The device partition the event names, when it names one: an
-    /// arrival's task device, a spike's target, or a death's victim.
-    /// Departures and mode changes are device-free (they are resolved by
-    /// task ownership) and return `None`. Fleet routers read this as the
-    /// event's *origin* partition hint.
-    #[must_use]
-    pub fn device(&self) -> Option<DeviceId> {
-        match self {
-            SystemEvent::Arrival(task) => Some(task.device()),
-            SystemEvent::UtilisationSpike { device, .. }
-            | SystemEvent::PartitionDeath { device } => Some(*device),
-            SystemEvent::Departure(_) | SystemEvent::ModeChange(_) => None,
-        }
-    }
-
-    /// The tenant the event acts for, when it carries one: an arrival's
-    /// task tenant. Every other kind is tenant-free — departures and mode
-    /// changes are resolved by task ownership, spikes and deaths are
-    /// infrastructure events — and returns `None`. Fleet routers use this
-    /// for per-tenant admission accounting and quota enforcement.
-    #[must_use]
-    pub fn tenant(&self) -> Option<TenantId> {
-        match self {
-            SystemEvent::Arrival(task) => Some(task.tenant()),
-            SystemEvent::Departure(_)
-            | SystemEvent::ModeChange(_)
-            | SystemEvent::UtilisationSpike { .. }
-            | SystemEvent::PartitionDeath { .. } => None,
-        }
-    }
-
     /// The event re-bound to `device`: an arrival's task is re-targeted
     /// ([`IoTask::retarget`]) and a spike renames its partition; the
     /// device-free kinds are returned unchanged. This is the routing
@@ -156,6 +112,7 @@ pub struct TimedEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TenantId;
     use crate::time::Duration;
 
     fn task(id: u32) -> IoTask {
@@ -166,35 +123,6 @@ mod tests {
             .margin(Duration::from_millis(1))
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn kinds_name_every_variant() {
-        assert_eq!(SystemEvent::Arrival(task(0)).kind(), "arrival");
-        assert_eq!(SystemEvent::Departure(TaskId(0)).kind(), "departure");
-        assert_eq!(
-            SystemEvent::ModeChange(Mode {
-                id: ModeId(1),
-                active: vec![TaskId(0)],
-            })
-            .kind(),
-            "mode-change"
-        );
-        assert_eq!(
-            SystemEvent::UtilisationSpike {
-                device: DeviceId(0),
-                percent: 150,
-            }
-            .kind(),
-            "spike"
-        );
-        assert_eq!(
-            SystemEvent::PartitionDeath {
-                device: DeviceId(2),
-            }
-            .kind(),
-            "death"
-        );
     }
 
     #[test]
@@ -211,27 +139,7 @@ mod tests {
         ];
         trace.sort_by_key(|e| e.at);
         assert_eq!(trace[0].at, Time::from_millis(2));
-        assert_eq!(trace[0].event.kind(), "arrival");
-    }
-
-    #[test]
-    fn events_expose_their_device() {
-        assert_eq!(SystemEvent::Arrival(task(0)).device(), Some(DeviceId(0)));
-        assert_eq!(SystemEvent::Departure(TaskId(1)).device(), None);
-        let spike = SystemEvent::UtilisationSpike {
-            device: DeviceId(4),
-            percent: 120,
-        };
-        assert_eq!(spike.device(), Some(DeviceId(4)));
-        let mode = SystemEvent::ModeChange(Mode {
-            id: ModeId(0),
-            active: vec![],
-        });
-        assert_eq!(mode.device(), None);
-        let death = SystemEvent::PartitionDeath {
-            device: DeviceId(6),
-        };
-        assert_eq!(death.device(), Some(DeviceId(6)));
+        assert!(matches!(trace[0].event, SystemEvent::Arrival(_)));
     }
 
     #[test]
@@ -244,20 +152,16 @@ mod tests {
             .tenant(TenantId(7))
             .build()
             .unwrap();
-        let arrival = SystemEvent::Arrival(tenanted);
-        assert_eq!(arrival.tenant(), Some(TenantId(7)));
-        assert_eq!(arrival.retargeted(DeviceId(3)).tenant(), Some(TenantId(7)));
-        // The anonymous default and the tenant-free kinds.
-        assert_eq!(SystemEvent::Arrival(task(1)).tenant(), Some(TenantId(0)));
-        assert!(TenantId::default().is_anonymous());
-        assert_eq!(SystemEvent::Departure(TaskId(1)).tenant(), None);
-        assert_eq!(
-            SystemEvent::PartitionDeath {
-                device: DeviceId(0),
+        match SystemEvent::Arrival(tenanted).retargeted(DeviceId(3)) {
+            SystemEvent::Arrival(t) => {
+                assert_eq!(t.device(), DeviceId(3));
+                assert_eq!(t.tenant(), TenantId(7));
             }
-            .tenant(),
-            None
-        );
+            other => panic!("{other:?}"),
+        }
+        // The anonymous default.
+        assert_eq!(task(1).tenant(), TenantId(0));
+        assert!(TenantId::default().is_anonymous());
     }
 
     #[test]
@@ -276,8 +180,11 @@ mod tests {
             percent: 150,
         };
         assert_eq!(
-            spike.retargeted(DeviceId(1)).device(),
-            Some(DeviceId(1)),
+            spike.retargeted(DeviceId(1)),
+            SystemEvent::UtilisationSpike {
+                device: DeviceId(1),
+                percent: 150,
+            },
             "spikes follow the new partition"
         );
         let depart = SystemEvent::Departure(TaskId(7));
@@ -286,8 +193,10 @@ mod tests {
             device: DeviceId(0),
         };
         assert_eq!(
-            death.retargeted(DeviceId(5)).device(),
-            Some(DeviceId(5)),
+            death.retargeted(DeviceId(5)),
+            SystemEvent::PartitionDeath {
+                device: DeviceId(5),
+            },
             "deaths follow the new partition"
         );
     }

@@ -71,7 +71,7 @@ pub use event::{Mode, ModeId, SystemEvent, TimedEvent};
 pub use job::{Job, JobId, JobSet};
 pub use metrics::{MetricSet, Metrics};
 pub use pool::{available_workers, WorkerPool};
-pub use quality::{QualityCurve, QualityShape};
+pub use quality::QualityCurve;
 pub use schedule::{entry_for, Schedule, ScheduleEntry};
 pub use solve::{Infeasible, InfeasibleCause, SolverCtx};
 pub use task::{DeviceId, IoTask, IoTaskBuilder, Priority, TaskId, TaskSet};

@@ -267,17 +267,6 @@ impl AccuracyStats {
         }
         stats
     }
-
-    /// Ψ as derivable from these statistics (`exact / total`; 1.0 when
-    /// empty).
-    #[must_use]
-    pub fn psi(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.exact as f64 / self.total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -509,7 +498,6 @@ mod tests {
         assert_eq!(stats.within_window, 1);
         assert_eq!(stats.max_abs_error_us, 600);
         assert!((stats.mean_abs_error_us - 300.0).abs() < 1e-12);
-        assert_eq!(stats.psi(), 0.5);
     }
 
     #[test]

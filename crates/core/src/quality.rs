@@ -6,26 +6,13 @@
 //! but still before the deadline — the minimum quality `Vmin` is obtained.
 //!
 //! The paper notes the exact shape is application-dependent and evaluates a
-//! common *linear* curve; [`QualityCurve`] therefore offers the linear shape
-//! plus a step shape (useful for modelling systems where late I/O has no
-//! residual value) and exposes the shape as data so downstream users can
-//! serialise task sets.
+//! common *linear* curve, which is the one shape [`QualityCurve`] models.
 
 use crate::time::{Duration, Time};
 use serde::{Deserialize, Serialize};
 
-/// The decay shape between the ideal instant and the window boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QualityShape {
-    /// Linear decay from `Vmax` at the ideal instant to `Vmin` at distance
-    /// `θ` (the paper's evaluated shape).
-    #[default]
-    Linear,
-    /// `Vmax` anywhere inside the window, `Vmin` outside (all-or-nothing).
-    Step,
-}
-
-/// A quality curve `V(t)` anchored at a job's ideal start instant.
+/// A quality curve `V(t)` anchored at a job's ideal start instant: linear
+/// decay from `Vmax` at the ideal instant to `Vmin` at distance `θ`.
 ///
 /// ```
 /// use tagio_core::quality::QualityCurve;
@@ -40,7 +27,6 @@ pub enum QualityShape {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QualityCurve {
-    shape: QualityShape,
     vmax: f64,
     vmin: f64,
 }
@@ -52,47 +38,11 @@ impl QualityCurve {
     /// Panics if the extrema are not finite or `vmax < vmin`.
     #[must_use]
     pub fn linear(vmax: f64, vmin: f64) -> Self {
-        Self::with_shape(QualityShape::Linear, vmax, vmin)
-    }
-
-    /// A step curve with the given extrema.
-    ///
-    /// # Panics
-    /// Panics if the extrema are not finite or `vmax < vmin`.
-    #[must_use]
-    pub fn step(vmax: f64, vmin: f64) -> Self {
-        Self::with_shape(QualityShape::Step, vmax, vmin)
-    }
-
-    /// A curve with an explicit shape.
-    ///
-    /// # Panics
-    /// Panics if the extrema are not finite or `vmax < vmin`.
-    #[must_use]
-    pub fn with_shape(shape: QualityShape, vmax: f64, vmin: f64) -> Self {
         assert!(
             vmax.is_finite() && vmin.is_finite() && vmax >= vmin,
             "quality extrema must be finite with vmax >= vmin"
         );
-        QualityCurve { shape, vmax, vmin }
-    }
-
-    /// The decay shape.
-    #[must_use]
-    pub fn shape(&self) -> QualityShape {
-        self.shape
-    }
-
-    /// Maximum quality (at the ideal instant).
-    #[must_use]
-    pub fn vmax(&self) -> f64 {
-        self.vmax
-    }
-
-    /// Minimum quality (outside the window, before the deadline).
-    #[must_use]
-    pub fn vmin(&self) -> f64 {
-        self.vmin
+        QualityCurve { vmax, vmin }
     }
 
     /// Evaluates the curve for a job with ideal start `ideal` and margin
@@ -109,13 +59,8 @@ impl QualityCurve {
         if dist >= theta {
             return self.vmin;
         }
-        match self.shape {
-            QualityShape::Step => self.vmax,
-            QualityShape::Linear => {
-                let frac = dist.as_micros() as f64 / theta.as_micros() as f64;
-                self.vmax - (self.vmax - self.vmin) * frac
-            }
-        }
+        let frac = dist.as_micros() as f64 / theta.as_micros() as f64;
+        self.vmax - (self.vmax - self.vmin) * frac
     }
 }
 
@@ -161,16 +106,6 @@ mod tests {
     fn outside_window_yields_vmin() {
         let c = QualityCurve::linear(4.0, 2.0);
         assert_eq!(c.value(IDEAL, THETA, IDEAL + THETA * 3), 2.0);
-    }
-
-    #[test]
-    fn step_keeps_vmax_inside_window() {
-        let c = QualityCurve::step(4.0, 2.0);
-        assert_eq!(
-            c.value(IDEAL, THETA, IDEAL + Duration::from_micros(1_999)),
-            4.0
-        );
-        assert_eq!(c.value(IDEAL, THETA, IDEAL + THETA), 2.0);
     }
 
     #[test]

@@ -169,26 +169,6 @@ impl Schedule {
         Ok(())
     }
 
-    /// The idle intervals between scheduled executions within `[0, horizon)`.
-    ///
-    /// Useful for slot-based allocation (the static method's LCC-D phase) and
-    /// for utilisation reporting.
-    #[must_use]
-    pub fn gaps(&self, horizon: Time) -> Vec<(Time, Time)> {
-        let mut gaps = Vec::new();
-        let mut cursor = Time::ZERO;
-        for e in &self.entries {
-            if e.start > cursor {
-                gaps.push((cursor, e.start));
-            }
-            cursor = cursor.max(e.finish());
-        }
-        if horizon > cursor {
-            gaps.push((cursor, horizon));
-        }
-        gaps
-    }
-
     /// Repeats this one-hyper-period schedule `count` times, shifting each
     /// copy by `hyperperiod` and renumbering job indices accordingly.
     ///
@@ -435,31 +415,6 @@ mod tests {
         .into_iter()
         .collect();
         assert!(s.validate(&js).is_ok());
-    }
-
-    #[test]
-    fn gaps_cover_idle_time() {
-        let a = job(0, 0, 0, 10, 1000);
-        let s: Schedule = vec![entry_for(&a, Time::from_millis(2))]
-            .into_iter()
-            .collect();
-        let gaps = s.gaps(Time::from_millis(10));
-        assert_eq!(
-            gaps,
-            vec![
-                (Time::ZERO, Time::from_millis(2)),
-                (Time::from_millis(3), Time::from_millis(10)),
-            ]
-        );
-    }
-
-    #[test]
-    fn gaps_of_empty_schedule_is_whole_horizon() {
-        let s = Schedule::new();
-        assert_eq!(
-            s.gaps(Time::from_millis(5)),
-            vec![(Time::ZERO, Time::from_millis(5))]
-        );
     }
 
     #[test]

@@ -243,12 +243,6 @@ impl SolverCtx {
         self
     }
 
-    /// The seed, if one was set for this call.
-    #[must_use]
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
-    }
-
     /// The seed, or `default` when the context leaves it unset (solvers
     /// pass their constructor-time seed here).
     #[must_use]
@@ -368,9 +362,9 @@ mod tests {
 
     #[test]
     fn seed_accessors() {
-        assert_eq!(SolverCtx::new().seed(), None);
+        assert_eq!(SolverCtx::new().seed, None);
         assert_eq!(SolverCtx::new().seed_or(9), 9);
         assert_eq!(SolverCtx::seeded(4).seed_or(9), 4);
-        assert_eq!(SolverCtx::new().with_seed(4).seed(), Some(4));
+        assert_eq!(SolverCtx::new().with_seed(4).seed, Some(4));
     }
 }

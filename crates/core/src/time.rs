@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `Time` is ordered, hashable, and cheap to copy. Subtracting two `Time`s
 /// yields a [`Duration`]; subtraction that would go negative panics (use
-/// [`Time::checked_sub`] or [`Time::saturating_sub`] to avoid that).
+/// [`Time::saturating_sub`] to avoid that).
 ///
 /// ```
 /// use tagio_core::time::Time;
@@ -74,25 +74,10 @@ impl Time {
         Time(ms * 1_000)
     }
 
-    /// Creates a `Time` from whole seconds.
-    #[must_use]
-    pub const fn from_secs(s: u64) -> Self {
-        Time(s * 1_000_000)
-    }
-
     /// Returns the raw microsecond count.
     #[must_use]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Checked subtraction of another instant; `None` if `other` is later.
-    #[must_use]
-    pub const fn checked_sub(self, other: Time) -> Option<Duration> {
-        match self.0.checked_sub(other.0) {
-            Some(d) => Some(Duration(d)),
-            None => None,
-        }
     }
 
     /// Saturating subtraction of another instant (clamps at zero).
@@ -185,21 +170,6 @@ impl Duration {
     #[must_use]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked subtraction; `None` on underflow.
-    #[must_use]
-    pub const fn checked_sub(self, other: Duration) -> Option<Duration> {
-        match self.0.checked_sub(other.0) {
-            Some(d) => Some(Duration(d)),
-            None => None,
-        }
-    }
-
-    /// Saturating subtraction (clamps at zero).
-    #[must_use]
-    pub const fn saturating_sub(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_sub(other.0))
     }
 
     /// Returns the larger of two spans.
@@ -401,7 +371,6 @@ mod tests {
     #[test]
     fn constructors_agree_on_scale() {
         assert_eq!(Time::from_millis(3), Time::from_micros(3_000));
-        assert_eq!(Time::from_secs(2), Time::from_millis(2_000));
         assert_eq!(Duration::from_millis(3), Duration::from_micros(3_000));
         assert_eq!(Duration::from_secs(1), Duration::from_millis(1_000));
     }
@@ -431,9 +400,7 @@ mod tests {
     fn checked_and_saturating_subtraction() {
         let a = Time::from_micros(5);
         let b = Time::from_micros(9);
-        assert_eq!(a.checked_sub(b), None);
         assert_eq!(a.saturating_sub(b), Duration::ZERO);
-        assert_eq!(b.checked_sub(a), Some(Duration::from_micros(4)));
         assert_eq!(a.checked_sub_duration(Duration::from_micros(6)), None);
         assert_eq!(
             a.saturating_sub_duration(Duration::from_micros(6)),

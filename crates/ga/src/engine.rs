@@ -27,17 +27,10 @@ pub trait Problem {
     /// Number of loci in a genome.
     fn genome_len(&self) -> usize;
 
-    /// Draws a random gene for `locus` (used for initialisation and, by
-    /// default, mutation).
+    /// Draws a random gene for `locus`, for initialisation and for
+    /// mutation: a mutated locus is re-drawn, which is the paper's mutation
+    /// (re-sample `κ` inside the quality window).
     fn random_gene(&self, locus: usize, rng: &mut dyn Rng) -> Self::Gene;
-
-    /// Mutates the gene at `locus`. The default re-draws a random gene,
-    /// which matches the paper's mutation (re-sample `κ` inside the quality
-    /// window).
-    fn mutate_gene(&self, locus: usize, gene: &Self::Gene, rng: &mut dyn Rng) -> Self::Gene {
-        let _ = gene;
-        self.random_gene(locus, rng)
-    }
 
     /// An optional domain hint for `locus` (e.g. a job's ideal start).
     /// When [`GaConfig::hint_fraction`] is positive, that fraction of the
@@ -60,12 +53,6 @@ pub struct GaConfig {
     pub population: usize,
     /// Number of generations (the paper uses 500).
     pub generations: usize,
-    /// Per-offspring probability of crossover (otherwise cloning).
-    pub crossover_rate: f64,
-    /// Per-locus mutation probability.
-    pub mutation_rate: f64,
-    /// Maximum archive size (pruned by crowding distance).
-    pub archive_capacity: usize,
     /// Fraction of the initial population built from [`Problem::hint_gene`]
     /// values (0.0 = the paper's fully-random initialisation).
     pub hint_fraction: f64,
@@ -78,16 +65,6 @@ pub struct GaConfig {
 }
 
 impl GaConfig {
-    /// The paper's published parameters: population 300, 500 generations.
-    #[must_use]
-    pub fn paper() -> Self {
-        GaConfig {
-            population: 300,
-            generations: 500,
-            ..GaConfig::default()
-        }
-    }
-
     /// A reduced configuration for fast experimentation.
     #[must_use]
     pub fn quick() -> Self {
@@ -104,14 +81,20 @@ impl Default for GaConfig {
         GaConfig {
             population: 100,
             generations: 100,
-            crossover_rate: 0.9,
-            mutation_rate: 0.05,
-            archive_capacity: 256,
             hint_fraction: 0.0,
             threads: 0,
         }
     }
 }
+
+/// Per-offspring probability of crossover (otherwise cloning).
+const CROSSOVER_RATE: f64 = 0.9;
+
+/// Per-locus mutation probability.
+const MUTATION_RATE: f64 = 0.05;
+
+/// Maximum archive size (pruned by crowding distance).
+const ARCHIVE_CAPACITY: usize = 256;
 
 /// Evaluates every genome of `genomes`, chunked with width `threads`
 /// across the workspace's persistent worker pool (`0` = one per
@@ -182,7 +165,7 @@ impl<G: Clone> ParetoFront<G> {
         }
     }
 
-    fn offer(&mut self, genome: &[G], objectives: &Objectives, capacity: usize) {
+    fn offer(&mut self, genome: &[G], objectives: &Objectives) {
         if self
             .solutions
             .iter()
@@ -196,12 +179,12 @@ impl<G: Clone> ParetoFront<G> {
             genome: genome.to_vec(),
             objectives: objectives.clone(),
         });
-        if self.solutions.len() > capacity {
-            self.prune(capacity);
+        if self.solutions.len() > ARCHIVE_CAPACITY {
+            self.prune();
         }
     }
 
-    fn prune(&mut self, capacity: usize) {
+    fn prune(&mut self) {
         let pts: Vec<Objectives> = self
             .solutions
             .iter()
@@ -215,9 +198,9 @@ impl<G: Clone> ParetoFront<G> {
                 .partial_cmp(&crowd[a])
                 .unwrap_or(core::cmp::Ordering::Equal)
         });
-        order.truncate(capacity);
+        order.truncate(ARCHIVE_CAPACITY);
         order.sort_unstable();
-        let mut kept = Vec::with_capacity(capacity);
+        let mut kept = Vec::with_capacity(ARCHIVE_CAPACITY);
         for idx in order {
             kept.push(self.solutions[idx].clone());
         }
@@ -290,7 +273,7 @@ where
 
     let mut front = ParetoFront::new();
     for (g, o) in population.iter().zip(&scores) {
-        offer_if_finite(&mut front, g, o, config.archive_capacity);
+        offer_if_finite(&mut front, g, o);
     }
 
     for _ in 0..config.generations {
@@ -300,7 +283,7 @@ where
             let w = &weights[slot % weights.len()];
             let a = tournament(&scores, w, rng);
             let b = tournament(&scores, w, rng);
-            let mut child: Vec<P::Gene> = if rng.random::<f64>() < config.crossover_rate {
+            let mut child: Vec<P::Gene> = if rng.random::<f64>() < CROSSOVER_RATE {
                 // uniform crossover
                 (0..len)
                     .map(|l| {
@@ -315,8 +298,8 @@ where
                 population[a].clone()
             };
             for (l, gene) in child.iter_mut().enumerate() {
-                if rng.random::<f64>() < config.mutation_rate {
-                    *gene = problem.mutate_gene(l, gene, rng);
+                if rng.random::<f64>() < MUTATION_RATE {
+                    *gene = problem.random_gene(l, rng);
                 }
             }
             offspring.push(child);
@@ -324,7 +307,7 @@ where
         let offspring_scores: Vec<Objectives> =
             evaluate_population(problem, &offspring, config.threads);
         for (g, o) in offspring.iter().zip(&offspring_scores) {
-            offer_if_finite(&mut front, g, o, config.archive_capacity);
+            offer_if_finite(&mut front, g, o);
         }
 
         // --- elitist survivor selection (NSGA-II over parents+offspring) ---
@@ -354,12 +337,7 @@ where
     front
 }
 
-fn offer_if_finite<G: Clone>(
-    front: &mut ParetoFront<G>,
-    genome: &[G],
-    objectives: &Objectives,
-    capacity: usize,
-) {
+fn offer_if_finite<G: Clone>(front: &mut ParetoFront<G>, genome: &[G], objectives: &Objectives) {
     // Infeasible sentinels (e.g. the paper's −1) and NaNs stay out of the
     // archive.
     if objectives
@@ -367,7 +345,7 @@ fn offer_if_finite<G: Clone>(
         .iter()
         .all(|v| v.is_finite() && *v >= 0.0)
     {
-        front.offer(genome, objectives, capacity);
+        front.offer(genome, objectives);
     }
 }
 
@@ -477,15 +455,17 @@ mod tests {
 
     #[test]
     fn archive_respects_capacity() {
+        // Every point of the segment is non-dominated, so 300 distinct
+        // random genomes overflow the archive and pruning must hold it at
+        // the cap.
         let mut rng = StdRng::seed_from_u64(4);
         let cfg = GaConfig {
-            population: 50,
-            generations: 30,
-            archive_capacity: 8,
+            population: 300,
+            generations: 1,
             ..GaConfig::default()
         };
         let front = run(&Segment, &cfg, &mut rng);
-        assert!(front.len() <= 8);
+        assert_eq!(front.len(), ARCHIVE_CAPACITY);
     }
 
     #[test]
@@ -526,13 +506,6 @@ mod tests {
         let x_heavy = best_weighted(&[1.0, 0.0]);
         let y_heavy = best_weighted(&[0.0, 1.0]);
         assert!(x_heavy.objectives.values()[0] >= y_heavy.objectives.values()[0]);
-    }
-
-    #[test]
-    fn paper_and_quick_configs_differ() {
-        assert_eq!(GaConfig::paper().population, 300);
-        assert_eq!(GaConfig::paper().generations, 500);
-        assert!(GaConfig::quick().population < GaConfig::paper().population);
     }
 
     #[test]

@@ -28,13 +28,11 @@
 pub mod analysis;
 pub mod packet;
 pub mod sim;
-pub mod stats;
 pub mod topology;
 pub mod traffic;
 
 pub use analysis::zero_load_latency;
 pub use packet::{Delivered, Flit, Packet, PacketId};
 pub use sim::{NocConfig, NocSim};
-pub use stats::LatencyStats;
 pub use topology::{Mesh, NodeId, Port};
 pub use traffic::UniformTraffic;

@@ -106,12 +106,6 @@ impl NocSim {
         self.mesh
     }
 
-    /// The current cycle.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Queues a packet for injection at `inject_at` (a cycle not earlier
     /// than the current one).
     ///

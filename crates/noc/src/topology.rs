@@ -89,30 +89,6 @@ impl Mesh {
         Mesh { width, height }
     }
 
-    /// Mesh width (columns).
-    #[must_use]
-    pub fn width(&self) -> u8 {
-        self.width
-    }
-
-    /// Mesh height (rows).
-    #[must_use]
-    pub fn height(&self) -> u8 {
-        self.height
-    }
-
-    /// Total node count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::from(self.width) * usize::from(self.height)
-    }
-
-    /// `true` for a degenerate 0-node mesh (cannot be constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// `true` if `node` lies inside the mesh.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
@@ -178,7 +154,6 @@ mod tests {
     #[test]
     fn mesh_counts_nodes() {
         let m = Mesh::new(4, 3);
-        assert_eq!(m.len(), 12);
         assert_eq!(m.nodes().count(), 12);
     }
 

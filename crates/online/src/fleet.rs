@@ -57,7 +57,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::{Mutex, PoisonError};
 use tagio_core::event::SystemEvent;
 use tagio_core::pool::WorkerPool;
-use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::{MetricSet, Metrics};
@@ -614,17 +613,6 @@ impl FleetScheduler {
             total.merge(&p.ladder_work());
         }
         total
-    }
-
-    /// Every partition's live schedule, keyed by device — the payload a
-    /// fleet-wide controller hot-swap installs between hyper-periods, one
-    /// `IoController::hot_swap_schedule` per partition.
-    #[must_use]
-    pub fn schedules(&self) -> BTreeMap<DeviceId, Schedule> {
-        self.partitions
-            .iter()
-            .map(|p| (p.device(), p.schedule().clone()))
-            .collect()
     }
 
     /// Mean Ψ over partitions with live jobs (`1.0` for an idle fleet).
@@ -1679,7 +1667,12 @@ mod tests {
         assert_eq!(fleet.owner_of(TaskId(0)), Some(DeviceId(0)));
         assert_eq!(fleet.owner_of(TaskId(1)), Some(DeviceId(1)));
         assert_eq!(fleet.active_tasks(), 2);
-        assert_eq!(fleet.schedules().len(), 2);
+        let devices: Vec<DeviceId> = fleet
+            .partitions()
+            .iter()
+            .map(OnlineScheduler::device)
+            .collect();
+        assert_eq!(devices, [DeviceId(0), DeviceId(1)]);
     }
 
     #[test]

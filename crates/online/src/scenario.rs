@@ -26,7 +26,7 @@ use tagio_core::event::{Mode, ModeId, SystemEvent, TimedEvent};
 use tagio_core::solve::InfeasibleCause;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
 use tagio_core::time::{Duration, Time};
-use tagio_workload::generator::SystemConfig;
+use tagio_workload::generator::{paper_task_count, SystemConfig};
 use tagio_workload::periods::PeriodPool;
 
 /// The device partition every single-partition [`Scenario`] targets.
@@ -129,7 +129,7 @@ pub struct ReplayOutcome {
 /// blocking-safe WCET cap: half the shortest pool period. A longer
 /// non-preemptive operation could fully cover some release window of a
 /// shortest-period task, making *any* admission of one unschedulable
-/// (the same rule `SystemConfig::blocking_safe` applies offline).
+/// (the same rule `SystemConfig::generate` applies offline).
 struct PaperPool {
     pool: PeriodPool,
     blocking_cap: Duration,
@@ -399,12 +399,13 @@ pub struct FleetScenarioConfig {
     /// (factor 0.5 at the trough, 1.5 at the peak).
     pub diurnal_period: usize,
     /// Start a correlated burst storm every `burst_every`-th arrival
-    /// (`0` disables): the next [`Self::burst_len`] arrivals share one
-    /// Zipf-drawn tenant and one origin device.
+    /// (`0` disables): the next four arrivals share one Zipf-drawn
+    /// tenant and one origin device.
     pub burst_every: usize,
-    /// Arrivals per burst storm (floored at 1 when bursts are enabled).
-    pub burst_len: usize,
 }
+
+/// Arrivals per burst storm (see [`FleetScenarioConfig::burst_every`]).
+const BURST_LEN: usize = 4;
 
 impl Default for FleetScenarioConfig {
     fn default() -> Self {
@@ -423,7 +424,6 @@ impl Default for FleetScenarioConfig {
             tenant_zipf: 1.0,
             diurnal_period: 0,
             burst_every: 0,
-            burst_len: 4,
         }
     }
 }
@@ -433,8 +433,9 @@ impl FleetScenarioConfig {
     ///
     /// Field-soup construction (`FleetScenarioConfig { .. }`) cannot stop
     /// a zero-partition fleet, an arrival count that overflows the
-    /// fleet-unique id scheme, or a NaN skew — all of which generate
-    /// scenarios that look plausible and replay wrong. The builder
+    /// fleet-unique id scheme, a NaN skew or a base utilisation the
+    /// paper's generator cannot build — each of which generates scenarios
+    /// that look plausible and replay wrong, or panics. The builder
     /// rejects them at build time:
     ///
     /// ```
@@ -442,7 +443,6 @@ impl FleetScenarioConfig {
     /// let cfg = FleetScenarioConfig::builder()
     ///     .partitions(4)
     ///     .arrivals(32)
-    ///     .skew(0.8)
     ///     .build()
     ///     .unwrap();
     /// assert_eq!(cfg.partitions, 4);
@@ -464,6 +464,9 @@ impl FleetScenarioConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.partitions == 0 {
             return Err(ConfigError::ZeroPartitions);
+        }
+        if paper_task_count(self.base_utilisation).is_none() {
+            return Err(ConfigError::InvalidBaseUtilisation);
         }
         // Device `d` owns base ids `d*100_000..`, and arrival ids start
         // at `partitions*100_000`; the last arrival id must fit in the
@@ -514,6 +517,9 @@ impl FleetScenarioConfig {
 pub enum ConfigError {
     /// `partitions == 0`: a fleet with no devices routes nothing.
     ZeroPartitions,
+    /// `base_utilisation` is not a multiple of 0.05 in `(0, 1]` (NaN
+    /// included), so [`SystemConfig::paper`] cannot build the base systems.
+    InvalidBaseUtilisation,
     /// `partitions * 100_000 + arrivals` exceeds the `u32` task-id
     /// space, so arrival ids would wrap onto a base partition's range
     /// and be duplicate-rejected at the router.
@@ -535,6 +541,9 @@ impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ConfigError::ZeroPartitions => f.write_str("fleet scenarios need at least 1 partition"),
+            ConfigError::InvalidBaseUtilisation => {
+                f.write_str("base_utilisation must be a multiple of 0.05 in (0, 1]")
+            }
             ConfigError::IdRangeCollision {
                 partitions,
                 arrivals,
@@ -579,14 +588,6 @@ impl FleetScenarioConfigBuilder {
     #[must_use]
     pub fn arrivals(mut self, arrivals: usize) -> Self {
         self.config.arrivals = arrivals;
-        self
-    }
-
-    /// Origin-device skew of the arrival stream (`0.0` uniform, `1.0`
-    /// all-hot-device).
-    #[must_use]
-    pub fn skew(mut self, skew: f64) -> Self {
-        self.config.skew = skew;
         self
     }
 
@@ -639,20 +640,6 @@ impl FleetScenarioConfigBuilder {
         self
     }
 
-    /// Zipf popularity exponent for the tenant draw.
-    #[must_use]
-    pub fn tenant_zipf(mut self, s: f64) -> Self {
-        self.config.tenant_zipf = s;
-        self
-    }
-
-    /// Diurnal load-curve period in arrivals (`0` disables).
-    #[must_use]
-    pub fn diurnal_period(mut self, period: usize) -> Self {
-        self.config.diurnal_period = period;
-        self
-    }
-
     /// Burst-storm cadence in arrivals (`0` disables).
     #[must_use]
     pub fn burst_every(mut self, every: usize) -> Self {
@@ -660,18 +647,12 @@ impl FleetScenarioConfigBuilder {
         self
     }
 
-    /// Arrivals per burst storm.
-    #[must_use]
-    pub fn burst_len(mut self, len: usize) -> Self {
-        self.config.burst_len = len;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
-    /// [`ConfigError::ZeroPartitions`], [`ConfigError::IdRangeCollision`],
-    /// [`ConfigError::NonFiniteSkew`] or
+    /// [`ConfigError::ZeroPartitions`],
+    /// [`ConfigError::InvalidBaseUtilisation`],
+    /// [`ConfigError::IdRangeCollision`], [`ConfigError::NonFiniteSkew`] or
     /// [`ConfigError::InvalidTenantZipf`].
     pub fn build(self) -> Result<FleetScenarioConfig, ConfigError> {
         self.config.validate()?;
@@ -871,7 +852,7 @@ impl FleetScenario {
                     TenantId(ix.min(config.tenants as usize - 1) as u32 + 1)
                 };
                 if config.burst_every > 0 && (k + 1) % config.burst_every == 0 {
-                    burst = Some((tenant, origin, config.burst_len.max(1)));
+                    burst = Some((tenant, origin, BURST_LEN));
                 }
                 (origin, tenant)
             };
@@ -1090,12 +1071,11 @@ mod tests {
             spike_every: 5,
             ..ScenarioConfig::default()
         });
-        let kinds: std::collections::BTreeSet<&str> =
-            s.events.iter().map(|e| e.event.kind()).collect();
-        assert!(kinds.contains("arrival"));
-        assert!(kinds.contains("departure"));
-        assert!(kinds.contains("spike"));
-        assert!(kinds.contains("mode-change"));
+        let has = |kind: fn(&SystemEvent) -> bool| s.events.iter().any(|e| kind(&e.event));
+        assert!(has(|e| matches!(e, SystemEvent::Arrival(_))));
+        assert!(has(|e| matches!(e, SystemEvent::Departure(_))));
+        assert!(has(|e| matches!(e, SystemEvent::UtilisationSpike { .. })));
+        assert!(has(|e| matches!(e, SystemEvent::ModeChange(_))));
         // Events are time-ordered.
         assert!(s.events.windows(2).all(|w| w[0].at <= w[1].at));
     }
@@ -1236,7 +1216,13 @@ mod tests {
         assert_eq!(merged.len(), fleet_tasks, "no work lost in the collapse");
         assert_eq!(single.events.len(), s.events.len());
         for e in &single.events {
-            assert!(e.event.device().is_none_or(|d| d == DeviceId(0)));
+            let device = match &e.event {
+                SystemEvent::Arrival(task) => Some(task.device()),
+                SystemEvent::UtilisationSpike { device, .. }
+                | SystemEvent::PartitionDeath { device } => Some(*device),
+                SystemEvent::Departure(_) | SystemEvent::ModeChange(_) => None,
+            };
+            assert!(device.is_none_or(|d| d == DeviceId(0)));
         }
     }
 
@@ -1268,7 +1254,6 @@ mod tests {
             .partitions(3)
             .base_utilisation(0.5)
             .arrivals(24)
-            .skew(0.9)
             .departure_permille(100)
             .spike_every(5)
             .mode_change(false)
@@ -1285,7 +1270,7 @@ mod tests {
                 partitions: 3,
                 base_utilisation: 0.5,
                 arrivals: 24,
-                skew: 0.9,
+                skew: 0.5,
                 departure_permille: 100,
                 spike_every: 5,
                 mode_change: false,
@@ -1296,7 +1281,6 @@ mod tests {
                 tenant_zipf: 1.0,
                 diurnal_period: 0,
                 burst_every: 0,
-                burst_len: 4,
             })
         );
 
@@ -1304,14 +1288,13 @@ mod tests {
             FleetScenarioConfig::builder().partitions(0).build(),
             Err(ConfigError::ZeroPartitions)
         );
-        assert_eq!(
-            FleetScenarioConfig::builder().skew(f64::NAN).build(),
-            Err(ConfigError::NonFiniteSkew)
-        );
-        assert_eq!(
-            FleetScenarioConfig::builder().skew(f64::INFINITY).build(),
-            Err(ConfigError::NonFiniteSkew)
-        );
+        for skew in [f64::NAN, f64::INFINITY] {
+            let cfg = FleetScenarioConfig {
+                skew,
+                ..FleetScenarioConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::NonFiniteSkew));
+        }
         let err = FleetScenarioConfig::builder()
             .partitions(42_950)
             .arrivals(usize::MAX)
@@ -1321,6 +1304,28 @@ mod tests {
         // Errors render human-readable text.
         assert!(err.to_string().contains("overflow"));
         assert!(ConfigError::ZeroPartitions.to_string().contains("1"));
+    }
+
+    #[test]
+    fn builder_rejects_base_utilisations_the_generator_cannot_build() {
+        for bad in [0.42, 0.0, 1.05, f64::NAN] {
+            assert_eq!(
+                FleetScenarioConfig::builder().base_utilisation(bad).build(),
+                Err(ConfigError::InvalidBaseUtilisation),
+                "accepted base_utilisation={bad}"
+            );
+        }
+        for good in [0.05, 0.4, 0.9, 1.0] {
+            let cfg = FleetScenarioConfig::builder()
+                .base_utilisation(good)
+                .arrivals(2)
+                .build()
+                .unwrap_or_else(|e| panic!("rejected base_utilisation={good}: {e}"));
+            assert!(!FleetScenario::generate(&cfg).events.is_empty());
+        }
+        assert!(ConfigError::InvalidBaseUtilisation
+            .to_string()
+            .contains("multiple of 0.05"));
     }
 
     #[test]
@@ -1355,7 +1360,10 @@ mod tests {
             arrivals: 12,
             ..FleetScenarioConfig::default()
         });
-        assert!(quiet.events.iter().all(|e| e.event.kind() != "death"));
+        assert!(!quiet
+            .events
+            .iter()
+            .any(|e| matches!(e.event, SystemEvent::PartitionDeath { .. })));
         let noisy = FleetScenario::generate(&FleetScenarioConfig {
             partitions: 3,
             arrivals: 12,
@@ -1448,7 +1456,6 @@ mod tests {
         let b = FleetScenario::generate(&FleetScenarioConfig {
             tenant_zipf: 3.5,
             best_effort_tenants: 2,
-            burst_len: 9,
             ..base
         });
         assert_eq!(a, b);
@@ -1465,7 +1472,6 @@ mod tests {
             mode_change: false,
             tenants: 4,
             burst_every: 3,
-            burst_len: 2,
             ..FleetScenarioConfig::default()
         };
         let s = FleetScenario::generate(&cfg);
@@ -1478,10 +1484,19 @@ mod tests {
             })
             .collect();
         assert_eq!(arrivals.len(), 12);
-        // Arrival k=2 triggers a storm: k=3 and k=4 share its tenant
-        // and origin device (and likewise down the stream whenever the
-        // trigger fires outside a live storm).
-        for (trigger, rider) in [(2usize, 3usize), (2, 4)] {
+        // Arrival k=2 triggers a storm: the next BURST_LEN = 4 arrivals,
+        // k=3..=6, share its tenant and origin device. The trigger at
+        // k=5 falls inside that storm and is skipped; k=8 starts the next
+        // one (k=9..=11, cut short by the end of the stream).
+        for (trigger, rider) in [
+            (2usize, 3usize),
+            (2, 4),
+            (2, 5),
+            (2, 6),
+            (8, 9),
+            (8, 10),
+            (8, 11),
+        ] {
             assert_eq!(arrivals[trigger].tenant(), arrivals[rider].tenant());
             assert_eq!(arrivals[trigger].device(), arrivals[rider].device());
         }
@@ -1537,7 +1552,7 @@ mod tests {
             ..FleetScenarioConfig::default()
         };
         let registry = cfg.tenant_registry();
-        assert_eq!(registry.len(), 4);
+        assert_eq!(registry.iter().count(), 4);
         let share = (2 * PPM) / 4;
         let hot = registry.spec(TenantId(1));
         assert_eq!(hot.qos, QosClass::BestEffort);
@@ -1558,11 +1573,13 @@ mod tests {
     #[test]
     fn builder_rejects_bad_zipf_exponents() {
         for bad in [f64::NAN, f64::INFINITY, -0.5] {
+            let cfg = FleetScenarioConfig {
+                tenants: 2,
+                tenant_zipf: bad,
+                ..FleetScenarioConfig::default()
+            };
             assert_eq!(
-                FleetScenarioConfig::builder()
-                    .tenants(2)
-                    .tenant_zipf(bad)
-                    .build(),
+                cfg.validate(),
                 Err(ConfigError::InvalidTenantZipf),
                 "accepted tenant_zipf={bad}"
             );

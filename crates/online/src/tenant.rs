@@ -202,18 +202,6 @@ impl TenantRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, TenantSpec)> + '_ {
         self.specs.iter().map(|(&id, &spec)| (id, spec))
     }
-
-    /// Number of registered contracts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether the registry is empty (same as [`Self::is_trivial`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
 }
 
 /// The victim class shedding drains first. Smaller sheds earlier; ties

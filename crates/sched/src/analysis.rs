@@ -125,6 +125,12 @@ pub fn response_time_np_fps(task: &IoTask, tasks: &TaskSet) -> ResponseTime {
 
 /// `true` if every task of `tasks` passes the non-preemptive FPS
 /// response-time test.
+///
+/// This is the paper's "FPS-online" curve: worst-case schedulability of
+/// *dynamic* non-preemptive FPS, via response-time analysis with blocking
+/// (Davis et al., ECRTS 2011 — reference \[18\]). It is a test on the
+/// task set, not a schedule: at run-time the dispatch order depends on
+/// actual arrivals, so only the analytical worst case can be guaranteed.
 #[must_use]
 pub fn taskset_schedulable_np_fps(tasks: &TaskSet) -> bool {
     tasks

@@ -217,18 +217,6 @@ impl AnalysisCache {
         self.entries.clear();
     }
 
-    /// Number of cached entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lookups answered from the cache.
     #[must_use]
     pub fn hits(&self) -> usize {
@@ -300,7 +288,7 @@ mod tests {
         let tasks = set();
         let mut cache = AnalysisCache::new();
         assert!(cache.schedulable(&tasks));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
         // A mid-priority arrival with a tiny WCET: only the entries it
         // outranks are dropped; higher-ranked entries stay because 50us
         // is below their cached blocking bound.
@@ -506,11 +494,11 @@ mod tests {
     fn clear_empties_the_cache() {
         let tasks = set();
         let mut cache = AnalysisCache::new();
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert!(cache.schedulable(&tasks));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
         cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
     }
 
     #[test]

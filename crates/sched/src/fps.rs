@@ -6,18 +6,17 @@
 //!   whenever the device idles, the highest-priority released pending job
 //!   starts. Ideal start instants are ignored entirely — which is why FPS
 //!   achieves `Ψ = 0` in the paper's Fig. 6.
-//! * [`fps_online_schedulable`] — the paper's "FPS-online": the worst-case
+//! * The paper's "FPS-online" is not a schedule but the worst-case
 //!   schedulability *test* for dynamic non-preemptive FPS at run-time,
 //!   following the response-time analysis with lower-priority blocking of
-//!   Davis et al. (reference \[18\]); see [`crate::analysis`].
+//!   Davis et al. (reference \[18\]):
+//!   [`taskset_schedulable_np_fps`](crate::analysis::taskset_schedulable_np_fps).
 
-use crate::analysis::taskset_schedulable_np_fps;
 use crate::scheduler::Scheduler;
 use crate::solve::{check_capacity, dispatch, priority_rank};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
-use tagio_core::task::TaskSet;
 
 /// The offline non-preemptive fixed-priority scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,25 +55,13 @@ impl Scheduler for FpsOffline {
     }
 }
 
-/// The paper's "FPS-online" curve: worst-case schedulability of *dynamic*
-/// non-preemptive FPS, via response-time analysis with blocking (Davis et
-/// al., ECRTS 2011 — reference \[18\]).
-///
-/// This is a test on the task set, not a schedule: at run-time the dispatch
-/// order depends on actual arrivals, so only the analytical worst case can
-/// be guaranteed.
-#[must_use]
-pub fn fps_online_schedulable(tasks: &TaskSet) -> bool {
-    taskset_schedulable_np_fps(tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheduler::SchedulingReport;
     use tagio_core::job::JobId;
     use tagio_core::metrics;
-    use tagio_core::task::{DeviceId, IoTask, Priority, TaskId};
+    use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
     use tagio_core::time::{Duration, Time};
 
     fn mk_task(id: u32, period_ms: u64, wcet_us: u64, prio: u32) -> IoTask {

@@ -81,8 +81,8 @@ impl GaScheduler {
         }
     }
 
-    /// Sets the GA parameters (`GaConfig::paper()` reproduces the paper's
-    /// population 300 × 500 generations).
+    /// Sets the GA parameters (population 300 × 500 generations reproduces
+    /// the paper's budget).
     #[must_use]
     pub fn with_config(mut self, config: GaConfig) -> Self {
         self.config = config;

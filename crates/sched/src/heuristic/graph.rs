@@ -171,24 +171,6 @@ impl ConflictGraph {
         &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// The dependency graphs: connected components (singletons included),
-    /// each sorted ascending; components ordered by smallest member.
-    #[must_use]
-    pub fn components(&self) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = self
-            .bounds
-            .windows(2)
-            .map(|run| {
-                let mut component: Vec<usize> =
-                    self.spans[run[0]..run[1]].iter().map(|s| s.2).collect();
-                component.sort_unstable();
-                component
-            })
-            .collect();
-        out.sort_unstable_by_key(|component| component[0]);
-        out
-    }
-
     /// Decomposes the graph (Algorithm 1, lines 2–9).
     ///
     /// Repeatedly removes the vertex with the highest current penalty
@@ -309,6 +291,26 @@ mod tests {
     use tagio_core::schedule::Schedule;
     use tagio_core::solve::{Infeasible, InfeasibleCause};
     use tagio_core::time::Duration;
+
+    impl ConflictGraph {
+        /// The dependency graphs: connected components (singletons
+        /// included), each sorted ascending; components ordered by
+        /// smallest member.
+        fn components(&self) -> Vec<Vec<usize>> {
+            let mut out: Vec<Vec<usize>> = self
+                .bounds
+                .windows(2)
+                .map(|run| {
+                    let mut component: Vec<usize> =
+                        self.spans[run[0]..run[1]].iter().map(|s| s.2).collect();
+                    component.sort_unstable();
+                    component
+                })
+                .collect();
+            out.sort_unstable_by_key(|component| component[0]);
+            out
+        }
+    }
 
     /// Builds a job whose *ideal execution* is `[start, start+len)` (ms),
     /// with a wide release window so graph logic is isolated from window

@@ -69,12 +69,6 @@ impl StaticScheduler {
     pub fn with_policy(policy: SlotPolicy) -> Self {
         StaticScheduler { policy }
     }
-
-    /// The active slot policy.
-    #[must_use]
-    pub fn policy(&self) -> SlotPolicy {
-        self.policy
-    }
 }
 
 impl Scheduler for StaticScheduler {

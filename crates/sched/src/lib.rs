@@ -8,7 +8,7 @@
 //! | [`heuristic::StaticScheduler`] | Algorithm 1: dependency graphs + LCC-D | maximises Ψ |
 //! | [`ga_sched::GaScheduler`] | multi-objective GA over job start times | maximises (Ψ, Υ) |
 //! | [`fps::FpsOffline`] | non-preemptive FPS simulated offline | baseline, Ψ = 0 |
-//! | [`fps::fps_online_schedulable`] | worst-case response-time test \[18\] | "FPS-online" curve |
+//! | [`analysis::taskset_schedulable_np_fps`] | worst-case response-time test \[18\] | "FPS-online" curve |
 //! | [`gpiocp::Gpiocp`] | FIFO queue of timed requests \[2\] | prior state of the art |
 //!
 //! # The solving API
@@ -65,7 +65,7 @@ pub mod stats;
 pub use analysis::{response_time_np_fps, taskset_schedulable_np_fps, ResponseTime};
 pub use cache::AnalysisCache;
 pub use edf::EdfOffline;
-pub use fps::{fps_online_schedulable, FpsOffline};
+pub use fps::FpsOffline;
 pub use ga_sched::{reconfigure, GaScheduleResult, GaScheduler};
 pub use gpiocp::Gpiocp;
 pub use heuristic::{

@@ -398,7 +398,7 @@ mod tests {
 
     /// Jobs from `Job::new` with distinct per-task releases (some of zero
     /// WCET), random priorities with ties across tasks and mixed quality
-    /// curves, over a horizon tight enough that dispatch failures occur.
+    /// extrema, over a horizon tight enough that dispatch failures occur.
     fn random_jobs(rng: &mut rand::rngs::StdRng) -> JobSet {
         use rand::RngExt;
         use tagio_core::job::JobId;
@@ -425,7 +425,7 @@ mod tests {
                 let quality = if rng.random_range(0..2u32) == 0 {
                     QualityCurve::linear(vmin + 1.5, vmin)
                 } else {
-                    QualityCurve::step(vmin + 2.0, vmin)
+                    QualityCurve::linear(vmin + 2.0, vmin)
                 };
                 jobs.push(Job::new(
                     JobId::new(TaskId(t), index as u32),

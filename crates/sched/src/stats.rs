@@ -58,12 +58,6 @@ impl Summary {
         self.count
     }
 
-    /// `true` when no sample has been folded in.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Arithmetic mean; `0.0` when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -123,7 +117,7 @@ mod tests {
     #[test]
     fn summary_tracks_mean_min_max() {
         let mut s = Summary::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!((s.mean(), s.min(), s.max()), (0.0, 0.0, 0.0));
         for v in [0.5, 0.1, 0.9] {
             s.push(v);

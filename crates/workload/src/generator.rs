@@ -38,25 +38,17 @@ pub struct SystemConfig {
     pub tasks: usize,
     /// Pool of candidate periods.
     pub periods: PeriodPool,
-    /// Margin as a fraction of the period's denominator: `θ = T / margin_divisor`
-    /// (the paper uses 4, i.e. a quality window of half the period).
-    pub margin_divisor: u64,
-    /// Global minimum quality `Vmin`.
-    pub vmin: f64,
     /// Number of devices; tasks are spread round-robin (the paper evaluates
     /// a single device).
     pub devices: u32,
-    /// Keep generated systems *non-preemptively feasible*: pair the largest
-    /// utilisations with the shortest periods and cap every `Ci` at half the
-    /// system's minimum period.
-    ///
-    /// Without this, a long job (`Ci > Tmin`) fully covers some release
-    /// window of the shortest-period task and **no** non-preemptive
-    /// scheduler can meet that deadline — yet the paper reports 100%
-    /// schedulability for FPS-offline (Fig. 5), so its generator cannot
-    /// produce such systems. See DESIGN.md §4.
-    pub blocking_safe: bool,
 }
+
+/// The margin as a fraction of the period, `θ = T / MARGIN_DIVISOR`: the
+/// paper's 4, a quality window of half the period.
+const MARGIN_DIVISOR: u64 = 4;
+
+/// The global minimum quality `Vmin`.
+const VMIN: f64 = 1.0;
 
 impl SystemConfig {
     /// The paper's configuration for target utilisation `u`
@@ -69,53 +61,47 @@ impl SystemConfig {
     #[must_use]
     pub fn paper(u: f64) -> Self {
         assert!(u > 0.0 && u <= 1.0, "utilisation must be in (0, 1]");
-        let tasks = (u / 0.05).round() as usize;
-        assert!(
-            ((tasks as f64) * 0.05 - u).abs() < 1e-9,
-            "paper utilisations are multiples of 0.05"
-        );
+        let tasks = paper_task_count(u).expect("paper utilisations are multiples of 0.05");
         SystemConfig {
             utilisation: u,
             tasks,
             periods: PeriodPool::paper_default(),
-            margin_divisor: 4,
-            vmin: 1.0,
             devices: 1,
-            blocking_safe: true,
         }
     }
 
     /// Generates one synthetic system.
     ///
-    /// Per-task utilisations come from UUniFast, capped at
-    /// `1/margin_divisor` (so `θi ≥ Ci` holds without distorting `Ci`);
-    /// if no capped draw succeeds in 1000 attempts, the draw is accepted and
-    /// oversized `Ci` are clamped to `θi` (documented deviation — it only
-    /// triggers for pathological configurations).
+    /// Per-task utilisations come from UUniFast, capped at `1/4` (so
+    /// `θi ≥ Ci` holds without distorting `Ci`); if no capped draw succeeds
+    /// in 1000 attempts, the draw is accepted and oversized `Ci` are
+    /// clamped to `θi` (documented deviation — it only triggers for
+    /// pathological configurations).
+    ///
+    /// Systems are kept *non-preemptively feasible*: the largest
+    /// utilisations are paired with the shortest periods and every `Ci` is
+    /// capped at half the system's minimum period. Without this, a long job
+    /// (`Ci > Tmin`) fully covers some release window of the
+    /// shortest-period task and **no** non-preemptive scheduler can meet
+    /// that deadline — yet the paper reports 100% schedulability for
+    /// FPS-offline (Fig. 5), so its generator cannot produce such systems.
     ///
     /// The returned set has DMPO priorities and `Vmax = Pi + 1` assigned.
     #[must_use]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> TaskSet {
-        let cap = 1.0 / self.margin_divisor as f64;
+        let cap = 1.0 / MARGIN_DIVISOR as f64;
         let mut utils = uunifast_capped(self.tasks, self.utilisation, cap, 1000, rng)
             .unwrap_or_else(|| uunifast(self.tasks, self.utilisation, rng));
         let mut periods: Vec<Duration> =
             (0..self.tasks).map(|_| self.periods.sample(rng)).collect();
-        if self.blocking_safe {
-            // Largest utilisation gets the shortest period, so big shares of
-            // the budget become short executions rather than long blockers.
-            utils.sort_by(|a, b| b.partial_cmp(a).expect("finite utilisations"));
-            periods.sort();
-        }
-        let tmin = periods.iter().copied().min().expect("non-empty task set");
-        let blocking_cap = if self.blocking_safe {
-            tmin / 2
-        } else {
-            Duration::MAX
-        };
+        // Largest utilisation gets the shortest period, so big shares of
+        // the budget become short executions rather than long blockers.
+        utils.sort_by(|a, b| b.partial_cmp(a).expect("finite utilisations"));
+        periods.sort();
+        let blocking_cap = periods.first().copied().expect("non-empty task set") / 2;
         let mut set = TaskSet::new();
         for (i, (u, period)) in utils.into_iter().zip(periods).enumerate() {
-            let margin = period / self.margin_divisor;
+            let margin = period / MARGIN_DIVISOR;
             let wcet_us = ((period.as_micros() as f64) * u).round().max(1.0) as u64;
             let wcet = Duration::from_micros(wcet_us).min(margin).min(blocking_cap);
             let deadline = period; // implicit deadline Di = Ti
@@ -127,15 +113,24 @@ impl SystemConfig {
                 .period(period)
                 .ideal_offset(delta)
                 .margin(margin)
-                .quality(1.0, self.vmin)
+                .quality(1.0, VMIN)
                 .build()
                 .expect("generator invariants guarantee a valid task");
             set.push(task).expect("sequential ids are unique");
         }
         set.assign_dmpo(); // also sets Vmax = Pi + 1
-        set.set_global_vmin(self.vmin);
+        set.set_global_vmin(VMIN);
         set
     }
+}
+
+/// The paper's task count `u / 0.05` for target utilisation `u`, or `None`
+/// when `u` is not (close to) a multiple of 0.05 in `(0, 1]` — the values
+/// [`SystemConfig::paper`] rejects.
+#[must_use]
+pub fn paper_task_count(u: f64) -> Option<usize> {
+    let tasks = (u / 0.05).round();
+    (u > 0.0 && u <= 1.0 && (tasks * 0.05 - u).abs() < 1e-9).then_some(tasks as usize)
 }
 
 /// The utilisation sweep used across Figs. 5–7: `0.2, 0.25, …, 0.9`.
@@ -186,6 +181,18 @@ mod tests {
             assert_eq!(t.margin(), t.period() / 4);
             assert!(t.ideal_offset() >= t.margin());
             assert!(t.ideal_offset() + t.margin() <= t.deadline());
+        }
+    }
+
+    #[test]
+    fn paper_generator_is_blocking_safe() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for u in [0.3, 0.6, 0.9] {
+            let sys = SystemConfig::paper(u).generate(&mut rng);
+            let min_period = sys.iter().map(IoTask::period).min().unwrap();
+            let max_wcet = sys.iter().map(IoTask::wcet).max().unwrap();
+            // No job can block the shortest-period task past its deadline.
+            assert!(max_wcet <= min_period / 2, "U={u}");
         }
     }
 

@@ -20,9 +20,7 @@
 
 pub mod generator;
 pub mod periods;
-pub mod summary;
 pub mod uunifast;
 
 pub use generator::{paper_utilisation_sweep, SystemConfig};
 pub use periods::{PeriodPool, PAPER_HYPERPERIOD};
-pub use summary::TaskSetSummary;

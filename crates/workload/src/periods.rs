@@ -46,15 +46,22 @@ impl PeriodPool {
             "hyper-period must be a positive whole number of milliseconds"
         );
         let hp_ms = hp_us / 1_000;
-        let mut candidates = Vec::new();
-        for d in 1..=hp_ms {
+        // Divisors come in pairs (d, hp/d) with d ≤ √hp, so the trial
+        // divisions stop at the square root.
+        let mut divisors = Vec::new();
+        for d in (1..=hp_ms).take_while(|d| d * d <= hp_ms) {
             if hp_ms.is_multiple_of(d) {
-                let p = Duration::from_millis(d);
-                if p >= min && p <= max {
-                    candidates.push(p);
-                }
+                divisors.push(d);
+                divisors.push(hp_ms / d);
             }
         }
+        divisors.sort_unstable();
+        divisors.dedup();
+        let candidates: Vec<Duration> = divisors
+            .into_iter()
+            .map(Duration::from_millis)
+            .filter(|p| *p >= min && *p <= max)
+            .collect();
         assert!(
             !candidates.is_empty(),
             "no divisor of the hyper-period falls inside the period range"

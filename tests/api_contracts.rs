@@ -13,7 +13,7 @@ use tagio::core::solve::{Infeasible, InfeasibleCause, SolverCtx};
 use tagio::core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
 use tagio::core::time::{Duration, Time};
 use tagio::hwcost::ResourceEstimate;
-use tagio::noc::{LatencyStats, Packet};
+use tagio::noc::Packet;
 use tagio::sched::{MethodError, SchedulerBug, SchedulingReport};
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -60,7 +60,6 @@ fn data_types_implement_serde() {
     assert_serde::<Time>();
     assert_serde::<Duration>();
     assert_serde::<Packet>();
-    assert_serde::<LatencyStats>();
     assert_serde::<ResourceEstimate>();
 }
 

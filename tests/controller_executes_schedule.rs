@@ -88,15 +88,25 @@ fn unrequested_tasks_fault_without_disturbing_others() {
         return;
     };
     let mut controller = IoController::for_taskset(&tasks).expect("memory fits");
-    for (device, schedule) in &schedules {
-        controller.load_schedule(*device, schedule);
-    }
-    // Enable every task except the first.
+    // Every task except the first is requested: load each table without
+    // the skipped task's rows and enable them all, then hot-swap the full
+    // schedule in. The swap carries each task's enable bit over, so the
+    // skipped task's rows come up disabled and every other row enabled.
     let skipped = tasks.iter().next().expect("non-empty").id();
-    for task in &tasks {
-        if task.id() != skipped {
-            controller.enable_task(task.device(), task.id());
-        }
+    let requested = |schedule: &Schedule| -> Schedule {
+        schedule
+            .iter()
+            .filter(|e| e.job.task != skipped)
+            .cloned()
+            .collect()
+    };
+    for (device, schedule) in &schedules {
+        controller.load_schedule(*device, &requested(schedule));
+    }
+    controller.enable_all();
+    for (device, schedule) in &schedules {
+        let enabled = controller.hot_swap_schedule(*device, schedule);
+        assert_eq!(enabled, requested(schedule).len());
     }
     let traces = controller.run();
     let trace = &traces[&DeviceId(0)];

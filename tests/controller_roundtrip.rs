@@ -130,8 +130,17 @@ fn online_repaired_schedule_hot_swaps_and_round_trips() {
     )
     .expect("memory fits");
     let enabled = ctrl.hot_swap_schedule(DeviceId(0), svc.schedule());
-    assert!(enabled > 0, "running tasks stay enabled across the swap");
-    ctrl.enable_task(DeviceId(0), newcomer.id());
+    let running_rows = svc
+        .schedule()
+        .iter()
+        .filter(|e| e.job.task != newcomer.id())
+        .count();
+    assert_eq!(
+        enabled, running_rows,
+        "running tasks stay enabled across the swap, the newcomer does not"
+    );
+    // The newcomer's request arrives: its rows are the only ones left off.
+    ctrl.enable_all();
     let second = ctrl.run();
     let trace = &second[&DeviceId(0)];
     assert!(trace.faults.is_empty());
@@ -145,7 +154,7 @@ fn online_repaired_schedule_hot_swaps_and_round_trips() {
 #[test]
 fn fleet_epoch_hot_swaps_every_partition_and_round_trips() {
     // The multi-partition wiring: a fleet routes an epoch of arrivals
-    // across its partitions, then `schedules()` is pushed down to the
+    // across its partitions, then every partition's schedule is pushed down to the
     // hardware in one fleet-wide hot swap — every partition replays its
     // repaired schedule with zero jitter.
     use std::collections::BTreeMap;
@@ -196,7 +205,11 @@ fn fleet_epoch_hot_swaps_every_partition_and_round_trips() {
         .flat_map(|p| p.tasks().iter().cloned())
         .collect();
     let mut ctrl = IoController::for_taskset(&all_tasks).expect("memory fits");
-    let schedules = fleet.schedules();
+    let schedules: BTreeMap<DeviceId, _> = fleet
+        .partitions()
+        .iter()
+        .map(|p| (p.device(), p.schedule().clone()))
+        .collect();
     let enabled: usize = schedules
         .iter()
         .map(|(device, schedule)| ctrl.hot_swap_schedule(*device, schedule))

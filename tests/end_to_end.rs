@@ -7,7 +7,7 @@ use tagio::core::job::JobSet;
 use tagio::core::metrics;
 use tagio::ga::GaConfig;
 use tagio::sched::{
-    fps_online_schedulable, FpsOffline, GaScheduler, Gpiocp, Scheduler, SchedulingReport,
+    taskset_schedulable_np_fps, FpsOffline, GaScheduler, Gpiocp, Scheduler, SchedulingReport,
     StaticScheduler,
 };
 use tagio::workload::SystemConfig;
@@ -113,7 +113,7 @@ fn online_test_never_beats_offline_simulation() {
             let tasks = SystemConfig::paper(u).generate(&mut rng);
             let jobs = JobSet::expand(&tasks);
             let offline = FpsOffline::new().schedule(&jobs).is_ok();
-            let online = fps_online_schedulable(&tasks);
+            let online = taskset_schedulable_np_fps(&tasks);
             assert!(!online || offline, "online passed but offline failed");
         }
     }
