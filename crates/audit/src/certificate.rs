@@ -3,10 +3,11 @@
 //! A [`ScheduleCertificate`] re-derives every fleet invariant from a
 //! *running* [`FleetScheduler`]'s public observation surface — the
 //! per-partition schedules and job sets, cached Ψ/Υ, ownership, and
-//! the full counter hierarchy. With the `debug-audit` feature enabled
-//! (here and in `tagio-online`), `install_commit_certification`
-//! hooks certification into the end of every `apply_batch`, so each
-//! committed epoch is certified the moment it exists.
+//! the full counter hierarchy. Certifying right after an
+//! `apply_batch` returns checks the epoch it just committed: nothing
+//! runs between the commit and the return. The workspace tests certify
+//! every epoch of the scripted recovery scenario this way
+//! (`tests/commit_audit.rs`).
 
 use crate::report::{AuditReport, ViolationClass};
 use crate::schedule::{verify_entries, verify_quality};
@@ -97,35 +98,4 @@ pub fn certify_fleet(fleet: &FleetScheduler) -> AuditReport {
     }
     verify_fleet_stats(fleet.stats(), &mut report);
     report
-}
-
-/// Installs commit-point certification: after every committed epoch
-/// the fleet is certified and any violation panics with the full
-/// report (a certificate failure *is* a determinism bug — tests must
-/// fail loudly). Returns `false` when a hook was already installed.
-///
-/// The count of certified epochs is observable via
-/// [`certified_epochs`], so suites can assert the hook actually ran.
-#[cfg(feature = "debug-audit")]
-pub fn install_commit_certification() -> bool {
-    tagio_online::commit_audit::install(Box::new(|fleet| {
-        let cert = ScheduleCertificate::certify(fleet);
-        CERTIFIED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        assert!(
-            cert.is_clean(),
-            "commit-point certificate violated at epoch {}:\n{}",
-            cert.epoch,
-            cert.report
-        );
-    }))
-}
-
-#[cfg(feature = "debug-audit")]
-static CERTIFIED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// How many epochs the installed hook has certified in this process.
-#[cfg(feature = "debug-audit")]
-#[must_use]
-pub fn certified_epochs() -> usize {
-    CERTIFIED.load(std::sync::atomic::Ordering::Relaxed)
 }

@@ -13,10 +13,8 @@
 //! Three consumption surfaces:
 //!
 //! - **[`certificate::ScheduleCertificate`]** — certify a *live*
-//!   [`FleetScheduler`](tagio_online::FleetScheduler) at commit
-//!   points. With the `debug-audit` feature,
-//!   `certificate::install_commit_certification` hooks this into
-//!   the end of every `apply_batch`.
+//!   [`FleetScheduler`](tagio_online::FleetScheduler) right after an
+//!   `apply_batch` returns, which checks the epoch it just committed.
 //! - **the `audit` CLI** — `audit schedule|snapshot|wal|trace <file>`
 //!   verifies artifacts offline (exit 2 + diagnostics on violation),
 //!   `audit wal --repair` truncates a torn tail to the last committed

@@ -1,31 +1,28 @@
-//! The `debug-audit` commit hook: with certification installed, every
-//! `apply_batch` epoch is independently verified at its commit point.
+//! Commit-point certification: every `apply_batch` epoch of the scripted
+//! recovery scenario is independently verified the moment it returns.
+//! Nothing runs between an epoch's commit and `apply_batch`'s return, so
+//! certifying here checks exactly the committed state.
 
-#![cfg(feature = "debug-audit")]
-
-use tagio_audit::certificate::{certified_epochs, install_commit_certification};
 use tagio_audit::gen;
 use tagio_audit::ScheduleCertificate;
 
 #[test]
 fn every_epoch_is_certified_at_commit() {
-    // Process-wide hook: installed once, before any batch runs. The
-    // closure asserts on violation, so a dirty commit fails this test.
-    install_commit_certification();
     let mut fleet = gen::fleet();
     let batches = gen::batches();
-    let epochs = batches.len();
-    let before = certified_epochs();
-    for batch in &batches {
+    assert!(!batches.is_empty());
+    for (applied, batch) in (1..).zip(&batches) {
         let _ = fleet.apply_batch(batch);
+        let cert = ScheduleCertificate::certify(&fleet);
+        assert!(
+            cert.is_clean(),
+            "commit-point certificate violated at epoch {}:\n{}",
+            cert.epoch,
+            cert.report
+        );
+        assert_eq!(
+            cert.epoch, applied,
+            "certificate must name the epoch just committed"
+        );
     }
-    assert_eq!(
-        certified_epochs() - before,
-        epochs,
-        "each apply_batch must run exactly one certification"
-    );
-    // The certificate surface itself: certify the final state directly.
-    let cert = ScheduleCertificate::certify(&fleet);
-    assert!(cert.is_clean(), "{}", cert.report);
-    assert_eq!(cert.epoch, epochs);
 }

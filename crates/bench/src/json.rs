@@ -1,8 +1,7 @@
 //! Minimal JSON emission and validation.
 //!
-//! The workspace's vendored `serde` stub carries the trait contract but no
-//! serialisation backend (see `vendor/README.md`), so sweep reports emit
-//! JSON through these small helpers instead. [`parse`] is a strict
+//! The workspace has no serialisation framework, so sweep reports emit
+//! JSON through these small helpers. [`parse`] is a strict
 //! recursive-descent parser used by the test-suite so the emitted schema
 //! cannot silently rot.
 

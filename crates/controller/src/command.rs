@@ -5,7 +5,6 @@
 //! stores blocks; the synchroniser translates a due task into its commands
 //! and hands them to the EXU (Phase 3).
 
-use serde::{Deserialize, Serialize};
 use tagio_core::time::Duration;
 
 /// One primitive I/O command.
@@ -13,7 +12,7 @@ use tagio_core::time::Duration;
 /// Each pin-level command takes [`GpioCommand::BASE_COST`] of device time;
 /// an explicit [`GpioCommand::Delay`] stretches the block (e.g. to shape a
 /// pulse).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpioCommand {
     /// Drive a pin high.
     SetHigh {
@@ -66,7 +65,7 @@ impl GpioCommand {
 }
 
 /// A timed I/O task's command group.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommandBlock {
     commands: Vec<GpioCommand>,
 }

@@ -7,11 +7,10 @@
 //! their scheduled instants exactly.
 
 use crate::command::GpioCommand;
-use serde::{Deserialize, Serialize};
 use tagio_core::time::Time;
 
 /// A pin state change (or port access) observed on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinEvent {
     /// When the command took effect on the device.
     pub time: Time,
@@ -20,7 +19,7 @@ pub struct PinEvent {
 }
 
 /// The observable effect of one command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PinEventKind {
     /// A pin changed level.
     Level {
@@ -52,7 +51,7 @@ pub trait IoDevice {
 }
 
 /// A 32-pin GPIO port with full event tracing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GpioPort {
     state: u32,
     events: Vec<PinEvent>,

@@ -6,12 +6,11 @@ use crate::command::CommandBlock;
 use crate::device::IoDevice;
 use crate::memory::ControllerMemory;
 use crate::table::SchedulingTable;
-use serde::{Deserialize, Serialize};
 use tagio_core::job::JobId;
 use tagio_core::time::{Duration, Time};
 
 /// One executed job, as observed at the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutedJob {
     /// The job.
     pub job: JobId,
@@ -27,7 +26,7 @@ pub struct ExecutedJob {
 }
 
 /// A response returned to the application CPU via the response channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Response {
     /// The producing job.
     pub job: JobId,
@@ -38,7 +37,7 @@ pub struct Response {
 }
 
 /// A run-time exception handled by the fault-recovery unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Fault {
     /// The entry's enable bit was never set (the I/O request was not
@@ -66,7 +65,7 @@ pub enum Fault {
 }
 
 /// The outcome of one hyper-period of execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// Jobs executed, in start order.
     pub executed: Vec<ExecutedJob>,

@@ -5,14 +5,13 @@
 //! request channel sets a task's *enable bit*; the global timer then
 //! triggers each enabled entry at its start instant.
 
-use serde::{Deserialize, Serialize};
 use tagio_core::job::JobId;
 use tagio_core::schedule::Schedule;
 use tagio_core::task::TaskId;
 use tagio_core::time::{Duration, Time};
 
 /// One row of the scheduling table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEntry {
     /// The job this row triggers.
     pub job: JobId,
@@ -25,7 +24,7 @@ pub struct TableEntry {
 }
 
 /// The per-processor scheduling table, ordered by start time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulingTable {
     entries: Vec<TableEntry>,
 }

@@ -16,13 +16,10 @@
 use crate::task::{DeviceId, IoTask, TaskId};
 use crate::time::Time;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an operating mode (a named activation pattern over a
 /// task pool).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModeId(pub u32);
 
 impl fmt::Display for ModeId {
@@ -35,7 +32,7 @@ impl fmt::Display for ModeId {
 ///
 /// A mode change is a batch reconfiguration — tasks leaving the active set
 /// depart, tasks entering it arrive (subject to admission control).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mode {
     /// The mode's identity.
     pub id: ModeId,
@@ -45,7 +42,7 @@ pub struct Mode {
 }
 
 /// One run-time disturbance against a live schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SystemEvent {
     /// A new timed I/O request stream asks to join the system. The online
     /// service runs admission control and either integrates the task into
@@ -101,7 +98,7 @@ impl SystemEvent {
 
 /// A [`SystemEvent`] stamped with its occurrence instant (relative to the
 /// schedule epoch). Event traces are ordered by `at`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedEvent {
     /// When the event occurs.
     pub at: Time,

@@ -28,12 +28,9 @@ use crate::quality::QualityCurve;
 use crate::task::{IoTask, Priority, TaskId, TaskSet};
 use crate::time::{Duration, Time};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifies job `λi^j`: the `index`-th release of task `task`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId {
     /// The releasing task.
     pub task: TaskId,
@@ -57,7 +54,7 @@ impl fmt::Display for JobId {
 
 /// One release of a timed I/O task, with all timing attributes resolved to
 /// absolute instants within the hyper-period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     id: JobId,
     release: Time,
@@ -210,7 +207,7 @@ impl Job {
 
 /// All jobs of one partition over one hyper-period, sorted by
 /// (release, task id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSet {
     jobs: Vec<Job>,
     hyperperiod: Duration,

@@ -27,7 +27,6 @@
 use crate::job::{JobId, JobSet};
 use crate::schedule::Schedule;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 
 /// An ordered collection of named scalar metrics: the one emission schema
 /// shared by every [`Metrics`] implementor. Names keep first-push order
@@ -219,7 +218,7 @@ pub fn quality_with_peak(
 }
 
 /// Distributional statistics of timing-accuracy error `|κ − ideal|`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccuracyStats {
     /// Total jobs considered.
     pub total: usize,

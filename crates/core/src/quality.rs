@@ -9,7 +9,6 @@
 //! common *linear* curve, which is the one shape [`QualityCurve`] models.
 
 use crate::time::{Duration, Time};
-use serde::{Deserialize, Serialize};
 
 /// A quality curve `V(t)` anchored at a job's ideal start instant: linear
 /// decay from `Vmax` at the ideal instant to `Vmin` at distance `θ`.
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(curve.value(ideal, theta, ideal + theta), 1.0);    // boundary
 /// assert_eq!(curve.value(ideal, theta, ideal + theta * 2), 1.0);// outside
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityCurve {
     vmax: f64,
     vmin: f64,

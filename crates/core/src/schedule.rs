@@ -16,11 +16,10 @@
 use crate::error::ValidateScheduleError;
 use crate::job::{Job, JobId, JobSet};
 use crate::time::{Duration, Time};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The scheduled execution of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
     /// The job this entry executes.
     pub job: JobId,
@@ -58,7 +57,7 @@ impl ScheduleEntry {
 /// });
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     entries: Vec<ScheduleEntry>,
 }

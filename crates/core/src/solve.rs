@@ -12,10 +12,9 @@
 use crate::job::JobId;
 use crate::task::{DeviceId, TaskId};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Why a solve produced no feasible schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum InfeasibleCause {
     /// The set's execution demand exceeds the device capacity over the
@@ -84,7 +83,7 @@ impl core::str::FromStr for InfeasibleCause {
 
 /// A structured infeasibility diagnostic: the typed error of every solve
 /// call in the workspace (`Result<Schedule, Infeasible>`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Infeasible {
     /// The failure class.
     pub cause: InfeasibleCause,

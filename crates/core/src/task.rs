@@ -27,19 +27,14 @@
 use crate::error::ValidateTaskError;
 use crate::time::{checked_lcm, lcm, Duration};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of an I/O task within a [`TaskSet`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub u32);
 
 /// Identifier of an I/O device (one controller-processor partition each).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub u32);
 
 /// Identifier of the **tenant** an I/O task belongs to.
@@ -50,9 +45,7 @@ pub struct DeviceId(pub u32);
 /// stream behaves and serialises bit-identically to the pre-tenant
 /// system. The online service layer (`tagio-online`) maps non-anonymous
 /// tenants onto quotas and QoS classes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -71,9 +64,7 @@ impl TenantId {
 /// Deadline-monotonic priority ordering ([`TaskSet::assign_dmpo`]) gives the
 /// shortest-deadline task the largest value, matching the paper's convention
 /// that `D1 > D2 ⇒ P1 < P2` and `Vmax = Pi + 1`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u32);
 
 impl fmt::Display for TaskId {
@@ -105,7 +96,7 @@ impl fmt::Display for Priority {
 ///
 /// Construct with [`IoTask::builder`]; the builder validates the model
 /// invariants (see [`IoTaskBuilder::build`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoTask {
     id: TaskId,
     device: DeviceId,
@@ -117,9 +108,7 @@ pub struct IoTask {
     margin: Duration,
     vmax: f64,
     vmin: f64,
-    #[serde(default)]
     release_offset: Duration,
-    #[serde(default)]
     tenant: TenantId,
 }
 
@@ -463,7 +452,7 @@ impl IoTaskBuilder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<IoTask>,
 }

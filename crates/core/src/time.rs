@@ -25,7 +25,6 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An absolute instant, in microseconds since the schedule epoch.
 ///
@@ -37,10 +36,7 @@ use serde::{Deserialize, Serialize};
 /// use tagio_core::time::Time;
 /// assert!(Time::from_millis(2) > Time::from_micros(1999));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 /// A non-negative span of time, in microseconds.
@@ -50,10 +46,7 @@ pub struct Time(u64);
 /// let d = Duration::from_millis(1) + Duration::from_micros(500);
 /// assert_eq!(d.as_micros(), 1500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Time {

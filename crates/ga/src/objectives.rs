@@ -1,7 +1,5 @@
 //! Objective vectors and Pareto dominance (maximisation convention).
 
-use serde::{Deserialize, Serialize};
-
 /// A vector of objective values, **all maximised**.
 ///
 /// ```
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// The default is the empty vector, a placeholder that allocates nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Objectives(Vec<f64>);
 
 impl Objectives {

@@ -11,10 +11,9 @@
 //! GPIOCP) is explicit in the model.
 
 use crate::resources::ResourceEstimate;
-use serde::{Deserialize, Serialize};
 
 /// An architectural block with a parametric resource cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Block {
     /// Bus/NoC-facing interface for pre-loading and requests ("Port A").
     HostInterface,

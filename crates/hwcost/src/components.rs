@@ -9,10 +9,9 @@
 
 use crate::blocks::{gpiocp_blocks, proposed_blocks, total_cost};
 use crate::resources::ResourceEstimate;
-use serde::{Deserialize, Serialize};
 
 /// A named row of the hardware-overhead comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Display name (as in Table I).
     pub name: &'static str,

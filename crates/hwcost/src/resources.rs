@@ -2,11 +2,10 @@
 
 use core::iter::Sum;
 use core::ops::Add;
-use serde::{Deserialize, Serialize};
 
 /// Post-synthesis resource utilisation of one component (the columns of the
 /// paper's Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceEstimate {
     /// Look-up tables.
     pub luts: u32,

@@ -2,12 +2,9 @@
 
 use crate::topology::NodeId;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Unique packet identifier (issue order).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -17,7 +14,7 @@ impl fmt::Display for PacketId {
 }
 
 /// A packet to be injected into the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Identifier.
     pub id: PacketId,
@@ -35,7 +32,7 @@ pub struct Packet {
 }
 
 /// One flit in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
     pub packet: PacketId,
@@ -70,7 +67,7 @@ impl Packet {
 }
 
 /// A delivered packet with its measured latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivered {
     /// The packet.
     pub packet: Packet,

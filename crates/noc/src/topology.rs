@@ -6,12 +6,9 @@
 //! coordinate — deadlock-free on a mesh.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Coordinates of a mesh node (router + local port).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId {
     /// Column (0-based, grows eastwards).
     pub x: u8,
@@ -34,7 +31,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A router port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
     /// Towards smaller y.
     North,
@@ -72,7 +69,7 @@ impl Port {
 }
 
 /// A rectangular mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     width: u8,
     height: u8,

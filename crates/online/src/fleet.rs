@@ -762,11 +762,6 @@ impl FleetScheduler {
                 }
             }
         }
-        // Commit certification (debug-audit builds only): every epoch's
-        // post-commit state is re-verified by the installed auditor
-        // before outcomes are returned.
-        #[cfg(feature = "debug-audit")]
-        crate::commit_audit::run(self);
         outcomes
             .into_iter()
             .map(|o| {

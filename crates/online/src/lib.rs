@@ -106,8 +106,6 @@
 #![warn(clippy::all)]
 
 pub mod codec;
-#[cfg(feature = "debug-audit")]
-pub mod commit_audit;
 pub mod fleet;
 pub mod persist;
 pub mod scenario;

@@ -35,7 +35,6 @@
 //! utilisation.
 
 use crate::codec::{add_counters, counters, Counter};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tagio_core::task::IoTask;
 pub use tagio_core::task::TenantId;
@@ -62,7 +61,7 @@ pub fn utilisation_ppm(task: &IoTask) -> u64 {
 }
 
 /// The service class a tenant's work is admitted and shed under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QosClass {
     /// Work inside the tenant's quota is protected: it is never shed
     /// while any best-effort or over-quota work remains, and the router
@@ -104,7 +103,7 @@ impl core::str::FromStr for QosClass {
 
 /// A tenant's service contract: QoS class, utilisation quota, and fair
 /// admission weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantSpec {
     /// The tenant's service class.
     pub qos: QosClass,
@@ -166,7 +165,7 @@ impl TenantSpec {
 /// shed re-ranking engages, and the system is bit-identical to the
 /// pre-tenant one — which is how untenanted traces, goldens and v1
 /// snapshots keep replaying unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantRegistry {
     specs: BTreeMap<TenantId, TenantSpec>,
 }
@@ -233,7 +232,7 @@ pub fn shed_rank(registry: &TenantRegistry, task: &IoTask, usage_ppm: u64) -> Sh
 /// Per-tenant decision counters. Only non-anonymous tenants are
 /// accounted, so untenanted runs keep these maps empty (and their stats
 /// digests, snapshots and metric sets unchanged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCounters {
     /// Arrivals offered for this tenant (router-level: fleet-unique).
     pub arrivals: usize,
@@ -264,7 +263,7 @@ impl TenantCounters {
 /// The ledger only changes during sequential epoch staging, so it is
 /// deterministic for any pool width; it is persisted in snapshot format
 /// v2 (`deficit` lines) because future admission decisions depend on it.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantLedger {
     deficits: BTreeMap<TenantId, u64>,
 }

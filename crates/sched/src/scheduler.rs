@@ -7,7 +7,6 @@
 //! diagnostic. Seeded methods also read a per-call [`SolverCtx`] through
 //! [`Scheduler::schedule_with`].
 
-use serde::{Deserialize, Serialize};
 use tagio_core::job::JobSet;
 use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
@@ -53,7 +52,7 @@ pub trait Scheduler {
 
 /// The outcome of running a solver on one job set, with the paper's
 /// metrics attached.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingReport {
     /// Solver name.
     pub method: String,

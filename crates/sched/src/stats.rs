@@ -2,7 +2,6 @@
 //! mean/min/max) the experiment reports fold Ψ, Υ and every other
 //! per-system metric into.
 
-use serde::{Deserialize, Serialize};
 use tagio_core::{MetricSet, Metrics};
 
 /// Running summary of one scalar metric: sample count, mean, min and max.
@@ -16,7 +15,7 @@ use tagio_core::{MetricSet, Metrics};
 /// assert_eq!(s.mean(), 0.5);
 /// assert_eq!((s.min(), s.max()), (0.25, 0.75));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: usize,
     sum: f64,

@@ -11,7 +11,6 @@
 use crate::periods::PeriodPool;
 use crate::uunifast::{uunifast, uunifast_capped};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet};
 use tagio_core::time::Duration;
 
@@ -30,7 +29,7 @@ use tagio_core::time::Duration;
 /// assert_eq!(system.len(), 6); // 0.3 / 0.05
 /// assert!((system.utilisation() - 0.3).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Target total utilisation `U`.
     pub utilisation: f64,

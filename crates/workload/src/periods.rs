@@ -7,7 +7,7 @@
 //! target hyper-period as an upper bound of its LCM.
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tagio_core::time::Duration;
 
 /// The paper's hyper-period: 1440 ms.
@@ -25,7 +25,7 @@ pub const PAPER_HYPERPERIOD: Duration = Duration::from_millis(1440);
 ///     .iter()
 ///     .all(|p| (Duration::from_millis(1440) % *p).is_zero()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeriodPool {
     hyperperiod: Duration,
     candidates: Vec<Duration>,
@@ -73,13 +73,21 @@ impl PeriodPool {
     }
 
     /// The paper's pool: divisors of 1440 ms between 10 ms and 1440 ms.
+    ///
+    /// The divisors are enumerated once per process; each call clones
+    /// that pool.
     #[must_use]
     pub fn paper_default() -> Self {
-        Self::divisors_of(
-            PAPER_HYPERPERIOD,
-            Duration::from_millis(10),
-            Duration::from_millis(1440),
-        )
+        static PAPER: OnceLock<PeriodPool> = OnceLock::new();
+        PAPER
+            .get_or_init(|| {
+                Self::divisors_of(
+                    PAPER_HYPERPERIOD,
+                    Duration::from_millis(10),
+                    Duration::from_millis(1440),
+                )
+            })
+            .clone()
     }
 
     /// The common hyper-period.

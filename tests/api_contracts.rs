@@ -1,23 +1,19 @@
-//! API contracts of the public types: thread-safety, serde availability,
-//! and the common-trait expectations of the Rust API guidelines
-//! (C-SEND-SYNC, C-SERDE, C-COMMON-TRAITS, C-GOOD-ERR).
+//! API contracts of the public types: thread-safety and the common-trait
+//! expectations of the Rust API guidelines (C-SEND-SYNC, C-COMMON-TRAITS,
+//! C-GOOD-ERR).
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use tagio::controller::{ExecutionTrace, PreloadError};
 use tagio::core::error::{ValidateScheduleError, ValidateTaskError};
 use tagio::core::job::{Job, JobId, JobSet};
 use tagio::core::quality::QualityCurve;
-use tagio::core::schedule::{Schedule, ScheduleEntry};
+use tagio::core::schedule::Schedule;
 use tagio::core::solve::{Infeasible, InfeasibleCause, SolverCtx};
 use tagio::core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
-use tagio::core::time::{Duration, Time};
+use tagio::core::time::Time;
 use tagio::hwcost::ResourceEstimate;
-use tagio::noc::Packet;
 use tagio::sched::{MethodError, SchedulerBug, SchedulingReport};
 
 fn assert_send_sync<T: Send + Sync>() {}
-fn assert_serde<T: Serialize + DeserializeOwned>() {}
 fn assert_error<T: std::error::Error + Send + Sync + 'static>() {}
 
 #[test]
@@ -45,22 +41,6 @@ fn solver_error_types_are_well_behaved() {
         InfeasibleCause::BudgetExhausted.as_str(),
         "budget-exhausted"
     );
-}
-
-#[test]
-fn data_types_implement_serde() {
-    assert_serde::<Infeasible>();
-    assert_serde::<SchedulingReport>();
-    assert_serde::<IoTask>();
-    assert_serde::<TaskSet>();
-    assert_serde::<Job>();
-    assert_serde::<JobSet>();
-    assert_serde::<Schedule>();
-    assert_serde::<ScheduleEntry>();
-    assert_serde::<Time>();
-    assert_serde::<Duration>();
-    assert_serde::<Packet>();
-    assert_serde::<ResourceEstimate>();
 }
 
 #[test]
